@@ -11,7 +11,7 @@
 /// The hot/cold p50 gap is the whole point of the daemon's cache; both
 /// phases land in BENCH_serve.json (the repo's BENCH_*.json trajectory
 /// schema) with client-side p50/p99 wall latency and the daemon's
-/// serve.* counters.
+/// serve.* counters accrued during that phase.
 ///
 /// Flags: --requests N per phase, --hot-keys N, --conns N, --window N,
 /// --threads N (daemon pool), --size N, --out FILE, --fault SPEC
@@ -37,6 +37,7 @@
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "fault/failpoint.hpp"
+#include "obs/counters.hpp"
 #include "runtime/result_sink.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
@@ -50,12 +51,29 @@ struct PhaseResult {
   std::uint64_t cache_hits = 0;
   std::uint64_t errors = 0;  ///< typed error responses (chaos runs only)
   double wall_s = 0;
+  bsa::obs::CounterSnapshot counters;  ///< daemon counters of this phase
 };
 
 /// Seed for request i of a phase: the hot phase cycles a small set, the
 /// cold phase never repeats.
 std::uint64_t phase_seed(bool hot, std::uint64_t i, std::uint64_t hot_keys) {
   return hot ? 1 + i % hot_keys : 1000000 + i;
+}
+
+/// Counters attributable to one phase: the difference of snapshots taken
+/// around it. The level gauges (cache size, batch-size high-water mark)
+/// keep their end-of-phase value; a difference of levels means nothing.
+bsa::obs::CounterSnapshot phase_counters(
+    const bsa::obs::CounterSnapshot& before,
+    const bsa::obs::CounterSnapshot& after) {
+  bsa::obs::CounterSnapshot out;
+  for (const auto& [name, value] : after) {
+    const bool level =
+        name == "serve.cache.size" || name == "serve.batch_size_hwm";
+    out.emplace_back(name, level ? value
+                                 : value - bsa::obs::snapshot_value(before, name));
+  }
+  return out;
 }
 
 PhaseResult run_phase(const std::string& socket, bool hot,
@@ -163,11 +181,15 @@ int main(int argc, char** argv) {
       }
     }
 
-    const PhaseResult cold = run_phase(server.socket_path(), false, requests,
-                                       hot_keys, conns, window, size);
-    const PhaseResult hot = run_phase(server.socket_path(), true, requests,
-                                      hot_keys, conns, window, size);
-    const obs::CounterSnapshot counters = server.counters();
+    const auto measure = [&](bool hot_phase) {
+      const obs::CounterSnapshot before = server.counters();
+      PhaseResult r = run_phase(server.socket_path(), hot_phase, requests,
+                                hot_keys, conns, window, size);
+      r.counters = phase_counters(before, server.counters());
+      return r;
+    };
+    const PhaseResult cold = measure(false);
+    const PhaseResult hot = measure(true);
     server.stop();
 
     TextTable table({"phase", "requests", "cache hits", "p50 us", "p99 us",
@@ -195,7 +217,7 @@ int main(int argc, char** argv) {
       e.mean_wall_ms = wall.mean();
       e.p50_wall_ms = p50;
       e.p99_wall_ms = p99;
-      e.counters = counters;
+      e.counters = phase->counters;
       entries.push_back(std::move(e));
     }
     table.print(std::cout);

@@ -651,14 +651,15 @@ class BsaRunner {
       obs::Span span(opt_.obs.tracer, "replay", "bsa", opt_.obs.trace_tid);
       if (use_txn) {
         // replay_retime rebuilds the schedule wholesale, which cannot be
-        // journaled: undo the mutations, fall back to a snapshot of the
-        // pre-migration state, and re-apply them (deterministic).
+        // journaled: undo the mutations (the context with them), fall
+        // back to a snapshot of the pre-migration state, and re-apply
+        // them (deterministic).
         sched_.rollback_transaction();
+        if (retime_ctx_.has_value()) retime_ctx_->undo_migration(t);
         refresh_snapshot();
         apply_migration_mutations(t, pivot, py);
       }
       (void)sched::replay_retime(sched_, costs_, opt_.insertion_slots);
-      if (retime_ctx_.has_value()) retime_ctx_->invalidate();
       replayed = true;
       ++trace_.replay_fallbacks;
     }
@@ -674,7 +675,10 @@ class BsaRunner {
           if (retime_ctx_.has_value()) retime_ctx_->undo_migration(t);
         } else {
           sched_ = *snapshot_;  // reject: schedule got longer
-          if (retime_ctx_.has_value()) retime_ctx_->resync_migration(t);
+          // A transactional replay undid the context before replaying.
+          if (retime_ctx_.has_value() && !use_txn) {
+            retime_ctx_->undo_migration(t);
+          }
         }
       }
       if (opt_.obs.decision_log != nullptr) {
@@ -696,6 +700,11 @@ class BsaRunner {
       return;
     }
     if (use_txn && !replayed) sched_.commit_transaction();
+    if (replayed && retime_ctx_.has_value()) {
+      // Part of the replay fallback's cost: re-read the kept result.
+      obs::Span span(opt_.obs.tracer, "replay", "bsa", opt_.obs.trace_tid);
+      retime_ctx_->adopt_schedule();
+    }
 
     trace_.migrations.push_back(Migration{
         t, pivot, py, old_ft, predicted_ft, sched_.finish_of(t),

@@ -17,7 +17,7 @@ MoveEngine::MoveEngine(sched::Schedule& s,
   // incremental updates start from consistent ground.
   if (!ctx_.retime_full(nullptr)) {
     (void)sched::replay_retime(s_, costs_, true);
-    ctx_.invalidate();
+    ctx_.adopt_schedule();
     ++stats_.replay_fallbacks;
   }
 }
@@ -86,20 +86,17 @@ Time MoveEngine::evaluate(TaskId t, ProcId p) {
   ++stats_.evaluated;
   s_.begin_transaction(txn_);
   apply_move_mutations(t, p);
-  if (ctx_.retime_migration(t, nullptr)) {
-    const Time len = s_.makespan();
-    s_.rollback_transaction();
-    ctx_.undo_migration(t);
-    return len;
-  }
-  // Re-timing cycle: replay the whole schedule to measure, restore
-  // from a copy (the context is stale either way).
-  ++stats_.replay_fallbacks;
+  const bool retimed = ctx_.retime_migration(t, nullptr);
+  const Time retimed_len = retimed ? s_.makespan() : Time{0};
   s_.rollback_transaction();
+  ctx_.undo_migration(t);
+  if (retimed) return retimed_len;
+  // Re-timing cycle: replay the whole schedule to measure and restore it
+  // from a copy. The context already mirrors the restored schedule.
+  ++stats_.replay_fallbacks;
   sched::Schedule snapshot = s_;
   apply_move_mutations(t, p);
   (void)sched::replay_retime(s_, costs_, true);
-  ctx_.invalidate();
   const Time len = s_.makespan();
   s_ = std::move(snapshot);
   return len;
@@ -111,7 +108,7 @@ void MoveEngine::apply(TaskId t, ProcId p) {
   if (!ctx_.retime_migration(t, nullptr)) {
     ++stats_.replay_fallbacks;
     (void)sched::replay_retime(s_, costs_, true);
-    ctx_.invalidate();
+    ctx_.adopt_schedule();
   }
 }
 

@@ -55,6 +55,11 @@ class MoveEngine {
     std::int64_t replay_fallbacks = 0;  ///< re-timing-cycle snapshot replays
   };
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
+  /// Counters of the engine's re-timing context.
+  [[nodiscard]] const sched::RetimeContext::Stats& retime_stats()
+      const noexcept {
+    return ctx_.stats();
+  }
 
  private:
   void apply_move_mutations(TaskId t, ProcId p);

@@ -242,8 +242,11 @@ void write_bench_json(std::ostream& os, const std::string& bench_name,
        << "\",\"runs\":" << e.runs
        << ",\"mean_wall_ms\":" << json_number(e.mean_wall_ms)
        << ",\"p50_wall_ms\":" << json_number(e.p50_wall_ms)
-       << ",\"p99_wall_ms\":" << json_number(e.p99_wall_ms)
-       << ",\"mean_schedule_length\":" << json_number(e.mean_schedule_length);
+       << ",\"p99_wall_ms\":" << json_number(e.p99_wall_ms);
+    if (e.mean_schedule_length.has_value()) {
+      os << ",\"mean_schedule_length\":"
+         << json_number(*e.mean_schedule_length);
+    }
     if (!e.counters.empty()) {
       os << ",\"counters\":{";
       for (std::size_t c = 0; c < e.counters.size(); ++c) {

@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <variant>
 #include <vector>
@@ -110,7 +111,9 @@ struct BenchEntry {
   std::string label;   ///< e.g. "BSA/ring/100"
   std::size_t runs = 0;
   double mean_wall_ms = 0;
-  double mean_schedule_length = 0;
+  /// Omitted from the JSON when unset (entries that schedule nothing of
+  /// their own, such as serve phases).
+  std::optional<double> mean_schedule_length;
   /// Wall-time percentiles across the runs (0 when not collected; the
   /// mean fields above are kept so older BENCH_*.json consumers keep
   /// working).

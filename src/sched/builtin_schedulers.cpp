@@ -152,7 +152,6 @@ class BsaScheduler final : public Scheduler {
             static_cast<std::int64_t>(t.initial_serial_length));
     reg.add("bsa.retime.nodes_recomputed", t.retime.nodes_recomputed);
     reg.add("bsa.retime.migrations", t.retime.migrations);
-    reg.add("bsa.retime.resyncs", t.retime.resyncs);
     reg.add("bsa.retime.undos", t.retime.undos);
     reg.add("bsa.retime.full_rebuilds", t.retime.full_rebuilds);
     reg.add("bsa.txn.journal_hwm", t.txn_journal_hwm);

@@ -1,12 +1,22 @@
 #include "sched/retime_context.hpp"
 
 #include <algorithm>
+#include <functional>
+#include <iterator>
 #include <sstream>
 #include <string>
 
 #include "common/check.hpp"
 
 namespace bsa::sched {
+namespace {
+
+/// Label distance between neighbours after a relabel; an insertion takes
+/// the midpoint of its gap, so ~32 insertions fit into one gap before the
+/// list is relabelled.
+constexpr std::uint64_t kLabelSpacing = std::uint64_t{1} << 32;
+
+}  // namespace
 
 RetimeContext::RetimeContext(Schedule& s,
                              const net::HeterogeneousCostModel& costs)
@@ -17,56 +27,27 @@ RetimeContext::RetimeContext(Schedule& s,
   const auto n = static_cast<std::size_t>(num_tasks_);
   start_.resize(n, 0);
   finish_.resize(n, 0);
+  dur_.resize(n, 0);
   node_edge_.resize(n, kInvalidEdge);
   node_k_.resize(n, 0);
   node_link_.resize(n, kInvalidLink);
   task_active_.resize(n, 0);
   hop_nodes_.resize(static_cast<std::size_t>(g_->num_edges()));
+  arrival_node_.resize(static_cast<std::size_t>(g_->num_edges()), kNone);
+  departure_node_.resize(static_cast<std::size_t>(g_->num_edges()), kNone);
   proc_prev_.resize(n, kNone);
   proc_next_.resize(n, kNone);
   link_prev_.resize(n, kNone);
   link_next_.resize(n, kNone);
+  link_pos_.resize(n, kNone);
+  node_slot_.resize(n, kNone);
+  node_label_.resize(n, 0);
   mark_.resize(n, 0);
   indeg_.resize(n, 0);
-
-  // Build the structure and adopt the schedule's times: the schedule is
-  // required to be a re-timing fixpoint at construction.
-  ++stats_.full_rebuilds;
-  for (TaskId t = 0; t < num_tasks_; ++t) {
-    task_active_[static_cast<std::size_t>(t)] = s_->is_placed(t) ? 1 : 0;
-    if (s_->is_placed(t)) {
-      start_[static_cast<std::size_t>(t)] = s_->start_of(t);
-      finish_[static_cast<std::size_t>(t)] = s_->finish_of(t);
-    }
-  }
-  for (EdgeId e = 0; e < g_->num_edges(); ++e) rebuild_edge_hops(e);
-  for (ProcId p = 0; p < s_->topology().num_processors(); ++p) {
-    relink_proc_chain(p);
-  }
-  for (LinkId l = 0; l < s_->topology().num_links(); ++l) {
-    relink_link_chain(l);
-  }
-  seeds_.clear();  // construction only syncs; nothing to recompute
-  stats_.node_count = s_->num_placed() +
-                      static_cast<std::int64_t>(start_.size() - n) -
-                      static_cast<std::int64_t>(free_.size());
+  adopt_schedule();
 }
 
 // --- node pool --------------------------------------------------------------
-
-void RetimeContext::ensure_node_capacity(int v) {
-  const auto need = static_cast<std::size_t>(v) + 1;
-  if (start_.size() >= need) return;
-  start_.resize(need, 0);
-  finish_.resize(need, 0);
-  node_edge_.resize(need, kInvalidEdge);
-  node_k_.resize(need, 0);
-  node_link_.resize(need, kInvalidLink);
-  link_prev_.resize(need, kNone);
-  link_next_.resize(need, kNone);
-  mark_.resize(need, 0);
-  indeg_.resize(need, 0);
-}
 
 int RetimeContext::alloc_hop_node(EdgeId e, int k, LinkId link) {
   int v = 0;
@@ -75,23 +56,45 @@ int RetimeContext::alloc_hop_node(EdgeId e, int k, LinkId link) {
     free_.pop_back();
   } else {
     v = static_cast<int>(start_.size());
-    ensure_node_capacity(v);
+    const auto need = static_cast<std::size_t>(v) + 1;
+    start_.resize(need, 0);
+    finish_.resize(need, 0);
+    dur_.resize(need, 0);
+    node_edge_.resize(need, kInvalidEdge);
+    node_k_.resize(need, 0);
+    node_link_.resize(need, kInvalidLink);
+    link_prev_.resize(need, kNone);
+    link_next_.resize(need, kNone);
+    link_pos_.resize(need, kNone);
+    node_slot_.resize(need, kNone);
+    node_label_.resize(need, 0);
+    mark_.resize(need, 0);
+    indeg_.resize(need, 0);
   }
-  node_edge_[static_cast<std::size_t>(v)] = e;
-  node_k_[static_cast<std::size_t>(v)] = k;
-  node_link_[static_cast<std::size_t>(v)] = link;
-  link_prev_[static_cast<std::size_t>(v)] = kNone;
-  link_next_[static_cast<std::size_t>(v)] = kNone;
+  const auto vi = static_cast<std::size_t>(v);
+  node_edge_[vi] = e;
+  node_k_[vi] = k;
+  node_link_[vi] = link;
+  dur_[vi] = costs_->comm_cost(e, link);
+  link_prev_[vi] = kNone;
+  link_next_[vi] = kNone;
   return v;
 }
 
 void RetimeContext::free_edge_nodes(EdgeId e) {
   auto& nodes = hop_nodes_[static_cast<std::size_t>(e)];
-  for (const int v : nodes) free_.push_back(v);
+  // Pushed in reverse so a rebuild of the same chain pops them in hop
+  // order again.
+  for (auto it = nodes.rbegin(); it != nodes.rend(); ++it) {
+    const int v = *it;
+    if (node_slot_[static_cast<std::size_t>(v)] != kNone) release_slot(v);
+    node_edge_[static_cast<std::size_t>(v)] = kInvalidEdge;
+    free_.push_back(v);
+  }
   nodes.clear();
 }
 
-// --- structure building ------------------------------------------------------
+// --- structure ---------------------------------------------------------------
 
 void RetimeContext::rebuild_edge_hops(EdgeId e) {
   free_edge_nodes(e);
@@ -105,23 +108,67 @@ void RetimeContext::rebuild_edge_hops(EdgeId e) {
     finish_[static_cast<std::size_t>(v)] = h.finish;
     nodes.push_back(v);
   }
+  const auto ei = static_cast<std::size_t>(e);
+  const TaskId src = g_->edge_src(e);
+  const TaskId dst = g_->edge_dst(e);
+  if (!nodes.empty()) {
+    arrival_node_[ei] = nodes.back();
+    departure_node_[ei] = nodes.front();
+  } else {
+    arrival_node_[ei] = task_active_[static_cast<std::size_t>(src)] ? src : kNone;
+    departure_node_[ei] = task_active_[static_cast<std::size_t>(dst)] ? dst : kNone;
+  }
 }
 
-void RetimeContext::seed(int v) { seeds_.push_back(v); }
+void RetimeContext::place_after_preds(int v) {
+  // Right behind its latest already-placed predecessor: the order stays
+  // close to the time axis, which keeps the repairs of the node's other
+  // edges local. Any edge this leaves backwards is repaired afterwards.
+  int best = kNone;
+  for_each_pred(v, [&](int u) {
+    if (node_slot_[static_cast<std::size_t>(u)] == kNone) return;
+    if (best == kNone || label(u) > label(best)) best = u;
+  });
+  assign_slot(v, new_slot_after(
+      best == kNone ? kNone : node_slot_[static_cast<std::size_t>(best)]));
+}
 
-void RetimeContext::relink_proc_chain(ProcId p) {
-  const auto& order = s_->tasks_on(p);
-  TaskId prev = kNone;
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    const TaskId u = order[i];
-    if (proc_prev_[static_cast<std::size_t>(u)] != prev) {
-      proc_prev_[static_cast<std::size_t>(u)] = prev;
-      seed(u);
-    }
-    proc_next_[static_cast<std::size_t>(u)] =
-        i + 1 < order.size() ? order[i + 1] : kNone;
-    prev = u;
+void RetimeContext::assign_slot(int v, int slot) {
+  node_slot_[static_cast<std::size_t>(v)] = slot;
+  slot_node_[static_cast<std::size_t>(slot)] = v;
+  node_label_[static_cast<std::size_t>(v)] =
+      slot_label_[static_cast<std::size_t>(slot)];
+}
+
+void RetimeContext::relink_task(TaskId t) {
+  const auto ti = static_cast<std::size_t>(t);
+  const TaskId a = proc_prev_[ti];
+  const TaskId b = proc_next_[ti];
+  if (a != kNone) proc_next_[static_cast<std::size_t>(a)] = b;
+  if (b != kNone) {
+    proc_prev_[static_cast<std::size_t>(b)] = a;
+    seed(b);
   }
+  // Processor orders are sorted by start time, so t's position is found
+  // by binary search; equal starts (zero-length tasks) are scanned.
+  const auto& order = s_->tasks_on(s_->proc_of(t));
+  const Time st = s_->start_of(t);
+  auto it = std::lower_bound(
+      order.begin(), order.end(), st,
+      [&](TaskId u, Time x) { return s_->start_of(u) < x; });
+  while (it != order.end() && *it != t && s_->start_of(*it) == st) ++it;
+  if (it == order.end() || *it != t) it = std::find(order.begin(), order.end(), t);
+  BSA_ASSERT(it != order.end(), "task " << t << " missing from its processor");
+  const TaskId c = it == order.begin() ? kNone : *(it - 1);
+  const TaskId d = it + 1 == order.end() ? kNone : *(it + 1);
+  proc_prev_[ti] = c;
+  proc_next_[ti] = d;
+  if (c != kNone) proc_next_[static_cast<std::size_t>(c)] = t;
+  if (d != kNone) {
+    proc_prev_[static_cast<std::size_t>(d)] = t;
+    seed(d);
+  }
+  seed(t);
 }
 
 void RetimeContext::relink_link_chain(LinkId l) {
@@ -131,19 +178,94 @@ void RetimeContext::relink_link_chain(LinkId l) {
     const LinkBooking& b = bookings[i];
     const int v = hop_nodes_[static_cast<std::size_t>(b.edge)]
                             [static_cast<std::size_t>(b.hop_index)];
-    if (link_prev_[static_cast<std::size_t>(v)] != prev) {
-      link_prev_[static_cast<std::size_t>(v)] = prev;
+    const auto vi = static_cast<std::size_t>(v);
+    if (link_prev_[vi] != prev) {
+      link_prev_[vi] = prev;
       seed(v);
     }
+    link_pos_[vi] = static_cast<int>(i);
     if (i + 1 < bookings.size()) {
       const LinkBooking& nb = bookings[i + 1];
-      link_next_[static_cast<std::size_t>(v)] =
-          hop_nodes_[static_cast<std::size_t>(nb.edge)]
-                    [static_cast<std::size_t>(nb.hop_index)];
+      link_next_[vi] = hop_nodes_[static_cast<std::size_t>(nb.edge)]
+                                 [static_cast<std::size_t>(nb.hop_index)];
     } else {
-      link_next_[static_cast<std::size_t>(v)] = kNone;
+      link_next_[vi] = kNone;
     }
     prev = v;
+  }
+}
+
+void RetimeContext::build() {
+  for (TaskId t = 0; t < num_tasks_; ++t) {
+    const auto ti = static_cast<std::size_t>(t);
+    task_active_[ti] = s_->is_placed(t) ? 1 : 0;
+    if (s_->is_placed(t)) {
+      start_[ti] = s_->start_of(t);
+      finish_[ti] = s_->finish_of(t);
+      dur_[ti] = costs_->exec_cost(t, s_->proc_of(t));
+    }
+    proc_prev_[ti] = kNone;
+    proc_next_[ti] = kNone;
+  }
+  std::fill(node_slot_.begin(), node_slot_.end(), kNone);
+  for (EdgeId e = 0; e < g_->num_edges(); ++e) rebuild_edge_hops(e);
+  for (ProcId p = 0; p < s_->topology().num_processors(); ++p) {
+    const auto& order = s_->tasks_on(p);
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      const auto ui = static_cast<std::size_t>(order[i]);
+      proc_prev_[ui] = i == 0 ? kNone : order[i - 1];
+      proc_next_[ui] = i + 1 < order.size() ? order[i + 1] : kNone;
+    }
+  }
+  for (LinkId l = 0; l < s_->topology().num_links(); ++l) {
+    relink_link_chain(l);
+  }
+  seeds_.clear();
+  forced_.clear();
+  time_undo_.clear();
+  pending_task_ = kInvalidTask;
+  last_task_ = kInvalidTask;
+  last_links_.clear();
+  cyclic_ = !order_from_scratch();
+  count_nodes();
+}
+
+void RetimeContext::apply_structure_delta(TaskId t) {
+  seeds_.clear();
+  forced_.clear();
+  const auto ti = static_cast<std::size_t>(t);
+  start_[ti] = s_->start_of(t);
+  finish_[ti] = s_->finish_of(t);
+  dur_[ti] = costs_->exec_cost(t, s_->proc_of(t));
+  relink_task(t);
+  for (const EdgeId e : g_->in_edges(t)) rebuild_edge_hops(e);
+  for (const EdgeId e : g_->out_edges(t)) {
+    rebuild_edge_hops(e);
+    const TaskId dst = g_->edge_dst(e);
+    if (task_active_[static_cast<std::size_t>(dst)]) seed(dst);
+  }
+  for (const LinkId l : last_links_) relink_link_chain(l);
+  // t and the re-allocated hop nodes take new places in the order, in
+  // dependency order: incoming chains, t, outgoing chains. Their
+  // successors are recomputed unconditionally (a recycled id can keep its
+  // link successor's predecessor pointer while its times changed), and
+  // their out-edges are checked by repair_order.
+  release_slot(t);
+  for (const EdgeId e : g_->in_edges(t)) {
+    for (const int v : hop_nodes_[static_cast<std::size_t>(e)]) {
+      place_after_preds(v);
+      seed(v);
+      forced_.push_back(v);
+    }
+  }
+  place_after_preds(t);
+  forced_.push_back(t);
+  for (const EdgeId e : g_->out_edges(t)) {
+    for (const int v : hop_nodes_[static_cast<std::size_t>(e)]) {
+      place_after_preds(v);
+      seed(v);
+      forced_.push_back(v);
+    }
   }
 }
 
@@ -157,13 +279,8 @@ void RetimeContext::for_each_pred(int v, Fn&& fn) const {
       fn(proc_prev_[static_cast<std::size_t>(t)]);
     }
     for (const EdgeId e : g_->in_edges(t)) {
-      const auto& nodes = hop_nodes_[static_cast<std::size_t>(e)];
-      if (!nodes.empty()) {
-        fn(nodes.back());
-      } else {
-        const TaskId src = g_->edge_src(e);
-        if (task_active_[static_cast<std::size_t>(src)]) fn(src);
-      }
+      const int u = arrival_node_[static_cast<std::size_t>(e)];
+      if (u != kNone) fn(u);
     }
     return;
   }
@@ -190,13 +307,8 @@ void RetimeContext::for_each_succ(int v, Fn&& fn) const {
       fn(proc_next_[static_cast<std::size_t>(t)]);
     }
     for (const EdgeId e : g_->out_edges(t)) {
-      const auto& nodes = hop_nodes_[static_cast<std::size_t>(e)];
-      if (!nodes.empty()) {
-        fn(nodes.front());
-      } else {
-        const TaskId dst = g_->edge_dst(e);
-        if (task_active_[static_cast<std::size_t>(dst)]) fn(dst);
-      }
+      const int w = departure_node_[static_cast<std::size_t>(e)];
+      if (w != kNone) fn(w);
     }
     return;
   }
@@ -214,94 +326,262 @@ void RetimeContext::for_each_succ(int v, Fn&& fn) const {
   }
 }
 
-Time RetimeContext::duration_of(int v) const {
-  if (is_task_node(v)) {
-    const auto t = static_cast<TaskId>(v);
-    return costs_->exec_cost(t, s_->proc_of(t));
+// --- topological order -------------------------------------------------------
+
+int RetimeContext::new_slot_after(int a) {
+  int b = 0;
+  if (!free_slots_.empty()) {
+    b = free_slots_.back();
+    free_slots_.pop_back();
+  } else {
+    b = static_cast<int>(slot_label_.size());
+    slot_label_.push_back(0);
+    slot_next_.push_back(kNone);
+    slot_prev_.push_back(kNone);
+    slot_node_.push_back(kNone);
   }
-  return costs_->comm_cost(node_edge_[static_cast<std::size_t>(v)],
-                           node_link_[static_cast<std::size_t>(v)]);
+  const auto bi = static_cast<std::size_t>(b);
+  const int next = a == kNone ? head_slot_ : slot_next_[static_cast<std::size_t>(a)];
+  const auto gap = [&]() -> Label {
+    const Label lo = a == kNone ? 0 : slot_label_[static_cast<std::size_t>(a)];
+    const Label hi = next == kNone ? lo + 2 * kLabelSpacing
+                                   : slot_label_[static_cast<std::size_t>(next)];
+    return hi - lo;
+  };
+  if (gap() < 2) relabel_all();
+  const Label lo = a == kNone ? 0 : slot_label_[static_cast<std::size_t>(a)];
+  slot_label_[bi] = lo + gap() / 2;
+  slot_prev_[bi] = a;
+  slot_next_[bi] = next;
+  if (a == kNone) {
+    head_slot_ = b;
+  } else {
+    slot_next_[static_cast<std::size_t>(a)] = b;
+  }
+  if (next == kNone) {
+    tail_slot_ = b;
+  } else {
+    slot_prev_[static_cast<std::size_t>(next)] = b;
+  }
+  return b;
 }
 
-// --- partial re-topological-sort ---------------------------------------------
-
-void RetimeContext::collect_region() {
-  region_.clear();
-  queue_.clear();
-  ++epoch_;
-  for (const int v : seeds_) {
-    if (mark_[static_cast<std::size_t>(v)] == epoch_) continue;
-    mark_[static_cast<std::size_t>(v)] = epoch_;
-    indeg_[static_cast<std::size_t>(v)] = 0;
-    region_.push_back(v);
+void RetimeContext::release_slot(int v) {
+  const int s = node_slot_[static_cast<std::size_t>(v)];
+  const auto si = static_cast<std::size_t>(s);
+  const int prev = slot_prev_[si];
+  const int next = slot_next_[si];
+  if (prev == kNone) {
+    head_slot_ = next;
+  } else {
+    slot_next_[static_cast<std::size_t>(prev)] = next;
   }
-  // Downstream closure: every node whose inputs may change. Because every
-  // successor of a region node joins the region, the closure walk also
-  // yields the region-restricted indegrees for free — each constraint
-  // edge inside the region is enumerated exactly once here.
-  for (std::size_t head = 0; head < region_.size(); ++head) {
-    for_each_succ(region_[head], [&](int w) {
-      const auto wi = static_cast<std::size_t>(w);
-      if (mark_[wi] != epoch_) {
-        mark_[wi] = epoch_;
-        indeg_[wi] = 0;
-        region_.push_back(w);
-      }
-      ++indeg_[wi];
+  if (next == kNone) {
+    tail_slot_ = prev;
+  } else {
+    slot_prev_[static_cast<std::size_t>(next)] = prev;
+  }
+  slot_node_[si] = kNone;
+  free_slots_.push_back(s);
+  node_slot_[static_cast<std::size_t>(v)] = kNone;
+}
+
+void RetimeContext::relabel_all() {
+  Label l = kLabelSpacing;
+  for (int s = head_slot_; s != kNone; s = slot_next_[static_cast<std::size_t>(s)]) {
+    slot_label_[static_cast<std::size_t>(s)] = l;
+    node_label_[static_cast<std::size_t>(slot_node_[static_cast<std::size_t>(s)])] = l;
+    l += kLabelSpacing;
+  }
+}
+
+bool RetimeContext::order_from_scratch() {
+  slot_label_.clear();
+  slot_next_.clear();
+  slot_prev_.clear();
+  slot_node_.clear();
+  free_slots_.clear();
+  head_slot_ = tail_slot_ = kNone;
+  // Live nodes, tasks first then hops in edge order.
+  std::vector<int> live;
+  for (TaskId t = 0; t < num_tasks_; ++t) {
+    if (task_active_[static_cast<std::size_t>(t)]) live.push_back(t);
+  }
+  for (const auto& nodes : hop_nodes_) {
+    live.insert(live.end(), nodes.begin(), nodes.end());
+  }
+  for (const int v : live) indeg_[static_cast<std::size_t>(v)] = 0;
+  for (const int v : live) {
+    for_each_succ(v, [&](int w) { ++indeg_[static_cast<std::size_t>(w)]; });
+  }
+  // Kahn by start time: the initial order follows the schedule's time
+  // axis, which keeps later order repairs local.
+  using Ready = std::pair<Time, int>;
+  std::vector<Ready> ready;
+  const auto push = [&](int v) {
+    ready.emplace_back(start_[static_cast<std::size_t>(v)], v);
+    std::push_heap(ready.begin(), ready.end(), std::greater<>{});
+  };
+  for (const int v : live) {
+    if (indeg_[static_cast<std::size_t>(v)] == 0) push(v);
+  }
+  std::size_t placed = 0;
+  while (!ready.empty()) {
+    std::pop_heap(ready.begin(), ready.end(), std::greater<>{});
+    const int v = ready.back().second;
+    ready.pop_back();
+    assign_slot(v, new_slot_after(tail_slot_));
+    ++placed;
+    for_each_succ(v, [&](int w) {
+      if (--indeg_[static_cast<std::size_t>(w)] == 0) push(w);
     });
   }
+  // Nodes on or behind a cycle stay unplaced; the context refuses
+  // migrations until it is rebuilt.
+  return placed == live.size();
 }
 
-bool RetimeContext::sweep_region() {
-  // Kahn longest-path sweep over the region (indegrees were accumulated
-  // by collect_region). Values of predecessors outside the region are
-  // fixed by construction.
-  queue_.clear();
-  for (const int v : region_) {
-    if (indeg_[static_cast<std::size_t>(v)] == 0) queue_.push_back(v);
+bool RetimeContext::repair_order() {
+  // Edges that may point backwards: every new edge ends at a seed, and a
+  // re-allocated hop node took a fresh slot, so its out-edges (to a link
+  // successor that kept its predecessor id) are checked too.
+  bool ok = true;
+  for (const int v : seeds_) {
+    if (!ok) break;
+    for_each_pred(v, [&](int u) {
+      if (ok && label(u) > label(v)) ok = reorder(u, v);
+    });
   }
-  std::size_t processed = 0;
-  for (std::size_t head = 0; head < queue_.size(); ++head) {
-    const int v = queue_[head];
-    ++processed;
+  for (const int u : forced_) {
+    if (!ok) break;
+    for_each_succ(u, [&](int w) {
+      if (ok && label(u) > label(w)) ok = reorder(u, w);
+    });
+  }
+  return ok;
+}
+
+bool RetimeContext::reorder(int u, int v) {
+  // Pearce-Kelly: only nodes strictly between label(v) and label(u) can
+  // be out of order after adding u -> v. Forward from v and backward from
+  // u inside that window; reaching u from v closes a cycle.
+  const Label lb = label(v);
+  const Label ub = label(u);
+  const auto in_window = [&](int w) {
+    const Label lw = label(w);
+    return lw > lb && lw < ub && mark_[static_cast<std::size_t>(w)] != epoch_;
+  };
+  ++epoch_;
+  fwd_.clear();
+  stack_.assign(1, v);
+  mark_[static_cast<std::size_t>(v)] = epoch_;
+  bool cycle = false;
+  while (!stack_.empty() && !cycle) {
+    const int x = stack_.back();
+    stack_.pop_back();
+    fwd_.push_back(x);
+    for_each_succ(x, [&](int w) {
+      if (w == u) {
+        cycle = true;
+      } else if (in_window(w)) {
+        mark_[static_cast<std::size_t>(w)] = epoch_;
+        stack_.push_back(w);
+      }
+    });
+  }
+  if (cycle) return false;
+  bwd_.clear();
+  stack_.assign(1, u);
+  mark_[static_cast<std::size_t>(u)] = epoch_;
+  while (!stack_.empty()) {
+    const int x = stack_.back();
+    stack_.pop_back();
+    bwd_.push_back(x);
+    for_each_pred(x, [&](int w) {
+      if (in_window(w)) {
+        mark_[static_cast<std::size_t>(w)] = epoch_;
+        stack_.push_back(w);
+      }
+    });
+  }
+  // The affected nodes swap slots: u's ancestors first, then v's
+  // descendants, each group keeping its relative order.
+  const auto by_label = [&](int a, int b) { return label(a) < label(b); };
+  std::sort(fwd_.begin(), fwd_.end(), by_label);
+  std::sort(bwd_.begin(), bwd_.end(), by_label);
+  slots_.clear();
+  std::merge(bwd_.begin(), bwd_.end(), fwd_.begin(), fwd_.end(),
+             std::back_inserter(slots_), by_label);
+  for (int& x : slots_) x = node_slot_[static_cast<std::size_t>(x)];
+  std::size_t i = 0;
+  for (const auto* group : {&bwd_, &fwd_}) {
+    for (const int x : *group) assign_slot(x, slots_[i++]);
+  }
+  return true;
+}
+
+// --- change-driven sweep -----------------------------------------------------
+
+void RetimeContext::LabelQueue::push(Label key, int v) {
+  buckets_[static_cast<std::size_t>(bucket(key))].emplace_back(key, v);
+  ++size_;
+}
+
+int RetimeContext::LabelQueue::pop() {
+  if (buckets_[0].empty()) {
+    // Redistribute the first non-empty bucket around its minimum; every
+    // entry lands in a lower bucket, the minimum in bucket 0.
+    std::size_t i = 1;
+    while (buckets_[i].empty()) ++i;
+    auto& b = buckets_[i];
+    last_ = std::min_element(b.begin(), b.end())->first;
+    for (const auto& entry : b) {
+      buckets_[static_cast<std::size_t>(bucket(entry.first))].push_back(entry);
+    }
+    b.clear();
+  }
+  const int v = buckets_[0].back().second;
+  buckets_[0].pop_back();
+  --size_;
+  return v;
+}
+
+void RetimeContext::sweep() {
+  ++epoch_;
+  queue_.restart();
+  const auto push = [&](int w) {
+    if (mark_[static_cast<std::size_t>(w)] == epoch_) return;
+    mark_[static_cast<std::size_t>(w)] = epoch_;
+    queue_.push(label(w), w);
+  };
+  for (const int v : seeds_) push(v);
+  for (const int v : forced_) for_each_succ(v, push);
+  // Popping in label order visits every predecessor of a node before the
+  // node itself, so each node is recomputed at most once, from final
+  // inputs. Nodes never reached keep their (fixpoint) times.
+  while (!queue_.empty()) {
+    const int v = queue_.pop();
+    ++stats_.nodes_recomputed;
+    const auto vi = static_cast<std::size_t>(v);
     Time st = 0;
     for_each_pred(v, [&](int u) {
       st = std::max(st, finish_[static_cast<std::size_t>(u)]);
     });
-    start_[static_cast<std::size_t>(v)] = st;
-    finish_[static_cast<std::size_t>(v)] = st + duration_of(v);
-    for_each_succ(v, [&](int w) {
-      if (mark_[static_cast<std::size_t>(w)] != epoch_) return;
-      if (--indeg_[static_cast<std::size_t>(w)] == 0) queue_.push_back(w);
-    });
-  }
-  return processed == region_.size();
-}
-
-void RetimeContext::write_back_region() {
-  // Large parts of a region often re-derive their previous times (the
-  // max over their inputs did not move); skip those — set_hop_times in
-  // particular pays a booking lookup per call. The previous times of the
-  // nodes actually written are journaled so undo_migration can restore
-  // the context after a transactional rollback without a sweep.
-  time_undo_.clear();
-  for (const int v : region_) {
-    const auto vi = static_cast<std::size_t>(v);
+    const Time fin = st + dur_[vi];
+    if (st == start_[vi] && fin == finish_[vi]) continue;
+    // Moved: journal the previous times for undo_migration and write the
+    // node back (a hop's booking position comes from its link chain).
+    time_undo_.push_back(TimeUndo{v, start_[vi], finish_[vi]});
+    const bool finish_moved = fin != finish_[vi];
+    start_[vi] = st;
+    finish_[vi] = fin;
     if (is_task_node(v)) {
-      const auto t = static_cast<TaskId>(v);
-      if (s_->start_of(t) != start_[vi] || s_->finish_of(t) != finish_[vi]) {
-        time_undo_.push_back(TimeUndo{v, s_->start_of(t), s_->finish_of(t)});
-        s_->set_task_times(t, start_[vi], finish_[vi]);
-      }
+      s_->set_task_times(static_cast<TaskId>(v), st, fin);
     } else {
-      const Hop& h = s_->route_of(node_edge_[vi])
-                         [static_cast<std::size_t>(node_k_[vi])];
-      if (h.start != start_[vi] || h.finish != finish_[vi]) {
-        time_undo_.push_back(TimeUndo{v, h.start, h.finish});
-        s_->set_hop_times(node_edge_[vi], node_k_[vi], start_[vi],
-                          finish_[vi]);
-      }
+      s_->set_hop_times(node_edge_[vi], node_k_[vi], st, fin,
+                        static_cast<std::size_t>(link_pos_[vi]));
     }
+    if (finish_moved) for_each_succ(v, push);
   }
 }
 
@@ -315,58 +595,41 @@ Time RetimeContext::task_makespan() const {
   return mk;
 }
 
+void RetimeContext::count_nodes() {
+  stats_.node_count = s_->num_placed() +
+                      static_cast<std::int64_t>(start_.size()) - num_tasks_ -
+                      static_cast<std::int64_t>(free_.size());
+}
+
 // --- public API --------------------------------------------------------------
+
+void RetimeContext::adopt_schedule() {
+  ++stats_.full_rebuilds;
+  build();
+}
 
 bool RetimeContext::retime_full(Time* makespan) {
   ++stats_.full_rebuilds;
-  pending_task_ = kInvalidTask;
-  // A full rebuild has no re-appliable delta: a later rollback resync
-  // must fall back to another full rebuild.
-  last_task_ = kInvalidTask;
-  last_pre_proc_ = kInvalidProc;
-  last_post_proc_ = kInvalidProc;
-  last_links_.clear();
-  seeds_.clear();
-  for (TaskId t = 0; t < num_tasks_; ++t) {
-    task_active_[static_cast<std::size_t>(t)] = s_->is_placed(t) ? 1 : 0;
-    proc_prev_[static_cast<std::size_t>(t)] = kNone;
-    proc_next_[static_cast<std::size_t>(t)] = kNone;
-  }
-  for (EdgeId e = 0; e < g_->num_edges(); ++e) rebuild_edge_hops(e);
-  for (ProcId p = 0; p < s_->topology().num_processors(); ++p) {
-    relink_proc_chain(p);
-  }
-  for (LinkId l = 0; l < s_->topology().num_links(); ++l) {
-    relink_link_chain(l);
-  }
-  // Seed every active node: recompute the whole graph.
+  build();
+  if (cyclic_) return false;
   seeds_.clear();
   for (TaskId t = 0; t < num_tasks_; ++t) {
     if (task_active_[static_cast<std::size_t>(t)]) seed(t);
   }
-  for (EdgeId e = 0; e < g_->num_edges(); ++e) {
-    for (const int v : hop_nodes_[static_cast<std::size_t>(e)]) seed(v);
+  for (const auto& nodes : hop_nodes_) {
+    seeds_.insert(seeds_.end(), nodes.begin(), nodes.end());
   }
-  collect_region();
-  if (!sweep_region()) {
-    stale_ = true;
-    return false;
-  }
-  write_back_region();
-  stats_.nodes_recomputed += static_cast<std::int64_t>(region_.size());
-  stats_.node_count =
-      s_->num_placed() +
-      static_cast<std::int64_t>(start_.size()) - num_tasks_ -
-      static_cast<std::int64_t>(free_.size());
-  stale_ = false;
+  sweep();
   if (makespan != nullptr) *makespan = task_makespan();
   return true;
 }
 
 void RetimeContext::begin_migration(TaskId t) {
   BSA_REQUIRE(t >= 0 && t < num_tasks_, "task id " << t << " out of range");
+  BSA_REQUIRE(s_->is_placed(t), "migration of unplaced task " << t);
+  BSA_REQUIRE(!cyclic_, "re-timing context holds cyclic orders: undo the "
+                        "failed migration or adopt the replayed schedule");
   pending_task_ = t;
-  pre_proc_ = s_->is_placed(t) ? s_->proc_of(t) : kInvalidProc;
   pre_links_.clear();
   for (const EdgeId e : g_->in_edges(t)) {
     for (const Hop& h : s_->route_of(e)) pre_links_.push_back(h.link);
@@ -376,152 +639,67 @@ void RetimeContext::begin_migration(TaskId t) {
   }
 }
 
-bool RetimeContext::apply_delta(TaskId t, Time* makespan,
-                                std::vector<LinkId> links, ProcId proc_a,
-                                ProcId proc_b, bool is_resync) {
+bool RetimeContext::retime_migration(TaskId t, Time* makespan) {
+  BSA_REQUIRE(pending_task_ == t,
+              "retime_migration(" << t << ") without matching begin_migration");
   BSA_REQUIRE(s_->is_placed(t), "retime delta for unplaced task " << t);
-  // Collect links of the current (post-mutation) routes too.
+  pending_task_ = kInvalidTask;
+  // Re-link the links of the old routes and of the current ones.
+  last_task_ = t;
+  last_links_ = pre_links_;
   for (const EdgeId e : g_->in_edges(t)) {
-    for (const Hop& h : s_->route_of(e)) links.push_back(h.link);
+    for (const Hop& h : s_->route_of(e)) last_links_.push_back(h.link);
   }
   for (const EdgeId e : g_->out_edges(t)) {
-    for (const Hop& h : s_->route_of(e)) links.push_back(h.link);
+    for (const Hop& h : s_->route_of(e)) last_links_.push_back(h.link);
   }
-  std::sort(links.begin(), links.end());
-  links.erase(std::unique(links.begin(), links.end()), links.end());
+  std::sort(last_links_.begin(), last_links_.end());
+  last_links_.erase(std::unique(last_links_.begin(), last_links_.end()),
+                    last_links_.end());
 
-  seeds_.clear();
-  // The migrated task's incident routes were rewritten: re-allocate their
-  // hop chains (the rest of the graph keeps its nodes).
-  for (const EdgeId e : g_->in_edges(t)) {
-    rebuild_edge_hops(e);
-    for (const int v : hop_nodes_[static_cast<std::size_t>(e)]) seed(v);
-  }
-  for (const EdgeId e : g_->out_edges(t)) {
-    rebuild_edge_hops(e);
-    for (const int v : hop_nodes_[static_cast<std::size_t>(e)]) seed(v);
-    const TaskId dst = g_->edge_dst(e);
-    if (task_active_[static_cast<std::size_t>(dst)]) seed(dst);
-  }
-  seed(t);
-  relink_proc_chain(proc_a);
-  if (proc_b != proc_a && proc_b != kInvalidProc) relink_proc_chain(proc_b);
-  for (const LinkId l : links) relink_link_chain(l);
-
-  collect_region();
-  if (!sweep_region()) {
-    stale_ = true;
+  time_undo_.clear();
+  apply_structure_delta(t);
+  const bool acyclic = repair_order();
+  count_nodes();
+  if (!acyclic) {
+    cyclic_ = true;  // nothing written; undo_migration or adopt_schedule
     return false;
   }
-  write_back_region();
-  if (is_resync) {
-    ++stats_.resyncs;
-  } else {
-    ++stats_.migrations;
-    stats_.nodes_recomputed += static_cast<std::int64_t>(region_.size());
-  }
-  stats_.node_count =
-      s_->num_placed() +
-      static_cast<std::int64_t>(start_.size()) - num_tasks_ -
-      static_cast<std::int64_t>(free_.size());
-  // Remember the delta so a guarded rollback can resync or undo cheaply.
-  last_task_ = t;
-  last_pre_proc_ = proc_a;
-  last_post_proc_ = proc_b;
-  last_links_ = std::move(links);
+  sweep();
+  ++stats_.migrations;
   if (makespan != nullptr) *makespan = task_makespan();
   return true;
 }
 
-bool RetimeContext::retime_migration(TaskId t, Time* makespan) {
-  if (stale_) return retime_full(makespan);
-  BSA_REQUIRE(pending_task_ == t,
-              "retime_migration(" << t << ") without matching begin_migration");
-  pending_task_ = kInvalidTask;
-  const ProcId post = s_->is_placed(t) ? s_->proc_of(t) : kInvalidProc;
-  return apply_delta(t, makespan, pre_links_,
-                     pre_proc_ == kInvalidProc ? post : pre_proc_, post,
-                     /*is_resync=*/false);
-}
-
-void RetimeContext::resync_migration(TaskId t) {
-  if (stale_) return;  // next retime rebuilds anyway
-  if (last_post_proc_ == kInvalidProc && last_pre_proc_ == kInvalidProc) {
-    // The last retime was a full rebuild (no recorded delta to re-apply).
-    stale_ = true;
-    return;
-  }
-  // The restored schedule differs from the context by the inverse of the
-  // last delta: the same resources are affected, so re-applying the delta
-  // against the restored state resynchronises structure and times.
-  if (!apply_delta(t, nullptr, last_links_,
-                   last_pre_proc_ == kInvalidProc ? last_post_proc_
-                                                  : last_pre_proc_,
-                   last_post_proc_, /*is_resync=*/true)) {
-    stale_ = true;  // restored orders should never be cyclic; be safe
-  }
-}
-
 void RetimeContext::undo_migration(TaskId t) {
-  if (stale_) return;  // next retime rebuilds anyway
-  if (last_post_proc_ == kInvalidProc && last_pre_proc_ == kInvalidProc) {
-    // The last retime was a full rebuild (no recorded delta to undo).
-    stale_ = true;
-    return;
-  }
   BSA_REQUIRE(last_task_ == t, "undo_migration(" << t
                                                  << ") does not match the "
                                                     "last delta (task "
                                                  << last_task_ << ")");
-  // The schedule was restored bit-exactly by the caller's transactional
-  // rollback; mirror that restoration here. Times first: entries naming
-  // hop nodes of t's rewritten routes are stale, but those nodes are
-  // re-adopted from the restored schedule by the rebuild below, so the
-  // blind writes are harmless.
+  // The schedule was restored bit-exactly by the caller; mirror that
+  // here. Times first, then the structure around t (which re-adopts t's
+  // times and its rebuilt hop chains from the restored schedule).
   for (const TimeUndo& u : time_undo_) {
     start_[static_cast<std::size_t>(u.node)] = u.start;
     finish_[static_cast<std::size_t>(u.node)] = u.finish;
   }
   time_undo_.clear();
-  // The journal baseline is the post-mutation schedule, so it cannot
-  // cover what the mutations themselves changed: t's placement times and
-  // its routes. Re-adopt both from the restored schedule (t is placed
-  // again after the rollback).
-  start_[static_cast<std::size_t>(t)] = s_->start_of(t);
-  finish_[static_cast<std::size_t>(t)] = s_->finish_of(t);
-  seeds_.clear();
-  for (const EdgeId e : g_->in_edges(t)) rebuild_edge_hops(e);
-  for (const EdgeId e : g_->out_edges(t)) rebuild_edge_hops(e);
-  const ProcId proc_a =
-      last_pre_proc_ == kInvalidProc ? last_post_proc_ : last_pre_proc_;
-  relink_proc_chain(proc_a);
-  if (last_post_proc_ != proc_a && last_post_proc_ != kInvalidProc) {
-    relink_proc_chain(last_post_proc_);
-  }
-  for (const LinkId l : last_links_) relink_link_chain(l);
-  // Relinking seeds changed-predecessor nodes, but the restored times are
-  // a fixpoint by construction — nothing needs recomputing.
-  seeds_.clear();
+  apply_structure_delta(t);
+  // The restored graph is the pre-migration one, which was acyclic.
+  const bool acyclic = repair_order();
+  BSA_ASSERT(acyclic, "restored schedule orders are cyclic");
+  cyclic_ = false;
   ++stats_.undos;
-  stats_.node_count =
-      s_->num_placed() +
-      static_cast<std::int64_t>(start_.size()) - num_tasks_ -
-      static_cast<std::int64_t>(free_.size());
-  // The delta is undone; a later rollback has nothing left to re-apply.
+  count_nodes();
   last_task_ = kInvalidTask;
-  last_pre_proc_ = kInvalidProc;
-  last_post_proc_ = kInvalidProc;
   last_links_.clear();
 }
-
-}  // namespace bsa::sched
-
-namespace bsa::sched {
 
 // --- testing aid -------------------------------------------------------------
 
 std::string RetimeContext::check_consistency() const {
   std::ostringstream os;
+  if (cyclic_) return "context holds cyclic orders";
   // task times + activity
   for (TaskId t = 0; t < num_tasks_; ++t) {
     const auto ti = static_cast<std::size_t>(t);
@@ -573,7 +751,7 @@ std::string RetimeContext::check_consistency() const {
       }
     }
   }
-  // link chains
+  // link chains + booking positions
   for (LinkId l = 0; l < s_->topology().num_links(); ++l) {
     const auto& bookings = s_->bookings_on(l);
     int prev = kNone;
@@ -596,9 +774,30 @@ std::string RetimeContext::check_consistency() const {
            << " hop " << bookings[i].hop_index << ") next " << link_next_[vi]
            << " != " << expect_next; return os.str();
       }
+      if (link_pos_[vi] != static_cast<int>(i)) {
+        os << "link " << l << " booking " << i << " position " << link_pos_[vi];
+        return os.str();
+      }
       prev = v;
     }
   }
+  // order: every live node owns a slot and every edge points forward
+  for (int v = 0; v < static_cast<int>(start_.size()); ++v) {
+    if (!is_live(v)) continue;
+    const int s = node_slot_[static_cast<std::size_t>(v)];
+    if (s == kNone || slot_node_[static_cast<std::size_t>(s)] != v) {
+      os << "node " << v << " has no slot"; return os.str();
+    }
+    std::string bad;
+    for_each_succ(v, [&](int w) {
+      if (bad.empty() && !(label(v) < label(w))) {
+        bad = "edge " + std::to_string(v) + " -> " + std::to_string(w) +
+              " points backwards in the order";
+      }
+    });
+    if (!bad.empty()) return bad;
+  }
   return {};
 }
+
 }  // namespace bsa::sched

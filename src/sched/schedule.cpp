@@ -446,6 +446,24 @@ void Schedule::clear_route(EdgeId e) {
 
 void Schedule::set_hop_times(EdgeId e, int hop_index, Time start, Time finish) {
   check_edge(e);
+  const auto& route = routes_[static_cast<std::size_t>(e)];
+  BSA_REQUIRE(hop_index >= 0 &&
+                  static_cast<std::size_t>(hop_index) < route.size(),
+              "hop index " << hop_index << " out of range for message " << e);
+  const auto& bookings = link_bookings_[static_cast<std::size_t>(
+      route[static_cast<std::size_t>(hop_index)].link)];
+  const auto pos =
+      std::find_if(bookings.begin(), bookings.end(), [&](const LinkBooking& b) {
+        return b.edge == e && b.hop_index == hop_index;
+      });
+  BSA_ASSERT(pos != bookings.end(), "hop booking missing for message " << e);
+  set_hop_times(e, hop_index, start, finish,
+                static_cast<std::size_t>(pos - bookings.begin()));
+}
+
+void Schedule::set_hop_times(EdgeId e, int hop_index, Time start, Time finish,
+                             std::size_t booking_pos) {
+  check_edge(e);
   auto& route = routes_[static_cast<std::size_t>(e)];
   BSA_REQUIRE(hop_index >= 0 &&
                   static_cast<std::size_t>(hop_index) < route.size(),
@@ -453,22 +471,22 @@ void Schedule::set_hop_times(EdgeId e, int hop_index, Time start, Time finish) {
   BSA_REQUIRE(time_le(start, finish), "hop with negative duration");
   auto& hop = route[static_cast<std::size_t>(hop_index)];
   auto& bookings = link_bookings_[static_cast<std::size_t>(hop.link)];
-  const auto pos =
-      std::find_if(bookings.begin(), bookings.end(), [&](const LinkBooking& b) {
-        return b.edge == e && b.hop_index == hop_index;
-      });
-  BSA_ASSERT(pos != bookings.end(), "hop booking missing for message " << e);
+  BSA_REQUIRE(booking_pos < bookings.size() &&
+                  bookings[booking_pos].edge == e &&
+                  bookings[booking_pos].hop_index == hop_index,
+              "booking position " << booking_pos << " does not hold hop "
+                                  << hop_index << " of message " << e);
+  LinkBooking& booking = bookings[booking_pos];
   if (txn_ != nullptr) {
     txn_->records_.push_back(
         {Transaction::Op::kSetHopTimes, e, hop.link, hop_index,
-         static_cast<std::int32_t>(pos - bookings.begin()), hop.start,
-         hop.finish});
+         static_cast<std::int32_t>(booking_pos), hop.start, hop.finish});
   }
   hop.start = start;
   hop.finish = finish;
   link_slots_[static_cast<std::size_t>(hop.link)].reset();
-  pos->start = start;
-  pos->finish = finish;
+  booking.start = start;
+  booking.finish = finish;
 }
 
 void Schedule::normalize_orders() {

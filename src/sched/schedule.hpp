@@ -217,6 +217,10 @@ class Schedule {
   /// Update times of one hop without changing link or transmission order
   /// (used by re-timing).
   void set_hop_times(EdgeId e, int hop_index, Time start, Time finish);
+  /// Same, for a caller that knows the hop's index in its link's booking
+  /// list (bookings_on); saves the lookup.
+  void set_hop_times(EdgeId e, int hop_index, Time start, Time finish,
+                     std::size_t booking_pos);
 
   /// Re-establish link-booking and processor orders sorted by start time
   /// after a re-timing pass (stable; equal starts keep relative order).

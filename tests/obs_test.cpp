@@ -403,6 +403,12 @@ TEST(Sinks, BenchJsonCarriesPercentilesAndCounters) {
   EXPECT_NE(json.find("\"counters\":{\"bsa.migrations\":12,"
                       "\"bsa.pivots\":3}"),
             std::string::npos);
+  EXPECT_NE(json.find("\"mean_schedule_length\":321"), std::string::npos);
+  // An entry that schedules nothing of its own omits the length.
+  e.mean_schedule_length.reset();
+  std::ostringstream bare;
+  runtime::write_bench_json(bare, "unit", 2, {e});
+  EXPECT_EQ(bare.str().find("mean_schedule_length"), std::string::npos);
 }
 
 // --- percentiles ------------------------------------------------------------

@@ -5,12 +5,16 @@
 
 #include "common/rng.hpp"
 #include "core/bsa.hpp"
+#include "core/move_engine.hpp"
 #include "core/refine.hpp"
 #include "exp/experiment.hpp"
 #include "network/cost_model.hpp"
+#include "network/routing.hpp"
 #include "sched/retime.hpp"
 #include "sched/retime_context.hpp"
 #include "sched/schedule.hpp"
+#include "sched/schedule_io.hpp"
+#include "sched/scheduler.hpp"
 #include "sched/validate.hpp"
 #include "workloads/random_dag.hpp"
 
@@ -272,6 +276,289 @@ TEST_F(RetimeContextFixture, MigrationDeltaMatchesReference) {
   EXPECT_TRUE(diff_schedules(s, reference).empty());
   EXPECT_EQ(ctx.stats().migrations, 1);
   EXPECT_GT(ctx.stats().nodes_recomputed, 0);
+}
+
+// --- change-driven engine vs the try_retime oracle --------------------------
+
+/// The schedule mutations of moving `t` to `p` (core::MoveEngine's move):
+/// clear its routes, re-route crossing messages along static shortest
+/// paths at the earliest free link slots, place it at its earliest slot.
+/// Outgoing messages are booked from the new finish, which regularly
+/// creates order cycles with the bookings already on their links.
+void move_task(Schedule& s, const net::HeterogeneousCostModel& cm,
+               const net::RoutingTable& table, TaskId t, ProcId p) {
+  const auto& g = s.task_graph();
+  s.unplace_task(t);
+  for (const EdgeId e : g.in_edges(t)) s.clear_route(e);
+  for (const EdgeId e : g.out_edges(t)) s.clear_route(e);
+  std::vector<EdgeId> incoming;
+  Time drt = 0;
+  for (const EdgeId e : g.in_edges(t)) {
+    if (s.proc_of(g.edge_src(e)) == p) {
+      drt = std::max(drt, s.finish_of(g.edge_src(e)));
+    } else {
+      incoming.push_back(e);
+    }
+  }
+  std::sort(incoming.begin(), incoming.end(), [&](EdgeId a, EdgeId b) {
+    const Time fa = s.finish_of(g.edge_src(a));
+    const Time fb = s.finish_of(g.edge_src(b));
+    return fa != fb ? fa < fb : a < b;
+  });
+  for (const EdgeId e : incoming) {
+    Time ready = s.finish_of(g.edge_src(e));
+    for (const LinkId l : table.route(s.proc_of(g.edge_src(e)), p)) {
+      const Time dur = cm.comm_cost(e, l);
+      const Time st = s.earliest_link_slot(l, ready, dur);
+      s.append_hop(e, Hop{l, st, st + dur});
+      ready = st + dur;
+    }
+    drt = std::max(drt, ready);
+  }
+  const Time dur = cm.exec_cost(t, p);
+  const Time st = s.earliest_task_slot(p, drt, dur);
+  s.place_task(t, p, st, st + dur);
+  for (const EdgeId e : g.out_edges(t)) {
+    const ProcId pd = s.proc_of(g.edge_dst(e));
+    if (pd == p) continue;
+    Time ready = st + dur;
+    for (const LinkId l : table.route(p, pd)) {
+      const Time hd = cm.comm_cost(e, l);
+      const Time hs = s.earliest_link_slot(l, ready, hd);
+      s.append_hop(e, Hop{l, hs, hs + hd});
+      ready = hs + hd;
+    }
+  }
+}
+
+struct OracleTally {
+  int deltas = 0;
+  int cycles = 0;
+  int undos = 0;
+  int adoptions = 0;
+};
+
+/// A random migration stream over `s`, which must be a re-timing
+/// fixpoint. After every delta the context's verdict and times must equal
+/// try_retime on a copy of the mutated schedule. Each delta is then
+/// rolled back (transaction or snapshot copy) and undone, committed, or —
+/// when it failed — replayed and adopted, mirroring BSA and SA.
+void run_oracle(Schedule& s, const net::HeterogeneousCostModel& cm,
+                std::uint64_t seed, int steps, OracleTally& tally,
+                const std::string& label) {
+  const auto& g = s.task_graph();
+  const auto& topo = s.topology();
+  const net::RoutingTable table(topo);
+  RetimeContext ctx(s, cm);
+  ASSERT_EQ(ctx.check_consistency(), "") << label;
+  Schedule::Transaction txn;
+  Rng rng(seed);
+  for (int step = 0; step < steps; ++step) {
+    const std::string where = label + " step " + std::to_string(step);
+    const auto t = static_cast<TaskId>(rng.uniform_int(0, g.num_tasks() - 1));
+    auto p = static_cast<ProcId>(
+        rng.uniform_int(0, topo.num_processors() - 2));
+    if (p >= s.proc_of(t)) ++p;
+    const bool use_txn = rng.bernoulli(0.5);
+    const Schedule before = s;
+    Schedule reference = before;
+    move_task(reference, cm, table, t, p);
+    const bool reference_ok = sched::try_retime(reference, cm, nullptr);
+
+    ctx.begin_migration(t);
+    if (use_txn) s.begin_transaction(txn);
+    move_task(s, cm, table, t, p);
+    const bool ok = ctx.retime_migration(t, nullptr);
+    ++tally.deltas;
+    ASSERT_EQ(ok, reference_ok) << where;
+    if (ok) {
+      ASSERT_EQ(diff_schedules(s, reference), "") << where;
+      ASSERT_EQ(ctx.check_consistency(), "") << where;
+    } else {
+      ++tally.cycles;
+    }
+    if (rng.bernoulli(ok ? 0.3 : 0.5)) {
+      if (use_txn) {
+        s.rollback_transaction();
+      } else {
+        s = before;
+      }
+      ctx.undo_migration(t);
+      ++tally.undos;
+      ASSERT_EQ(diff_schedules(s, before), "") << where;
+      ASSERT_EQ(ctx.check_consistency(), "") << where << " (after undo)";
+      continue;
+    }
+    if (use_txn) s.commit_transaction();
+    if (ok) continue;
+    (void)sched::replay_retime(s, cm, true);
+    const std::int64_t recomputed = ctx.stats().nodes_recomputed;
+    ctx.adopt_schedule();
+    ++tally.adoptions;
+    EXPECT_EQ(ctx.stats().nodes_recomputed, recomputed) << where;
+    ASSERT_EQ(ctx.check_consistency(), "") << where << " (after adopt)";
+    // Adoption runs no sweep because a replay result is already a
+    // fixpoint: a full re-timing moves nothing.
+    Schedule full = s;
+    RetimeContext fresh(full, cm);
+    ASSERT_TRUE(fresh.retime_full(nullptr)) << where;
+    ASSERT_EQ(diff_schedules(full, s), "") << where << " (replay fixpoint)";
+  }
+}
+
+TEST(RetimeContextOracle, RandomMigrationStreamsMatchTryRetime) {
+  const std::vector<std::string> topologies{"ring", "hypercube", "mesh",
+                                            "random"};
+  OracleTally tally;
+  int case_index = 0;
+  for (const std::string& kind : topologies) {
+    for (const int size : {16, 40}) {
+      for (const bool per_pair : {false, true}) {
+        const auto seed =
+            derive_seed(4711, static_cast<std::uint64_t>(case_index++));
+        workloads::RandomDagParams params;
+        params.num_tasks = size;
+        params.granularity = per_pair ? 0.5 : 1.5;
+        params.seed = seed;
+        const auto g = workloads::random_layered_dag(params);
+        const auto topo = exp::make_topology(kind, 8, seed);
+        const auto cm = exp::make_cost_model(g, topo, 1, 20, 1, 20, per_pair,
+                                             derive_seed(seed, 17));
+        // Start from a BSA result (a fixpoint) or from HEFT pulled to its
+        // fixpoint, which leaves more slack for migrations to move.
+        Schedule s = sched::SchedulerRegistry::global()
+                         .resolve(case_index % 2 == 0 ? "bsa" : "heft")
+                         ->run(g, topo, cm, seed)
+                         .schedule;
+        if (!sched::try_retime(s, cm, nullptr)) {
+          (void)sched::replay_retime(s, cm, true);
+        }
+        std::ostringstream label;
+        label << kind << "/" << size << (per_pair ? "/per-pair" : "");
+        run_oracle(s, cm, derive_seed(seed, 3), 120, tally, label.str());
+      }
+    }
+  }
+  // The streams exercised every path.
+  EXPECT_GT(tally.cycles, 0);
+  EXPECT_GT(tally.undos, 0);
+  EXPECT_GT(tally.adoptions, 0);
+  EXPECT_GT(tally.deltas - tally.cycles, tally.cycles);
+}
+
+/// Layered DAG whose tasks and messages are often free: zero-length
+/// tasks and zero-cost messages make many start times tie, so times
+/// cannot stand in for the topological order.
+graph::TaskGraph zero_heavy_graph(std::uint64_t seed) {
+  Rng rng(seed);
+  graph::TaskGraphBuilder b;
+  const int layers = 5;
+  const int width = 5;
+  std::vector<std::vector<TaskId>> layer(layers);
+  for (int l = 0; l < layers; ++l) {
+    for (int i = 0; i < width; ++i) {
+      const Cost w = rng.bernoulli(0.5) ? 0 : static_cast<Cost>(rng.uniform_int(1, 6));
+      layer[static_cast<std::size_t>(l)].push_back(b.add_task(w));
+    }
+  }
+  for (int l = 1; l < layers; ++l) {
+    for (const TaskId dst : layer[static_cast<std::size_t>(l)]) {
+      for (const TaskId src : layer[static_cast<std::size_t>(l - 1)]) {
+        if (!rng.bernoulli(0.4)) continue;
+        const Cost c = rng.bernoulli(0.6) ? 0 : static_cast<Cost>(rng.uniform_int(1, 4));
+        (void)b.add_edge(src, dst, c);
+      }
+    }
+  }
+  return b.build();
+}
+
+TEST(RetimeContextOracle, ZeroLengthTasksAndFreeMessages) {
+  OracleTally tally;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const auto g = zero_heavy_graph(seed);
+    const auto topo = seed % 2 == 0 ? net::Topology::ring(4)
+                                    : exp::make_topology("hypercube", 8, seed);
+    const auto cm = net::HeterogeneousCostModel::homogeneous(g, topo);
+    Schedule s = sched::SchedulerRegistry::global()
+                     .resolve("bsa")
+                     ->run(g, topo, cm, seed)
+                     .schedule;
+    run_oracle(s, cm, derive_seed(seed, 9), 150, tally,
+               "zero-heavy seed " + std::to_string(seed));
+  }
+  EXPECT_GT(tally.undos, 0);
+}
+
+TEST_F(RetimeContextFixture, TiedZeroLengthChainKeepsItsOrder) {
+  // x -> y -> z are zero-length and all start at 10 on P0, behind A: their
+  // times tie, only the order constraints tell them apart. Migrating y to
+  // P1 over free messages must still re-time exactly like try_retime.
+  graph::TaskGraphBuilder b;
+  const TaskId a = b.add_task(10, "A");
+  const TaskId x = b.add_task(0, "x");
+  const TaskId y = b.add_task(0, "y");
+  const TaskId z = b.add_task(0, "z");
+  (void)b.add_edge(a, x, 0);
+  (void)b.add_edge(x, y, 0);
+  (void)b.add_edge(y, z, 0);
+  const graph::TaskGraph g2 = b.build();
+  const auto cm2 = net::HeterogeneousCostModel::homogeneous(g2, topo);
+  Schedule s(g2, topo);
+  s.place_task(a, 0, 0, 10);
+  s.place_task(x, 0, 10, 10);
+  s.place_task(y, 0, 10, 10);
+  s.place_task(z, 0, 10, 10);
+  RetimeContext ctx(s, cm2);
+  ASSERT_EQ(ctx.check_consistency(), "");
+
+  ctx.begin_migration(y);
+  const LinkId l01 = topo.link_between(0, 1);
+  s.unplace_task(y);
+  s.set_route(1, {Hop{l01, 10, 10}});
+  s.place_task(y, 1, 10, 10);
+  s.set_route(2, {Hop{l01, 10, 10}});
+  Schedule reference = s;
+  ASSERT_TRUE(sched::try_retime(reference, cm2, nullptr));
+  ASSERT_TRUE(ctx.retime_migration(y, nullptr));
+  EXPECT_EQ(diff_schedules(s, reference), "");
+  EXPECT_EQ(ctx.check_consistency(), "");
+}
+
+// --- MoveEngine keeps one context for the whole run ---------------------------
+
+TEST(MoveEngineRetime, ReplaysNeverForceAFullRebuild) {
+  // A HEFT schedule on a ring: many SA-style moves re-issue routes into
+  // order cycles and fall back to replay. The context undoes those deltas
+  // like any other, so it is never rebuilt after construction, and every
+  // measurement matches a freshly built engine's.
+  const auto seed = derive_seed(5, 17);
+  workloads::RandomDagParams params;
+  params.num_tasks = 30;
+  params.granularity = 1.0;
+  params.seed = seed;
+  const auto g = workloads::random_layered_dag(params);
+  const auto topo = exp::make_topology("ring", 8, seed);
+  const auto cm = net::HeterogeneousCostModel::uniform_processor_speeds(
+      g, topo, 1, 50, 1, 50, derive_seed(seed, 17));
+  Schedule s =
+      sched::SchedulerRegistry::global().resolve("heft")->run(g, topo, cm, 1).schedule;
+  core::MoveEngine engine(s, cm);
+  const std::int64_t built = engine.retime_stats().full_rebuilds;
+  const std::string pristine = sched::schedule_to_text(s);
+  for (TaskId t = 0; t < g.num_tasks(); ++t) {
+    for (ProcId p = 0; p < topo.num_processors(); ++p) {
+      if (p == s.proc_of(t)) continue;
+      const Time len = engine.evaluate(t, p);
+      ASSERT_EQ(sched::schedule_to_text(s), pristine) << t << "->" << p;
+      Schedule copy = s;
+      core::MoveEngine fresh(copy, cm);
+      ASSERT_EQ(len, fresh.evaluate(t, p)) << t << "->" << p;
+    }
+  }
+  EXPECT_GT(engine.stats().replay_fallbacks, 0);
+  EXPECT_EQ(engine.retime_stats().full_rebuilds, built);
+  EXPECT_GT(engine.retime_stats().undos, 0);
 }
 
 // --- refine on the context ----------------------------------------------------

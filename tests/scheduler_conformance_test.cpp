@@ -203,5 +203,46 @@ TEST(Conformance, SaMoveSequenceReplaysBitIdenticallyBySeed) {
   EXPECT_LE(accepted, proposed);
 }
 
+TEST(Conformance, SaTrajectoriesThroughReplaysArePinned) {
+  // Runs whose moves fall back to replay_retime dozens of times. The
+  // schedule digest and every sa.* counter are pinned to the values of
+  // the re-timing engine that rebuilt its context after each replay, so
+  // a cheaper context that never goes stale must replay the same
+  // trajectory exactly.
+  struct Pin {
+    const char* workload;
+    const char* topology;
+    std::uint64_t seed;
+    Time makespan;
+    std::uint64_t digest;
+    std::vector<std::pair<std::string, std::int64_t>> counters;
+  };
+  const std::vector<Pin> pins = {
+      {"random", "ring", 5, 16511, 2280138260186085021ULL,
+       {{"sa.accepted", 26}, {"sa.accepted_worse", 1}, {"sa.best_updates", 0},
+        {"sa.proposed", 200}, {"sa.replay_fallbacks", 69}}},
+      {"stencil", "hypercube", 21, 39313, 14853688659282909561ULL,
+       {{"sa.accepted", 9}, {"sa.accepted_worse", 0}, {"sa.best_updates", 3},
+        {"sa.proposed", 200}, {"sa.replay_fallbacks", 76}}},
+  };
+  for (const Pin& pin : pins) {
+    const Instance in = make_instance(pin.workload, pin.topology, pin.seed);
+    const auto r =
+        reg().resolve("sa:iters=200,seed=4")->run(in.g, in.topo, in.cm, 1);
+    // FNV-1a over the canonical text export.
+    std::uint64_t digest = 1469598103934665603ULL;
+    for (const unsigned char c : schedule_to_text(r.schedule)) {
+      digest = (digest ^ c) * 1099511628211ULL;
+    }
+    std::vector<std::pair<std::string, std::int64_t>> sa_counters;
+    for (const auto& [key, value] : r.counters) {
+      if (key.rfind("sa.", 0) == 0) sa_counters.emplace_back(key, value);
+    }
+    EXPECT_EQ(r.makespan(), pin.makespan) << pin.workload;
+    EXPECT_EQ(digest, pin.digest) << pin.workload;
+    EXPECT_EQ(sa_counters, pin.counters) << pin.workload;
+  }
+}
+
 }  // namespace
 }  // namespace bsa::sched
