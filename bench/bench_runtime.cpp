@@ -8,23 +8,6 @@
 /// records the perf trajectory as BENCH_runtime.json via the runtime's
 /// result sink.
 ///
-/// A second section times BSA's re-timing engines head to head on the
-/// largest graphs: the per-migration full constraint-graph rebuild
-/// (sched::try_retime, "before") against the persistent incremental
-/// RetimeContext ("after"); both rows land in BENCH_runtime.json as
-/// bsa-retime-full/... and bsa-retime-incremental/... entries so the
-/// speedup is tracked run over run. The two engines produce bit-identical
-/// schedules (enforced here and by retime_context_test).
-///
-/// A third section times the guarded-migration engines on dense
-/// high-rejection scenarios (gate=always, multi-sweep): transactional
-/// rollback (Schedule::Transaction journal, the default) against the
-/// whole-schedule snapshot reference, crossed with the pooled
-/// (scratch-arena) vs fresh (per-call-allocating) neighbour evaluators.
-/// All four mode combinations are required to produce identical
-/// schedules; rows land in BENCH_runtime.json as
-/// bsa-guarded-<rollback>-<eval>/... entries.
-///
 /// Timing note: per-scenario wall_ms is measured inside the scenario
 /// worker, so --threads > 1 speeds the sweep up without perturbing the
 /// per-algorithm means much; use --threads 1 for the most stable numbers.
@@ -34,18 +17,19 @@
 ///        --out FILE (JSONL rows; default BENCH_runtime.json holds the
 ///        aggregate report either way),
 ///        --progress (live stderr meter for the scenario sweep),
-///        --quick (CI smoke: only the rollback/eval-mode equality check
-///        on a small scenario; writes no report file, fails loudly if
-///        any mode combination diverges).
+///        --quick (CI smoke: one rep of 50-task graphs; fails loudly on
+///        an invalid schedule and writes no report file).
+///
+/// BSA's engine equivalences (incremental re-timing vs the full rebuild,
+/// transactional rollback vs the pre-migration schedule) are checked by
+/// the test oracle behind core::BsaOptions::validate_each_step, not here.
 ///
 /// BENCH_runtime.json entries carry p50/p99 wall-time percentiles next
 /// to the historical means, plus each cell's summed deterministic
 /// algorithm counters (see docs/DESIGN_OBS.md).
 
-#include <chrono>
 #include <fstream>
 #include <iostream>
-#include <utility>
 #include <map>
 #include <memory>
 #include <string>
@@ -53,68 +37,14 @@
 
 #include "common/check.hpp"
 #include "common/cli.hpp"
-#include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
-#include "core/bsa.hpp"
 #include "exp/experiment.hpp"
 #include "obs/counters.hpp"
 #include "obs/progress.hpp"
 #include "runtime/result_sink.hpp"
 #include "runtime/scenario.hpp"
 #include "runtime/sweep_runner.hpp"
-#include "workloads/random_dag.hpp"
-
-namespace {
-
-/// Time one BSA run; returns (wall ms, schedule length).
-std::pair<double, bsa::Time> timed_bsa(const bsa::graph::TaskGraph& g,
-                                       const bsa::net::Topology& topo,
-                                       const bsa::net::HeterogeneousCostModel& cm,
-                                       std::uint64_t seed, bool incremental) {
-  bsa::core::BsaOptions opt;
-  opt.seed = seed;
-  opt.incremental_retime = incremental;
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto result = bsa::core::schedule_bsa(g, topo, cm, opt);
-  const auto t1 = std::chrono::steady_clock::now();
-  return {std::chrono::duration<double, std::milli>(t1 - t0).count(),
-          result.schedule.makespan()};
-}
-
-/// One guarded-BSA timing under explicit rollback/eval engines; returns
-/// (wall ms, schedule length, committed migrations, rejected migrations).
-struct GuardedRun {
-  double wall_ms = 0;
-  bsa::Time length = 0;
-  std::size_t migrations = 0;
-  std::int64_t rejections = 0;
-};
-GuardedRun timed_guarded_bsa(const bsa::graph::TaskGraph& g,
-                             const bsa::net::Topology& topo,
-                             const bsa::net::HeterogeneousCostModel& cm,
-                             std::uint64_t seed, bool insertion_slots,
-                             bool snapshot_rollback, bool pooled_eval) {
-  bsa::core::BsaOptions opt;
-  opt.seed = seed;
-  // High-rejection configuration: static re-routing of every incoming
-  // message (the evaluator's worst case), every pivot task examined,
-  // several sweeps — the makespan guard fires on most attempts.
-  opt.routing = bsa::core::RouteDiscipline::kStaticShortestPath;
-  opt.gate = bsa::core::GateRule::kAlwaysConsider;
-  opt.max_sweeps = 3;
-  opt.insertion_slots = insertion_slots;
-  opt.snapshot_rollback = snapshot_rollback;
-  opt.pooled_eval = pooled_eval;
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto result = bsa::core::schedule_bsa(g, topo, cm, opt);
-  const auto t1 = std::chrono::steady_clock::now();
-  return {std::chrono::duration<double, std::milli>(t1 - t0).count(),
-          result.schedule.makespan(), result.trace.migrations.size(),
-          result.trace.rejected_migrations};
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace bsa;
@@ -124,113 +54,11 @@ int main(int argc, char** argv) {
   const bool quick = cli.get_bool("quick", false);
   const int reps = quick ? 1 : static_cast<int>(cli.get_int("reps", 3));
 
-  // --- guarded rollback & evaluation engines --------------------------------
-  // Dense graphs + always-consider gating: the guard rejects a large
-  // share of migrations, which is exactly where the rollback engine
-  // dominates. Every (rollback, eval) combination must produce an
-  // identical schedule — CI runs this with --quick as a divergence smoke.
-  const auto run_rollback_section =
-      [&](std::vector<runtime::BenchEntry>& out) {
-        const std::vector<int> sizes =
-            quick ? std::vector<int>{60}
-                  : (full ? std::vector<int>{200, 400}
-                          : std::vector<int>{200});
-        const std::uint64_t base_seed =
-            static_cast<std::uint64_t>(cli.get_int("seed", 42));
-        struct Mode {
-          const char* label;
-          bool snapshot = false;
-          bool pooled = false;
-        };
-        const Mode modes[] = {
-            {"bsa-guarded-snapshot-fresh", true, false},  // legacy reference
-            {"bsa-guarded-snapshot-pooled", true, true},
-            {"bsa-guarded-txn-fresh", false, false},
-            {"bsa-guarded-txn-pooled", false, true},  // default engines
-        };
-        std::cout << "\n=== guarded rollback & eval engines (static routing, "
-                     "gate=always, sweeps=3, dense graphs, 16 procs) ===\n\n";
-        TextTable table({"scenario/size", "snap+fresh ms", "txn+pooled ms",
-                         "speedup", "rejected/committed", "schedule length"});
-        // Insertion-based slots are the paper default; append-only slots
-        // never create re-timing order cycles, so the expensive
-        // replay-fallback noise vanishes and the rollback/eval engines
-        // themselves dominate the end-to-end time.
-        for (const bool insertion : {true, false}) {
-          const std::string scenario =
-              std::string("clique-") + (insertion ? "insert" : "append");
-          const auto topo = exp::make_topology("clique", 16, base_seed);
-          for (const int size : sizes) {
-            StatAccumulator ms[4];
-            std::vector<double> ms_samples[4];
-            StatAccumulator lengths;
-            std::int64_t rejected = 0;
-            std::size_t committed = 0;
-            for (int rep = 0; rep < reps; ++rep) {
-              workloads::RandomDagParams params;
-              params.num_tasks = size;
-              params.granularity = 1.0;
-              params.max_preds = 10;
-              params.seed = derive_seed(base_seed,
-                                        static_cast<std::uint64_t>(rep), 7);
-              const auto g = workloads::random_layered_dag(params);
-              const auto cm = exp::make_cost_model(
-                  g, topo, 1, 50, 1, 50, false, derive_seed(params.seed, 17));
-              GuardedRun runs[4];
-              for (int m = 0; m < 4; ++m) {
-                runs[m] = timed_guarded_bsa(g, topo, cm, params.seed,
-                                            insertion, modes[m].snapshot,
-                                            modes[m].pooled);
-                ms[m].add(runs[m].wall_ms);
-                ms_samples[m].push_back(runs[m].wall_ms);
-                BSA_REQUIRE(
-                    runs[m].length == runs[0].length &&
-                        runs[m].migrations == runs[0].migrations &&
-                        runs[m].rejections == runs[0].rejections,
-                    "rollback/eval mode " << modes[m].label
-                                          << " diverged on " << scenario
-                                          << "/" << size << " rep " << rep);
-              }
-              lengths.add(runs[0].length);
-              rejected += runs[0].rejections;
-              committed += runs[0].migrations;
-            }
-            table.new_row()
-                .cell(scenario + "/" + std::to_string(size))
-                .cell(ms[0].mean(), 2)
-                .cell(ms[3].mean(), 2)
-                .cell(ms[3].mean() > 0 ? ms[0].mean() / ms[3].mean() : 0.0, 2)
-                .cell(std::to_string(rejected) + "/" +
-                      std::to_string(committed))
-                .cell(lengths.mean(), 1);
-            for (int m = 0; m < 4; ++m) {
-              runtime::BenchEntry e;
-              e.label = std::string(modes[m].label) + "/" + scenario + "/" +
-                        std::to_string(size);
-              e.runs = static_cast<int>(ms[m].count());
-              e.mean_wall_ms = ms[m].mean();
-              e.p50_wall_ms = percentile_of(ms_samples[m], 50);
-              e.p99_wall_ms = percentile_of(ms_samples[m], 99);
-              e.mean_schedule_length = lengths.mean();
-              out.push_back(std::move(e));
-            }
-          }
-        }
-        table.print(std::cout);
-      };
-
-  if (quick) {
-    std::vector<runtime::BenchEntry> entries;
-    run_rollback_section(entries);
-    std::cout << "\nquick mode: rollback/eval engines agree on all "
-              << entries.size() / 4 << " scenario(s)\n";
-    return 0;
-  }
-
   runtime::ScenarioGrid grid;
   grid.workloads = {"random"};
-  grid.sizes = full ? std::vector<int>{50, 100, 200, 400}
-                    : std::vector<int>{50, 100, 200};
+  grid.sizes = quick  ? std::vector<int>{50}
+               : full ? std::vector<int>{50, 100, 200, 400}
+                      : std::vector<int>{50, 100, 200};
   grid.granularities = {1.0};
   grid.topologies = {"ring", "hypercube", "clique"};
   grid.algos = {"bsa", "dls", "eft"};
@@ -308,69 +136,11 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
 
-  // --- re-timing engines, before vs after -----------------------------------
-  // The incremental RetimeContext replaced the per-migration full rebuild
-  // as BSA's default; time both on the largest graphs of the sweep.
-  const int retime_size = grid.sizes.back();
-  std::cout << "\n=== BSA re-timing engines on " << retime_size
-            << "-task graphs (full rebuild vs incremental context) ===\n\n";
-  TextTable retime_table({"topology", "full ms", "incremental ms", "speedup",
-                          "schedule length"});
-  for (const std::string& topo_kind : grid.topologies) {
-    const auto topo = exp::make_topology(topo_kind, grid.procs,
-                                         grid.base_seed);
-    StatAccumulator full_ms, inc_ms, lengths;
-    std::vector<double> full_samples, inc_samples;
-    for (int rep = 0; rep < reps; ++rep) {
-      workloads::RandomDagParams params;
-      params.num_tasks = retime_size;
-      params.granularity = 1.0;
-      params.seed = derive_seed(grid.base_seed,
-                                static_cast<std::uint64_t>(rep), 99);
-      const auto g = workloads::random_layered_dag(params);
-      const auto cm = exp::make_cost_model(g, topo, 1, 50, 1, 50, false,
-                                           derive_seed(params.seed, 17));
-      const auto [ms_full, len_full] =
-          timed_bsa(g, topo, cm, params.seed, /*incremental=*/false);
-      const auto [ms_inc, len_inc] =
-          timed_bsa(g, topo, cm, params.seed, /*incremental=*/true);
-      BSA_REQUIRE(len_full == len_inc,
-                  "re-timing engines disagree on " << topo_kind << " rep "
-                                                   << rep);
-      full_ms.add(ms_full);
-      full_samples.push_back(ms_full);
-      inc_ms.add(ms_inc);
-      inc_samples.push_back(ms_inc);
-      lengths.add(len_full);
-    }
-    retime_table.new_row()
-        .cell(topo_kind)
-        .cell(full_ms.mean(), 2)
-        .cell(inc_ms.mean(), 2)
-        .cell(inc_ms.mean() > 0 ? full_ms.mean() / inc_ms.mean() : 0.0, 2)
-        .cell(lengths.mean(), 1);
-    runtime::BenchEntry before;
-    before.label = "bsa-retime-full/" + topo_kind + "/" +
-                   std::to_string(retime_size);
-    before.runs = static_cast<int>(full_ms.count());
-    before.mean_wall_ms = full_ms.mean();
-    before.p50_wall_ms = percentile_of(full_samples, 50);
-    before.p99_wall_ms = percentile_of(full_samples, 99);
-    before.mean_schedule_length = lengths.mean();
-    entries.push_back(std::move(before));
-    runtime::BenchEntry after;
-    after.label = "bsa-retime-incremental/" + topo_kind + "/" +
-                  std::to_string(retime_size);
-    after.runs = static_cast<int>(inc_ms.count());
-    after.mean_wall_ms = inc_ms.mean();
-    after.p50_wall_ms = percentile_of(inc_samples, 50);
-    after.p99_wall_ms = percentile_of(inc_samples, 99);
-    after.mean_schedule_length = lengths.mean();
-    entries.push_back(std::move(after));
+  if (quick) {
+    std::cout << "\nquick mode: " << results.size()
+              << " valid schedule(s); no report written\n";
+    return 0;
   }
-  retime_table.print(std::cout);
-
-  run_rollback_section(entries);
 
   const std::string report_path = "BENCH_runtime.json";
   std::ofstream report(report_path, std::ios::trunc);

@@ -1,9 +1,10 @@
 #include "core/bsa.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
-#include <map>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "common/check.hpp"
@@ -13,6 +14,7 @@
 #include "obs/trace.hpp"
 #include "sched/retime.hpp"
 #include "sched/retime_context.hpp"
+#include "sched/schedule_io.hpp"
 #include "sched/timeline.hpp"
 #include "sched/validate.hpp"
 
@@ -61,10 +63,10 @@ struct EvalScratch {
   std::vector<std::vector<Interval>> busy_pool;
   std::size_t busy_used = 0;
 
-  std::vector<IncomingPlan> plans;   // plan_incoming output
+  std::vector<IncomingPlan> plans;   // plan_incoming_into output
   std::vector<EdgeId> order;         // static incoming order
   std::vector<Interval> busy;        // single-link overlay (incremental)
-  std::vector<LinkId> route_links;   // static_route output
+  std::vector<LinkId> route_links;   // static_route_into output
 };
 
 class BsaRunner {
@@ -294,24 +296,8 @@ class BsaRunner {
               });
   }
 
-  [[nodiscard]] std::vector<IncomingPlan> plan_incoming(TaskId t,
-                                                        ProcId py) const {
-    std::vector<IncomingPlan> plans;
-    plan_incoming_into(t, py, plans);
-    return plans;
-  }
-
-  /// Route prescribed by the static discipline (precondition: a static
-  /// discipline is active).
-  [[nodiscard]] std::vector<LinkId> static_route(ProcId from, ProcId to) const {
-    if (opt_.routing == RouteDiscipline::kEcube) {
-      return net::ecube_route(topo_, from, to);
-    }
-    BSA_ASSERT(routing_table_.has_value(), "routing table not built");
-    return routing_table_->route(from, to);
-  }
-
-  /// static_route into a reused buffer (allocation-free hot path).
+  /// Route prescribed by the static discipline into a reused buffer
+  /// (precondition: a static discipline is active).
   void static_route_into(ProcId from, ProcId to,
                          std::vector<LinkId>& out) const {
     if (opt_.routing == RouteDiscipline::kEcube) {
@@ -339,66 +325,13 @@ class BsaRunner {
     });
   }
 
-  /// Static-routing variant of evaluate_neighbor: every incoming message
-  /// is re-routed from scratch along the static route, with the bookings
-  /// of the (to-be-cleared) old routes excluded. Reference implementation
-  /// (per-call containers); kept bit-identical to the pooled variant.
-  [[nodiscard]] Time evaluate_neighbor_static_fresh(TaskId t, ProcId py) const {
-    const auto in_edges = g_.in_edges(t);
-    auto is_in_edge = [&](EdgeId e) {
-      return std::find(in_edges.begin(), in_edges.end(), e) != in_edges.end();
-    };
-    std::map<LinkId, std::vector<Interval>> added;
-    auto busy_of = [&](LinkId l) {
-      std::vector<Interval> busy;
-      for (const LinkBooking& b : sched_.bookings_on(l)) {
-        if (!is_in_edge(b.edge)) busy.push_back(Interval{b.start, b.finish});
-      }
-      const auto it = added.find(l);
-      if (it != added.end()) {
-        for (const Interval& iv : it->second) sched::insert_interval(busy, iv);
-      }
-      return busy;
-    };
-
-    Time drt = 0;
-    for (const EdgeId e : g_.in_edges(t)) {
-      if (sched_.proc_of(g_.edge_src(e)) == py) {
-        drt = std::max(drt, sched_.finish_of(g_.edge_src(e)));
-      }
-    }
-    std::vector<EdgeId> order;
-    static_incoming_order_into(t, py, order);
-    for (const EdgeId e : order) {
-      const TaskId src = g_.edge_src(e);
-      Time ready = sched_.finish_of(src);
-      for (const LinkId l : static_route(sched_.proc_of(src), py)) {
-        const Time dur = costs_.comm_cost(e, l);
-        const auto busy = busy_of(l);
-        const Time st = opt_.insertion_slots
-                            ? sched::earliest_fit(busy, ready, dur)
-                            : append_fit(busy, ready);
-        added[l].push_back(Interval{st, st + dur});
-        ready = st + dur;
-      }
-      drt = std::max(drt, ready);
-    }
-
-    const Time dur = costs_.exec_cost(t, py);
-    const Time task_start = opt_.insertion_slots
-                                ? sched_.earliest_task_slot(py, drt, dur)
-                                : std::max(drt, proc_tail(py));
-    return task_start + dur;
-  }
-
-  /// Pooled static evaluation: the filtered busy list of each touched
-  /// link is built once per call (edge membership answered by an
-  /// epoch-stamped mark array instead of a linear in_edges scan) and
-  /// cached in the scratch arena across the edge loop; tentative hops are
-  /// merged into the cached list directly, which also replaces the
-  /// per-call `added` map. Bit-identical to the fresh variant: the busy
-  /// list contents agree, and earliest_fit/append_fit see the same input.
-  [[nodiscard]] Time evaluate_neighbor_static_pooled(TaskId t, ProcId py) {
+  /// Static-routing evaluation: every incoming message is re-routed from
+  /// scratch along the static route, with the bookings of the
+  /// (to-be-cleared) old routes excluded. The filtered busy list of each
+  /// touched link is built once per call (edge membership answered by an
+  /// epoch-stamped mark array) and cached in the scratch arena across the
+  /// edge loop; tentative hops are merged into the cached list directly.
+  [[nodiscard]] Time evaluate_neighbor_static(TaskId t, ProcId py) {
     EvalScratch& sc = scratch_;
     ++sc.edge_epoch;
     for (const EdgeId e : g_.in_edges(t)) {
@@ -455,39 +388,13 @@ class BsaRunner {
     return task_start + dur;
   }
 
-  /// Incremental-routing evaluation, reference implementation (per-call
-  /// containers, linear plan scan per booking).
-  [[nodiscard]] Time evaluate_neighbor_incremental_fresh(TaskId t, ProcId pivot,
-                                                         ProcId py) const {
-    const LinkId link = topo_.link_between(pivot, py);
-    BSA_ASSERT(link != kInvalidLink, "neighbour without link");
-    const std::vector<IncomingPlan> plans = plan_incoming(t, py);
-
-    // Busy intervals on the pivot--py link, with the bookings of routes
-    // that migration would free (fully removed or truncated) excluded.
-    std::vector<Interval> busy;
-    for (const LinkBooking& b : sched_.bookings_on(link)) {
-      bool excluded = false;
-      for (const IncomingPlan& plan : plans) {
-        if (plan.edge != b.edge) continue;
-        if (plan.kind == IncomingPlan::Kind::kBecomesLocal ||
-            (plan.kind == IncomingPlan::Kind::kTruncate &&
-             b.hop_index >= plan.keep_hops)) {
-          excluded = true;
-        }
-        break;
-      }
-      if (!excluded) busy.push_back(Interval{b.start, b.finish});
-    }
-    return finish_incremental_eval(t, py, link, plans, busy);
-  }
-
-  /// Pooled incremental evaluation: plans land in the scratch arena and
-  /// booking exclusion is answered by the epoch-stamped edge mark array
-  /// (O(1) per booking instead of O(|in_edges|)).
-  [[nodiscard]] Time evaluate_neighbor_incremental_pooled(TaskId t,
-                                                          ProcId pivot,
-                                                          ProcId py) {
+  /// Incremental-routing evaluation: plans land in the scratch arena and
+  /// booking exclusion on the pivot--py link (routes the migration would
+  /// free or truncate) is answered by the epoch-stamped edge mark array.
+  /// The plan's hop extensions are then placed on that overlay and the
+  /// task at its earliest slot.
+  [[nodiscard]] Time evaluate_neighbor_incremental(TaskId t, ProcId pivot,
+                                                   ProcId py) {
     const LinkId link = topo_.link_between(pivot, py);
     BSA_ASSERT(link != kInvalidLink, "neighbour without link");
     EvalScratch& sc = scratch_;
@@ -509,22 +416,15 @@ class BsaRunner {
             b.hop_index >= sc.edge_keep[ei]));
       if (!excluded) sc.busy.push_back(Interval{b.start, b.finish});
     }
-    return finish_incremental_eval(t, py, link, sc.plans, sc.busy);
-  }
 
-  /// Shared tail of the incremental evaluation: place the plan's hop
-  /// extensions on the overlay and the task at its earliest slot.
-  [[nodiscard]] Time finish_incremental_eval(
-      TaskId t, ProcId py, LinkId link, const std::vector<IncomingPlan>& plans,
-      std::vector<Interval>& busy) const {
     Time drt = 0;
-    for (const IncomingPlan& plan : plans) {
+    for (const IncomingPlan& plan : sc.plans) {
       if (plan.kind == IncomingPlan::Kind::kExtend) {
         const Time dur = costs_.comm_cost(plan.edge, link);
-        const Time hop_start = opt_.insertion_slots
-                                   ? sched::earliest_fit(busy, plan.ready, dur)
-                                   : append_fit(busy, plan.ready);
-        sched::insert_interval(busy, Interval{hop_start, hop_start + dur});
+        const Time hop_start =
+            opt_.insertion_slots ? sched::earliest_fit(sc.busy, plan.ready, dur)
+                                 : append_fit(sc.busy, plan.ready);
+        sched::insert_interval(sc.busy, Interval{hop_start, hop_start + dur});
         drt = std::max(drt, hop_start + dur);
       } else {
         drt = std::max(drt, plan.ready);
@@ -542,13 +442,9 @@ class BsaRunner {
   /// Tentative finish time of `t` if migrated from `pivot` to neighbour
   /// `py`. Does not modify the schedule.
   [[nodiscard]] Time evaluate_neighbor(TaskId t, ProcId pivot, ProcId py) {
-    if (opt_.routing != RouteDiscipline::kIncremental) {
-      return opt_.pooled_eval ? evaluate_neighbor_static_pooled(t, py)
-                              : evaluate_neighbor_static_fresh(t, py);
-    }
-    return opt_.pooled_eval
-               ? evaluate_neighbor_incremental_pooled(t, pivot, py)
-               : evaluate_neighbor_incremental_fresh(t, pivot, py);
+    return opt_.routing == RouteDiscipline::kIncremental
+               ? evaluate_neighbor_incremental(t, pivot, py)
+               : evaluate_neighbor_static(t, py);
   }
 
   [[nodiscard]] static Time append_fit(std::span<const Interval> busy,
@@ -598,9 +494,9 @@ class BsaRunner {
     }
   }
 
-  /// Copy the current schedule into the long-lived rollback snapshot:
-  /// inner vectors keep their capacity across migrations, so the guard
-  /// costs no allocations on the hot path.
+  /// Copy the current schedule into the long-lived snapshot the replay
+  /// fallback restores on reject: inner vectors keep their capacity
+  /// across migrations, so refreshing it costs no allocations.
   void refresh_snapshot() {
     if (!snapshot_.has_value()) {
       snapshot_.emplace(sched_);
@@ -613,35 +509,34 @@ class BsaRunner {
                         Time old_ft, Time predicted_ft, bool via_vip) {
     // A migration whose re-routed messages stretch the schedule is rolled
     // back (the task's own finish improving is not allowed to push its
-    // successors past the old SL). Rollback engine: journaled transaction
-    // (default) or whole-schedule snapshot (the reference,
-    // opt_.snapshot_rollback).
+    // successors past the old SL): a guarded migration journals its
+    // mutations into a transaction, undone in O(touched) on reject.
     const bool guarded = opt_.policy == MigrationPolicy::kMakespanGuarded;
-    const bool use_txn = guarded && !opt_.snapshot_rollback;
     const Time makespan_before = guarded ? sched_.makespan() : Time{0};
-    if (guarded && !use_txn) refresh_snapshot();
+    const std::string text_before = opt_.validate_each_step && guarded
+                                        ? sched::schedule_to_text(sched_)
+                                        : std::string{};
 
-    // The incremental engine captures the pre-migration structure around
+    // The re-timing engine captures the pre-migration structure around
     // `t` (lazily constructed here: the schedule is a re-timing fixpoint
     // between migrations, which construction requires).
-    if (opt_.incremental_retime) {
-      if (!retime_ctx_.has_value()) retime_ctx_.emplace(sched_, costs_);
-      retime_ctx_->begin_migration(t);
-    }
+    if (!retime_ctx_.has_value()) retime_ctx_.emplace(sched_, costs_);
+    retime_ctx_->begin_migration(t);
 
-    if (use_txn) sched_.begin_transaction(txn_);
+    if (guarded) sched_.begin_transaction(txn_);
     apply_migration_mutations(t, pivot, py);
+    std::optional<Schedule> oracle;
+    if (opt_.validate_each_step) oracle.emplace(sched_);
 
     // Bubble up: earliest times under the new orders; replay on the rare
     // order cycle introduced by re-issued outgoing routes.
     bool retimed = false;
     {
       obs::Span span(opt_.obs.tracer, "retime", "bsa", opt_.obs.trace_tid);
-      retimed = retime_ctx_.has_value()
-                    ? retime_ctx_->retime_migration(t, nullptr)
-                    : sched::try_retime(sched_, costs_, nullptr);
+      retimed = retime_ctx_->retime_migration(t, nullptr);
     }
-    if (use_txn) {
+    if (oracle.has_value()) check_retime_oracle(*oracle, retimed, t);
+    if (guarded) {
       const auto depth = static_cast<std::int64_t>(txn_.size());
       trace_.txn_journal_records += depth;
       trace_.txn_journal_hwm = std::max(trace_.txn_journal_hwm, depth);
@@ -649,13 +544,13 @@ class BsaRunner {
     bool replayed = false;
     if (!retimed) {
       obs::Span span(opt_.obs.tracer, "replay", "bsa", opt_.obs.trace_tid);
-      if (use_txn) {
+      if (guarded) {
         // replay_retime rebuilds the schedule wholesale, which cannot be
         // journaled: undo the mutations (the context with them), fall
         // back to a snapshot of the pre-migration state, and re-apply
         // them (deterministic).
         sched_.rollback_transaction();
-        if (retime_ctx_.has_value()) retime_ctx_->undo_migration(t);
+        retime_ctx_->undo_migration(t);
         refresh_snapshot();
         apply_migration_mutations(t, pivot, py);
       }
@@ -670,17 +565,15 @@ class BsaRunner {
       {
         obs::Span span(opt_.obs.tracer, "rollback", "bsa",
                        opt_.obs.trace_tid);
-        if (use_txn && !replayed) {
-          sched_.rollback_transaction();
-          if (retime_ctx_.has_value()) retime_ctx_->undo_migration(t);
+        if (replayed) {
+          // The context was undone before the replay.
+          sched_ = *snapshot_;
         } else {
-          sched_ = *snapshot_;  // reject: schedule got longer
-          // A transactional replay undid the context before replaying.
-          if (retime_ctx_.has_value() && !use_txn) {
-            retime_ctx_->undo_migration(t);
-          }
+          sched_.rollback_transaction();
+          retime_ctx_->undo_migration(t);
         }
       }
+      if (opt_.validate_each_step) check_rollback_oracle(text_before, t);
       if (opt_.obs.decision_log != nullptr) {
         obs::MigrationDecision d;
         d.sweep = sweep_;
@@ -699,8 +592,8 @@ class BsaRunner {
       }
       return;
     }
-    if (use_txn && !replayed) sched_.commit_transaction();
-    if (replayed && retime_ctx_.has_value()) {
+    if (guarded && !replayed) sched_.commit_transaction();
+    if (replayed) {
       // Part of the replay fallback's cost: re-read the kept result.
       obs::Span span(opt_.obs.tracer, "replay", "bsa", opt_.obs.trace_tid);
       retime_ctx_->adopt_schedule();
@@ -735,6 +628,38 @@ class BsaRunner {
       BSA_ASSERT(report.ok(), "schedule invalid after migrating task "
                                   << t << ": " << report.to_string());
     }
+  }
+
+  // --- test oracle (validate_each_step) -------------------------------------
+
+  /// Re-time `mutated` — a copy of the schedule taken right after the
+  /// migration's mutations — with the full-rebuild sched::try_retime and
+  /// require the incremental engine's verdict and, on success, schedule.
+  void check_retime_oracle(Schedule& mutated, bool retimed, TaskId t) const {
+    const bool reference = sched::try_retime(mutated, costs_, nullptr);
+    BSA_ASSERT(reference == retimed,
+               "re-timing verdicts differ after migrating task "
+                   << t << ": incremental " << retimed << ", full rebuild "
+                   << reference);
+    if (retimed) {
+      BSA_ASSERT(sched::schedule_to_text(mutated) ==
+                     sched::schedule_to_text(sched_),
+                 "incremental re-timing differs from the full rebuild "
+                 "after migrating task "
+                     << t);
+    }
+  }
+
+  /// A rejected migration must restore the pre-migration schedule, and
+  /// the re-timing context must mirror it.
+  void check_rollback_oracle(const std::string& text_before, TaskId t) const {
+    BSA_ASSERT(sched::schedule_to_text(sched_) == text_before,
+               "rolling back task " << t
+                                    << " did not restore the schedule");
+    const std::string ctx = retime_ctx_->check_consistency();
+    BSA_ASSERT(ctx.empty(), "re-timing context inconsistent after rolling "
+                            "back task "
+                                << t << ": " << ctx);
   }
 
   /// Incremental incoming commit: free / truncate / extend routes in
@@ -852,10 +777,10 @@ class BsaRunner {
   /// Only built for RouteDiscipline::kStaticShortestPath.
   std::optional<net::RoutingTable> routing_table_;
   /// Incremental re-timing engine, bound to sched_; constructed lazily at
-  /// the first migration when opt_.incremental_retime is set.
+  /// the first migration.
   std::optional<sched::RetimeContext> retime_ctx_;
-  /// Reused rollback snapshot for the makespan guard (snapshot_rollback
-  /// mode, plus the rare replay fallback in transaction mode).
+  /// Reused pre-migration snapshot for the replay fallback, which cannot
+  /// be journaled.
   std::optional<Schedule> snapshot_;
   /// Reused journal for transactional guarded migrations.
   Schedule::Transaction txn_;
@@ -876,6 +801,21 @@ BsaResult schedule_bsa(const graph::TaskGraph& g, const net::Topology& topo,
                   costs.num_edges() == g.num_edges() &&
                   costs.num_links() == topo.num_links(),
               "cost model does not match graph/topology");
+  if (options.routing == RouteDiscipline::kEcube) {
+    // E-cube routes flip address bits, so every p ^ (1 << d) must be a
+    // neighbour of p; checked up front rather than mid-run.
+    const int procs = topo.num_processors();
+    BSA_REQUIRE(std::has_single_bit(static_cast<unsigned>(procs)),
+                "route=ecube needs a hypercube topology: "
+                    << procs << " processors is not a power of two");
+    for (ProcId p = 0; p < procs; ++p) {
+      for (int bit = 1; bit < procs; bit <<= 1) {
+        BSA_REQUIRE(topo.link_between(p, p ^ bit) != kInvalidLink,
+                    "route=ecube needs hypercube vertex addressing: no link "
+                        << p << "-" << (p ^ bit));
+      }
+    }
+  }
   BsaRunner runner(g, topo, costs, options);
   return runner.run();
 }

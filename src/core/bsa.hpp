@@ -59,7 +59,8 @@ enum class RouteDiscipline : unsigned char {
   kStaticShortestPath,
   /// Static E-cube routing; requires a hypercube topology whose
   /// processor ids are the vertex addresses (the paper's example of a
-  /// static-routing network).
+  /// static-routing network). schedule_bsa rejects any other topology
+  /// up front.
   kEcube,
 };
 
@@ -104,26 +105,16 @@ struct BsaOptions {
   /// Insertion-based slot search on processors and links (true, paper
   /// behaviour) versus append-only (ablation).
   bool insertion_slots = true;
-  /// Run the full invariant validator after every migration (slow; used
-  /// by tests).
+  /// Test oracle, run after every migration (slow; used by tests):
+  ///  * the full invariant validator on every committed schedule;
+  ///  * re-timing: sched::try_retime on a copy of the schedule taken right
+  ///    after the migration's mutations must reach the same verdict as the
+  ///    incremental RetimeContext and, on success, the same schedule;
+  ///  * rollback: a migration the makespan guard rejects must leave the
+  ///    schedule text equal to the pre-migration one and the context
+  ///    consistent with it (RetimeContext::check_consistency).
+  /// The oracle only reads: results are identical with it on or off.
   bool validate_each_step = false;
-  /// Re-time each migration incrementally with a persistent RetimeContext
-  /// (bit-identical to the full rebuild, much faster on large graphs).
-  /// false = rebuild the whole constraint graph per migration with
-  /// sched::try_retime (the reference implementation).
-  bool incremental_retime = true;
-  /// Guarded-migration rollback engine. false (default): journal each
-  /// migration into a Schedule::Transaction and undo a rejected one in
-  /// O(touched). true: copy-assign a whole-schedule snapshot before every
-  /// migration and restore it on reject — the reference implementation,
-  /// proven bit-identical (tests/schedule_txn_test.cpp).
-  bool snapshot_rollback = false;
-  /// Neighbour-evaluation engine. true (default): reuse per-runner
-  /// scratch buffers (flat per-link busy overlays, edge-membership mark
-  /// arrays) so evaluation allocates nothing in steady state. false:
-  /// allocate fresh containers per call — the reference implementation,
-  /// proven bit-identical.
-  bool pooled_eval = true;
   /// Observability hooks (phase/migration span tracer + per-attempt
   /// decision log). Hooks only observe — they never influence the
   /// computed schedule — and with the default null hooks every
@@ -162,18 +153,18 @@ struct BsaTrace {
   /// wholesale replay_retime rebuild (the residual DESIGN_RETIME.md
   /// discusses; rare by construction).
   std::int64_t replay_fallbacks = 0;
-  /// Transaction-journal footprint (txn rollback engine only): deepest
-  /// journal observed before commit/rollback, and total records journaled.
+  /// Transaction-journal footprint of guarded migrations: deepest journal
+  /// observed before commit/rollback, and total records journaled.
   std::int64_t txn_journal_hwm = 0;
   std::int64_t txn_journal_records = 0;
   /// Lazily-built free-slot indexes the schedule constructed during the
   /// run (Schedule::slot_index_builds()).
   std::int64_t slot_index_builds = 0;
-  /// EvalScratch epoch bumps — pooled evaluation calls that invalidated
-  /// the edge / link mark arrays (zero when pooled_eval is off).
+  /// EvalScratch epoch bumps — evaluation calls that invalidated the
+  /// edge / link mark arrays.
   std::int64_t eval_edge_epochs = 0;
   std::int64_t eval_link_epochs = 0;
-  /// Re-timing engine counters (zero when incremental_retime is off).
+  /// Re-timing engine counters (zero when no migration was attempted).
   sched::RetimeContext::Stats retime;
 };
 
@@ -184,8 +175,9 @@ struct BsaResult {
 };
 
 /// Run BSA. The graph must be connected and non-empty; the topology must
-/// be connected. The returned schedule is complete and valid (see
-/// sched::validate).
+/// be connected (and a hypercube under RouteDiscipline::kEcube; otherwise
+/// PreconditionError before any work). The returned schedule is complete
+/// and valid (see sched::validate).
 [[nodiscard]] BsaResult schedule_bsa(const graph::TaskGraph& g,
                                      const net::Topology& topo,
                                      const net::HeterogeneousCostModel& costs,

@@ -70,24 +70,12 @@ class BsaScheduler final : public Scheduler {
     const std::string slots =
         opts.get_choice("slots", {"insert", "append"}, "insert");
     options_.insertion_slots = slots == "insert";
-    const std::string retime =
-        opts.get_choice("retime", {"incremental", "rebuild"}, "incremental");
-    options_.incremental_retime = retime == "incremental";
-    const std::string rollback =
-        opts.get_choice("rollback", {"txn", "snapshot"}, "txn");
-    options_.snapshot_rollback = rollback == "snapshot";
-    const std::string eval =
-        opts.get_choice("eval", {"pooled", "fresh"}, "pooled");
-    options_.pooled_eval = eval == "pooled";
     if (opts.has("seed")) pinned_seed_ = opts.get_uint64("seed", 0);
 
     std::vector<std::string> parts;  // alphabetical by key
-    if (eval != "pooled") parts.push_back("eval=" + eval);
     if (gate != "paper") parts.push_back("gate=" + gate);
     if (policy != "guarded") parts.push_back("policy=" + policy);
     if (options_.prune_route_cycles) parts.push_back("prune=on");
-    if (retime != "incremental") parts.push_back("retime=" + retime);
-    if (rollback != "txn") parts.push_back("rollback=" + rollback);
     if (route != "incremental") parts.push_back("route=" + route);
     if (pinned_seed_.has_value()) {
       parts.push_back("seed=" + std::to_string(*pinned_seed_));
@@ -390,20 +378,12 @@ void register_builtin_schedulers(SchedulerRegistry& registry) {
       "BSA",
       "Bubble Scheduling and Allocation (the paper's algorithm)",
       {
-          OptionDoc{"eval", "pooled|fresh", "pooled",
-                    "scratch-arena vs per-call-allocating neighbour "
-                    "evaluation (bit-identical)"},
           OptionDoc{"gate", "paper|always", "paper",
                     "which pivot tasks are examined for migration"},
           OptionDoc{"policy", "guarded|greedy", "guarded",
                     "makespan-guarded vs literal task-greedy migration"},
           OptionDoc{"prune", "on|off", "off",
                     "cut cycles out of hop-extended message routes"},
-          OptionDoc{"retime", "incremental|rebuild", "incremental",
-                    "incremental RetimeContext vs full rebuild per migration"},
-          OptionDoc{"rollback", "txn|snapshot", "txn",
-                    "guarded-migration rollback: journaled transaction vs "
-                    "whole-schedule snapshot (bit-identical)"},
           OptionDoc{"route", "incremental|static|ecube", "incremental",
                     "message route discipline"},
           OptionDoc{"seed", "unsigned integer", "(caller seed)",

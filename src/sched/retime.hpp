@@ -26,8 +26,12 @@
 ///    deadlock because it only depends on the (acyclic) task graph and
 ///    route chains.
 ///
-/// BSA runs `try_retime` after every migration and falls back to
-/// `replay_retime` on the rare cycle (see core/bsa.cpp).
+/// BSA re-times each migration with the incremental RetimeContext
+/// (retime_context.hpp), which reaches the same fixpoint as `try_retime`,
+/// and falls back to `replay_retime` on the rare cycle (see
+/// core/bsa.cpp). `try_retime` stays the reference: the test oracle
+/// behind `core::BsaOptions::validate_each_step` checks every migration
+/// against it.
 
 namespace bsa::sched {
 

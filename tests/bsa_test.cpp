@@ -6,6 +6,7 @@
 #include "paper_fixture.hpp"
 #include "sched/event_sim.hpp"
 #include "sched/metrics.hpp"
+#include "sched/schedule_io.hpp"
 #include "sched/validate.hpp"
 
 namespace bsa::core {
@@ -190,6 +191,46 @@ TEST(BsaSmall, SingleProcessorDegeneratesToSerialOrder) {
   const auto result = schedule_bsa(g, topo, cm);
   EXPECT_DOUBLE_EQ(result.schedule_length(), 30);
   EXPECT_TRUE(result.trace.migrations.empty());
+}
+
+TEST(BsaSmall, EcubeRejectsTopologiesWithoutHypercubeAddressing) {
+  graph::TaskGraphBuilder one;
+  (void)one.add_task(10);
+  const auto single = one.build();
+  const auto ring = net::Topology::ring(4);
+  BsaOptions opt;
+  opt.routing = RouteDiscipline::kEcube;
+  // Rejected before any work, even when no message would ever be routed:
+  // 1 ^ 2 = 3 is not a ring neighbour of 1.
+  EXPECT_THROW(
+      (void)schedule_bsa(single, ring,
+                         net::HeterogeneousCostModel::homogeneous(single, ring),
+                         opt),
+      PreconditionError);
+  const auto six = net::Topology::ring(6);  // not a power of two
+  EXPECT_THROW(
+      (void)schedule_bsa(single, six,
+                         net::HeterogeneousCostModel::homogeneous(single, six),
+                         opt),
+      PreconditionError);
+
+  // A 2 x 2 mesh is a 2-cube with vertex addresses as ids.
+  graph::TaskGraphBuilder b;
+  const TaskId s = b.add_task(1);
+  const TaskId x = b.add_task(100);
+  const TaskId y = b.add_task(100);
+  (void)b.add_edge(s, x, 1);
+  (void)b.add_edge(s, y, 1);
+  const auto g = b.build();
+  const auto mesh = net::Topology::mesh(2, 2);
+  const auto result = schedule_bsa(
+      g, mesh, net::HeterogeneousCostModel::homogeneous(g, mesh), opt);
+  EXPECT_EQ(sched::schedule_to_text(result.schedule),
+            "# schedule: 3 tasks, 1 hops\n"
+            "task 0 0 0 1\n"
+            "task 1 1 2 102\n"
+            "task 2 0 1 101\n"
+            "hop 0 0 1 2\n");
 }
 
 TEST(BsaSmall, RejectsMismatchedCostModel) {

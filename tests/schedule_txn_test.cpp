@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "bsa_oracle.hpp"
 #include "common/rng.hpp"
 #include "core/bsa.hpp"
 #include "exp/experiment.hpp"
@@ -11,8 +12,6 @@
 #include "sched/retime.hpp"
 #include "sched/retime_context.hpp"
 #include "sched/schedule.hpp"
-#include "sched/schedule_io.hpp"
-#include "sched/validate.hpp"
 #include "workloads/random_dag.hpp"
 
 /// \file schedule_txn_test.cpp
@@ -23,10 +22,13 @@
 ///    set_route unwind truncates the journal;
 ///  * RetimeContext::undo_migration leaves the context exactly consistent
 ///    with the rolled-back schedule (check_consistency);
-///  * end-to-end properties — BSA with rollback=txn is bit-identical to
-///    rollback=snapshot (the reference, unchanged from before the journal
-///    existed) across topologies x routings x gate rules x policies, and
-///    eval=pooled is bit-identical to eval=fresh.
+///  * end-to-end properties — BSA's per-migration oracle
+///    (BsaOptions::validate_each_step) finds every guarded rollback
+///    restoring the pre-migration schedule and a consistent re-timing
+///    context, across topologies x routings x gate rules x policies, and
+///    each result matches the one pinned from the build that still
+///    carried the snapshot-rollback and per-call-allocating evaluation
+///    references (see bsa_oracle.hpp).
 
 namespace bsa {
 namespace {
@@ -35,38 +37,9 @@ using core::BsaOptions;
 using sched::Hop;
 using sched::Schedule;
 
-/// Bit-exact comparison including the parts schedule_to_text omits:
-/// per-processor execution orders and link transmission orders.
-std::string diff_schedules(const Schedule& a, const Schedule& b) {
-  std::ostringstream os;
-  if (sched::schedule_to_text(a) != sched::schedule_to_text(b)) {
-    os << "schedule text differs";
-    return os.str();
-  }
-  const auto& topo = a.topology();
-  for (ProcId p = 0; p < topo.num_processors(); ++p) {
-    if (a.tasks_on(p) != b.tasks_on(p)) {
-      os << "processor " << p << " order differs";
-      return os.str();
-    }
-  }
-  for (LinkId l = 0; l < topo.num_links(); ++l) {
-    const auto& ba = a.bookings_on(l);
-    const auto& bb = b.bookings_on(l);
-    if (ba.size() != bb.size()) {
-      os << "link " << l << " booking count differs";
-      return os.str();
-    }
-    for (std::size_t i = 0; i < ba.size(); ++i) {
-      if (ba[i].edge != bb[i].edge || ba[i].hop_index != bb[i].hop_index ||
-          ba[i].start != bb[i].start || ba[i].finish != bb[i].finish) {
-        os << "link " << l << " booking " << i << " differs";
-        return os.str();
-      }
-    }
-  }
-  return {};
-}
+using testing::diff_schedules;
+using testing::expect_bsa_oracle_run;
+using testing::OraclePin;
 
 // --- direct journal unit tests ----------------------------------------------
 
@@ -314,41 +287,33 @@ TEST_F(TxnFixture, RandomizedMutationSequencesRollBackExactly) {
   }
 }
 
-// --- end-to-end rollback / eval mode equivalence ----------------------------
+// --- end-to-end rollback oracle ---------------------------------------------
 
-/// Run BSA under both rollback engines and both evaluation engines and
-/// require all four schedules bit-identical (the snapshot+fresh combo is
-/// the pre-journal reference implementation).
-void expect_modes_agree(const graph::TaskGraph& g, const net::Topology& topo,
-                        const net::HeterogeneousCostModel& cm, BsaOptions opt,
-                        const std::string& label,
-                        std::int64_t* total_rejections = nullptr) {
-  opt.snapshot_rollback = true;
-  opt.pooled_eval = false;
-  const auto reference = core::schedule_bsa(g, topo, cm, opt);
-  if (total_rejections != nullptr) {
-    *total_rejections += reference.trace.rejected_migrations;
-  }
-  opt.snapshot_rollback = false;
-  const auto txn_fresh = core::schedule_bsa(g, topo, cm, opt);
-  opt.pooled_eval = true;
-  const auto txn_pooled = core::schedule_bsa(g, topo, cm, opt);
-  opt.snapshot_rollback = true;
-  const auto snap_pooled = core::schedule_bsa(g, topo, cm, opt);
-
-  for (const auto* r : {&txn_fresh, &txn_pooled, &snap_pooled}) {
-    const std::string diff = diff_schedules(reference.schedule, r->schedule);
-    EXPECT_TRUE(diff.empty()) << label << ": " << diff;
-    EXPECT_EQ(reference.trace.migrations.size(), r->trace.migrations.size())
-        << label;
-    EXPECT_EQ(reference.trace.rejected_migrations,
-              r->trace.rejected_migrations)
-        << label;
-  }
-  EXPECT_TRUE(sched::validate(txn_pooled.schedule, cm).ok()) << label;
-}
+// BSA runs with its per-migration oracle on (bsa_oracle.hpp): after
+// every rejected migration the schedule must equal the pre-migration one
+// and the re-timing context must be consistent with it; each result is
+// pinned. Each test also requires rejections, without which the rollback
+// property would hold vacuously.
 
 TEST(ScheduleTxnProperty, BitIdenticalAcrossTopologiesAndRoutings) {
+  const std::vector<OraclePin> pins = {
+    {0x260730571f325bc5ull, 3, 16},
+    {0x6214ddaa765b3380ull, 25, 1},
+    {0x72b9a06b50f24a68ull, 7, 10},
+    {0xd81217f02852a185ull, 48, 11},
+    {0xca6f057ceb0e3215ull, 0, 0},
+    {0xece8a444403dddaeull, 29, 7},
+    {0x3c7cf99805a658b3ull, 33, 8},
+    {0x7381e3c197ad2c78ull, 64, 9},
+    {0xec13b96c37ab2fc3ull, 7, 4},
+    {0xd84246962b92be32ull, 23, 2},
+    {0x160e0f0361b227cull, 10, 14},
+    {0xec1debeaa4096395ull, 56, 1},
+    {0xdc9d1a8d6247ad7full, 4, 10},
+    {0xe1859078d4cdd1a3ull, 23, 0},
+    {0x2b282ce6272aab6bull, 41, 17},
+    {0x358e5727d65c7864ull, 55, 4},
+  };
   std::int64_t rejections = 0;
   int case_index = 0;
   const std::vector<std::string> kinds{"ring", "hypercube", "clique",
@@ -375,7 +340,9 @@ TEST(ScheduleTxnProperty, BitIdenticalAcrossTopologiesAndRoutings) {
         std::ostringstream label;
         label << kind << "/" << size << "/routing="
               << static_cast<int>(routing);
-        expect_modes_agree(g, topo, cm, opt, label.str(), &rejections);
+        rejections += expect_bsa_oracle_run(
+            g, topo, cm, opt, label.str(), pins,
+            static_cast<std::size_t>(case_index));
         ++case_index;
       }
     }
@@ -395,28 +362,38 @@ TEST(ScheduleTxnProperty, BitIdenticalAcrossGatePolicyAndPruneVariants) {
   const auto cm =
       exp::make_cost_model(g, topo, 1, 100, 1, 100, false,
                            derive_seed(seed, 17));
+  const std::vector<OraclePin> pins = {
+    {0x734052702271740aull, 4, 1},
+    {0x734052702271740aull, 4, 1},
+    {0xbed990218c86b8c8ull, 10, 0},
+    {0xbed990218c86b8c8ull, 10, 0},
+    {0x734052702271740aull, 4, 1},
+    {0x734052702271740aull, 4, 1},
+    {0xbed990218c86b8c8ull, 10, 0},
+    {0xbed990218c86b8c8ull, 10, 0},
+  };
+  std::int64_t rejections = 0;
+  std::size_t case_index = 0;
   for (const auto gate :
        {core::GateRule::kPaper, core::GateRule::kAlwaysConsider}) {
     for (const auto policy : {core::MigrationPolicy::kMakespanGuarded,
                               core::MigrationPolicy::kTaskGreedy}) {
       for (const bool prune : {false, true}) {
-        for (const bool incremental_retime : {true, false}) {
-          BsaOptions opt;
-          opt.seed = seed;
-          opt.gate = gate;
-          opt.policy = policy;
-          opt.prune_route_cycles = prune;
-          opt.incremental_retime = incremental_retime;
-          opt.max_sweeps = 3;
-          std::ostringstream label;
-          label << "gate=" << static_cast<int>(gate)
-                << " policy=" << static_cast<int>(policy)
-                << " prune=" << prune << " retime=" << incremental_retime;
-          expect_modes_agree(g, topo, cm, opt, label.str());
-        }
+        BsaOptions opt;
+        opt.seed = seed;
+        opt.gate = gate;
+        opt.policy = policy;
+        opt.prune_route_cycles = prune;
+        opt.max_sweeps = 3;
+        std::ostringstream label;
+        label << "gate=" << static_cast<int>(gate)
+              << " policy=" << static_cast<int>(policy) << " prune=" << prune;
+        rejections += expect_bsa_oracle_run(g, topo, cm, opt, label.str(),
+                                            pins, case_index++);
       }
     }
   }
+  EXPECT_GT(rejections, 0);
 }
 
 TEST(ScheduleTxnProperty, BitIdenticalUnderEcubeAndAppendSlots) {
@@ -429,15 +406,23 @@ TEST(ScheduleTxnProperty, BitIdenticalUnderEcubeAndAppendSlots) {
   const auto topo = exp::make_topology("hypercube", 8, seed);
   const auto cm =
       exp::make_cost_model(g, topo, 1, 50, 1, 50, false, derive_seed(seed, 17));
+  const std::vector<OraclePin> pins = {
+    {0x83670ef17e1a332cull, 14, 10},
+    {0xf70ef2bfb14e0dedull, 12, 8},
+  };
+  std::int64_t rejections = 0;
+  std::size_t case_index = 0;
   for (const bool insertion : {true, false}) {
     BsaOptions opt;
     opt.seed = seed;
     opt.routing = core::RouteDiscipline::kEcube;
     opt.insertion_slots = insertion;
     opt.max_sweeps = 2;
-    expect_modes_agree(g, topo, cm, opt,
-                       insertion ? "ecube/insert" : "ecube/append");
+    rejections += expect_bsa_oracle_run(
+        g, topo, cm, opt, insertion ? "ecube/insert" : "ecube/append", pins,
+        case_index++);
   }
+  EXPECT_GT(rejections, 0);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/dls.hpp"
@@ -97,7 +98,7 @@ TEST(Registry, CanonicalIsIdempotent) {
   for (const std::string spec :
        {"bsa", "dls", "eft", "mh", "heft", "peft", "sa",
         "bsa:gate=always,route=static",
-        "bsa:policy=greedy,prune=on,retime=rebuild,serial=blevel,"
+        "bsa:policy=greedy,prune=on,serial=blevel,"
         "slots=append,sweeps=3,vip=off",
         "bsa:seed=42", "dls:seed=7",
         "sa:init=bsa,iters=32,seed=9,temp0=0.2"}) {
@@ -147,6 +148,25 @@ TEST(Registry, UnknownOptionListsValidOptions) {
   EXPECT_NE(msg.find("unknown option 'gaet'"), std::string::npos) << msg;
   EXPECT_NE(msg.find("gate"), std::string::npos) << msg;
   EXPECT_NE(msg.find("sweeps"), std::string::npos) << msg;
+  // The former engine-selection keys are gone from the grammar: BSA has
+  // one evaluate / rollback / re-time engine, and the references live on
+  // only as a test oracle (BsaOptions::validate_each_step).
+  const std::vector<std::pair<std::string, std::string>> removed_keys = {
+      {"bsa:eval=fresh", "eval"},
+      {"bsa:rollback=snapshot", "rollback"},
+      {"bsa:retime=rebuild", "retime"}};
+  for (const auto& removed : removed_keys) {
+    const std::string err =
+        error_message([&] { (void)reg().resolve(removed.first); });
+    EXPECT_NE(err.find("unknown option '" + removed.second + "'"),
+              std::string::npos)
+        << err;
+    const std::size_t listing = err.find("valid options: ");
+    ASSERT_NE(listing, std::string::npos) << err;
+    for (const auto& gone : removed_keys) {
+      EXPECT_EQ(err.find(gone.second, listing), std::string::npos) << err;
+    }
+  }
   // An algorithm without options says so instead of listing nothing.
   const std::string none =
       error_message([] { (void)reg().resolve("eft:seed=1"); });
@@ -268,18 +288,19 @@ TEST(Registry, ResultCarriesPhaseTimesAndCounters) {
 
 TEST(Registry, VariantOptionsReachTheAlgorithm) {
   const Instance in = make_instance("hypercube", 5);
-  // retime=rebuild is proven bit-identical to the default engine.
-  const auto incremental = reg().resolve("bsa")->run(in.g, in.topo, in.cm, 5);
-  const auto rebuild =
-      reg().resolve("bsa:retime=rebuild")->run(in.g, in.topo, in.cm, 5);
-  EXPECT_EQ(schedule_to_text(incremental.schedule),
-            schedule_to_text(rebuild.schedule));
+  // The plain spec runs BSA with its default options and the caller seed.
+  const auto plain = reg().resolve("bsa")->run(in.g, in.topo, in.cm, 5);
+  core::BsaOptions defaults;
+  defaults.seed = 5;
+  EXPECT_EQ(schedule_to_text(plain.schedule),
+            schedule_to_text(
+                core::schedule_bsa(in.g, in.topo, in.cm, defaults).schedule));
   // A pinned seed overrides the caller seed: pinning the caller's value
   // must reproduce it exactly.
   const auto pinned =
       reg().resolve("bsa:seed=5")->run(in.g, in.topo, in.cm, 999);
   EXPECT_EQ(schedule_to_text(pinned.schedule),
-            schedule_to_text(incremental.schedule));
+            schedule_to_text(plain.schedule));
   // Structural variants still produce valid, complete schedules.
   for (const std::string spec :
        {"bsa:gate=always", "bsa:policy=greedy", "bsa:serial=blevel",

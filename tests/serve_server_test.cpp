@@ -165,7 +165,17 @@ TEST(ServeServer, UnknownSpecNamesListValidChoices) {
   EXPECT_NE(r3.error.find("torus"), std::string::npos) << r3.error;
   EXPECT_NE(r3.error.find("hypercube"), std::string::npos) << r3.error;
 
-  // The daemon kept serving through all three rejections.
+  // A removed engine-selection option is an unknown key, not an error
+  // inside the run.
+  Request removed_option = small_request();
+  removed_option.algo = "bsa:rollback=snapshot";
+  const Response r4 = client.call(removed_option);
+  EXPECT_FALSE(r4.ok);
+  EXPECT_EQ(r4.code, error_code::kBadRequest) << r4.error;
+  EXPECT_NE(r4.error.find("unknown option 'rollback'"), std::string::npos)
+      << r4.error;
+
+  // The daemon kept serving through all four rejections.
   EXPECT_TRUE(client.ping().ok);
   server.stop();
 }

@@ -3,6 +3,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -419,6 +420,69 @@ TEST(SpecsDoc, EveryDocumentedSpecResolves) {
   // The doc must actually document specs (guards against renamed fences).
   EXPECT_GE(workload_specs, 11);
   EXPECT_GE(scheduler_specs, 4);
+}
+
+/// The backtick-quoted words of a markdown table cell.
+std::vector<std::string> quoted_words(const std::string& cell) {
+  std::vector<std::string> out;
+  for (std::size_t open = cell.find('`'); open != std::string::npos;) {
+    const std::size_t close = cell.find('`', open + 1);
+    if (close == std::string::npos) break;
+    out.push_back(cell.substr(open + 1, close - open - 1));
+    open = cell.find('`', close + 1);
+  }
+  return out;
+}
+
+/// The scheduler `### Options` table of docs/SPECS.md lists, for every
+/// registered algorithm, exactly the option keys its registry entry
+/// accepts — a removed or added option cannot leave a stale row behind.
+TEST(SpecsDoc, SchedulerOptionTableMatchesRegistry) {
+  const std::string path = std::string(BSA_SOURCE_DIR) + "/docs/SPECS.md";
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << "cannot open " << path;
+  bool in_scheduler_section = false, in_table = false;
+  std::map<std::string, std::set<std::string>> documented;
+  std::vector<std::string> current;  // algorithms of the row group
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("## ", 0) == 0) {
+      in_scheduler_section = line == "## Scheduler registry";
+      in_table = false;
+      continue;
+    }
+    if (!in_scheduler_section) continue;
+    if (line == "### Options") {
+      in_table = true;
+      continue;
+    }
+    if (!in_table || line.rfind("| ", 0) != 0) continue;
+    // Cells: "", algorithm, option, values, default, meaning.
+    std::vector<std::string> cells;
+    std::size_t from = 0;
+    for (std::size_t bar; (bar = line.find('|', from)) != std::string::npos;
+         from = bar + 1) {
+      cells.push_back(line.substr(from, bar - from));
+    }
+    if (cells.size() < 3 || cells[1].find("algorithm") != std::string::npos) {
+      continue;
+    }
+    if (!quoted_words(cells[1]).empty()) current = quoted_words(cells[1]);
+    for (const std::string& algo : current) {
+      auto& keys = documented[algo];
+      for (const std::string& key : quoted_words(cells[2])) keys.insert(key);
+    }
+  }
+  const auto& registry = sched::SchedulerRegistry::global();
+  for (const std::string& name : registry.names()) {
+    ASSERT_TRUE(documented.count(name) != 0)
+        << name << " missing from the SPECS.md option table";
+    std::set<std::string> registered;
+    for (const auto& doc : registry.find(name)->options) {
+      registered.insert(doc.name);
+    }
+    EXPECT_EQ(documented[name], registered) << name;
+  }
+  EXPECT_EQ(documented.size(), registry.names().size());
 }
 
 }  // namespace
