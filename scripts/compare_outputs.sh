@@ -1,0 +1,125 @@
+#!/usr/bin/env bash
+# Compare what two builds of this repository schedule, byte for byte.
+#
+#   scripts/compare_outputs.sh PARENT_BUILD BUILD [OUT_DIR]
+#
+# Both arguments are CMake build directories holding bsa_tool and the
+# fig3-6 benches (e.g. a build of the parent commit and one of the
+# change). For every spec of the specs-scheduler block of docs/SPECS.md,
+# plus bsa:route=static,slots=append and bsa:route=ecube (hypercube
+# only), over random/gauss/fft/stencil x ring/hypercube/mesh x seeds 1-3,
+# it runs `bsa_tool --export --decision-log --counters` with both builds;
+# then it runs the four figure benches with --eft with both.
+#
+# Exits 1 on any difference in a schedule (the --export file and the
+# printed listing), a decision log or a figure table. Differences in
+# counter lines are listed separately and do not fail the run: a change
+# that renames or adds a counter explains them in CHANGES.md. Outputs
+# are kept under OUT_DIR/{parent,change}/ when it is given.
+set -euo pipefail
+
+if [[ $# -lt 2 || $# -gt 3 ]]; then
+  echo "usage: $0 PARENT_BUILD BUILD [OUT_DIR]" >&2
+  exit 2
+fi
+parent=$(cd "$1" && pwd)
+change=$(cd "$2" && pwd)
+root=$(cd "$(dirname "$0")/.." && pwd)
+if [[ $# -eq 3 ]]; then
+  work=$3
+  mkdir -p "$work"
+else
+  work=$(mktemp -d)
+  trap 'rm -rf "$work"' EXIT
+fi
+
+mapfile -t specs < <(sed -n '/^```specs-scheduler$/,/^```$/p' \
+  "$root/docs/SPECS.md" | sed '1d;$d')
+specs+=("bsa:route=static,slots=append")
+if [[ ${#specs[@]} -lt 2 ]]; then
+  echo "no specs-scheduler block found in docs/SPECS.md" >&2
+  exit 2
+fi
+
+# run SIDE NAME ARGS...: one bsa_tool run; splits stdout into the
+# counter lines and everything else (the schedule listing and metrics).
+run() {
+  local side=$1 name=$2 bin
+  shift 2
+  bin=$parent
+  [[ $side == change ]] && bin=$change
+  local out="$work/$side/$name"
+  "$bin/bsa_tool" "$@" --export "$out.sched" --decision-log "$out.log" \
+    --counters > "$out.stdout" 2>&1 || echo "exit $?" >> "$out.stdout"
+  grep -E '^  [a-z][a-z0-9_.]* = ' "$out.stdout" > "$out.counters" || true
+  grep -vE '^  [a-z][a-z0-9_.]* = ' "$out.stdout" > "$out.listing" || true
+}
+
+mkdir -p "$work/parent" "$work/change"
+runs=0
+schedule_diffs=()
+counter_diffs=()
+compare() {
+  local name=$1 kind
+  runs=$((runs + 1))
+  for kind in sched log listing; do
+    if ! cmp -s "$work/parent/$name.$kind" "$work/change/$name.$kind"; then
+      schedule_diffs+=("$name ($kind)")
+    fi
+  done
+  if ! cmp -s "$work/parent/$name.counters" "$work/change/$name.counters"; then
+    counter_diffs+=("$name")
+  fi
+}
+
+for workload in random gauss fft stencil; do
+  for topology in ring hypercube mesh; do
+    for seed in 1 2 3; do
+      cases=("${specs[@]}")
+      [[ $topology == hypercube ]] && cases+=("bsa:route=ecube")
+      for spec in "${cases[@]}"; do
+        name="${workload}_${topology}_${seed}_${spec//[:,=]/_}"
+        for side in parent change; do
+          run "$side" "$name" --workload "$workload" --size 60 \
+            --topology "$topology" --seed "$seed" --algo "$spec"
+        done
+        compare "$name"
+      done
+    done
+  done
+done
+
+table_diffs=()
+for bench in bench_fig3_regular_size bench_fig4_random_size \
+    bench_fig5_regular_granularity bench_fig6_random_granularity; do
+  for side in parent change; do
+    bin=$parent
+    [[ $side == change ]] && bin=$change
+    "$bin/$bench" --eft --threads 2 |
+      sed 's/on [0-9]* thread(s)/on N thread(s)/' > "$work/$side/$bench.txt"
+  done
+  if ! cmp -s "$work/parent/$bench.txt" "$work/change/$bench.txt"; then
+    table_diffs+=("$bench")
+  fi
+done
+
+echo "compared $runs bsa_tool runs and 4 figure tables"
+status=0
+if [[ ${#counter_diffs[@]} -gt 0 ]]; then
+  echo "counter lines differ in ${#counter_diffs[@]} run(s); distinct changes:"
+  for name in "${counter_diffs[@]}"; do
+    diff "$work/parent/$name.counters" "$work/change/$name.counters" |
+      grep -E '^[<>]' | sed -E 's/ = -?[0-9]+$//' || true
+  done | sort | uniq -c
+fi
+if [[ ${#schedule_diffs[@]} -gt 0 ]]; then
+  echo "FAIL: ${#schedule_diffs[@]} schedule/decision-log difference(s):"
+  printf '  %s\n' "${schedule_diffs[@]}"
+  status=1
+fi
+if [[ ${#table_diffs[@]} -gt 0 ]]; then
+  echo "FAIL: figure tables differ: ${table_diffs[*]}"
+  status=1
+fi
+[[ $status -eq 0 ]] && echo "OK: schedules, decision logs and figure tables identical"
+exit $status

@@ -1,11 +1,11 @@
 #include "baselines/list_common.hpp"
 
 #include <algorithm>
-#include <map>
+#include <optional>
 #include <vector>
 
 #include "common/check.hpp"
-#include "sched/timeline.hpp"
+#include "sched/link_probe.hpp"
 
 namespace bsa::baselines {
 
@@ -13,41 +13,27 @@ Time incoming_data_ready(sched::Schedule& s, const net::RoutingTable& table,
                          const net::HeterogeneousCostModel& costs, TaskId t,
                          ProcId p, bool commit) {
   const auto& g = s.task_graph();
-  // Tentative bookings made while evaluating this candidate; keyed by
-  // link so successive messages in this evaluation see each other.
-  std::map<LinkId, std::vector<sched::Interval>> overlay;
-
+  // A tentative evaluation books into a probe overlay, so successive
+  // messages of this evaluation see each other; a commit books for real.
+  std::optional<sched::LinkProbe> probe;
+  if (!commit) {
+    probe.emplace(s, costs, /*insertion=*/true);
+    probe->begin();
+  }
   Time drt = 0;
   for (const EdgeId e : g.in_edges(t)) {
     const TaskId src = g.edge_src(e);
     BSA_REQUIRE(s.is_placed(src), "predecessor " << src << " not scheduled");
     const ProcId ps = s.proc_of(src);
+    const Time ready = s.finish_of(src);
     if (ps == p) {
-      drt = std::max(drt, s.finish_of(src));
+      drt = std::max(drt, ready);
       continue;
     }
-    Time ready = s.finish_of(src);
-    std::vector<sched::Hop> hops;
-    for (const LinkId l : table.route(ps, p)) {
-      const Time dur = costs.comm_cost(e, l);
-      std::vector<sched::Interval> busy = s.busy_of_link(l);
-      if (!commit) {
-        // Tentative bookings of earlier messages in this evaluation; in
-        // commit mode they are already real bookings.
-        const auto it = overlay.find(l);
-        if (it != overlay.end()) {
-          for (const sched::Interval& iv : it->second) {
-            sched::insert_interval(busy, iv);
-          }
-        }
-      }
-      const Time st = sched::earliest_fit(busy, ready, dur);
-      hops.push_back(sched::Hop{l, st, st + dur});
-      if (!commit) overlay[l].push_back(sched::Interval{st, st + dur});
-      ready = st + dur;
-    }
-    drt = std::max(drt, ready);
-    if (commit) s.set_route(e, std::move(hops));
+    const std::vector<LinkId> links = table.route(ps, p);
+    drt = std::max(drt, commit ? sched::book_route(s, costs, e, links, ready,
+                                                   /*insertion=*/true)
+                               : probe->route(e, links, ready));
   }
   return drt;
 }

@@ -7,9 +7,11 @@
 #include "sched/schedule.hpp"
 
 /// \file list_common.hpp
-/// Machinery shared by the traditional list-scheduling baselines (DLS and
-/// the contention-oblivious EFT): routing a task's incoming messages along
-/// pre-computed shortest-path routes while booking contended link slots.
+/// Machinery shared by the traditional list-scheduling baselines (DLS, MH,
+/// HEFT, PEFT and the contention-oblivious EFT): routing a task's incoming
+/// messages along pre-computed shortest-path routes while booking
+/// contended link slots by the rule every scheduler shares
+/// (sched::book_route / sched::LinkProbe, link_probe.hpp).
 ///
 /// This is exactly the "routing table" design the paper contrasts BSA
 /// against (§1): routes are fixed per processor pair; only the time slots
@@ -22,11 +24,11 @@ namespace bsa::baselines {
 /// along `table` routes, with store-and-forward hops occupying earliest
 /// free link slots (insertion based).
 ///
-/// When `commit` is true the hop bookings are installed into `s`
-/// (predecessors must all be placed); when false the computation is
-/// tentative and `s` is left untouched. Tentative and committed results
-/// are identical because messages are processed in the same deterministic
-/// order (ascending edge id).
+/// When `commit` is true the hop bookings are installed into `s` with
+/// sched::book_route (predecessors must all be placed); when false the
+/// computation is a sched::LinkProbe trial and `s` is left untouched.
+/// Tentative and committed results are identical because messages are
+/// processed in the same deterministic order (ascending edge id).
 [[nodiscard]] Time incoming_data_ready(sched::Schedule& s,
                                        const net::RoutingTable& table,
                                        const net::HeterogeneousCostModel& costs,

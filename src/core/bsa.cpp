@@ -12,18 +12,16 @@
 #include "network/routing.hpp"
 #include "obs/decision_log.hpp"
 #include "obs/trace.hpp"
+#include "sched/link_probe.hpp"
 #include "sched/retime.hpp"
 #include "sched/retime_context.hpp"
 #include "sched/schedule_io.hpp"
-#include "sched/timeline.hpp"
 #include "sched/validate.hpp"
 
 namespace bsa::core {
 namespace {
 
 using sched::Hop;
-using sched::Interval;
-using sched::LinkBooking;
 using sched::Schedule;
 
 /// How an incoming message of the migrating task is affected by a move to
@@ -42,48 +40,19 @@ struct IncomingPlan {
   Time ready = 0;
 };
 
-/// Reused buffers for the candidate-evaluation hot path. Everything is
-/// sized once per runner and epoch-stamped or length-reset per call, so
-/// steady-state evaluation performs no heap allocation (see
-/// docs/DESIGN_PERF.md for the lifetime rules).
-struct EvalScratch {
-  // Membership of the migrating task's in-edges plus their plan payload
-  // (kind / keep_hops), epoch-stamped by EdgeId.
-  std::vector<int> edge_epoch_of;           // by EdgeId
-  std::vector<IncomingPlan::Kind> edge_kind;  // by EdgeId
-  std::vector<int> edge_keep;               // by EdgeId
-  int edge_epoch = 0;
-
-  // Per-link busy overlays for static evaluation: the filtered base busy
-  // list of each link touched this call, with tentative hops merged in as
-  // they are placed. Pool slots are reused across calls.
-  std::vector<int> link_epoch_of;  // by LinkId
-  std::vector<int> link_slot;     // by LinkId -> index into busy_pool
-  int link_epoch = 0;
-  std::vector<std::vector<Interval>> busy_pool;
-  std::size_t busy_used = 0;
-
-  std::vector<IncomingPlan> plans;   // plan_incoming_into output
-  std::vector<EdgeId> order;         // static incoming order
-  std::vector<Interval> busy;        // single-link overlay (incremental)
-  std::vector<LinkId> route_links;   // static_route_into output
-};
-
 class BsaRunner {
  public:
   BsaRunner(const graph::TaskGraph& g, const net::Topology& topo,
             const net::HeterogeneousCostModel& costs, const BsaOptions& opt)
-      : g_(g), topo_(topo), costs_(costs), opt_(opt), sched_(g, topo) {
+      : g_(g),
+        topo_(topo),
+        costs_(costs),
+        opt_(opt),
+        sched_(g, topo),
+        probe_(sched_, costs, opt.insertion_slots) {
     if (opt_.routing == RouteDiscipline::kStaticShortestPath) {
       routing_table_.emplace(topo_);
     }
-    const auto ne = static_cast<std::size_t>(g_.num_edges());
-    scratch_.edge_epoch_of.resize(ne, 0);
-    scratch_.edge_kind.resize(ne, IncomingPlan::Kind::kExtend);
-    scratch_.edge_keep.resize(ne, 0);
-    const auto nl = static_cast<std::size_t>(topo_.num_links());
-    scratch_.link_epoch_of.resize(nl, 0);
-    scratch_.link_slot.resize(nl, 0);
   }
 
   BsaResult run() {
@@ -133,8 +102,7 @@ class BsaRunner {
     }
     if (retime_ctx_.has_value()) trace_.retime = retime_ctx_->stats();
     trace_.slot_index_builds = sched_.slot_index_builds();
-    trace_.eval_edge_epochs = scratch_.edge_epoch;
-    trace_.eval_link_epochs = scratch_.link_epoch;
+    trace_.eval_trials = probe_.trials();
     return BsaResult{std::move(sched_), std::move(trace_)};
   }
 
@@ -326,117 +294,48 @@ class BsaRunner {
   }
 
   /// Static-routing evaluation: every incoming message is re-routed from
-  /// scratch along the static route, with the bookings of the
-  /// (to-be-cleared) old routes excluded. The filtered busy list of each
-  /// touched link is built once per call (edge membership answered by an
-  /// epoch-stamped mark array) and cached in the scratch arena across the
-  /// edge loop; tentative hops are merged into the cached list directly.
+  /// scratch along the static route, on a probe trial that hides the
+  /// (to-be-cleared) old routes.
   [[nodiscard]] Time evaluate_neighbor_static(TaskId t, ProcId py) {
-    EvalScratch& sc = scratch_;
-    ++sc.edge_epoch;
-    for (const EdgeId e : g_.in_edges(t)) {
-      sc.edge_epoch_of[static_cast<std::size_t>(e)] = sc.edge_epoch;
-    }
-    ++sc.link_epoch;
-    sc.busy_used = 0;
-    auto busy_of = [&](LinkId l) -> std::vector<Interval>& {
-      const auto li = static_cast<std::size_t>(l);
-      if (sc.link_epoch_of[li] != sc.link_epoch) {
-        sc.link_epoch_of[li] = sc.link_epoch;
-        if (sc.busy_used == sc.busy_pool.size()) sc.busy_pool.emplace_back();
-        sc.link_slot[li] = static_cast<int>(sc.busy_used);
-        auto& busy = sc.busy_pool[sc.busy_used++];
-        busy.clear();
-        for (const LinkBooking& b : sched_.bookings_on(l)) {
-          if (sc.edge_epoch_of[static_cast<std::size_t>(b.edge)] !=
-              sc.edge_epoch) {
-            busy.push_back(Interval{b.start, b.finish});
-          }
-        }
-        return busy;
-      }
-      return sc.busy_pool[static_cast<std::size_t>(sc.link_slot[li])];
-    };
-
+    probe_.begin();
     Time drt = 0;
     for (const EdgeId e : g_.in_edges(t)) {
+      probe_.hide(e, 0);
       if (sched_.proc_of(g_.edge_src(e)) == py) {
         drt = std::max(drt, sched_.finish_of(g_.edge_src(e)));
       }
     }
-    static_incoming_order_into(t, py, sc.order);
-    for (const EdgeId e : sc.order) {
+    static_incoming_order_into(t, py, order_);
+    for (const EdgeId e : order_) {
       const TaskId src = g_.edge_src(e);
-      Time ready = sched_.finish_of(src);
-      static_route_into(sched_.proc_of(src), py, sc.route_links);
-      for (const LinkId l : sc.route_links) {
-        const Time dur = costs_.comm_cost(e, l);
-        auto& busy = busy_of(l);
-        const Time st = opt_.insertion_slots
-                            ? sched::earliest_fit(busy, ready, dur)
-                            : append_fit(busy, ready);
-        sched::insert_interval(busy, Interval{st, st + dur});
-        ready = st + dur;
-      }
-      drt = std::max(drt, ready);
+      static_route_into(sched_.proc_of(src), py, route_links_);
+      drt = std::max(drt, probe_.route(e, route_links_,
+                                       sched_.finish_of(src)));
     }
-
-    const Time dur = costs_.exec_cost(t, py);
-    const Time task_start = opt_.insertion_slots
-                                ? sched_.earliest_task_slot(py, drt, dur)
-                                : std::max(drt, proc_tail(py));
-    return task_start + dur;
+    return slot_finish(t, py, drt);
   }
 
-  /// Incremental-routing evaluation: plans land in the scratch arena and
-  /// booking exclusion on the pivot--py link (routes the migration would
-  /// free or truncate) is answered by the epoch-stamped edge mark array.
-  /// The plan's hop extensions are then placed on that overlay and the
-  /// task at its earliest slot.
+  /// Incremental-routing evaluation: a probe trial hides the hops the
+  /// migration frees or truncates, then extends the remaining messages by
+  /// the pivot--py link in plan order.
   [[nodiscard]] Time evaluate_neighbor_incremental(TaskId t, ProcId pivot,
                                                    ProcId py) {
     const LinkId link = topo_.link_between(pivot, py);
     BSA_ASSERT(link != kInvalidLink, "neighbour without link");
-    EvalScratch& sc = scratch_;
-    plan_incoming_into(t, py, sc.plans);
-    ++sc.edge_epoch;
-    for (const IncomingPlan& plan : sc.plans) {
-      const auto ei = static_cast<std::size_t>(plan.edge);
-      sc.edge_epoch_of[ei] = sc.edge_epoch;
-      sc.edge_kind[ei] = plan.kind;
-      sc.edge_keep[ei] = plan.keep_hops;
-    }
-    sc.busy.clear();
-    for (const LinkBooking& b : sched_.bookings_on(link)) {
-      const auto ei = static_cast<std::size_t>(b.edge);
-      const bool excluded =
-          sc.edge_epoch_of[ei] == sc.edge_epoch &&
-          (sc.edge_kind[ei] == IncomingPlan::Kind::kBecomesLocal ||
-           (sc.edge_kind[ei] == IncomingPlan::Kind::kTruncate &&
-            b.hop_index >= sc.edge_keep[ei]));
-      if (!excluded) sc.busy.push_back(Interval{b.start, b.finish});
-    }
-
-    Time drt = 0;
-    for (const IncomingPlan& plan : sc.plans) {
-      if (plan.kind == IncomingPlan::Kind::kExtend) {
-        const Time dur = costs_.comm_cost(plan.edge, link);
-        const Time hop_start =
-            opt_.insertion_slots ? sched::earliest_fit(sc.busy, plan.ready, dur)
-                                 : append_fit(sc.busy, plan.ready);
-        sched::insert_interval(sc.busy, Interval{hop_start, hop_start + dur});
-        drt = std::max(drt, hop_start + dur);
-      } else {
-        drt = std::max(drt, plan.ready);
+    plan_incoming_into(t, py, plans_);
+    probe_.begin();
+    for (const IncomingPlan& plan : plans_) {
+      if (plan.kind != IncomingPlan::Kind::kExtend) {
+        probe_.hide(plan.edge, plan.keep_hops);
       }
     }
-
-    const Time dur = costs_.exec_cost(t, py);
-    const Time task_start =
-        opt_.insertion_slots
-            ? sched_.earliest_task_slot(py, drt, dur)
-            : std::max(drt, proc_tail(py));
-    return task_start + dur;
+    Time drt = 0;
+    for (const IncomingPlan& plan : plans_) {
+      drt = std::max(drt, plan.kind == IncomingPlan::Kind::kExtend
+                              ? probe_.route(plan.edge, {&link, 1}, plan.ready)
+                              : plan.ready);
+    }
+    return slot_finish(t, py, drt);
   }
 
   /// Tentative finish time of `t` if migrated from `pivot` to neighbour
@@ -447,20 +346,11 @@ class BsaRunner {
                : evaluate_neighbor_static(t, py);
   }
 
-  [[nodiscard]] static Time append_fit(std::span<const Interval> busy,
-                                       Time ready) {
-    return busy.empty() ? std::max(ready, Time{0})
-                        : std::max(ready, busy.back().finish);
-  }
-
-  [[nodiscard]] Time proc_tail(ProcId p) const {
-    const auto& order = sched_.tasks_on(p);
-    return order.empty() ? Time{0} : sched_.finish_of(order.back());
-  }
-
-  [[nodiscard]] Time link_tail(LinkId l) const {
-    const auto& q = sched_.bookings_on(l);
-    return q.empty() ? Time{0} : q.back().finish;
+  /// Finish of `t` on `py` when started by the slot rule at data-ready
+  /// time `drt`.
+  [[nodiscard]] Time slot_finish(TaskId t, ProcId py, Time drt) const {
+    const Time dur = costs_.exec_cost(t, py);
+    return sched::task_start(sched_, py, drt, dur, opt_.insertion_slots) + dur;
   }
 
   // --- migration commit ----------------------------------------------------
@@ -482,15 +372,14 @@ class BsaRunner {
       drt = std::max(drt, sched_.arrival_of(e));
     }
     const Time dur = costs_.exec_cost(t, py);
-    const Time task_start = opt_.insertion_slots
-                                ? sched_.earliest_task_slot(py, drt, dur)
-                                : std::max(drt, proc_tail(py));
-    sched_.place_task(t, py, task_start, task_start + dur);
+    const Time start =
+        sched::task_start(sched_, py, drt, dur, opt_.insertion_slots);
+    sched_.place_task(t, py, start, start + dur);
 
     if (opt_.routing == RouteDiscipline::kIncremental) {
-      commit_outgoing_incremental(t, pivot, py, task_start + dur);
+      commit_outgoing_incremental(t, pivot, py, start + dur);
     } else {
-      commit_outgoing_static(t, py, task_start + dur);
+      commit_outgoing_static(t, py, start + dur);
     }
   }
 
@@ -666,9 +555,9 @@ class BsaRunner {
   /// plan order (mirrors the incremental evaluation).
   void commit_incoming_incremental(TaskId t, ProcId pivot, ProcId py) {
     const LinkId link = topo_.link_between(pivot, py);
-    plan_incoming_into(t, py, scratch_.plans);
+    plan_incoming_into(t, py, plans_);
     sched_.unplace_task(t);
-    for (const IncomingPlan& plan : scratch_.plans) {
+    for (const IncomingPlan& plan : plans_) {
       switch (plan.kind) {
         case IncomingPlan::Kind::kBecomesLocal:
           sched_.clear_route(plan.edge);
@@ -680,16 +569,10 @@ class BsaRunner {
           sched_.set_route(plan.edge, std::move(hops));
           break;
         }
-        case IncomingPlan::Kind::kExtend: {
-          const Time dur = costs_.comm_cost(plan.edge, link);
-          const Time hop_start =
-              opt_.insertion_slots
-                  ? sched_.earliest_link_slot(link, plan.ready, dur)
-                  : std::max(plan.ready, link_tail(link));
-          sched_.append_hop(plan.edge,
-                            Hop{link, hop_start, hop_start + dur});
+        case IncomingPlan::Kind::kExtend:
+          sched::book_route(sched_, costs_, plan.edge, {&link, 1}, plan.ready,
+                            opt_.insertion_slots);
           break;
-        }
       }
     }
   }
@@ -698,22 +581,14 @@ class BsaRunner {
   /// crossing messages along the static routes in the same deterministic
   /// order used by the static evaluation.
   void commit_incoming_static(TaskId t, ProcId py) {
-    static_incoming_order_into(t, py, scratch_.order);
+    static_incoming_order_into(t, py, order_);
     sched_.unplace_task(t);
     for (const EdgeId e : g_.in_edges(t)) sched_.clear_route(e);
-    for (const EdgeId e : scratch_.order) {
+    for (const EdgeId e : order_) {
       const TaskId src = g_.edge_src(e);
-      Time ready = sched_.finish_of(src);
-      static_route_into(sched_.proc_of(src), py, scratch_.route_links);
-      for (const LinkId l : scratch_.route_links) {
-        const Time dur = costs_.comm_cost(e, l);
-        const Time hop_start =
-            opt_.insertion_slots
-                ? sched_.earliest_link_slot(l, ready, dur)
-                : std::max(ready, link_tail(l));
-        sched_.append_hop(e, Hop{l, hop_start, hop_start + dur});
-        ready = hop_start + dur;
-      }
+      static_route_into(sched_.proc_of(src), py, route_links_);
+      sched::book_route(sched_, costs_, e, route_links_, sched_.finish_of(src),
+                        opt_.insertion_slots);
     }
   }
 
@@ -728,13 +603,14 @@ class BsaRunner {
         sched_.clear_route(e);
         continue;
       }
-      auto& links = scratch_.route_links;
+      auto& links = route_links_;
       links.clear();
       links.push_back(link);
       for (const Hop& h : sched_.route_of(e)) links.push_back(h.link);
       sched_.clear_route(e);
       if (opt_.prune_route_cycles) prune_link_walk(topo_, links, py);
-      reissue_route(e, links, ft_estimate);
+      sched::book_route(sched_, costs_, e, links, ft_estimate,
+                        opt_.insertion_slots);
     }
   }
 
@@ -746,25 +622,9 @@ class BsaRunner {
       const ProcId pd = sched_.proc_of(dst);
       sched_.clear_route(e);
       if (pd == py) continue;
-      static_route_into(py, pd, scratch_.route_links);
-      reissue_route(e, scratch_.route_links, ft_estimate);
-    }
-  }
-
-  /// Book a fresh route for `e` along `links`, hop by hop from `ready`.
-  /// Each hop is booked immediately, so a later hop on the same link sees
-  /// the earlier one through the schedule itself — bit-identical to the
-  /// former assemble-then-set_route scheme (earliest_link_slot answers
-  /// exactly like earliest_fit over the link's busy list).
-  void reissue_route(EdgeId e, const std::vector<LinkId>& links, Time ready) {
-    for (const LinkId l : links) {
-      const Time hop_dur = costs_.comm_cost(e, l);
-      const Time hop_start =
-          opt_.insertion_slots
-              ? sched_.earliest_link_slot(l, ready, hop_dur)
-              : std::max(ready, link_tail(l));
-      sched_.append_hop(e, Hop{l, hop_start, hop_start + hop_dur});
-      ready = hop_start + hop_dur;
+      static_route_into(py, pd, route_links_);
+      sched::book_route(sched_, costs_, e, route_links_, ft_estimate,
+                        opt_.insertion_slots);
     }
   }
 
@@ -784,8 +644,13 @@ class BsaRunner {
   std::optional<Schedule> snapshot_;
   /// Reused journal for transactional guarded migrations.
   Schedule::Transaction txn_;
-  /// Reused evaluation buffers (see EvalScratch).
-  EvalScratch scratch_;
+  /// Trial bookings of the neighbour evaluations.
+  sched::LinkProbe probe_;
+  /// Buffers reused by evaluation and commit (length-reset per call, so
+  /// steady-state evaluation performs no heap allocation).
+  std::vector<IncomingPlan> plans_;  // plan_incoming_into output
+  std::vector<EdgeId> order_;        // static incoming order
+  std::vector<LinkId> route_links_;  // static_route_into output
   /// Current BFS sweep number, for decision-log rows.
   int sweep_ = 0;
 };

@@ -160,10 +160,8 @@ struct BsaTrace {
   /// Lazily-built free-slot indexes the schedule constructed during the
   /// run (Schedule::slot_index_builds()).
   std::int64_t slot_index_builds = 0;
-  /// EvalScratch epoch bumps — evaluation calls that invalidated the
-  /// edge / link mark arrays.
-  std::int64_t eval_edge_epochs = 0;
-  std::int64_t eval_link_epochs = 0;
+  /// Neighbour evaluations run as sched::LinkProbe trials.
+  std::int64_t eval_trials = 0;
   /// Re-timing engine counters (zero when no migration was attempted).
   sched::RetimeContext::Stats retime;
 };

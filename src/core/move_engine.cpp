@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "sched/link_probe.hpp"
 #include "sched/retime.hpp"
 
 namespace bsa::core {
@@ -54,31 +55,19 @@ void MoveEngine::apply_move_mutations(TaskId t, ProcId p) {
   }
   for (const EdgeId e : incoming) {
     const TaskId src = g.edge_src(e);
-    Time ready = s_.finish_of(src);
-    for (const LinkId l : table_.route(s_.proc_of(src), p)) {
-      const Time dur = costs_.comm_cost(e, l);
-      const Time st = s_.earliest_link_slot(l, ready, dur);
-      s_.append_hop(e, sched::Hop{l, st, st + dur});
-      ready = st + dur;
-    }
-    drt = std::max(drt, ready);
+    drt = std::max(drt, sched::book_route(s_, costs_, e,
+                                          table_.route(s_.proc_of(src), p),
+                                          s_.finish_of(src), true));
   }
 
   const Time dur = costs_.exec_cost(t, p);
-  const Time st = s_.earliest_task_slot(p, drt, dur);
+  const Time st = sched::task_start(s_, p, drt, dur, true);
   s_.place_task(t, p, st, st + dur);
 
   for (const EdgeId e : g.out_edges(t)) {
-    const TaskId dst = g.edge_dst(e);
-    const ProcId pd = s_.proc_of(dst);
+    const ProcId pd = s_.proc_of(g.edge_dst(e));
     if (pd == p) continue;
-    Time ready = st + dur;
-    for (const LinkId l : table_.route(p, pd)) {
-      const Time hd = costs_.comm_cost(e, l);
-      const Time hs = s_.earliest_link_slot(l, ready, hd);
-      s_.append_hop(e, sched::Hop{l, hs, hs + hd});
-      ready = hs + hd;
-    }
+    sched::book_route(s_, costs_, e, table_.route(p, pd), st + dur, true);
   }
 }
 

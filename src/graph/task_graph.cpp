@@ -62,6 +62,7 @@ TaskId TaskGraphBuilder::add_task(Cost nominal_cost, std::string name) {
   const TaskId id = static_cast<TaskId>(tasks_.size());
   if (name.empty()) name = "T" + std::to_string(id + 1);
   tasks_.push_back(TaskGraph::Task{nominal_cost, std::move(name)});
+  out_.emplace_back();
   return id;
 }
 
@@ -73,12 +74,14 @@ EdgeId TaskGraphBuilder::add_edge(TaskId src, TaskId dst, Cost nominal_cost) {
   BSA_REQUIRE(src != dst, "self loop on task " << src);
   BSA_REQUIRE(nominal_cost >= 0, "edge cost must be non-negative, got "
                                      << nominal_cost);
-  for (const auto& e : edges_) {
-    BSA_REQUIRE(!(e.src == src && e.dst == dst),
+  auto& out = out_[static_cast<std::size_t>(src)];
+  for (const EdgeId e : out) {
+    BSA_REQUIRE(edges_[static_cast<std::size_t>(e)].dst != dst,
                 "duplicate edge " << src << " -> " << dst);
   }
   const EdgeId id = static_cast<EdgeId>(edges_.size());
   edges_.push_back(TaskGraph::Edge{src, dst, nominal_cost});
+  out.push_back(id);
   return id;
 }
 
@@ -87,16 +90,16 @@ TaskGraph TaskGraphBuilder::build() {
   TaskGraph g;
   g.tasks_ = std::move(tasks_);
   g.edges_ = std::move(edges_);
+  g.out_ = std::move(out_);
   tasks_.clear();
   edges_.clear();
+  out_.clear();
 
   const std::size_t n = g.tasks_.size();
   g.in_.assign(n, {});
-  g.out_.assign(n, {});
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    const auto& edge = g.edges_[static_cast<std::size_t>(e)];
-    g.out_[static_cast<std::size_t>(edge.src)].push_back(e);
-    g.in_[static_cast<std::size_t>(edge.dst)].push_back(e);
+    g.in_[static_cast<std::size_t>(g.edges_[static_cast<std::size_t>(e)].dst)]
+        .push_back(e);
   }
 
   // Kahn's algorithm with a min-heap over ids: deterministic topological

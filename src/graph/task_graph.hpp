@@ -134,7 +134,7 @@ class TaskGraphBuilder {
   TaskId add_task(Cost nominal_cost, std::string name = {});
 
   /// Add a directed edge; throws on self loops, unknown endpoints,
-  /// duplicate (src,dst) pairs, or negative cost.
+  /// duplicate (src,dst) pairs, or negative cost. O(out_degree(src)).
   EdgeId add_edge(TaskId src, TaskId dst, Cost nominal_cost);
 
   [[nodiscard]] int num_tasks() const noexcept {
@@ -152,6 +152,8 @@ class TaskGraphBuilder {
  private:
   std::vector<TaskGraph::Task> tasks_;
   std::vector<TaskGraph::Edge> edges_;
+  /// Out-edges by source task in ascending id order; moved into the graph.
+  std::vector<std::vector<EdgeId>> out_;
 };
 
 }  // namespace bsa::graph

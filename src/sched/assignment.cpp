@@ -4,7 +4,7 @@
 
 #include "common/check.hpp"
 #include "graph/levels.hpp"
-#include "sched/timeline.hpp"
+#include "sched/link_probe.hpp"
 
 namespace bsa::sched {
 
@@ -53,18 +53,12 @@ Schedule schedule_from_assignment(const graph::TaskGraph& g,
         drt = std::max(drt, s.finish_of(src));
         continue;
       }
-      Time ready_at = s.finish_of(src);
-      for (const LinkId l : table.route(ps, p)) {
-        const Time dur = costs.comm_cost(e, l);
-        const Time st = s.earliest_link_slot(l, ready_at, dur);
-        s.append_hop(e, Hop{l, st, st + dur});
-        ready_at = st + dur;
-      }
-      drt = std::max(drt, ready_at);
+      drt = std::max(drt, book_route(s, costs, e, table.route(ps, p),
+                                     s.finish_of(src), true));
     }
 
     const Time dur = costs.exec_cost(t, p);
-    const Time st = s.earliest_task_slot(p, drt, dur);
+    const Time st = task_start(s, p, drt, dur, true);
     s.place_task(t, p, st, st + dur);
 
     for (const EdgeId e : g.out_edges(t)) {

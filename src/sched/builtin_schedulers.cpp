@@ -145,8 +145,7 @@ class BsaScheduler final : public Scheduler {
     reg.add("bsa.txn.journal_hwm", t.txn_journal_hwm);
     reg.add("bsa.txn.journal_records", t.txn_journal_records);
     reg.add("bsa.slot_index_builds", t.slot_index_builds);
-    reg.add("bsa.eval.edge_epochs", t.eval_edge_epochs);
-    reg.add("bsa.eval.link_epochs", t.eval_link_epochs);
+    reg.add("bsa.eval.trials", t.eval_trials);
     out.counters = reg.snapshot();
     audit_result(out.schedule, costs, spec());
     return out;

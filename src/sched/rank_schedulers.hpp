@@ -14,10 +14,11 @@
 /// al. 2002; Arabnejad & Barbosa 2014). Both compute a static per-task
 /// rank on the heterogeneous cost model, then place tasks one at a time
 /// into their earliest insertion-based slot, routing every incoming
-/// message through the contended link-booking path shared with the
-/// other list baselines (baselines::incoming_data_ready) — so unlike
-/// the textbook formulations these schedules are link
-/// contention-constrained, matching the rest of the library.
+/// message through the contended link-booking rule every scheduler
+/// shares (baselines::incoming_data_ready over sched::book_route and
+/// sched::LinkProbe) — so unlike the textbook formulations these
+/// schedules are link contention-constrained, matching the rest of the
+/// library.
 ///
 /// Rank definitions (averages over the *actual* heterogeneous costs):
 ///  * HEFT upward rank:

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "sched/link_probe.hpp"
 
 namespace bsa::sched {
 namespace {
@@ -201,10 +202,8 @@ Time replay_retime(Schedule& s, const net::HeterogeneousCostModel& costs,
 
   Schedule fresh(g, topo);
 
-  // Replay state.
+  // Replay state (hops booked so far are fresh.route_of(e)).
   std::vector<Time> task_finish(n, kUnsetTime);
-  std::vector<std::vector<Hop>> new_hops(
-      static_cast<std::size_t>(g.num_edges()));
   // Item key: (priority, kind 0=task 1=hop, id, hop index).
   using Key = std::tuple<Time, int, std::int64_t, int>;
   std::priority_queue<Key, std::vector<Key>, std::greater<>> ready;
@@ -226,19 +225,6 @@ Time replay_retime(Schedule& s, const net::HeterogeneousCostModel& costs,
     }
   };
 
-  auto proc_append_start = [&](ProcId p, Time avail, Time dur) {
-    const auto& order = fresh.tasks_on(p);
-    Time tail = order.empty() ? Time{0} : fresh.finish_of(order.back());
-    (void)dur;
-    return std::max(avail, tail);
-  };
-  auto link_append_start = [&](LinkId l, Time avail, Time dur) {
-    const auto& q = fresh.bookings_on(l);
-    Time tail = q.empty() ? Time{0} : q.back().finish;
-    (void)dur;
-    return std::max(avail, tail);
-  };
-
   int executed = 0;
   while (!ready.empty()) {
     const auto [prio, kind, id, k] = ready.top();
@@ -249,7 +235,7 @@ Time replay_retime(Schedule& s, const net::HeterogeneousCostModel& costs,
       const auto ti = static_cast<std::size_t>(t);
       Time drt = 0;
       for (const EdgeId e : g.in_edges(t)) {
-        const auto& hops = new_hops[static_cast<std::size_t>(e)];
+        const auto& hops = fresh.route_of(e);
         const Time arr =
             hops.empty()
                 ? task_finish[static_cast<std::size_t>(g.edge_src(e))]
@@ -259,8 +245,7 @@ Time replay_retime(Schedule& s, const net::HeterogeneousCostModel& costs,
       }
       const ProcId p = proc[ti];
       const Time dur = costs.exec_cost(t, p);
-      const Time st = insertion_slots ? fresh.earliest_task_slot(p, drt, dur)
-                                      : proc_append_start(p, drt, dur);
+      const Time st = task_start(fresh, p, drt, dur, insertion_slots);
       fresh.place_task(t, p, st, st + dur);
       task_finish[ti] = st + dur;
       // Enable outgoing messages.
@@ -275,16 +260,11 @@ Time replay_retime(Schedule& s, const net::HeterogeneousCostModel& costs,
       const auto e = static_cast<EdgeId>(id);
       const auto ei = static_cast<std::size_t>(e);
       const LinkId l = route_links[ei][static_cast<std::size_t>(k)];
-      const Time avail =
-          k == 0 ? task_finish[static_cast<std::size_t>(g.edge_src(e))]
-                 : new_hops[ei][static_cast<std::size_t>(k - 1)].finish;
-      BSA_ASSERT(avail != kUnsetTime, "replay ordering bug (hop)");
-      const Time dur = costs.comm_cost(e, l);
-      const Time st = insertion_slots ? fresh.earliest_link_slot(l, avail, dur)
-                                      : link_append_start(l, avail, dur);
-      const Hop h{l, st, st + dur};
-      fresh.append_hop(e, h);  // book immediately so later searches see it
-      new_hops[ei].push_back(h);
+      BSA_ASSERT(fresh.route_of(e).size() == static_cast<std::size_t>(k),
+                 "replay ordering bug (hop)");
+      // Booked immediately so later searches see it.
+      book_route(fresh, costs, e, {&l, 1}, fresh.arrival_of(e),
+                 insertion_slots);
       if (static_cast<std::size_t>(k + 1) < route_links[ei].size()) {
         ready.emplace(hop_prio[ei][static_cast<std::size_t>(k + 1)], 1, e,
                       k + 1);

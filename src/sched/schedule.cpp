@@ -221,27 +221,6 @@ Time Schedule::arrival_of(EdgeId e) const {
   return finish_of(graph_->edge_src(e));
 }
 
-std::vector<Interval> Schedule::busy_of_proc(ProcId p) const {
-  check_proc(p);
-  std::vector<Interval> busy;
-  busy.reserve(proc_tasks_[static_cast<std::size_t>(p)].size());
-  for (const TaskId t : proc_tasks_[static_cast<std::size_t>(p)]) {
-    const auto& pl = placements_[static_cast<std::size_t>(t)];
-    busy.push_back(Interval{pl.start, pl.finish});
-  }
-  return busy;
-}
-
-std::vector<Interval> Schedule::busy_of_link(LinkId l) const {
-  check_link(l);
-  std::vector<Interval> busy;
-  busy.reserve(link_bookings_[static_cast<std::size_t>(l)].size());
-  for (const LinkBooking& b : link_bookings_[static_cast<std::size_t>(l)]) {
-    busy.push_back(Interval{b.start, b.finish});
-  }
-  return busy;
-}
-
 namespace {
 /// Queries answered by a plain scan before an invalidated resource's
 /// index is rebuilt. Mutation-heavy phases (replay, migration commits)

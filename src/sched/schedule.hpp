@@ -188,10 +188,6 @@ class Schedule {
   [[nodiscard]] std::int64_t slot_index_builds() const noexcept {
     return slot_index_builds_;
   }
-  /// Busy intervals of a processor / link in time order (for overlay
-  /// computations by algorithms).
-  [[nodiscard]] std::vector<Interval> busy_of_proc(ProcId p) const;
-  [[nodiscard]] std::vector<Interval> busy_of_link(LinkId l) const;
 
   // --- mutation -----------------------------------------------------------
   /// Assign task `t` to processor `p` at [start, finish). Inserted into

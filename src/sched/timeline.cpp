@@ -39,17 +39,6 @@ void insert_interval(std::vector<Interval>& busy, const Interval& iv) {
   busy.insert(pos, iv);
 }
 
-std::vector<Interval> merge_busy(std::span<const Interval> a,
-                                 std::span<const Interval> b) {
-  std::vector<Interval> out;
-  out.reserve(a.size() + b.size());
-  std::merge(a.begin(), a.end(), b.begin(), b.end(), std::back_inserter(out),
-             [](const Interval& x, const Interval& y) {
-               return x.start < y.start;
-             });
-  return out;
-}
-
 bool is_well_formed(std::span<const Interval> busy) noexcept {
   for (std::size_t i = 1; i < busy.size(); ++i) {
     if (busy[i].start < busy[i - 1].start) return false;

@@ -34,12 +34,6 @@ struct Interval {
 /// sorted. Throws InvariantError if `iv` overlaps an existing interval.
 void insert_interval(std::vector<Interval>& busy, const Interval& iv);
 
-/// Merge two sorted non-overlapping interval lists into one sorted list.
-/// The result may contain touching intervals but callers guarantee no
-/// overlaps between the inputs.
-[[nodiscard]] std::vector<Interval> merge_busy(std::span<const Interval> a,
-                                               std::span<const Interval> b);
-
 /// True when `busy` is sorted by start and mutually non-overlapping.
 [[nodiscard]] bool is_well_formed(std::span<const Interval> busy) noexcept;
 

@@ -7,6 +7,7 @@
 #include "common/json.hpp"
 #include "common/spec.hpp"
 #include "sched/scheduler.hpp"
+#include "workloads/costs.hpp"
 #include "workloads/workload_registry.hpp"
 
 namespace bsa::serve {
@@ -110,8 +111,10 @@ Request parse_request(const std::string& line) {
   req.topology = ascii_lower(take_string(fields, "topology", req.topology));
   req.size = take_int(fields, "size", req.size, 1);
   req.gran = take_double(fields, "gran", req.gran);
-  BSA_REQUIRE(req.gran > 0, "request field 'gran' expects > 0, got "
-                                << req.gran);
+  BSA_REQUIRE(workloads::comm_costs_in_range(req.gran),
+              "request field 'gran' expects a finite granularity > 0 that "
+              "keeps communication costs below 2^63, got "
+                  << req.gran);
   req.procs = take_int(fields, "procs", req.procs, 1);
   req.het = take_int(fields, "het", req.het, 1);
   req.link_het = take_int(fields, "link_het", req.link_het, 1);

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "workloads/costs.hpp"
 #include "workloads/random_dag.hpp"
 #include "workloads/regular.hpp"
 #include "workloads/workload_registry.hpp"
@@ -71,6 +72,10 @@ class GenericWorkload final : public Workload {
     }
     if (opts.has("ccr")) {
       ccr_ = opts.get_double("ccr", 1.0, 0.0);
+      BSA_REQUIRE(comm_costs_in_range(1.0 / *ccr_),
+                  "workload '" << name_ << "': option 'ccr' = " << *ccr_
+                               << " makes communication costs overflow "
+                                  "(the largest draw must stay below 2^63)");
       parts.push_back("ccr=" + canonical_double(*ccr_));
     }
     if (opts.has("seed")) {
@@ -92,9 +97,10 @@ class GenericWorkload final : public Workload {
     CostParams cp;
     cp.granularity = ccr_.has_value() ? 1.0 / *ccr_ : granularity;
     cp.seed = seed_.value_or(seed);
-    BSA_REQUIRE(cp.granularity > 0, "workload '"
-                                        << name_ << "': granularity "
-                                        << cp.granularity << " must be > 0");
+    BSA_REQUIRE(comm_costs_in_range(cp.granularity),
+                "workload '" << name_ << "': granularity " << cp.granularity
+                             << " must be finite, > 0 and keep communication "
+                                "costs below 2^63");
     return build_(scale_(pinned_, target_tasks), cp);
   }
 

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 
 #include "common/rng.hpp"
@@ -35,8 +36,19 @@ struct CostParams {
                                            static_cast<std::int64_t>(p.exec_hi)));
 }
 
+/// True when draw_comm_cost is defined at `granularity`: finite, > 0, and
+/// the largest draw (1.5 x the target average) below 2^63, so converting
+/// it to int64 cannot overflow. Checked once per generate call and on the
+/// ccr= / gran inputs, never per draw.
+[[nodiscard]] inline bool comm_costs_in_range(double granularity,
+                                              const CostParams& p = {}) {
+  if (!std::isfinite(granularity) || granularity <= 0) return false;
+  const double target = 0.5 * (p.exec_lo + p.exec_hi) / granularity;
+  return target * 1.5 < 0x1p63;
+}
+
 /// Draw one communication cost: uniform in [0.5, 1.5] x target average,
-/// at least 1 so no message is free.
+/// at least 1 so no message is free. Requires comm_costs_in_range.
 [[nodiscard]] inline Cost draw_comm_cost(Rng& rng, const CostParams& p) {
   const double avg_exec = 0.5 * (p.exec_lo + p.exec_hi);
   const double target = avg_exec / p.granularity;

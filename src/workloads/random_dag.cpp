@@ -42,7 +42,11 @@ class UnionFind {
 
 graph::TaskGraph random_layered_dag(const RandomDagParams& params) {
   BSA_REQUIRE(params.num_tasks >= 2, "need at least two tasks");
-  BSA_REQUIRE(params.granularity > 0, "granularity must be positive");
+  BSA_REQUIRE(comm_costs_in_range(params.granularity,
+                                  CostParams{params.exec_lo, params.exec_hi}),
+              "granularity " << params.granularity
+                             << " must be finite, > 0 and keep communication "
+                                "costs below 2^63");
   BSA_REQUIRE(params.max_preds >= 1, "max_preds must be >= 1");
   const auto n = static_cast<std::size_t>(params.num_tasks);
   Rng rng(derive_seed(params.seed, 0x7264ULL));  // "rd"

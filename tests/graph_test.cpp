@@ -49,6 +49,20 @@ TEST(TaskGraphBuilder, RejectsDuplicateEdge) {
   const TaskId c = b.add_task(1);
   (void)b.add_edge(a, c, 1);
   EXPECT_THROW((void)b.add_edge(a, c, 2), PreconditionError);
+
+  // A duplicate separated by another edge is caught too; the same
+  // destination from a different source is a distinct edge.
+  const TaskId d = b.add_task(1);
+  EXPECT_NO_THROW((void)b.add_edge(d, c, 1));
+  EXPECT_THROW((void)b.add_edge(a, c, 3), PreconditionError);
+  EXPECT_NO_THROW((void)b.add_edge(a, d, 1));
+  const TaskGraph g = b.build();
+  ASSERT_EQ(g.num_edges(), 3);
+  EXPECT_EQ(g.find_edge(a, c), 0);
+  EXPECT_EQ(g.find_edge(d, c), 1);
+  EXPECT_EQ(g.find_edge(a, d), 2);
+  EXPECT_EQ(std::vector<EdgeId>(g.out_edges(a).begin(), g.out_edges(a).end()),
+            (std::vector<EdgeId>{0, 2}));
 }
 
 TEST(TaskGraphBuilder, RejectsUnknownEndpointsAndNegativeCosts) {

@@ -165,15 +165,5 @@ TEST_F(ScheduleTest, NormalizeOrdersAfterManualTimeEdits) {
   EXPECT_EQ(order[1], pf::T1);
 }
 
-TEST_F(ScheduleTest, BusyViewsMatchBookings) {
-  s.place_task(pf::T1, 0, 0, 10);
-  s.place_task(pf::T2, 0, 15, 25);
-  const auto busy = s.busy_of_proc(0);
-  ASSERT_EQ(busy.size(), 2u);
-  EXPECT_DOUBLE_EQ(busy[0].finish, 10);
-  EXPECT_DOUBLE_EQ(busy[1].start, 15);
-  EXPECT_TRUE(is_well_formed(busy));
-}
-
 }  // namespace
 }  // namespace bsa::sched

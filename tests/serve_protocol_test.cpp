@@ -86,6 +86,7 @@ TEST(ServeProtocol, NumericFieldValidation) {
   EXPECT_THROW(parse_request("{\"size\":0}"), PreconditionError);
   EXPECT_THROW(parse_request("{\"size\":2.5}"), PreconditionError);
   EXPECT_THROW(parse_request("{\"gran\":0}"), PreconditionError);
+  EXPECT_THROW(parse_request("{\"gran\":1e-17}"), PreconditionError);
   EXPECT_THROW(parse_request("{\"procs\":-1}"), PreconditionError);
   EXPECT_THROW(parse_request("{\"seed\":-3}"), PreconditionError);
   EXPECT_THROW(parse_request("{\"per_pair\":\"yes\"}"), PreconditionError);

@@ -139,6 +139,31 @@ TEST(ServeServer, MalformedJsonGetsErrorAndConnectionSurvives) {
   server.stop();
 }
 
+TEST(ServeServer, OverflowingGranularityIsABadRequest) {
+  Server server(small_options("gran"));
+  server.start();
+
+  // 1.5 x avg exec / 1e-17 overflows the int64 cost conversion: rejected
+  // at parse time, not answered as an internal error from generation.
+  Fd raw = connect_unix(server.socket_path());
+  ASSERT_TRUE(write_all(raw,
+                        "{\"op\":\"schedule\",\"id\":4,\"size\":20,"
+                        "\"procs\":4,\"gran\":1e-17}\n"));
+  LineReader reader(raw);
+  std::string line;
+  ASSERT_TRUE(reader.read_line(line, kMaxRequestBytes));
+  const Response err = parse_response(line);
+  EXPECT_FALSE(err.ok);
+  EXPECT_EQ(err.code, error_code::kBadRequest) << err.error;
+  EXPECT_NE(err.error.find("gran"), std::string::npos) << err.error;
+
+  // Same connection still answers afterwards.
+  ASSERT_TRUE(write_all(raw, "{\"op\":\"ping\",\"id\":9}\n"));
+  ASSERT_TRUE(reader.read_line(line, kMaxRequestBytes));
+  EXPECT_TRUE(parse_response(line).ok);
+  server.stop();
+}
+
 TEST(ServeServer, UnknownSpecNamesListValidChoices) {
   Server server(small_options("unknown"));
   server.start();

@@ -80,15 +80,6 @@ TEST(IntervalsOverlap, Cases) {
   EXPECT_FALSE(intervals_overlap({5, 5}, {0, 10}));  // empty interval
 }
 
-TEST(MergeBusy, Merges) {
-  const std::vector<Interval> a{{0, 5}, {20, 25}};
-  const std::vector<Interval> b{{7, 9}, {30, 31}};
-  const auto merged = merge_busy(a, b);
-  ASSERT_EQ(merged.size(), 4u);
-  EXPECT_TRUE(is_well_formed(merged));
-  EXPECT_DOUBLE_EQ(merged[1].start, 7);
-}
-
 TEST(IsWellFormed, DetectsProblems) {
   EXPECT_TRUE(is_well_formed({}));
   EXPECT_TRUE(is_well_formed(std::vector<Interval>{{0, 1}, {1, 2}}));

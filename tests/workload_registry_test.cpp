@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -15,6 +16,7 @@
 #include "runtime/sweep_runner.hpp"
 #include "runtime/thread_pool.hpp"
 #include "sched/scheduler.hpp"
+#include "workloads/random_dag.hpp"
 #include "workloads/regular.hpp"
 #include "workloads/workload_registry.hpp"
 
@@ -168,6 +170,30 @@ TEST(WorkloadRegistry, BadValuesAreRejectedWithChoices) {
   EXPECT_THROW((void)reg().resolve("fft:ccr=-2"), PreconditionError);
   EXPECT_THROW((void)reg().resolve("fft:ccr=nan"), PreconditionError);
   EXPECT_THROW((void)reg().resolve("fft:seed=-1"), PreconditionError);
+}
+
+TEST(WorkloadRegistry, GranularityThatOverflowsCommCostsIsRejected) {
+  // 1.5 x avg exec / granularity past 2^63 would make the int64 cost
+  // conversion undefined: the pinned ccr fails at resolve time...
+  const std::string ccr_msg =
+      error_message([] { (void)reg().resolve("fft:ccr=1e30"); });
+  EXPECT_NE(ccr_msg.find("'ccr'"), std::string::npos) << ccr_msg;
+  EXPECT_NO_THROW((void)reg().resolve("fft:ccr=1e15"));
+  // ...and the caller's granularity axis at generate time.
+  for (const char* spec : {"random", "fft", "gauss"}) {
+    const std::string msg =
+        error_message([&] { (void)gen(spec, 40, 1e-17, 1); });
+    EXPECT_NE(msg.find("granularity"), std::string::npos) << spec << msg;
+  }
+  EXPECT_THROW((void)gen("random", 40, std::numeric_limits<double>::infinity(),
+                         1),
+               PreconditionError);
+  EXPECT_NO_THROW((void)gen("random", 40, 1e-15, 1));
+  // The generator entry point applies the same check.
+  workloads::RandomDagParams params;
+  params.num_tasks = 20;
+  params.granularity = 1e-17;
+  EXPECT_THROW((void)workloads::random_layered_dag(params), PreconditionError);
 }
 
 TEST(WorkloadRegistry, LocalInstanceRejectsDuplicateAndMalformedEntries) {
