@@ -1,14 +1,10 @@
 /// Local-search refinement study (extension): how much slack does each
 /// scheduler leave on the table against a single-task-move local
 /// optimum? For each algorithm, schedules are refined with
-/// core::refine_schedule and the improvement percentage is reported.
-/// Small residuals mean the scheduler's output is already near a local
-/// optimum of the contention-aware objective.
-///
-/// Both candidate-evaluation engines are timed head to head: the full
-/// per-candidate re-list (MoveEval::kRelist, "before") and the
-/// incremental RetimeContext-based move evaluation
-/// (MoveEval::kRetimeDelta, "after"). The timings are appended to
+/// core::refine_schedule (candidate moves measured by core::MoveEngine)
+/// and the improvement percentage is reported. Small residuals mean the
+/// scheduler's output is already near a local optimum of the
+/// contention-aware objective. The refinement timings are written to
 /// BENCH_refine.json (same schema as BENCH_runtime.json) so the perf
 /// trajectory is tracked run over run.
 ///
@@ -44,83 +40,60 @@ int main(int argc, char** argv) {
   std::cout << "=== local-search refinement headroom ===\n"
             << num_tasks << "-task random graphs, granularity 1.0, "
             << "16-processor hypercube, " << seeds << " seed(s), " << rounds
-            << " refinement round(s), re-list vs retime-delta move "
-               "evaluation\n\n";
+            << " refinement round(s)\n\n";
 
   const auto topo = exp::make_topology("hypercube", 16, base_seed);
-  TextTable table({"scheduler", "eval", "before", "after refine",
-                   "improvement %", "moves", "mean ms"});
+  TextTable table({"scheduler", "before", "after refine", "improvement %",
+                   "moves", "mean ms"});
   std::vector<runtime::BenchEntry> entries;
   for (const char* spec : {"bsa", "dls", "eft"}) {
     const auto scheduler = sched::SchedulerRegistry::global().resolve(spec);
     const std::string row_name = scheduler->display_label();
-    struct EvalCell {
-      exp::CellMean before, after;
-      StatAccumulator wall;
-      int total_moves = 0;
-    };
-    EvalCell relist, delta;
+    exp::CellMean before, after;
+    StatAccumulator wall;
+    int total_moves = 0;
     for (int rep = 0; rep < seeds; ++rep) {
       workloads::RandomDagParams params;
       params.num_tasks = num_tasks;
       params.granularity = 1.0;
       params.seed = derive_seed(base_seed, static_cast<std::uint64_t>(rep));
       const auto g = workloads::random_layered_dag(params);
-      const auto cm_seed = derive_seed(params.seed, 17);
-      const auto cm =
-          per_pair
-              ? net::HeterogeneousCostModel::uniform(g, topo, 1, 50, 1, 50,
-                                                     cm_seed)
-              : net::HeterogeneousCostModel::uniform_processor_speeds(
-                    g, topo, 1, 50, 1, 50, cm_seed);
+      const auto cm = exp::make_cost_model(g, topo, 1, 50, 1, 50, per_pair,
+                                           derive_seed(params.seed, 17));
       // Seed 0 matches the pre-registry dispatch (default BsaOptions), so
       // the BENCH_refine.json trajectory stays comparable across runs.
       const sched::Schedule s = scheduler->run(g, topo, cm, 0).schedule;
-      for (EvalCell* cell : {&relist, &delta}) {
-        core::RefineOptions opt;
-        opt.max_rounds = rounds;
-        opt.move_eval = cell == &relist ? core::MoveEval::kRelist
-                                        : core::MoveEval::kRetimeDelta;
-        const auto t0 = std::chrono::steady_clock::now();
-        const auto refined = core::refine_schedule(s, cm, opt);
-        const auto t1 = std::chrono::steady_clock::now();
-        cell->wall.add(
-            std::chrono::duration<double, std::milli>(t1 - t0).count());
-        cell->before.add(s.makespan());
-        cell->after.add(refined.final_length);
-        cell->total_moves += refined.moves_applied;
-      }
+      core::RefineOptions opt;
+      opt.max_rounds = rounds;
+      const auto t0 = std::chrono::steady_clock::now();
+      const auto refined = core::refine_schedule(s, cm, opt);
+      const auto t1 = std::chrono::steady_clock::now();
+      wall.add(std::chrono::duration<double, std::milli>(t1 - t0).count());
+      before.add(s.makespan());
+      after.add(refined.final_length);
+      total_moves += refined.moves_applied;
     }
-    for (const auto& [eval_name, cell] :
-         {std::pair<const char*, const EvalCell&>{"relist", relist},
-          std::pair<const char*, const EvalCell&>{"retime-delta", delta}}) {
-      const double pct =
-          cell.before.mean() > 0
-              ? 100.0 * (cell.before.mean() - cell.after.mean()) /
-                    cell.before.mean()
-              : 0.0;
-      table.new_row()
-          .cell(row_name)
-          .cell(eval_name)
-          .cell(cell.before.mean(), 1)
-          .cell(cell.after.mean(), 1)
-          .cell(pct, 1)
-          .cell(static_cast<long long>(cell.total_moves))
-          .cell(cell.wall.mean(), 2);
-      runtime::BenchEntry e;
-      e.label = std::string(eval_name) + "/" + row_name + "/" +
-                std::to_string(num_tasks);
-      e.runs = static_cast<int>(cell.wall.count());
-      e.mean_wall_ms = cell.wall.mean();
-      e.mean_schedule_length = cell.after.mean();
-      entries.push_back(std::move(e));
-    }
+    const double pct =
+        before.mean() > 0
+            ? 100.0 * (before.mean() - after.mean()) / before.mean()
+            : 0.0;
+    table.new_row()
+        .cell(row_name)
+        .cell(before.mean(), 1)
+        .cell(after.mean(), 1)
+        .cell(pct, 1)
+        .cell(static_cast<long long>(total_moves))
+        .cell(wall.mean(), 2);
+    runtime::BenchEntry e;
+    e.label = row_name + "/" + std::to_string(num_tasks);
+    e.runs = static_cast<int>(wall.count());
+    e.mean_wall_ms = wall.mean();
+    e.mean_schedule_length = after.mean();
+    entries.push_back(std::move(e));
   }
   table.print(std::cout);
   std::cout << "\nsmall improvement % = the scheduler was already near a "
-               "single-move local optimum; retime-delta explores a "
-               "slightly different neighbourhood, so its endpoint may "
-               "differ from relist\n";
+               "single-move local optimum\n";
 
   const std::string report_path = "BENCH_refine.json";
   std::ofstream report(report_path, std::ios::trunc);

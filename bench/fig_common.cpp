@@ -21,10 +21,9 @@ namespace {
 
 runtime::ScenarioGrid make_grid(const SweepConfig& cfg) {
   runtime::ScenarioGrid grid;
-  // The regular suite's workload order (GE, LU, Laplace) matches the
-  // pre-registry paper_regular_apps() enumeration, so instance seeds —
-  // which derive from the workload's grid position — are unchanged and
-  // the fig3-6 tables stay byte-identical.
+  // The regular suite's workload order (GE, LU, Laplace) is part of the
+  // fig3/5 contract: instance seeds derive from the workload's grid
+  // position, so reordering it would change the tables.
   grid.workloads = cfg.regular_suite
                        ? std::vector<std::string>{"gauss", "lu", "laplace"}
                        : std::vector<std::string>{"random"};

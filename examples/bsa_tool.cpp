@@ -146,12 +146,8 @@ void schedule_input(const CliParser& cli, const Input& input,
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
   const int het = static_cast<int>(cli.get_int("het", 1));
   const int link_het = static_cast<int>(cli.get_int("link-het", 1));
-  const auto cm =
-      cli.get_bool("per-pair", false)
-          ? net::HeterogeneousCostModel::uniform(g, topo, 1, het, 1,
-                                                 link_het, seed)
-          : net::HeterogeneousCostModel::uniform_processor_speeds(
-                g, topo, 1, het, 1, link_het, seed);
+  const auto cm = exp::make_cost_model(g, topo, 1, het, 1, link_het,
+                                       cli.get_bool("per-pair", false), seed);
 
   if (input.workload != runtime::kExternalWorkload) {
     std::cout << "workload: " << input.workload << '\n';
@@ -357,11 +353,7 @@ int main(int argc, char** argv) {
 
     const int procs = static_cast<int>(cli.get_int("procs", 8));
     const std::string topo_kind = cli.get_string("topology", "ring");
-    net::Topology topo = [&] {
-      if (topo_kind == "linear") return net::Topology::linear(procs);
-      if (topo_kind == "star") return net::Topology::star(procs);
-      return exp::make_topology(topo_kind, procs, seed);
-    }();
+    net::Topology topo = exp::make_topology(topo_kind, procs, seed);
 
     // Collect the requested registry specs: every --algo occurrence
     // (comma lists allowed, "all" = every registered algorithm), plus the

@@ -9,7 +9,7 @@
 ///  2. turn it into a feasible contention-aware schedule with
 ///     sched::schedule_from_assignment,
 ///  3. polish it with core::refine_schedule (single-task-move local
-///     search),
+///     search, each candidate move measured by core::MoveEngine),
 ///  4. compare against BSA and DLS on the same instance.
 
 #include <iostream>
@@ -20,8 +20,8 @@
 #include "common/table.hpp"
 #include "core/bsa.hpp"
 #include "core/refine.hpp"
+#include "exp/experiment.hpp"
 #include "graph/graph_stats.hpp"
-#include "network/cost_model.hpp"
 #include "sched/assignment.hpp"
 #include "sched/metrics.hpp"
 #include "workloads/random_dag.hpp"
@@ -37,9 +37,9 @@ int main(int argc, char** argv) {
   params.granularity = 1.0;
   params.seed = seed;
   const auto g = workloads::random_layered_dag(params);
-  const auto topo = net::Topology::hypercube(4);
-  const auto cm = net::HeterogeneousCostModel::uniform_processor_speeds(
-      g, topo, 1, 20, 1, 10, derive_seed(seed, 1));
+  const auto topo = exp::make_topology("hypercube", 16, seed);
+  const auto cm = exp::make_cost_model(g, topo, 1, 20, 1, 10, false,
+                                       derive_seed(seed, 1));
 
   std::cout << "workload:\n";
   graph::print_stats(std::cout, graph::compute_stats(g));

@@ -11,7 +11,7 @@
 /// \file move_engine.hpp
 /// Transactional single-task move evaluation over a live schedule.
 ///
-/// The engine owns the machinery that refine's kRetimeDelta mode and the
+/// The engine owns the machinery that core::refine_schedule and the
 /// simulated-annealing scheduler share: one bound Schedule, one persistent
 /// sched::RetimeContext, and one reusable Schedule::Transaction. A
 /// candidate move (migrate task t to processor p) is

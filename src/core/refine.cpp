@@ -6,7 +6,6 @@
 
 #include "common/check.hpp"
 #include "core/move_engine.hpp"
-#include "sched/assignment.hpp"
 
 namespace bsa::core {
 namespace {
@@ -31,15 +30,17 @@ std::vector<ProcId> move_candidates(TaskId t, const net::Topology& topo,
   return procs;
 }
 
-/// Incremental local search over core::MoveEngine: one live schedule,
-/// one RetimeContext; each candidate move is journaled into a
+}  // namespace
+
+/// Local search over core::MoveEngine: one live schedule, one
+/// RetimeContext; each candidate move is journaled into a
 /// Schedule::Transaction, measured, and rolled back in O(touched) (the
-/// best one is then re-applied for real). The rare re-timing-cycle
-/// fallback measures through a snapshot copy instead, because
-/// replay_retime rebuilds the schedule wholesale.
-RefineResult refine_retime_delta(const sched::Schedule& input,
-                                 const net::HeterogeneousCostModel& costs,
-                                 const RefineOptions& options) {
+/// best one is then re-applied for real).
+RefineResult refine_schedule(const sched::Schedule& input,
+                             const net::HeterogeneousCostModel& costs,
+                             const RefineOptions& options) {
+  BSA_REQUIRE(input.all_placed(), "refine requires a complete schedule");
+  BSA_REQUIRE(options.max_rounds >= 1, "max_rounds must be >= 1");
   const auto& g = input.task_graph();
   const auto& topo = input.topology();
 
@@ -66,66 +67,6 @@ RefineResult refine_retime_delta(const sched::Schedule& input,
       if (best_proc != original) {
         engine.apply(t, best_proc);
         best_len = s.makespan();
-        ++result.moves_applied;
-        improved_this_round = true;
-        stale = 0;
-      } else if (options.patience > 0 && ++stale >= options.patience) {
-        break;
-      }
-    }
-    if (!improved_this_round) break;
-  }
-  result.final_length = best_len;
-  return result;
-}
-
-}  // namespace
-
-RefineResult refine_schedule(const sched::Schedule& input,
-                             const net::HeterogeneousCostModel& costs,
-                             const RefineOptions& options) {
-  BSA_REQUIRE(input.all_placed(), "refine requires a complete schedule");
-  BSA_REQUIRE(options.max_rounds >= 1, "max_rounds must be >= 1");
-  if (options.move_eval == MoveEval::kRetimeDelta) {
-    return refine_retime_delta(input, costs, options);
-  }
-  const auto& g = input.task_graph();
-  const auto& topo = input.topology();
-  const net::RoutingTable table(topo);
-
-  std::vector<ProcId> assignment = sched::assignment_of(input);
-  // Re-deriving the schedule from the assignment may already differ from
-  // the input (different list order); keep whichever representation we
-  // can actually regenerate, so moves compare like against like.
-  sched::Schedule best =
-      sched::schedule_from_assignment(g, topo, costs, assignment, table);
-  if (input.makespan() < best.makespan()) {
-    best = input;  // the original was better than its re-derivation
-  }
-  Time best_len = best.makespan();
-
-  RefineResult result{best, input.makespan(), best_len, 0, 0};
-
-  for (int round = 0; round < options.max_rounds; ++round) {
-    bool improved_this_round = false;
-    int stale = 0;
-    for (TaskId t = 0; t < g.num_tasks(); ++t) {
-      const ProcId original = assignment[static_cast<std::size_t>(t)];
-      ProcId best_proc = original;
-      for (const ProcId p : move_candidates(t, topo, costs, options)) {
-        if (p == original) continue;
-        assignment[static_cast<std::size_t>(t)] = p;
-        ++result.candidates_evaluated;
-        sched::Schedule candidate = sched::schedule_from_assignment(
-            g, topo, costs, assignment, table);
-        if (time_lt(candidate.makespan(), best_len)) {
-          best_len = candidate.makespan();
-          best_proc = p;
-          result.schedule = std::move(candidate);
-        }
-      }
-      assignment[static_cast<std::size_t>(t)] = best_proc;
-      if (best_proc != original) {
         ++result.moves_applied;
         improved_this_round = true;
         stale = 0;

@@ -1,7 +1,5 @@
 #pragma once
 
-#include <cstdint>
-
 #include "common/types.hpp"
 #include "network/cost_model.hpp"
 #include "sched/schedule.hpp"
@@ -10,32 +8,14 @@
 /// Post-scheduling local search (extension beyond the paper).
 ///
 /// Starting from any complete schedule, repeatedly try to move a single
-/// task to a different processor; each candidate assignment is fully
-/// re-evaluated with sched::schedule_from_assignment (shortest-path
-/// routes, exclusive link slots), and the move is kept when the schedule
+/// task to a different processor; each candidate move is measured with
+/// core::MoveEngine (journaled into a transaction, re-timed incrementally
+/// and rolled back), and the best move of a task is kept when the schedule
 /// gets strictly shorter. Useful to (a) polish BSA/DLS output and (b)
 /// measure how close each scheduler already is to a single-move local
 /// optimum (see bench_refine).
 
 namespace bsa::core {
-
-/// How a candidate single-task move is evaluated.
-enum class MoveEval : unsigned char {
-  /// Re-derive the whole schedule from the tweaked assignment with
-  /// sched::schedule_from_assignment — the reference behaviour.
-  kRelist,
-  /// Apply the move to the live schedule (unplace, static shortest-path
-  /// re-route of the task's messages, earliest-slot placement) and
-  /// re-time incrementally with a persistent sched::RetimeContext;
-  /// candidate moves are journaled into a Schedule::Transaction and
-  /// rolled back in O(touched) after measuring. Much
-  /// faster on large graphs. The neighbourhood it explores differs
-  /// slightly from kRelist (moves are applied to the evolved schedule
-  /// instead of re-listing every task), so schedules are not expected to
-  /// be identical between the modes — only valid and monotonically
-  /// improving.
-  kRetimeDelta,
-};
 
 struct RefineOptions {
   /// Full passes over all tasks (each pass tries every task once).
@@ -47,8 +27,6 @@ struct RefineOptions {
   /// Stop a round early after this many consecutive non-improving tasks
   /// (<= 0 disables early stopping).
   int patience = 0;
-  /// Candidate evaluation engine (see MoveEval).
-  MoveEval move_eval = MoveEval::kRelist;
 };
 
 struct RefineResult {

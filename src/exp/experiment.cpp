@@ -1,15 +1,15 @@
 #include "exp/experiment.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdlib>
 #include <memory>
 
 #include "common/check.hpp"
+#include "common/spec.hpp"
 #include "obs/trace.hpp"
 #include "sched/scheduler.hpp"
 #include "sched/validate.hpp"
-#include "workloads/random_dag.hpp"
-#include "workloads/regular.hpp"
 
 namespace bsa::exp {
 
@@ -39,16 +39,35 @@ RunOutcome run_algorithm(const std::string& spec, const graph::TaskGraph& g,
   return out;
 }
 
+const std::vector<std::string>& topology_kinds() {
+  static const std::vector<std::string> kinds{
+      "ring", "hypercube", "clique", "mesh", "random", "linear", "star"};
+  return kinds;
+}
+
+void check_topology(const std::string& kind, int procs) {
+  BSA_REQUIRE(std::find(topology_kinds().begin(), topology_kinds().end(),
+                        kind) != topology_kinds().end(),
+              "unknown topology '" << kind << "'; registered: "
+                                   << join_list(topology_kinds(), ", "));
+  const int min_procs = kind == "random" ? 3 : 2;
+  BSA_REQUIRE(procs >= min_procs, kind << " topology needs >= " << min_procs
+                                       << " processors, got " << procs);
+  BSA_REQUIRE(kind != "hypercube" ||
+                  (std::has_single_bit(static_cast<unsigned>(procs)) &&
+                   procs <= (1 << 20)),
+              "hypercube topology needs a power-of-two processor count "
+              "<= 2^20, got "
+                  << procs);
+}
+
 net::Topology make_topology(const std::string& kind, int procs,
                             std::uint64_t seed) {
+  check_topology(kind, procs);
   if (kind == "ring") return net::Topology::ring(procs);
   if (kind == "hypercube") {
-    int dim = 0;
-    while ((1 << dim) < procs) ++dim;
-    BSA_REQUIRE((1 << dim) == procs,
-                "hypercube needs a power-of-two processor count, got "
-                    << procs);
-    return net::Topology::hypercube(dim);
+    return net::Topology::hypercube(
+        std::countr_zero(static_cast<unsigned>(procs)));
   }
   if (kind == "clique") return net::Topology::clique(procs);
   if (kind == "mesh") {
@@ -65,74 +84,14 @@ net::Topology make_topology(const std::string& kind, int procs,
     const int max_degree = std::min(8, procs - 1);
     return net::Topology::random(procs, 2, max_degree, seed);
   }
-  BSA_REQUIRE(false, "unknown topology kind '" << kind << "'");
-  return net::Topology::ring(2);  // unreachable
+  if (kind == "linear") return net::Topology::linear(procs);
+  return net::Topology::star(procs);
 }
 
 const std::vector<std::string>& paper_topologies() {
   static const std::vector<std::string> kinds{"ring", "hypercube", "clique",
                                               "random"};
   return kinds;
-}
-
-const char* app_name(RegularApp a) {
-  switch (a) {
-    case RegularApp::kGaussianElimination:
-      return "gaussian-elimination";
-    case RegularApp::kLuDecomposition:
-      return "lu-decomposition";
-    case RegularApp::kLaplace:
-      return "laplace";
-    case RegularApp::kMeanValueAnalysis:
-      return "mean-value-analysis";
-  }
-  return "?";
-}
-
-const std::vector<RegularApp>& paper_regular_apps() {
-  static const std::vector<RegularApp> apps{
-      RegularApp::kGaussianElimination, RegularApp::kLuDecomposition,
-      RegularApp::kLaplace};
-  return apps;
-}
-
-graph::TaskGraph make_regular(RegularApp app, int target_tasks,
-                              double granularity, std::uint64_t seed) {
-  workloads::CostParams cp;
-  cp.granularity = granularity;
-  cp.seed = seed;
-  switch (app) {
-    case RegularApp::kGaussianElimination:
-      return workloads::gaussian_elimination(
-          workloads::gaussian_elimination_dim_for(target_tasks), cp);
-    case RegularApp::kLuDecomposition:
-      return workloads::lu_decomposition(
-          workloads::lu_decomposition_dim_for(target_tasks), cp);
-    case RegularApp::kLaplace:
-      return workloads::laplace(workloads::laplace_dim_for(target_tasks), cp);
-    case RegularApp::kMeanValueAnalysis:
-      return workloads::mean_value_analysis(
-          workloads::mva_levels_for(target_tasks, 8), 8, cp);
-  }
-  BSA_REQUIRE(false, "unknown app");
-  return workloads::laplace(2, cp);  // unreachable
-}
-
-graph::TaskGraph make_instance(bool regular, int app_index, int size,
-                               double granularity, std::uint64_t seed) {
-  if (regular) {
-    const auto& apps = paper_regular_apps();
-    BSA_REQUIRE(app_index >= 0 &&
-                    app_index < static_cast<int>(apps.size()),
-                "make_instance: app_index " << app_index << " out of range");
-    return make_regular(apps[static_cast<std::size_t>(app_index)], size,
-                        granularity, seed);
-  }
-  workloads::RandomDagParams params;
-  params.num_tasks = size;
-  params.granularity = granularity;
-  params.seed = seed;
-  return workloads::random_layered_dag(params);
 }
 
 net::HeterogeneousCostModel make_cost_model(const graph::TaskGraph& g,

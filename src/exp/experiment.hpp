@@ -12,10 +12,10 @@
 #include "obs/hooks.hpp"
 
 /// \file experiment.hpp
-/// Shared harness for the paper-reproduction benchmarks: the paper's four
-/// 16-processor topologies, the regular application suite and
-/// experiment-cell aggregation. Algorithm dispatch goes through the
-/// sched::SchedulerRegistry spec strings ("bsa", "dls:seed=7", ...).
+/// Shared harness for the paper-reproduction benchmarks: the topology and
+/// cost-model factories and experiment-cell aggregation. Instances come
+/// from the workloads::WorkloadRegistry; algorithm dispatch goes through
+/// the sched::SchedulerRegistry spec strings ("bsa", "dls:seed=7", ...).
 
 namespace bsa::exp {
 
@@ -45,43 +45,24 @@ struct RunOutcome {
                                        std::uint64_t seed,
                                        const obs::Hooks& hooks);
 
-/// The paper's four experiment topologies over `procs` processors —
-/// "ring", "hypercube" (procs must be a power of two), "clique", and
-/// "random" (degrees 2..8, seeded) — plus "mesh" (most-square 2-D grid;
-/// used by bench_workloads).
+/// Every topology kind make_topology builds (the paper's ring, hypercube,
+/// clique and random, plus mesh, linear and star).
+[[nodiscard]] const std::vector<std::string>& topology_kinds();
+
+/// Check that make_topology(kind, procs, ...) can build: the kind is in
+/// topology_kinds(), procs >= 2 (>= 3 for "random"), and a hypercube
+/// has a power-of-two procs <= 2^20. O(1), builds nothing; throws
+/// PreconditionError naming the kind.
+void check_topology(const std::string& kind, int procs);
+
+/// Build one topology of `procs` processors: "ring", "hypercube",
+/// "clique" and "random" (degrees 2..8, seeded) are the paper's
+/// experiment topologies; "mesh" is the most-square 2-D grid, "linear" a
+/// chain and "star" a hub with spokes. Runs check_topology first.
 [[nodiscard]] net::Topology make_topology(const std::string& kind, int procs,
                                           std::uint64_t seed);
-/// The kinds in the paper's figure order.
+/// The paper's four kinds in its figure order.
 [[nodiscard]] const std::vector<std::string>& paper_topologies();
-
-/// Regular applications of the paper's first suite.
-enum class RegularApp : unsigned char {
-  kGaussianElimination,
-  kLuDecomposition,
-  kLaplace,
-  kMeanValueAnalysis,
-};
-[[nodiscard]] const char* app_name(RegularApp a);
-/// The three apps averaged in Figures 3/5 (GE, LU, Laplace; the paper
-/// reports "three graph types").
-[[nodiscard]] const std::vector<RegularApp>& paper_regular_apps();
-
-/// Build one regular application graph with approximately `target_tasks`
-/// tasks at the given granularity.
-[[nodiscard]] graph::TaskGraph make_regular(RegularApp app, int target_tasks,
-                                            double granularity,
-                                            std::uint64_t seed);
-
-/// Build the graph for one experiment cell: `regular` selects
-/// paper_regular_apps()[app_index], otherwise a random layered DAG of
-/// `size` tasks. Deterministic in the seed. This is the pre-registry
-/// instance factory, kept as the reference the workload registry's
-/// "gauss"/"lu"/"laplace"/"random" adapters are tested bit-identical
-/// against; sweeps now resolve workloads::WorkloadRegistry specs
-/// instead (see runtime/scenario.hpp and docs/SPECS.md).
-[[nodiscard]] graph::TaskGraph make_instance(bool regular, int app_index,
-                                             int size, double granularity,
-                                             std::uint64_t seed);
 
 /// The experiments' heterogeneity model: execution factors
 /// U[het_lo,het_hi] and link factors U[link_lo,link_hi], one per

@@ -1,6 +1,7 @@
 #include "graph/task_graph.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <queue>
 #include <set>
 #include <utility>
@@ -57,8 +58,9 @@ bool TaskGraph::is_weakly_connected() const {
 }
 
 TaskId TaskGraphBuilder::add_task(Cost nominal_cost, std::string name) {
-  BSA_REQUIRE(nominal_cost >= 0, "task cost must be non-negative, got "
-                                     << nominal_cost);
+  BSA_REQUIRE(std::isfinite(nominal_cost) && nominal_cost >= 0,
+              "task cost must be finite and non-negative, got "
+                  << nominal_cost);
   const TaskId id = static_cast<TaskId>(tasks_.size());
   if (name.empty()) name = "T" + std::to_string(id + 1);
   tasks_.push_back(TaskGraph::Task{nominal_cost, std::move(name)});
@@ -72,8 +74,9 @@ EdgeId TaskGraphBuilder::add_edge(TaskId src, TaskId dst, Cost nominal_cost) {
   BSA_REQUIRE(dst >= 0 && dst < num_tasks(), "edge destination " << dst
                                                                  << " unknown");
   BSA_REQUIRE(src != dst, "self loop on task " << src);
-  BSA_REQUIRE(nominal_cost >= 0, "edge cost must be non-negative, got "
-                                     << nominal_cost);
+  BSA_REQUIRE(std::isfinite(nominal_cost) && nominal_cost >= 0,
+              "edge cost must be finite and non-negative, got "
+                  << nominal_cost);
   auto& out = out_[static_cast<std::size_t>(src)];
   for (const EdgeId e : out) {
     BSA_REQUIRE(edges_[static_cast<std::size_t>(e)].dst != dst,

@@ -1,6 +1,7 @@
 #include "network/cost_model.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
@@ -24,6 +25,19 @@ std::vector<Cost> nominal_comm_of(const graph::TaskGraph& g) {
   return out;
 }
 
+/// Every actual cost is a nominal cost times a factor of at most
+/// `max_factor`. Checked once per model, so no cost query can return
+/// infinity and none pays for a check.
+void require_finite_products(const std::vector<Cost>& nominal,
+                             Cost max_factor, const char* what) {
+  const auto it = std::max_element(nominal.begin(), nominal.end());
+  if (it == nominal.end()) return;
+  BSA_REQUIRE(std::isfinite(*it * max_factor),
+              what << ' ' << (it - nominal.begin()) << " cost " << *it
+                   << " times factor " << max_factor
+                   << " overflows the cost range");
+}
+
 // Distinct stream tags so exec and comm factor draws never collide.
 constexpr std::uint64_t kExecStream = 0x65786563ULL;  // "exec"
 constexpr std::uint64_t kCommStream = 0x636F6D6DULL;  // "comm"
@@ -45,6 +59,8 @@ HeterogeneousCostModel HeterogeneousCostModel::uniform(
   cm.comm_mode_ = CommMode::kHashed;
   cm.nominal_exec_ = nominal_exec_of(g);
   cm.nominal_comm_ = nominal_comm_of(g);
+  require_finite_products(cm.nominal_exec_, exec_hi, "task");
+  require_finite_products(cm.nominal_comm_, link_hi, "edge");
   cm.seed_ = seed;
   cm.exec_lo_ = exec_lo;
   cm.exec_hi_ = exec_hi;
@@ -69,6 +85,8 @@ HeterogeneousCostModel HeterogeneousCostModel::uniform_processor_speeds(
   cm.comm_mode_ = CommMode::kLinkSpeed;
   cm.nominal_exec_ = nominal_exec_of(g);
   cm.nominal_comm_ = nominal_comm_of(g);
+  require_finite_products(cm.nominal_exec_, exec_hi, "task");
+  require_finite_products(cm.nominal_comm_, link_hi, "edge");
   cm.proc_speed_.resize(static_cast<std::size_t>(cm.m_));
   for (ProcId p = 0; p < cm.m_; ++p) {
     cm.proc_speed_[static_cast<std::size_t>(p)] =
@@ -103,14 +121,22 @@ HeterogeneousCostModel HeterogeneousCostModel::from_exec_matrix(
                   static_cast<std::size_t>(cm.n_) * static_cast<std::size_t>(cm.m_),
               "exec matrix size " << exec_matrix.size() << " != tasks*procs "
                                   << cm.n_ * cm.m_);
-  for (const Cost c : exec_matrix) {
-    BSA_REQUIRE(c >= 0, "negative exec cost in matrix");
+  for (std::size_t i = 0; i < exec_matrix.size(); ++i) {
+    const Cost c = exec_matrix[i];
+    BSA_REQUIRE(std::isfinite(c) && c >= 0,
+                "exec matrix cost of task "
+                    << i / static_cast<std::size_t>(cm.m_) << " on processor "
+                    << i % static_cast<std::size_t>(cm.m_)
+                    << " must be finite and non-negative, got " << c);
   }
-  BSA_REQUIRE(link_factor >= 0, "negative link factor");
+  BSA_REQUIRE(std::isfinite(link_factor) && link_factor >= 0,
+              "link factor must be finite and non-negative, got "
+                  << link_factor);
   cm.exec_mode_ = ExecMode::kMatrix;
   cm.comm_mode_ = CommMode::kFixedFactor;
   cm.nominal_exec_ = nominal_exec_of(g);
   cm.nominal_comm_ = nominal_comm_of(g);
+  require_finite_products(cm.nominal_comm_, link_factor, "edge");
   cm.exec_matrix_ = std::move(exec_matrix);
   cm.link_factor_ = link_factor;
   cm.precompute_summaries();

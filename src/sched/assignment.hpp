@@ -18,8 +18,7 @@
 /// crossing messages are routed along shortest paths and booked into
 /// exclusive link slots. This turns *any* mapping — produced by a
 /// partitioner, a metaheuristic, or a human — into a feasible schedule
-/// whose length can be compared against BSA/DLS, and is the evaluation
-/// engine behind core::refine_schedule.
+/// whose length can be compared against BSA/DLS.
 
 namespace bsa::sched {
 

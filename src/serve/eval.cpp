@@ -28,17 +28,10 @@ std::string evaluate_request(const Request& req, const obs::Hooks& hooks) {
   const graph::TaskGraph g = workloads::WorkloadRegistry::global()
                                  .resolve(req.workload)
                                  ->generate(req.size, req.gran, req.seed);
-  const net::Topology topo = [&] {
-    if (req.topology == "linear") return net::Topology::linear(req.procs);
-    if (req.topology == "star") return net::Topology::star(req.procs);
-    return exp::make_topology(req.topology, req.procs, req.seed);
-  }();
-  const net::HeterogeneousCostModel cm =
-      req.per_pair
-          ? net::HeterogeneousCostModel::uniform(g, topo, 1, req.het, 1,
-                                                 req.link_het, req.seed)
-          : net::HeterogeneousCostModel::uniform_processor_speeds(
-                g, topo, 1, req.het, 1, req.link_het, req.seed);
+  const net::Topology topo =
+      exp::make_topology(req.topology, req.procs, req.seed);
+  const net::HeterogeneousCostModel cm = exp::make_cost_model(
+      g, topo, 1, req.het, 1, req.link_het, req.per_pair, req.seed);
   const auto scheduler = sched::SchedulerRegistry::global().resolve(req.algo);
   sched::SchedulerResult result =
       scheduler->run_observed(g, topo, cm, req.seed, hooks);

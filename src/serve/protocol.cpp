@@ -1,11 +1,14 @@
 #include "serve/protocol.hpp"
 
 #include <cmath>
+#include <exception>
 #include <sstream>
+#include <vector>
 
 #include "common/check.hpp"
 #include "common/json.hpp"
 #include "common/spec.hpp"
+#include "exp/experiment.hpp"
 #include "sched/scheduler.hpp"
 #include "workloads/costs.hpp"
 #include "workloads/workload_registry.hpp"
@@ -34,9 +37,12 @@ std::uint64_t take_uint64(
   const auto it = fields.find(key);
   if (it == fields.end()) return fallback;
   const double* v = std::get_if<double>(&it->second);
-  BSA_REQUIRE(v != nullptr && *v == std::floor(*v) && *v >= 0,
+  // 2^64 itself is the first double past the range.
+  BSA_REQUIRE(v != nullptr && *v == std::floor(*v) && *v >= 0 &&
+                  *v < 18446744073709551616.0,
               "request field '" << key
-                                << "' expects a non-negative integer");
+                                << "' expects a non-negative integer below "
+                                   "2^64");
   return static_cast<std::uint64_t>(*v);
 }
 
@@ -81,12 +87,6 @@ const std::vector<std::string>& known_request_keys() {
 
 }  // namespace
 
-const std::vector<std::string>& topology_kinds() {
-  static const std::vector<std::string> kKinds = {
-      "ring", "hypercube", "clique", "mesh", "random", "linear", "star"};
-  return kKinds;
-}
-
 Request parse_request(const std::string& line) {
   const auto fields = runtime::parse_jsonl_row(line);
   for (const auto& [key, _] : fields) {
@@ -125,6 +125,14 @@ Request parse_request(const std::string& line) {
   return req;
 }
 
+std::uint64_t request_id(const std::string& line) {
+  try {
+    return take_uint64(runtime::parse_jsonl_row(line), "id", 0);
+  } catch (const std::exception&) {
+    return 0;
+  }
+}
+
 std::string request_to_json(const Request& req) {
   const Request defaults;
   std::ostringstream os;
@@ -156,13 +164,7 @@ std::string request_to_json(const Request& req) {
 std::string canonicalize(Request& req) {
   req.workload = workloads::WorkloadRegistry::global().canonical(req.workload);
   req.algo = sched::SchedulerRegistry::global().canonical(req.algo);
-  bool known = false;
-  for (const std::string& kind : topology_kinds()) {
-    known = known || kind == req.topology;
-  }
-  BSA_REQUIRE(known, "unknown topology '"
-                         << req.topology << "'; registered: "
-                         << join_list(topology_kinds(), ", "));
+  exp::check_topology(req.topology, req.procs);
   std::ostringstream key;
   key << "w=" << req.workload << "|a=" << req.algo << "|t=" << req.topology
       << "|p=" << req.procs << "|n=" << req.size

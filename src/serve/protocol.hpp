@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "runtime/result_sink.hpp"
 
@@ -56,7 +55,7 @@ struct Request {
   std::uint64_t id = 0;         ///< client-chosen; echoed in the response
   std::string workload = "random";  ///< workload registry spec
   std::string algo = "bsa";         ///< scheduler registry spec
-  std::string topology = "ring";    ///< exp::make_topology kind (+linear/star)
+  std::string topology = "ring";    ///< one of exp::topology_kinds()
   int size = 100;                   ///< target task count
   double gran = 1.0;                ///< granularity (a spec ccr= wins)
   int procs = 8;
@@ -68,23 +67,25 @@ struct Request {
   bool validate = false;  ///< run the full invariant checker
 };
 
-/// The topology kinds a request may name (exp::make_topology's four
-/// paper kinds + mesh, plus the linear/star extras bsa_tool accepts).
-[[nodiscard]] const std::vector<std::string>& topology_kinds();
-
 /// Parse one request line. Throws PreconditionError on malformed JSON,
 /// unknown keys, unknown ops or out-of-range values; the message lists
 /// the valid choices (matching the registries' error style).
 [[nodiscard]] Request parse_request(const std::string& line);
+
+/// The "id" of a request line, or 0 when the line is not JSON or its id
+/// does not parse. Error replies to lines parse_request rejects echo it,
+/// so the client matches them like any other reply.
+[[nodiscard]] std::uint64_t request_id(const std::string& line);
 
 /// Serialise a request as one JSON line (no trailing newline). Only
 /// non-default fields are emitted, so the line stays small.
 [[nodiscard]] std::string request_to_json(const Request& req);
 
 /// Canonicalise the spec fields in place (workload and algo through
-/// their registries, topology against topology_kinds()) and validate the
-/// numeric ranges. Throws PreconditionError listing valid choices on any
-/// unknown name. Returns the canonical cache key: every result-affecting
+/// their registries) and check that exp::make_topology can build the
+/// topology and procs (exp::check_topology). Throws PreconditionError
+/// listing valid choices on any unknown name, and naming the kind on an
+/// impossible processor count. Returns the canonical cache key: every result-affecting
 /// field in a fixed order, so two requests collide exactly when they
 /// describe the same evaluation.
 [[nodiscard]] std::string canonicalize(Request& req);

@@ -164,7 +164,8 @@ void Server::handle_line(const std::shared_ptr<Connection>& conn,
     if (req.op == "schedule") key = canonicalize(req);
   } catch (const std::exception& e) {
     errors_.fetch_add(1, std::memory_order_relaxed);
-    respond(*conn, format_error(req.id, error_code::kBadRequest, e.what()));
+    respond(*conn, format_error(request_id(line), error_code::kBadRequest,
+                                e.what()));
     return;
   }
 

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "common/check.hpp"
 #include "network/cost_model.hpp"
@@ -143,6 +146,72 @@ TEST(CostModel, Validation) {
   const auto cm = pf::paper_cost_model(g, topo);
   EXPECT_THROW((void)cm.exec_cost(99, 0), PreconditionError);
   EXPECT_THROW((void)cm.comm_cost(0, 99), PreconditionError);
+}
+
+TEST(CostModel, RejectsCostsThatOverflowOnceScaled) {
+  // Finite nominal costs whose product with the largest factor is not:
+  // rejected when the model is built, naming the task or edge, instead
+  // of surfacing as an infinite cost deep inside a scheduler.
+  graph::TaskGraphBuilder b;
+  const TaskId big = b.add_task(1e308, "a");
+  const TaskId t1 = b.add_task(20, "b");
+  const TaskId t2 = b.add_task(5, "c");
+  (void)b.add_edge(big, t1, 4);
+  (void)b.add_edge(big, t2, 4);
+  const auto heavy_task = b.build();
+  const auto topo = Topology::ring(4);
+  for (const bool per_pair : {false, true}) {
+    try {
+      (void)(per_pair ? HeterogeneousCostModel::uniform(heavy_task, topo, 1,
+                                                        50, 1, 50, 7)
+                      : HeterogeneousCostModel::uniform_processor_speeds(
+                            heavy_task, topo, 1, 50, 1, 50, 7));
+      FAIL() << "expected PreconditionError";
+    } catch (const PreconditionError& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("task 0"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("1e+308"), std::string::npos) << msg;
+    }
+  }
+  // Factor 1 keeps the same costs finite.
+  EXPECT_NO_THROW(
+      (void)HeterogeneousCostModel::uniform(heavy_task, topo, 1, 1, 1, 1, 7));
+
+  graph::TaskGraphBuilder eb;
+  const TaskId u = eb.add_task(1);
+  const TaskId v = eb.add_task(1);
+  (void)eb.add_edge(u, v, 1e308);
+  const auto heavy_edge = eb.build();
+  try {
+    (void)HeterogeneousCostModel::uniform_processor_speeds(heavy_edge, topo,
+                                                           1, 1, 1, 2, 7);
+    FAIL() << "expected PreconditionError";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("edge 0"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW((void)HeterogeneousCostModel::from_exec_matrix(
+                   heavy_edge, topo, std::vector<Cost>(8, 1), 2),
+               PreconditionError);
+
+  // Matrix entries and the link factor must be finite themselves.
+  const auto g = pf::paper_task_graph();
+  const auto ring = pf::paper_ring();
+  std::vector<Cost> matrix(
+      static_cast<std::size_t>(g.num_tasks() * ring.num_processors()), 1);
+  EXPECT_NO_THROW(
+      (void)HeterogeneousCostModel::from_exec_matrix(g, ring, matrix));
+  EXPECT_THROW((void)HeterogeneousCostModel::from_exec_matrix(
+                   g, ring, matrix, std::numeric_limits<Cost>::infinity()),
+               PreconditionError);
+  matrix[5] = std::numeric_limits<Cost>::infinity();
+  EXPECT_THROW(
+      (void)HeterogeneousCostModel::from_exec_matrix(g, ring, matrix),
+      PreconditionError);
+  matrix[5] = std::numeric_limits<Cost>::quiet_NaN();
+  EXPECT_THROW(
+      (void)HeterogeneousCostModel::from_exec_matrix(g, ring, matrix),
+      PreconditionError);
 }
 
 TEST(CostModel, ProcessorSpeedModeUniformPerProcessor) {

@@ -17,16 +17,44 @@ TEST(Experiment, TopologyFactory) {
   EXPECT_THROW((void)make_topology("hypercube", 12, 0), PreconditionError);
   EXPECT_THROW((void)make_topology("grid", 16, 0), PreconditionError);
   EXPECT_EQ(paper_topologies().size(), 4u);
+  EXPECT_EQ(make_topology("linear", 5, 0).num_links(), 4);
+  EXPECT_EQ(make_topology("star", 5, 0).num_links(), 4);
+  EXPECT_EQ(topology_kinds().size(), 7u);
+  for (const std::string& kind : topology_kinds()) {
+    EXPECT_EQ(make_topology(kind, 16, 3).num_processors(), 16) << kind;
+  }
 }
 
-TEST(Experiment, RegularFactoryHitsTargetSizes) {
-  for (const auto app :
-       {RegularApp::kGaussianElimination, RegularApp::kLuDecomposition,
-        RegularApp::kLaplace, RegularApp::kMeanValueAnalysis}) {
-    const auto g = make_regular(app, 200, 1.0, 3);
-    EXPECT_GT(g.num_tasks(), 120) << app_name(app);
-    EXPECT_LT(g.num_tasks(), 280) << app_name(app);
-    EXPECT_TRUE(g.is_weakly_connected());
+TEST(Experiment, ImpossibleTopologiesThrowBeforeBuilding) {
+  // Past 2^30 a shift-based dimension search overflows and never ends;
+  // each of these must fail at once.
+  for (const int procs : {2147483647, (1 << 30) + 1, 1 << 30, 12, 1, 0, -4}) {
+    EXPECT_THROW(check_topology("hypercube", procs), PreconditionError)
+        << procs;
+    EXPECT_THROW((void)make_topology("hypercube", procs, 0),
+                 PreconditionError)
+        << procs;
+  }
+  EXPECT_NO_THROW(check_topology("hypercube", 1 << 20));
+  for (const std::string& kind : topology_kinds()) {
+    EXPECT_THROW(check_topology(kind, 1), PreconditionError) << kind;
+  }
+  EXPECT_THROW(check_topology("random", 2), PreconditionError);
+  EXPECT_NO_THROW(check_topology("random", 3));
+  EXPECT_NO_THROW(check_topology("star", 2));
+  try {
+    check_topology("hypercube", 12);
+    FAIL() << "expected PreconditionError";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("hypercube"), std::string::npos);
+  }
+  try {
+    check_topology("torus", 16);
+    FAIL() << "expected PreconditionError";
+  } catch (const PreconditionError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("torus"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("linear"), std::string::npos) << msg;
   }
 }
 

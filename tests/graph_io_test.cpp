@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "common/check.hpp"
 #include "graph/graph_io.hpp"
+#include "network/cost_model.hpp"
+#include "network/topology.hpp"
 #include "paper_fixture.hpp"
 
 namespace bsa::graph {
@@ -47,6 +50,24 @@ TEST(GraphIo, RejectsMalformedInput) {
   EXPECT_THROW((void)from_text("task 5\nedge 0\n"), PreconditionError);
   EXPECT_THROW((void)from_text("task 5\nedge 0 7 1\n"), PreconditionError);
   EXPECT_THROW((void)from_text(""), PreconditionError);  // empty graph
+}
+
+TEST(GraphIo, CostsThatOverflowOnceScaledAreRejectedByTheCostModel) {
+  // Every cost in the file is finite, but 1e308 times a heterogeneity
+  // factor of up to 50 is not. The cost model must say which cost.
+  const TaskGraph g = from_text(
+      "task 1e308 a\ntask 20 b\ntask 5 c\nedge 0 1 1e308\nedge 0 2 4\n");
+  const auto topo = net::Topology::ring(8);
+  try {
+    (void)net::HeterogeneousCostModel::uniform_processor_speeds(g, topo, 1, 50,
+                                                                1, 50, 1);
+    FAIL() << "expected PreconditionError";
+  } catch (const PreconditionError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("cost 1e+308"), std::string::npos) << msg;
+  }
+  // Out of the double range: malformed, not infinite.
+  EXPECT_THROW((void)from_text("task 1e309\n"), PreconditionError);
 }
 
 TEST(GraphIo, RejectsCycleInFile) {

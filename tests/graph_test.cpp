@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "common/check.hpp"
 #include "graph/task_graph.hpp"
 #include "graph/traversal.hpp"
@@ -73,6 +76,28 @@ TEST(TaskGraphBuilder, RejectsUnknownEndpointsAndNegativeCosts) {
   EXPECT_THROW((void)b.add_task(-1), PreconditionError);
   const TaskId c = b.add_task(1);
   EXPECT_THROW((void)b.add_edge(a, c, -3), PreconditionError);
+}
+
+TEST(TaskGraphBuilder, RejectsNonFiniteCosts) {
+  TaskGraphBuilder b;
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW((void)b.add_task(inf), PreconditionError);
+  EXPECT_THROW((void)b.add_task(-inf), PreconditionError);
+  EXPECT_THROW((void)b.add_task(nan), PreconditionError);
+  const TaskId a = b.add_task(std::numeric_limits<double>::max());
+  const TaskId c = b.add_task(1);
+  EXPECT_THROW((void)b.add_edge(a, c, inf), PreconditionError);
+  EXPECT_THROW((void)b.add_edge(a, c, nan), PreconditionError);
+  try {
+    (void)b.add_task(inf);
+    FAIL() << "expected PreconditionError";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("finite"), std::string::npos)
+        << e.what();
+  }
+  // Nothing was added by the rejected calls.
+  EXPECT_EQ(b.add_edge(a, c, 2), 0);
 }
 
 TEST(TaskGraphBuilder, DetectsCycle) {

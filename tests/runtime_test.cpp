@@ -16,6 +16,7 @@
 #include "runtime/scenario.hpp"
 #include "runtime/sweep_runner.hpp"
 #include "runtime/thread_pool.hpp"
+#include "workloads/workload_registry.hpp"
 
 namespace bsa::runtime {
 namespace {
@@ -138,7 +139,7 @@ TEST(ScenarioSet, RegularSuiteEnumeratesThreeApps) {
   grid.algos = {"bsa"};
   grid.seeds_per_cell = 1;
   const ScenarioSet set = ScenarioSet::from_grid(grid);
-  EXPECT_EQ(set.size(), exp::paper_regular_apps().size());
+  EXPECT_EQ(set.size(), 3u);
 }
 
 TEST(ScenarioSet, RejectsEmptyAxes) {
@@ -210,7 +211,9 @@ TEST(ScenarioSet, LegacySeedModeReproducesSerialFig7Driver) {
     for (int i = 0; i < num_graphs; ++i) {
       const std::uint64_t seed =
           derive_seed(base_seed, static_cast<std::uint64_t>(i));
-      const auto g = exp::make_instance(false, 0, num_tasks, 1.0, seed);
+      const auto g = workloads::WorkloadRegistry::global()
+                         .resolve("random")
+                         ->generate(num_tasks, 1.0, seed);
       const auto cm = exp::make_cost_model(g, topo, 1, hi, 1, hi, false,
                                            derive_seed(seed, 17));
       const Time dls =

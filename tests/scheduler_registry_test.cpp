@@ -17,6 +17,7 @@
 #include "sched/schedule_io.hpp"
 #include "sched/scheduler.hpp"
 #include "workloads/random_dag.hpp"
+#include "workloads/workload_registry.hpp"
 
 namespace bsa::sched {
 namespace {
@@ -357,8 +358,9 @@ TEST(Registry, ScenarioGridEnumeratesVariantCrossProducts) {
   }
   // The default-BSA scenarios must match a direct registry run with the
   // same derived seeds (the sweep changes nothing about dispatch).
-  const graph::TaskGraph g =
-      exp::make_instance(false, 0, 20, 1.0, set[1].instance_seed);
+  const graph::TaskGraph g = workloads::WorkloadRegistry::global()
+                                 .resolve("random")
+                                 ->generate(20, 1.0, set[1].instance_seed);
   const net::Topology topo =
       exp::make_topology("ring", 4, set[1].topology_seed);
   const net::HeterogeneousCostModel cm = exp::make_cost_model(

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/check.hpp"
 
@@ -142,6 +144,48 @@ TEST(ServeProtocol, CanonicalizeUnknownNamesListChoices) {
     EXPECT_NE(msg.find("torus"), std::string::npos) << msg;
     EXPECT_NE(msg.find("hypercube"), std::string::npos) << msg;
   }
+}
+
+TEST(ServeProtocol, CanonicalizeRejectsTopologiesThatCannotBeBuilt) {
+  // Checked before the request is queued, so none of these reaches a
+  // worker.
+  const std::vector<std::pair<std::string, int>> cases{
+      {"hypercube", 2000000000}, {"hypercube", 2147483647},
+      {"hypercube", 12},         {"ring", 1},
+      {"random", 2},             {"star", 1},
+      {"clique", 1},             {"linear", 1}};
+  for (const auto& [kind, procs] : cases) {
+    Request req;
+    req.topology = kind;
+    req.procs = procs;
+    try {
+      (void)canonicalize(req);
+      FAIL() << "expected PreconditionError for " << kind << " " << procs;
+    } catch (const PreconditionError& ex) {
+      const std::string msg = ex.what();
+      EXPECT_NE(msg.find(kind), std::string::npos) << msg;
+    }
+  }
+  for (const std::string kind : {"linear", "star", "mesh", "random"}) {
+    Request req;
+    req.topology = kind;
+    req.procs = 3;
+    EXPECT_NO_THROW((void)canonicalize(req)) << kind;
+  }
+}
+
+TEST(ServeProtocol, RequestIdSurvivesARejectedLine) {
+  EXPECT_EQ(request_id("{\"op\":\"schedule\",\"id\":12,\"gran\":1e-17}"),
+            12u);
+  EXPECT_EQ(request_id("{\"id\":5,\"siez\":3}"), 5u);
+  EXPECT_EQ(request_id("{\"id\":-1}"), 0u);
+  EXPECT_EQ(request_id("{\"id\":\"x\"}"), 0u);
+  EXPECT_EQ(request_id("not json"), 0u);
+  EXPECT_EQ(request_id("{\"op\":\"ping\"}"), 0u);
+  // Past the uint64 range: rejected, not converted.
+  EXPECT_EQ(request_id("{\"id\":1e30}"), 0u);
+  EXPECT_THROW((void)parse_request("{\"seed\":18446744073709551616}"),
+               PreconditionError);
 }
 
 TEST(ServeProtocol, ResponseFormatParseRoundTrip) {

@@ -16,6 +16,7 @@
 #include <future>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
@@ -142,25 +143,71 @@ TEST(ServeServer, MalformedJsonGetsErrorAndConnectionSurvives) {
 TEST(ServeServer, OverflowingGranularityIsABadRequest) {
   Server server(small_options("gran"));
   server.start();
+  ClientOptions options;
+  options.read_timeout_ms = 5000;
+  auto client = Client::connect(server.socket_path(), options);
 
-  // 1.5 x avg exec / 1e-17 overflows the int64 cost conversion: rejected
-  // at parse time, not answered as an internal error from generation.
-  Fd raw = connect_unix(server.socket_path());
-  ASSERT_TRUE(write_all(raw,
-                        "{\"op\":\"schedule\",\"id\":4,\"size\":20,"
-                        "\"procs\":4,\"gran\":1e-17}\n"));
-  LineReader reader(raw);
-  std::string line;
-  ASSERT_TRUE(reader.read_line(line, kMaxRequestBytes));
-  const Response err = parse_response(line);
-  EXPECT_FALSE(err.ok);
-  EXPECT_EQ(err.code, error_code::kBadRequest) << err.error;
-  EXPECT_NE(err.error.find("gran"), std::string::npos) << err.error;
+  // Rejected by parse_request, before the request is canonicalised. The
+  // error reply must carry the request's own id, or Client::call drops
+  // it as unmatched and waits out its read timeout. A gran of 1e-17
+  // overflows the int64 cost conversion (1.5 x avg exec / 1e-17).
+  Request bad_gran = small_request();
+  bad_gran.gran = 1e-17;
+  Request bad_size = small_request();
+  bad_size.size = 0;
+  Request bad_procs = small_request();
+  bad_procs.procs = 0;
+  std::uint64_t id = 40;
+  for (const auto& [req, field] :
+       {std::pair<Request, const char*>{bad_gran, "gran"},
+        std::pair<Request, const char*>{bad_size, "size"},
+        std::pair<Request, const char*>{bad_procs, "procs"}}) {
+    Request sent = req;
+    sent.id = ++id;
+    const Response err = client.call(sent);
+    EXPECT_FALSE(err.ok) << field;
+    EXPECT_EQ(err.id, id) << field;
+    EXPECT_EQ(err.code, error_code::kBadRequest) << field << ": " << err.error;
+    EXPECT_NE(err.error.find(field), std::string::npos) << err.error;
+  }
+
+  // The future-based client resolves to the same typed error.
+  AsyncClient async(server.socket_path());
+  auto future = async.submit(bad_gran, 5000);
+  const Response async_err = future.get();
+  EXPECT_FALSE(async_err.ok);
+  EXPECT_EQ(async_err.code, error_code::kBadRequest) << async_err.error;
 
   // Same connection still answers afterwards.
-  ASSERT_TRUE(write_all(raw, "{\"op\":\"ping\",\"id\":9}\n"));
-  ASSERT_TRUE(reader.read_line(line, kMaxRequestBytes));
-  EXPECT_TRUE(parse_response(line).ok);
+  EXPECT_TRUE(client.ping().ok);
+  server.stop();
+}
+
+TEST(ServeServer, ImpossibleTopologyIsABadRequestAnsweredAtOnce) {
+  // Combinations make_topology cannot build are rejected at canonicalize
+  // time, before they reach a worker: a hypercube of 2e9 processors must
+  // not tie one up.
+  Server server(small_options("topo"));
+  server.start();
+  ClientOptions options;
+  options.read_timeout_ms = 5000;
+  auto client = Client::connect(server.socket_path(), options);
+  const std::vector<std::pair<std::string, int>> cases{
+      {"hypercube", 2000000000}, {"hypercube", 12}, {"ring", 1},
+      {"random", 2},             {"star", 1},       {"clique", 1}};
+  for (const auto& [kind, procs] : cases) {
+    Request req = small_request();
+    req.topology = kind;
+    req.procs = procs;
+    const auto t0 = std::chrono::steady_clock::now();
+    const Response err = client.call(req);
+    EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1))
+        << kind << " " << procs;
+    EXPECT_FALSE(err.ok) << kind << " " << procs;
+    EXPECT_EQ(err.code, error_code::kBadRequest) << err.error;
+    EXPECT_NE(err.error.find(kind), std::string::npos) << err.error;
+  }
+  EXPECT_TRUE(client.ping().ok);
   server.stop();
 }
 

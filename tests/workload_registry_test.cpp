@@ -10,7 +10,6 @@
 
 #include "common/check.hpp"
 #include "common/spec.hpp"
-#include "exp/experiment.hpp"
 #include "graph/graph_io.hpp"
 #include "runtime/scenario.hpp"
 #include "runtime/sweep_runner.hpp"
@@ -341,27 +340,80 @@ TEST(WorkloadRegistry, PinnedCcrAndSeedOverrideTheCallerAxes) {
             graph::to_text(gen("sp:depth=4,seed=5", 60, 1.0, 99)));
 }
 
-// --- equivalence with the pre-registry instance factory ----------------------
+// --- pinned instances -------------------------------------------------------
 
-TEST(WorkloadRegistry, AdaptersReproduceTheLegacyFactoryBitIdentically) {
+TEST(WorkloadRegistry, PaperSuiteGraphsMatchPinnedDigests) {
   // The fig3-6 byte-identity guarantee: the specs fig_common enumerates
-  // must hand the sweep the exact graphs exp::make_instance built.
-  const std::vector<std::string> regular{"gauss", "lu", "laplace"};
-  for (const std::uint64_t seed : {1ULL, 2026ULL}) {
-    for (const int size : {50, 150}) {
-      for (const double gran : {0.1, 1.0, 10.0}) {
-        for (std::size_t app = 0; app < regular.size(); ++app) {
-          EXPECT_EQ(
-              graph::to_text(gen(regular[app], size, gran, seed)),
-              graph::to_text(exp::make_instance(true, static_cast<int>(app),
-                                                size, gran, seed)))
-              << regular[app] << " size " << size;
-        }
-        EXPECT_EQ(graph::to_text(gen("random", size, gran, seed)),
-                  graph::to_text(
-                      exp::make_instance(false, 0, size, gran, seed)));
-      }
+  // must keep handing the sweeps the same graphs. Each digest is FNV-1a
+  // over graph::to_text; they were taken from the pre-registry instance
+  // factory, which the adapters reproduced bit for bit.
+  struct Pin {
+    const char* workload;
+    int size;
+    double gran;
+    std::uint64_t seed;
+    std::uint64_t digest;
+  };
+  const std::vector<Pin> pins{
+      {"gauss", 50, 0.1, 1, 0xf6cd420daeb5a562ULL},
+      {"gauss", 50, 0.1, 2026, 0x112fa473788a49f1ULL},
+      {"gauss", 50, 1.0, 1, 0xee445fdc7b6d24b9ULL},
+      {"gauss", 50, 1.0, 2026, 0x22088d9be2ed2021ULL},
+      {"gauss", 50, 10.0, 1, 0x372be489cd209a18ULL},
+      {"gauss", 50, 10.0, 2026, 0x0d60845ef970f2d5ULL},
+      {"gauss", 150, 0.1, 1, 0x4e9942c95e62fcdaULL},
+      {"gauss", 150, 0.1, 2026, 0xc994483a8e9c89bbULL},
+      {"gauss", 150, 1.0, 1, 0xd86b8ddaa19cc25dULL},
+      {"gauss", 150, 1.0, 2026, 0xa4cfbb886d9f52afULL},
+      {"gauss", 150, 10.0, 1, 0x86c399c18af101d7ULL},
+      {"gauss", 150, 10.0, 2026, 0x885c9c6aa1b02f54ULL},
+      {"lu", 50, 0.1, 1, 0x754856fc1044d64dULL},
+      {"lu", 50, 0.1, 2026, 0x2b292eef2b5477f8ULL},
+      {"lu", 50, 1.0, 1, 0x1803b3d762469cafULL},
+      {"lu", 50, 1.0, 2026, 0x6125cddc367fa04dULL},
+      {"lu", 50, 10.0, 1, 0x8739d690907d292bULL},
+      {"lu", 50, 10.0, 2026, 0xaa57b5070afa60e9ULL},
+      {"lu", 150, 0.1, 1, 0x803def9a0970fc83ULL},
+      {"lu", 150, 0.1, 2026, 0xa3bd4ae737e3cf98ULL},
+      {"lu", 150, 1.0, 1, 0x17e2be49fa9030f6ULL},
+      {"lu", 150, 1.0, 2026, 0x6029fc49909778bcULL},
+      {"lu", 150, 10.0, 1, 0xda50238e5b9ac5caULL},
+      {"lu", 150, 10.0, 2026, 0x262185ad72e20a37ULL},
+      {"laplace", 50, 0.1, 1, 0x1ac9214e03d9ee97ULL},
+      {"laplace", 50, 0.1, 2026, 0xa8a21a69b8a7ce6dULL},
+      {"laplace", 50, 1.0, 1, 0xd9549a15a00784ebULL},
+      {"laplace", 50, 1.0, 2026, 0x414273e841027c8cULL},
+      {"laplace", 50, 10.0, 1, 0x530b761150811298ULL},
+      {"laplace", 50, 10.0, 2026, 0xad1e4c6f35692fd5ULL},
+      {"laplace", 150, 0.1, 1, 0xc985b04b44e131daULL},
+      {"laplace", 150, 0.1, 2026, 0x6639c2a07187755bULL},
+      {"laplace", 150, 1.0, 1, 0x5b94ba7905e17860ULL},
+      {"laplace", 150, 1.0, 2026, 0x4e7826d1f0cdd194ULL},
+      {"laplace", 150, 10.0, 1, 0xf395a26a777c6f4dULL},
+      {"laplace", 150, 10.0, 2026, 0xe43b1f7bbe051437ULL},
+      {"random", 50, 0.1, 1, 0x73cf3a3a45ea9a71ULL},
+      {"random", 50, 0.1, 2026, 0x2b3dbd36ff5923cdULL},
+      {"random", 50, 1.0, 1, 0x16f49bed129a77efULL},
+      {"random", 50, 1.0, 2026, 0xfd4420b97d8a1e87ULL},
+      {"random", 50, 10.0, 1, 0x2478914b3cae7426ULL},
+      {"random", 50, 10.0, 2026, 0xbacbf1e6f7bd5f41ULL},
+      {"random", 150, 0.1, 1, 0x9524c49d65cb37a4ULL},
+      {"random", 150, 0.1, 2026, 0x0f7bf17c4277ab0dULL},
+      {"random", 150, 1.0, 1, 0x32a57a9a89b5dcbbULL},
+      {"random", 150, 1.0, 2026, 0xb49c132dd09407f8ULL},
+      {"random", 150, 10.0, 1, 0xfcf31f25c9c2abdcULL},
+      {"random", 150, 10.0, 2026, 0x391ce14fc417cac3ULL},
+  };
+  ASSERT_EQ(pins.size(), 48u);
+  for (const Pin& pin : pins) {
+    std::uint64_t digest = 1469598103934665603ULL;
+    for (const unsigned char c :
+         graph::to_text(gen(pin.workload, pin.size, pin.gran, pin.seed))) {
+      digest = (digest ^ c) * 1099511628211ULL;
     }
+    EXPECT_EQ(digest, pin.digest) << pin.workload << " size " << pin.size
+                                  << " gran " << pin.gran << " seed "
+                                  << pin.seed;
   }
 }
 
