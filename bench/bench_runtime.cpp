@@ -12,7 +12,9 @@
 /// worker, so --threads > 1 speeds the sweep up without perturbing the
 /// per-algorithm means much; use --threads 1 for the most stable numbers.
 ///
-/// Flags: --reps N (default 3), --full (adds 400-task graphs),
+/// Flags: --reps N (default 3), --full (adds 400-task graphs, plus BSA,
+///        DLS and HEFT on 1000- and 4000-task graphs on hypercube-16 with
+///        heterogeneity U[1,4]: the scale cells),
 ///        --threads/--jobs N (0 = all cores), --seed S,
 ///        --out FILE (JSONL rows; default BENCH_runtime.json holds the
 ///        aggregate report either way),
@@ -29,6 +31,7 @@
 /// algorithm counters (see docs/DESIGN_OBS.md).
 
 #include <fstream>
+#include <iterator>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -67,23 +70,48 @@ int main(int argc, char** argv) {
   grid.seeds_per_cell = reps;
   grid.base_seed = static_cast<std::uint64_t>(cli.get_int("seed", 42));
 
-  const runtime::ScenarioSet set = runtime::ScenarioSet::from_grid(grid);
+  std::vector<runtime::ScenarioSet> sets = {
+      runtime::ScenarioSet::from_grid(grid)};
+  if (full) {
+    // The scale cells, where the per-(task, processor) probing of the
+    // list schedulers and BSA's replay show.
+    runtime::ScenarioGrid scale = grid;
+    scale.sizes = {1000, 4000};
+    scale.topologies = {"hypercube"};
+    scale.algos = {"bsa", "dls", "heft"};
+    scale.het_highs = {4};
+    sets.push_back(runtime::ScenarioSet::from_grid(scale));
+  }
+  std::size_t scenarios = 0;
+  for (const runtime::ScenarioSet& set : sets) scenarios += set.size();
   const std::unique_ptr<obs::ProgressMeter> meter = obs::maybe_progress(
-      cli.get_bool("progress", false), set.size(), "bench_runtime");
+      cli.get_bool("progress", false), scenarios, "bench_runtime");
   runtime::SweepOptions sweep_opts;
   sweep_opts.threads = cli.threads(1);
-  if (meter != nullptr) sweep_opts.progress = meter->callback();
+  std::size_t done_before = 0;  // scenarios of the sets already swept
+  if (meter != nullptr) {
+    sweep_opts.progress = [tick = meter->callback(), &done_before](
+                              std::size_t done, std::size_t total) {
+      tick(done_before + done, total);
+    };
+  }
   runtime::SweepRunner runner(sweep_opts);
 
   std::cout << "=== scheduler running times (means over " << reps
-            << " graphs/cell, " << set.size() << " scenarios on "
+            << " graphs/cell, " << scenarios << " scenarios on "
             << runner.threads() << " thread(s)) ===\n\n";
 
   std::unique_ptr<runtime::JsonlSink> jsonl;
   if (const auto out = cli.out_path()) {
     jsonl = std::make_unique<runtime::JsonlSink>(*out);
   }
-  const auto results = runner.run(set, jsonl.get());
+  std::vector<runtime::ScenarioResult> results;
+  for (const runtime::ScenarioSet& set : sets) {
+    std::vector<runtime::ScenarioResult> part = runner.run(set, jsonl.get());
+    results.insert(results.end(), std::make_move_iterator(part.begin()),
+                   std::make_move_iterator(part.end()));
+    done_before += set.size();
+  }
   if (meter != nullptr) meter->finish();
 
   // (topology, size, algo) -> wall-time / schedule-length accumulators,

@@ -71,6 +71,37 @@ DlsResult schedule_dls(const graph::TaskGraph& g, const net::Topology& topo,
                                           (t == best_t && p < best_p)));
   };
 
+  // DA(t, p) per (task, processor), cached once computed. A ready task's
+  // predecessors are all placed and DLS never un-books, so DA(t, p)
+  // changes only when a hop is booked on a link of one of its routes
+  // (remote predecessor's processor -> p). Each entry is registered on
+  // those links when computed; a commit invalidates the entries
+  // registered on every link it books, then clears those lists.
+  const int m = topo.num_processors();
+  const auto pair_of = [m](TaskId t, ProcId p) {
+    return static_cast<std::size_t>(t) * static_cast<std::size_t>(m) +
+           static_cast<std::size_t>(p);
+  };
+  std::vector<Time> da_cache(static_cast<std::size_t>(g.num_tasks()) *
+                             static_cast<std::size_t>(m));
+  std::vector<unsigned char> da_valid(da_cache.size(), 0);
+  std::vector<std::vector<std::size_t>> watchers(
+      static_cast<std::size_t>(topo.num_links()));
+  std::vector<LinkId> routed;
+  DataReadyProbe probe(s, table, costs);
+  const auto data_arrival = [&](TaskId t, ProcId p) {
+    const std::size_t pair = pair_of(t, p);
+    if (da_valid[pair] == 0) {
+      routed.clear();
+      da_cache[pair] = probe.tentative(t, p, &routed);
+      da_valid[pair] = 1;
+      for (const LinkId l : routed) {
+        watchers[static_cast<std::size_t>(l)].push_back(pair);
+      }
+    }
+    return da_cache[pair];
+  };
+
   while (!ready.empty()) {
     // Evaluate every (ready task, processor) pair.
     TaskId best_task = kInvalidTask;
@@ -79,10 +110,9 @@ DlsResult schedule_dls(const graph::TaskGraph& g, const net::Topology& topo,
     double best_dl = 0;
     for (const TaskId t : ready) {
       const Cost sl_star = result.static_levels[static_cast<std::size_t>(t)];
-      for (ProcId p = 0; p < topo.num_processors(); ++p) {
-        const Time da =
-            incoming_data_ready(s, table, costs, t, p, /*commit=*/false);
-        const Time start = std::max(da, tf[static_cast<std::size_t>(p)]);
+      for (ProcId p = 0; p < m; ++p) {
+        const Time start =
+            std::max(data_arrival(t, p), tf[static_cast<std::size_t>(p)]);
         const double delta =
             costs.median_exec_cost(t) - costs.exec_cost(t, p);
         const double dl = sl_star - start + delta;
@@ -100,14 +130,20 @@ DlsResult schedule_dls(const graph::TaskGraph& g, const net::Topology& topo,
     BSA_ASSERT(best_task != kInvalidTask, "no schedulable pair found");
 
     // Commit: book the message routes, then the task itself.
-    const Time da = incoming_data_ready(s, table, costs, best_task, best_proc,
-                                        /*commit=*/true);
+    const Time da = probe.commit(best_task, best_proc);
     const Time start = std::max(da, tf[static_cast<std::size_t>(best_proc)]);
     BSA_ASSERT(time_eq(start, best_start),
                "tentative/commit divergence for task " << best_task);
     const Time dur = costs.exec_cost(best_task, best_proc);
     s.place_task(best_task, best_proc, start, start + dur);
     tf[static_cast<std::size_t>(best_proc)] = start + dur;
+    for (const EdgeId e : g.in_edges(best_task)) {
+      for (const sched::Hop& hop : s.route_of(e)) {
+        auto& stale = watchers[static_cast<std::size_t>(hop.link)];
+        for (const std::size_t pair : stale) da_valid[pair] = 0;
+        stale.clear();
+      }
+    }
 
     // Update the ready pool.
     ready.erase(std::find(ready.begin(), ready.end(), best_task));

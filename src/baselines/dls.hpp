@@ -26,6 +26,14 @@
 /// the time P_x finishes its last scheduled task, and
 /// Δ(T_i,P_x) = median_exec(T_i) − exec(T_i,P_x) accounts for processor
 /// heterogeneity (large when P_x is fast for T_i).
+///
+/// DA(T_i,P_x) is cached per pair: a ready task's predecessors are all
+/// placed and nothing is ever un-booked, so it changes only when a hop is
+/// booked on a link of one of its routes. An entry is invalidated when
+/// the commit of a step books such a link and is recomputed on its next
+/// evaluation; TF, the dynamic level and the tie order are recomputed at
+/// every step, so the schedule is the one re-probing every pair gives
+/// (docs/DESIGN_PERF.md).
 
 namespace bsa::baselines {
 

@@ -25,6 +25,7 @@ EftResult schedule_eft_oblivious(const graph::TaskGraph& g,
     if (g.in_degree(t) == 0) ready.push_back(t);
   }
   std::vector<Time> tf(static_cast<std::size_t>(topo.num_processors()), 0);
+  DataReadyProbe probe(s, table, costs);
 
   auto priority_less = [&](TaskId a, TaskId b) {
     const Cost ba = levels.b_level[static_cast<std::size_t>(a)];
@@ -53,8 +54,7 @@ EftResult schedule_eft_oblivious(const graph::TaskGraph& g,
     BSA_ASSERT(best_proc != kInvalidProc, "no processor chosen");
 
     // Commit with real contention.
-    const Time da =
-        incoming_data_ready(s, table, costs, t, best_proc, /*commit=*/true);
+    const Time da = probe.commit(t, best_proc);
     const Time start = std::max(da, tf[static_cast<std::size_t>(best_proc)]);
     const Time dur = costs.exec_cost(t, best_proc);
     s.place_task(t, best_proc, start, start + dur);

@@ -24,6 +24,7 @@ MhResult schedule_mh(const graph::TaskGraph& g, const net::Topology& topo,
     if (g.in_degree(t) == 0) ready.push_back(t);
   }
   std::vector<Time> tf(static_cast<std::size_t>(topo.num_processors()), 0);
+  DataReadyProbe probe(s, table, costs);
 
   auto priority_less = [&](TaskId a, TaskId b) {
     const Cost ba = levels.b_level[static_cast<std::size_t>(a)];
@@ -41,8 +42,7 @@ MhResult schedule_mh(const graph::TaskGraph& g, const net::Topology& topo,
     ProcId best_proc = kInvalidProc;
     Time best_eft = kInfiniteTime;
     for (ProcId p = 0; p < topo.num_processors(); ++p) {
-      const Time da =
-          incoming_data_ready(s, table, costs, t, p, /*commit=*/false);
+      const Time da = probe.tentative(t, p);
       const Time eft = std::max(da, tf[static_cast<std::size_t>(p)]) +
                        costs.exec_cost(t, p);
       if (time_lt(eft, best_eft)) {
@@ -52,8 +52,7 @@ MhResult schedule_mh(const graph::TaskGraph& g, const net::Topology& topo,
     }
     BSA_ASSERT(best_proc != kInvalidProc, "no processor chosen");
 
-    const Time da =
-        incoming_data_ready(s, table, costs, t, best_proc, /*commit=*/true);
+    const Time da = probe.commit(t, best_proc);
     const Time start = std::max(da, tf[static_cast<std::size_t>(best_proc)]);
     const Time dur = costs.exec_cost(t, best_proc);
     s.place_task(t, best_proc, start, start + dur);

@@ -666,23 +666,26 @@ BsaResult schedule_bsa(const graph::TaskGraph& g, const net::Topology& topo,
                   costs.num_edges() == g.num_edges() &&
                   costs.num_links() == topo.num_links(),
               "cost model does not match graph/topology");
-  if (options.routing == RouteDiscipline::kEcube) {
-    // E-cube routes flip address bits, so every p ^ (1 << d) must be a
-    // neighbour of p; checked up front rather than mid-run.
-    const int procs = topo.num_processors();
-    BSA_REQUIRE(std::has_single_bit(static_cast<unsigned>(procs)),
-                "route=ecube needs a hypercube topology: "
-                    << procs << " processors is not a power of two");
-    for (ProcId p = 0; p < procs; ++p) {
-      for (int bit = 1; bit < procs; bit <<= 1) {
-        BSA_REQUIRE(topo.link_between(p, p ^ bit) != kInvalidLink,
-                    "route=ecube needs hypercube vertex addressing: no link "
-                        << p << "-" << (p ^ bit));
-      }
-    }
-  }
+  // Checked up front rather than mid-run.
+  if (options.routing == RouteDiscipline::kEcube) check_ecube_topology(topo);
   BsaRunner runner(g, topo, costs, options);
   return runner.run();
+}
+
+void check_ecube_topology(const net::Topology& topo) {
+  // E-cube routes flip address bits, so every p ^ (1 << d) must be a
+  // neighbour of p.
+  const int procs = topo.num_processors();
+  BSA_REQUIRE(std::has_single_bit(static_cast<unsigned>(procs)),
+              "route=ecube needs a hypercube topology: "
+                  << procs << " processors is not a power of two");
+  for (ProcId p = 0; p < procs; ++p) {
+    for (int bit = 1; bit < procs; bit <<= 1) {
+      BSA_REQUIRE(topo.link_between(p, p ^ bit) != kInvalidLink,
+                  "route=ecube needs hypercube vertex addressing: no link "
+                      << p << "-" << (p ^ bit));
+    }
+  }
 }
 
 void prune_link_walk(const net::Topology& topo, std::vector<LinkId>& links,

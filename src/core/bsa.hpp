@@ -181,6 +181,12 @@ struct BsaResult {
                                      const net::HeterogeneousCostModel& costs,
                                      const BsaOptions& options = {});
 
+/// Throw PreconditionError unless `topo` can carry E-cube routes: a
+/// power-of-two processor count whose ids are hypercube vertex addresses
+/// (every p ^ (1 << d) a neighbour of p). schedule_bsa runs it under
+/// RouteDiscipline::kEcube; the serve tier runs it before queueing.
+void check_ecube_topology(const net::Topology& topo);
+
 /// Remove cycles from a link walk starting at `origin`: whenever the walk
 /// revisits a processor, the loop between the two visits is cut. Single
 /// forward pass with a first-visit position map — O(|links|) amortized.

@@ -38,6 +38,28 @@ void require_finite_products(const std::vector<Cost>& nominal,
                    << " overflows the cost range");
 }
 
+/// Upper bound on the hops of a shortest route: the diameter is at most
+/// twice processor 0's eccentricity (u -> 0 -> v) and at most P - 1.
+/// One BFS, O(P + L).
+int route_hop_bound(const Topology& topo) {
+  const int procs = topo.num_processors();
+  std::vector<int> dist(static_cast<std::size_t>(procs), -1);
+  std::vector<ProcId> queue{0};
+  dist[0] = 0;
+  int ecc = 0;
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const ProcId p = queue[head];
+    const int d = dist[static_cast<std::size_t>(p)];
+    ecc = std::max(ecc, d);
+    for (const ProcId q : topo.neighbors(p)) {
+      if (dist[static_cast<std::size_t>(q)] >= 0) continue;
+      dist[static_cast<std::size_t>(q)] = d + 1;
+      queue.push_back(q);
+    }
+  }
+  return std::min(procs - 1, 2 * ecc);
+}
+
 // Distinct stream tags so exec and comm factor draws never collide.
 constexpr std::uint64_t kExecStream = 0x65786563ULL;  // "exec"
 constexpr std::uint64_t kCommStream = 0x636F6D6DULL;  // "comm"
@@ -66,7 +88,7 @@ HeterogeneousCostModel HeterogeneousCostModel::uniform(
   cm.exec_hi_ = exec_hi;
   cm.link_lo_ = link_lo;
   cm.link_hi_ = link_hi;
-  cm.precompute_summaries();
+  cm.finalize(topo);
   return cm;
 }
 
@@ -101,7 +123,7 @@ HeterogeneousCostModel HeterogeneousCostModel::uniform_processor_speeds(
             seed ^ kCommStream, static_cast<std::uint64_t>(l), link_lo,
             link_hi));
   }
-  cm.precompute_summaries();
+  cm.finalize(topo);
   return cm;
 }
 
@@ -139,7 +161,7 @@ HeterogeneousCostModel HeterogeneousCostModel::from_exec_matrix(
   require_finite_products(cm.nominal_comm_, link_factor, "edge");
   cm.exec_matrix_ = std::move(exec_matrix);
   cm.link_factor_ = link_factor;
-  cm.precompute_summaries();
+  cm.finalize(topo);
   return cm;
 }
 
@@ -196,23 +218,46 @@ Cost HeterogeneousCostModel::median_exec_cost(TaskId t) const {
   return median_exec_[static_cast<std::size_t>(t)];
 }
 
-void HeterogeneousCostModel::precompute_summaries() {
+void HeterogeneousCostModel::finalize(const Topology& topo) {
   min_exec_.resize(static_cast<std::size_t>(n_));
   median_exec_.resize(static_cast<std::size_t>(n_));
-  std::vector<Cost> row(static_cast<std::size_t>(m_));
+  std::vector<Cost> sorted(static_cast<std::size_t>(m_));
+  Cost exec_span = 0;  // sum over tasks of the largest execution cost
   for (TaskId t = 0; t < n_; ++t) {
     for (ProcId p = 0; p < m_; ++p) {
-      row[static_cast<std::size_t>(p)] = exec_cost(t, p);
+      sorted[static_cast<std::size_t>(p)] = exec_cost(t, p);
     }
-    min_exec_[static_cast<std::size_t>(t)] =
-        *std::min_element(row.begin(), row.end());
-    std::vector<Cost> sorted = row;
     std::sort(sorted.begin(), sorted.end());
+    min_exec_[static_cast<std::size_t>(t)] = sorted.front();
     const std::size_t mid = sorted.size() / 2;
     median_exec_[static_cast<std::size_t>(t)] =
         sorted.size() % 2 == 1 ? sorted[mid]
                                : 0.5 * (sorted[mid - 1] + sorted[mid]);
+    exec_span += sorted.back();
   }
+
+  // The time horizon: every task at its slowest, one after another, and
+  // every message at its slowest over a longest shortest route. The
+  // start and finish times the schedulers form are sums of such terms,
+  // so a finite horizon keeps them finite; checked once here, not per
+  // addition.
+  const int hops = route_hop_bound(topo);
+  Cost horizon = exec_span;
+  if (hops > 0 && !nominal_comm_.empty()) {
+    Cost max_factor = link_factor_;
+    if (comm_mode_ == CommMode::kHashed) max_factor = link_hi_;
+    if (comm_mode_ == CommMode::kLinkSpeed) {
+      max_factor = *std::max_element(link_speed_.begin(), link_speed_.end());
+    }
+    Cost comm_span = 0;
+    for (const Cost c : nominal_comm_) comm_span += c;
+    horizon += comm_span * max_factor * hops;
+  }
+  BSA_REQUIRE(std::isfinite(horizon),
+              "time horizon is not finite: the tasks' largest execution "
+              "costs sum to "
+                  << exec_span << ", and the messages' largest costs over "
+                  << hops << " hop(s) overflow the cost range on top");
 }
 
 }  // namespace bsa::net

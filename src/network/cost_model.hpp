@@ -83,7 +83,11 @@ class HeterogeneousCostModel {
 
  private:
   HeterogeneousCostModel() = default;
-  void precompute_summaries();
+  /// Cache the per-task summaries, then reject an instance whose time
+  /// horizon (every task's largest execution cost plus every message's
+  /// largest cost over a longest shortest route of `topo`) is not
+  /// finite, with a PreconditionError. O(n m log m + E + P + L).
+  void finalize(const Topology& topo);
 
   enum class ExecMode { kMatrix, kHashed, kProcessorSpeed };
   enum class CommMode { kFixedFactor, kHashed, kLinkSpeed };

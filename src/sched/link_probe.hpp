@@ -37,14 +37,19 @@ Time book_route(Schedule& s, const net::HeterogeneousCostModel& costs,
 [[nodiscard]] Time task_start(const Schedule& s, ProcId p, Time ready,
                               Time duration, bool insertion);
 
-/// Tentative book_route over a per-link overlay of the schedule.
+/// Tentative book_route without mutating the schedule.
 ///
 /// Per trial: begin(), then hide() for every hop the trial frees, then
-/// route() for each message in booking order. A link's overlay is built on
-/// its first route() of the trial from the schedule's bookings minus
-/// hidden hops; tentative hops are merged into it so later route() calls
-/// of the trial see them. Overlays and hidden-edge marks are epoch-stamped
-/// and pooled: a long-lived probe allocates nothing in steady state.
+/// route() for each message in booking order. A trial's first route()
+/// over a link that no hidden hop sits on is answered straight from the
+/// schedule (Schedule::earliest_link_slot, or after the link's last
+/// booking under `slots=append`) and only records the tentative hop. A
+/// link gets a per-trial overlay (its bookings minus hidden hops, plus
+/// the trial's tentative hops) only when the trial touches it a second
+/// time or a hidden hop sits on it; later route() calls of the trial see
+/// the tentative hops through it. Per-link state and overlays are
+/// epoch-stamped and pooled: a long-lived probe allocates nothing in
+/// steady state.
 class LinkProbe {
  public:
   /// Probe `s` (must outlive the probe) under the given slot rule.
@@ -67,16 +72,26 @@ class LinkProbe {
   [[nodiscard]] std::int64_t trials() const noexcept { return trial_; }
 
  private:
-  std::vector<Interval>& overlay(LinkId l);
+  /// What the current trial has done to one link (valid while
+  /// `trial` is the current trial; untouched otherwise).
+  struct LinkMark {
+    enum class State : unsigned char { kHidden, kFirst, kOverlay };
+    int trial = 0;
+    State state = State::kHidden;
+    std::size_t slot = 0;  // kOverlay: index into pool_
+    Interval first;        // kFirst: the one tentative hop
+  };
+
+  std::vector<Interval>& overlay(LinkId l, LinkMark& mark);
 
   const Schedule& s_;
   const net::HeterogeneousCostModel& costs_;
   bool insertion_;
   int trial_ = 0;
+  bool routed_ = false;            // route() ran in this trial
   std::vector<int> hidden_trial_;  // by EdgeId; sized on first hide()
   std::vector<int> hidden_from_;   // by EdgeId
-  std::vector<int> link_trial_;    // by LinkId
-  std::vector<std::size_t> link_slot_;  // by LinkId -> index into pool_
+  std::vector<LinkMark> marks_;    // by LinkId
   std::vector<std::vector<Interval>> pool_;
   std::size_t used_ = 0;  // pool_ slots in use this trial
 };

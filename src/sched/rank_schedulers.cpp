@@ -52,6 +52,7 @@ RankScheduleResult place_by_rank(const graph::TaskGraph& g,
     if (g.in_degree(t) == 0) ready.push_back(t);
   }
 
+  baselines::DataReadyProbe probe(s, table, costs);
   while (!ready.empty()) {
     // Highest rank among ready tasks; ties to the smaller task id
     // (ready is maintained in ascending-id insertion order per wave, so
@@ -71,8 +72,7 @@ RankScheduleResult place_by_rank(const graph::TaskGraph& g,
     Time best_eft = kInfiniteTime;
     Time best_score = kInfiniteTime;
     for (ProcId p = 0; p < topo.num_processors(); ++p) {
-      const Time da =
-          baselines::incoming_data_ready(s, table, costs, t, p, false);
+      const Time da = probe.tentative(t, p);
       const Time dur = costs.exec_cost(t, p);
       const Time eft = s.earliest_task_slot(p, da, dur) + dur;
       const Time score = eft + extra(t, p);
@@ -86,8 +86,7 @@ RankScheduleResult place_by_rank(const graph::TaskGraph& g,
 
     // Commit: identical booking order, so da and the slot reproduce the
     // tentative values exactly (see list_common.hpp).
-    const Time da =
-        baselines::incoming_data_ready(s, table, costs, t, best_proc, true);
+    const Time da = probe.commit(t, best_proc);
     const Time dur = costs.exec_cost(t, best_proc);
     const Time start = s.earliest_task_slot(best_proc, da, dur);
     BSA_ASSERT(time_eq(start + dur, best_eft), "tentative EFT drifted");

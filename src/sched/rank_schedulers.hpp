@@ -15,7 +15,7 @@
 /// rank on the heterogeneous cost model, then place tasks one at a time
 /// into their earliest insertion-based slot, routing every incoming
 /// message through the contended link-booking rule every scheduler
-/// shares (baselines::incoming_data_ready over sched::book_route and
+/// shares (baselines::DataReadyProbe over sched::book_route and
 /// sched::LinkProbe) — so unlike the textbook formulations these
 /// schedules are link contention-constrained, matching the rest of the
 /// library.

@@ -8,6 +8,7 @@
 #include "common/check.hpp"
 #include "common/json.hpp"
 #include "common/spec.hpp"
+#include "core/bsa.hpp"
 #include "exp/experiment.hpp"
 #include "sched/scheduler.hpp"
 #include "workloads/costs.hpp"
@@ -165,6 +166,15 @@ std::string canonicalize(Request& req) {
   req.workload = workloads::WorkloadRegistry::global().canonical(req.workload);
   req.algo = sched::SchedulerRegistry::global().canonical(req.algo);
   exp::check_topology(req.topology, req.procs);
+  // A topology the scheduler cannot route on is a bad request too,
+  // answered here, before queueing, and so never cached. The canonical
+  // spec spells the option exactly so, which keeps the hit path free of
+  // a second spec parse.
+  if (req.algo.rfind("bsa:", 0) == 0 &&
+      req.algo.find("route=ecube") != std::string::npos) {
+    core::check_ecube_topology(
+        exp::make_topology(req.topology, req.procs, req.seed));
+  }
   std::ostringstream key;
   key << "w=" << req.workload << "|a=" << req.algo << "|t=" << req.topology
       << "|p=" << req.procs << "|n=" << req.size

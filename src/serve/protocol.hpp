@@ -83,11 +83,12 @@ struct Request {
 
 /// Canonicalise the spec fields in place (workload and algo through
 /// their registries) and check that exp::make_topology can build the
-/// topology and procs (exp::check_topology). Throws PreconditionError
+/// topology and procs (exp::check_topology), and that a `bsa:route=ecube`
+/// request names a topology E-cube can route on. Throws PreconditionError
 /// listing valid choices on any unknown name, and naming the kind on an
-/// impossible processor count. Returns the canonical cache key: every result-affecting
-/// field in a fixed order, so two requests collide exactly when they
-/// describe the same evaluation.
+/// impossible processor count or topology. Returns the canonical cache
+/// key: every result-affecting field in a fixed order, so two requests
+/// collide exactly when they describe the same evaluation.
 [[nodiscard]] std::string canonicalize(Request& req);
 
 /// Typed error codes carried in the "code" field of error responses —

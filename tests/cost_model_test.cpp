@@ -214,6 +214,48 @@ TEST(CostModel, RejectsCostsThatOverflowOnceScaled) {
       PreconditionError);
 }
 
+TEST(CostModel, RejectsATimeHorizonThatOverflows) {
+  // Every cost times its largest factor is finite, but the sums a
+  // scheduler forms are not: 1e308 of execution plus a 1e308 message.
+  graph::TaskGraphBuilder b;
+  const TaskId big = b.add_task(1e308, "a");
+  const TaskId t1 = b.add_task(20, "b");
+  const TaskId t2 = b.add_task(5, "c");
+  (void)b.add_edge(big, t1, 1e308);
+  (void)b.add_edge(big, t2, 4);
+  const auto g = b.build();
+  const auto topo = Topology::ring(8);
+  const auto expect_horizon_error = [](auto build) {
+    try {
+      (void)build();
+      FAIL() << "expected PreconditionError";
+    } catch (const PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find("time horizon"), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_horizon_error([&] {
+    return HeterogeneousCostModel::uniform_processor_speeds(g, topo, 1, 1, 1,
+                                                            1, 1);
+  });
+  expect_horizon_error(
+      [&] { return HeterogeneousCostModel::uniform(g, topo, 1, 1, 1, 1, 1); });
+  expect_horizon_error([&] {
+    return HeterogeneousCostModel::from_exec_matrix(
+        g, topo, std::vector<Cost>(3 * 8, 1e308));
+  });
+
+  // The message never crosses a link of a one-processor topology, and
+  // half the costs fit on any topology.
+  EXPECT_NO_THROW((void)HeterogeneousCostModel::homogeneous(
+      g, Topology::from_links(1, {})));
+  graph::TaskGraphBuilder hb;
+  const TaskId h0 = hb.add_task(4e307);
+  (void)hb.add_edge(h0, hb.add_task(1), 1e307);
+  EXPECT_NO_THROW(
+      (void)HeterogeneousCostModel::homogeneous(hb.build(), Topology::ring(8)));
+}
+
 TEST(CostModel, ProcessorSpeedModeUniformPerProcessor) {
   const auto g = pf::paper_task_graph();
   const auto topo = Topology::ring(4);

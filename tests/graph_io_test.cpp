@@ -70,6 +70,24 @@ TEST(GraphIo, CostsThatOverflowOnceScaledAreRejectedByTheCostModel) {
   EXPECT_THROW((void)from_text("task 1e309\n"), PreconditionError);
 }
 
+TEST(GraphIo, AFileWhoseTimeHorizonOverflowsIsRejectedByTheCostModel) {
+  // With factor 1 every cost is finite, but a path through the 1e308 task
+  // and the 1e308 message is not (it used to surface as a processor id
+  // of -1 in BSA and as zero-length tasks in the list schedulers).
+  const TaskGraph g = from_text(
+      "task 1e308 a\ntask 20 b\ntask 5 c\nedge 0 1 1e308\nedge 0 2 4\n");
+  const auto topo = net::Topology::ring(8);
+  try {
+    (void)net::HeterogeneousCostModel::uniform_processor_speeds(g, topo, 1, 1,
+                                                                1, 1, 1);
+    FAIL() << "expected PreconditionError";
+  } catch (const PreconditionError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("time horizon is not finite"), std::string::npos)
+        << msg;
+  }
+}
+
 TEST(GraphIo, RejectsCycleInFile) {
   const std::string text =
       "task 1\ntask 1\nedge 0 1 1\nedge 1 0 1\n";

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "sched/link_probe.hpp"
 #include "sched/rank_schedulers.hpp"
 #include "sched/schedule.hpp"
+#include "sched/timeline.hpp"
 #include "workloads/random_dag.hpp"
 
 /// \file link_probe_test.cpp
@@ -294,6 +296,152 @@ TEST(LinkProbe, MigrationTrialsEqualCommitsOnPartBuiltHeft) {
     run_migration_trials(s, inst, 150, ++seed, "heft");
     if (HasFatalFailure()) return;
   }
+}
+
+/// The overlay rule the probe's copy-free first touch replaced, kept as
+/// an oracle: every link a trial touches gets a copy of its bookings
+/// minus the hidden hops, the trial's tentative hops are merged into it,
+/// and each hop takes earliest_fit of the copy (under append: after its
+/// last interval). Appends each message's hops to `hops`; returns the
+/// arrivals.
+std::vector<Time> overlay_reference(const Schedule& s,
+                                    const net::HeterogeneousCostModel& costs,
+                                    const Trial& trial, bool insertion,
+                                    std::vector<std::vector<Hop>>& hops) {
+  const auto hidden = [&trial](const LinkBooking& b) {
+    for (const Hidden& h : trial.hidden) {
+      if (h.edge == b.edge && b.hop_index >= h.from_hop) return true;
+    }
+    return false;
+  };
+  std::vector<std::vector<Interval>> busy(
+      static_cast<std::size_t>(s.topology().num_links()));
+  std::vector<bool> copied(busy.size(), false);
+  std::vector<Time> arrivals;
+  for (const Routed& r : trial.routed) {
+    hops.emplace_back();
+    Time ready = r.ready;
+    for (const LinkId l : r.links) {
+      auto& q = busy[static_cast<std::size_t>(l)];
+      if (!copied[static_cast<std::size_t>(l)]) {
+        copied[static_cast<std::size_t>(l)] = true;
+        for (const LinkBooking& b : s.bookings_on(l)) {
+          if (!hidden(b)) q.push_back(Interval{b.start, b.finish});
+        }
+      }
+      const Time dur = costs.comm_cost(r.edge, l);
+      const Time start =
+          insertion ? earliest_fit(q, ready, dur)
+                    : std::max(ready, q.empty() ? Time{0} : q.back().finish);
+      insert_interval(q, Interval{start, start + dur});
+      hops.back().push_back(Hop{l, start, start + dur});
+      ready = start + dur;
+    }
+    arrivals.push_back(ready);
+  }
+  return arrivals;
+}
+
+/// A random trial over the placed messages of `s`: each picked message
+/// is hidden from a random hop (or kept whole) and routed on from where
+/// its kept route ends through one or two table routes, so a walk may
+/// cross a link twice and messages share links. Each message is routed
+/// at most once, as a commit appends to its route.
+Trial random_trial(const Schedule& s, const net::RoutingTable& table,
+                   Rng& rng) {
+  const auto& g = s.task_graph();
+  const int procs = s.topology().num_processors();
+  Trial trial;
+  const auto count = static_cast<int>(rng.uniform_int(1, 6));
+  std::vector<bool> used(static_cast<std::size_t>(g.num_edges()), false);
+  for (int i = 0; i < count; ++i) {
+    const auto e =
+        static_cast<EdgeId>(rng.uniform_int(0, g.num_edges() - 1));
+    if (used[static_cast<std::size_t>(e)] || !s.is_placed(g.edge_src(e))) {
+      continue;
+    }
+    used[static_cast<std::size_t>(e)] = true;
+    const int size = static_cast<int>(s.route_of(e).size());
+    int kept = size;
+    if (size > 0 && rng.bernoulli(0.5)) {
+      kept = static_cast<int>(rng.uniform_int(0, size - 1));
+      trial.hidden.push_back(Hidden{e, kept});
+    }
+    const Time ready =
+        kept == 0 ? s.finish_of(g.edge_src(e))
+                  : s.route_of(e)[static_cast<std::size_t>(kept - 1)].finish;
+    const ProcId from = route_end(s, e, kept);
+    const auto via = static_cast<ProcId>(rng.uniform_int(0, procs - 1));
+    std::vector<LinkId> links = table.route(from, via);
+    if (rng.bernoulli(0.5)) {
+      // Out and back (in part): the walk crosses links a second time.
+      const auto to = static_cast<ProcId>(rng.uniform_int(0, procs - 1));
+      const std::vector<LinkId> more = table.route(via, to);
+      links.insert(links.end(), more.begin(), more.end());
+    }
+    trial.routed.push_back(Routed{e, std::move(links), ready});
+  }
+  return trial;
+}
+
+TEST(LinkProbe, RandomTrialsEqualTheOverlayRuleAndTheirCommits) {
+  std::uint64_t seed = 71;
+  int hidden_trials = 0;
+  int twice_trials = 0;
+  int first_only_trials = 0;
+  for (const Instance& inst : instances()) {
+    core::BsaOptions opt;
+    opt.prune_route_cycles = true;
+    std::vector<Schedule> states;
+    states.push_back(part_built_heft(inst));
+    states.push_back(core::schedule_bsa(inst.g, inst.topo, inst.costs, opt)
+                         .schedule);
+    const net::RoutingTable table(inst.topo);
+    for (Schedule& s : states) {
+      for (const bool insertion : {true, false}) {
+        LinkProbe probe(s, inst.costs, insertion);
+        Rng rng(++seed);
+        for (int i = 0; i < 200; ++i) {
+          const Trial trial = random_trial(s, table, rng);
+          const std::string where = std::string(insertion ? "insertion"
+                                                          : "append") +
+                                    " trial " + std::to_string(i);
+          std::vector<std::vector<Hop>> ref_hops;
+          const std::vector<Time> ref =
+              overlay_reference(s, inst.costs, trial, insertion, ref_hops);
+          probe.begin();
+          for (const Hidden& h : trial.hidden) probe.hide(h.edge, h.from_hop);
+          std::vector<int> touches(
+              static_cast<std::size_t>(inst.topo.num_links()), 0);
+          bool twice = false;
+          for (std::size_t k = 0; k < trial.routed.size(); ++k) {
+            const Routed& r = trial.routed[k];
+            std::vector<Hop> hops;
+            EXPECT_EQ(probe.route(r.edge, r.links, r.ready, &hops), ref[k])
+                << where << ": message " << r.edge;
+            ASSERT_EQ(hops.size(), ref_hops[k].size()) << where;
+            for (std::size_t h = 0; h < hops.size(); ++h) {
+              EXPECT_EQ(hops[h].start, ref_hops[k][h].start) << where;
+              EXPECT_EQ(hops[h].finish, ref_hops[k][h].finish) << where;
+            }
+            for (const LinkId l : r.links) {
+              twice = twice || ++touches[static_cast<std::size_t>(l)] == 2;
+            }
+          }
+          hidden_trials += trial.hidden.empty() ? 0 : 1;
+          twice_trials += twice ? 1 : 0;
+          first_only_trials += trial.hidden.empty() && !twice ? 1 : 0;
+          expect_trial_equals_commit(s, inst.costs, probe, trial, insertion,
+                                     where);
+          if (HasFatalFailure()) return;
+        }
+      }
+    }
+  }
+  // The mix the trials are meant to cover actually occurred.
+  EXPECT_GT(hidden_trials, 100);
+  EXPECT_GT(twice_trials, 100);
+  EXPECT_GT(first_only_trials, 100);
 }
 
 TEST(LinkProbe, HiddenHopsFreeTheirSlots) {

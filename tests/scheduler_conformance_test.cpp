@@ -244,5 +244,91 @@ TEST(Conformance, SaTrajectoriesThroughReplaysArePinned) {
   }
 }
 
+TEST(Conformance, ListSchedulerSchedulesArePinned) {
+  // The contended-route probe the list schedulers share (a copy-free
+  // first touch per link, one probe per run, DLS's per-(task, processor)
+  // cache) must not change a single schedule: FNV-1a digests of the
+  // canonical text export, pinned to the per-call overlay probe.
+  const std::vector<std::string> specs = {"dls", "dls:seed=7", "mh",
+                                          "heft", "peft", "eft"};
+  struct Pin {
+    const char* workload;
+    const char* topology;
+    int procs;
+    std::vector<std::uint64_t> digests;  // one per spec, in `specs` order
+  };
+  const std::vector<Pin> pins = {
+      {"random", "ring", 8,
+       {2403761991834252595ULL, 2403761991834252595ULL, 2533002636551484098ULL,
+        765241859119773354ULL, 7771822624679791629ULL, 9341960596157657975ULL}},
+      {"random", "hypercube", 16,
+       {4115128062378157433ULL, 11830550515179624351ULL, 4553079417293725405ULL,
+        7145419803914206976ULL, 10683422058336812446ULL, 5812861593462960335ULL}},
+      {"random", "mesh", 16,
+       {6151740416596166238ULL, 11498475052866183332ULL, 2964552569855105460ULL,
+        15594015845262593815ULL, 6169469104145461341ULL, 10118804512854762334ULL}},
+      {"random", "clique", 8,
+       {4646546373053305850ULL, 4646546373053305850ULL, 2068808268691607190ULL,
+        12429573371394847057ULL, 17005695068332063752ULL, 13420685055358083393ULL}},
+      {"gauss", "ring", 8,
+       {7098571257812158626ULL, 7098571257812158626ULL, 5758301391644192250ULL,
+        1791396369815834267ULL, 1262914910171998702ULL, 16715334311042641553ULL}},
+      {"gauss", "hypercube", 16,
+       {3127731437263347194ULL, 3394653206055882418ULL, 4319969711080733875ULL,
+        1726399973349718086ULL, 18111954067327241300ULL, 6865250551184930836ULL}},
+      {"gauss", "mesh", 16,
+       {8594831849656786392ULL, 4151710869521531631ULL, 6520061169738924883ULL,
+        1740763821035411042ULL, 11983360923366589504ULL, 7808539920025472733ULL}},
+      {"gauss", "clique", 8,
+       {14924595434223426669ULL, 15899440915396941843ULL, 10418098109016613924ULL,
+        6851233778812505524ULL, 14142989403666864447ULL, 16350289579435286086ULL}},
+      {"fft", "ring", 8,
+       {4587051544445405277ULL, 15990786677672324018ULL, 15883736260064800565ULL,
+        10073818981341599964ULL, 12876181877343817388ULL, 13129371140240517122ULL}},
+      {"fft", "hypercube", 16,
+       {5258723352767004879ULL, 3778038568170887204ULL, 3693792702419881782ULL,
+        8897330295028124994ULL, 13537602846438180308ULL, 13786871854203620295ULL}},
+      {"fft", "mesh", 16,
+       {9897471110179397284ULL, 655207391408509948ULL, 7321649878962658565ULL,
+        14108185011050657636ULL, 10851707052492856231ULL, 4162876913417732546ULL}},
+      {"fft", "clique", 8,
+       {1324610403387231719ULL, 13621150895193317177ULL, 2727915349030011703ULL,
+        6229507978010187038ULL, 11956922447722195779ULL, 8881101964685322474ULL}},
+      {"stencil", "ring", 8,
+       {17756755033216346528ULL, 14197878923101750617ULL, 3357827856697291399ULL,
+        755222163955201301ULL, 5825588227146260674ULL, 13539319138182780108ULL}},
+      {"stencil", "hypercube", 16,
+       {184770559694560228ULL, 3515704523650946350ULL, 17231118643066238266ULL,
+        8808156749397005265ULL, 274094460177412372ULL, 13204496872791090606ULL}},
+      {"stencil", "mesh", 16,
+       {17215227251076322569ULL, 14731760523620965641ULL, 1022199357625740344ULL,
+        2339495288078014513ULL, 9275826300810401846ULL, 2352031753101435592ULL}},
+      {"stencil", "clique", 8,
+       {11382966897870267776ULL, 9846968562822991368ULL, 12880137746545843942ULL,
+        9116220499212478609ULL, 2755188810970508571ULL, 1295709634665024689ULL}},
+  };
+  ASSERT_EQ(pins.size(), 16U);
+  for (const Pin& pin : pins) {
+    graph::TaskGraph g = workloads::WorkloadRegistry::global()
+                             .resolve(pin.workload)
+                             ->generate(/*target_tasks=*/40,
+                                        /*granularity=*/0.5, 3);
+    const net::Topology topo = exp::make_topology(pin.topology, pin.procs, 3);
+    const auto cm = net::HeterogeneousCostModel::uniform_processor_speeds(
+        g, topo, 1, 4, 1, 2, 3);
+    ASSERT_EQ(pin.digests.size(), specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      const auto r = reg().resolve(specs[i])->run(g, topo, cm, 1);
+      std::uint64_t digest = 1469598103934665603ULL;
+      for (const unsigned char c : schedule_to_text(r.schedule)) {
+        digest = (digest ^ c) * 1099511628211ULL;
+      }
+      EXPECT_EQ(digest, pin.digests[i])
+          << specs[i] << " on " << pin.workload << " / " << pin.topology
+          << "-" << pin.procs;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace bsa::sched

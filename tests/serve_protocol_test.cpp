@@ -174,6 +174,40 @@ TEST(ServeProtocol, CanonicalizeRejectsTopologiesThatCannotBeBuilt) {
   }
 }
 
+TEST(ServeProtocol, CanonicalizeRejectsEcubeOnTopologiesItCannotRoute) {
+  // BSA's E-cube routes need hypercube vertex addressing; the request is
+  // a bad one whatever the topology is called, and is rejected before it
+  // is queued.
+  for (const auto& [kind, procs] : std::vector<std::pair<std::string, int>>{
+           {"ring", 8}, {"mesh", 16}, {"star", 4}, {"random", 8}}) {
+    Request req;
+    req.algo = "BSA:route=ecube";
+    req.topology = kind;
+    req.procs = procs;
+    try {
+      (void)canonicalize(req);
+      FAIL() << "expected PreconditionError for " << kind << " " << procs;
+    } catch (const PreconditionError& ex) {
+      EXPECT_NE(std::string(ex.what()).find("route=ecube"), std::string::npos)
+          << ex.what();
+    }
+  }
+  // Any topology whose links include the hypercube's routes is fine.
+  for (const auto& [kind, procs] : std::vector<std::pair<std::string, int>>{
+           {"hypercube", 16}, {"clique", 4}, {"mesh", 4}}) {
+    Request req;
+    req.algo = "bsa:route=ecube";
+    req.topology = kind;
+    req.procs = procs;
+    EXPECT_NO_THROW((void)canonicalize(req)) << kind << " " << procs;
+  }
+  // Other routings and schedulers take any topology.
+  Request req;
+  req.algo = "bsa:route=static";
+  req.topology = "ring";
+  EXPECT_NO_THROW((void)canonicalize(req));
+}
+
 TEST(ServeProtocol, RequestIdSurvivesARejectedLine) {
   EXPECT_EQ(request_id("{\"op\":\"schedule\",\"id\":12,\"gran\":1e-17}"),
             12u);

@@ -211,6 +211,30 @@ TEST(ServeServer, ImpossibleTopologyIsABadRequestAnsweredAtOnce) {
   server.stop();
 }
 
+TEST(ServeServer, EcubeOnANonHypercubeIsABadRequestAndNotCached) {
+  // Once answered `internal` by the worker that ran BSA; now rejected at
+  // canonicalize time, never cached, and the connection keeps serving.
+  Server server(small_options("ecube"));
+  server.start();
+  auto client = Client::connect(server.socket_path());
+  Request req = small_request();
+  req.algo = "bsa:route=ecube";
+  req.topology = "ring";
+  for (int i = 0; i < 2; ++i) {
+    const Response err = client.call(req);
+    EXPECT_FALSE(err.ok);
+    EXPECT_FALSE(err.cached);
+    EXPECT_EQ(err.code, error_code::kBadRequest) << err.error;
+    EXPECT_NE(err.error.find("route=ecube"), std::string::npos) << err.error;
+  }
+  EXPECT_TRUE(client.ping().ok);
+  EXPECT_EQ(client.stats().number("ctr:serve.cache.size", -1), 0);
+  req.topology = "hypercube";
+  const Response ok = client.call(req);
+  EXPECT_TRUE(ok.ok) << ok.error;
+  server.stop();
+}
+
 TEST(ServeServer, UnknownSpecNamesListValidChoices) {
   Server server(small_options("unknown"));
   server.start();
