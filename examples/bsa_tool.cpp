@@ -275,6 +275,12 @@ int main(int argc, char** argv) {
   using namespace bsa;
   const CliParser cli(argc, argv);
   try {
+    cli.require_known({"algo", "bsa", "counters", "decision-log", "dls",
+                       "dot", "eft", "export", "export-csv", "gantt", "gran",
+                       "help", "het", "jobs", "link-het", "list-algos",
+                       "list-workloads", "mh", "out", "per-pair", "procs",
+                       "progress", "seed", "size", "stats", "threads",
+                       "topology", "trace", "validate", "workload"});
     if (cli.get_bool("help", false)) {
       std::cout << kUsage;
       return 0;

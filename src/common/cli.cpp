@@ -1,5 +1,6 @@
 #include "common/cli.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
@@ -96,6 +97,18 @@ CliParser::CliParser(int argc, const char* const* argv) {
 
 bool CliParser::has(const std::string& name) const {
   return flags_.count(name) > 0;
+}
+
+void CliParser::require_known(
+    std::initializer_list<std::string_view> known) const {
+  std::string unknown;
+  int count = 0;
+  for (const auto& [name, values] : flags_) {
+    if (std::find(known.begin(), known.end(), name) != known.end()) continue;
+    unknown += (count++ == 0 ? "--" : ", --") + name;
+  }
+  BSA_REQUIRE(count == 0, "unknown flag" << (count > 1 ? "s " : " ")
+                                          << unknown << " (see --help)");
 }
 
 const std::string* CliParser::last_value(const std::string& name) const {

@@ -1,9 +1,11 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 /// \file cli.hpp
@@ -31,6 +33,11 @@ class CliParser {
   CliParser(int argc, const char* const* argv);
 
   [[nodiscard]] bool has(const std::string& name) const;
+
+  /// Throw PreconditionError naming every given flag that is not in
+  /// `known` — for a binary that declares its flags, so a typo such as
+  /// `--hett 2` fails instead of running with the default.
+  void require_known(std::initializer_list<std::string_view> known) const;
 
   /// Value lookups with defaults; throw PreconditionError when the stored
   /// text cannot be parsed as the requested type. When a flag is repeated

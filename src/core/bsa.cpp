@@ -49,6 +49,7 @@ class BsaRunner {
         costs_(costs),
         opt_(opt),
         sched_(g, topo),
+        replayer_(g, topo, costs, opt.insertion_slots),
         probe_(sched_, costs, opt.insertion_slots) {
     if (opt_.routing == RouteDiscipline::kStaticShortestPath) {
       routing_table_.emplace(topo_);
@@ -101,7 +102,8 @@ class BsaRunner {
       if (trace_.migrations.size() == migrations_before) break;
     }
     if (retime_ctx_.has_value()) trace_.retime = retime_ctx_->stats();
-    trace_.slot_index_builds = sched_.slot_index_builds();
+    trace_.slot_index_builds =
+        sched_.slot_index_builds() + replayer_.slot_index_builds();
     trace_.eval_trials = probe_.trials();
     return BsaResult{std::move(sched_), std::move(trace_)};
   }
@@ -357,8 +359,7 @@ class BsaRunner {
 
   /// The schedule mutations of one migration of `t` from `pivot` to `py`:
   /// re-route incoming messages, place the task, re-route outgoing
-  /// messages. Deterministic in the pre-migration schedule state, so the
-  /// rare transactional replay fallback can roll back and re-apply it.
+  /// messages.
   void apply_migration_mutations(TaskId t, ProcId pivot, ProcId py) {
     if (opt_.routing == RouteDiscipline::kIncremental) {
       commit_incoming_incremental(t, pivot, py);
@@ -380,17 +381,6 @@ class BsaRunner {
       commit_outgoing_incremental(t, pivot, py, start + dur);
     } else {
       commit_outgoing_static(t, py, start + dur);
-    }
-  }
-
-  /// Copy the current schedule into the long-lived snapshot the replay
-  /// fallback restores on reject: inner vectors keep their capacity
-  /// across migrations, so refreshing it costs no allocations.
-  void refresh_snapshot() {
-    if (!snapshot_.has_value()) {
-      snapshot_.emplace(sched_);
-    } else {
-      *snapshot_ = sched_;
     }
   }
 
@@ -430,37 +420,32 @@ class BsaRunner {
       trace_.txn_journal_records += depth;
       trace_.txn_journal_hwm = std::max(trace_.txn_journal_hwm, depth);
     }
-    bool replayed = false;
-    if (!retimed) {
+    const bool replayed = !retimed;
+    Time makespan_after = 0;
+    if (retimed) {
+      makespan_after = sched_.makespan();
+    } else {
+      // A failed delta writes no times, so the schedule still holds
+      // exactly the migration's mutations: replay them in the workspace.
+      // A guarded migration is then undone (the context with it) in
+      // O(touched) whatever the guard decides — a kept replay is swapped
+      // in below.
       obs::Span span(opt_.obs.tracer, "replay", "bsa", opt_.obs.trace_tid);
+      makespan_after = replayer_.measure(sched_);
+      ++trace_.replay_fallbacks;
       if (guarded) {
-        // replay_retime rebuilds the schedule wholesale, which cannot be
-        // journaled: undo the mutations (the context with them), fall
-        // back to a snapshot of the pre-migration state, and re-apply
-        // them (deterministic).
         sched_.rollback_transaction();
         retime_ctx_->undo_migration(t);
-        refresh_snapshot();
-        apply_migration_mutations(t, pivot, py);
       }
-      (void)sched::replay_retime(sched_, costs_, opt_.insertion_slots);
-      replayed = true;
-      ++trace_.replay_fallbacks;
     }
 
-    const Time makespan_after = sched_.makespan();
     if (guarded && time_lt(makespan_before, makespan_after)) {
       ++trace_.rejected_migrations;
-      {
+      if (!replayed) {
         obs::Span span(opt_.obs.tracer, "rollback", "bsa",
                        opt_.obs.trace_tid);
-        if (replayed) {
-          // The context was undone before the replay.
-          sched_ = *snapshot_;
-        } else {
-          sched_.rollback_transaction();
-          retime_ctx_->undo_migration(t);
-        }
+        sched_.rollback_transaction();
+        retime_ctx_->undo_migration(t);
       }
       if (opt_.validate_each_step) check_rollback_oracle(text_before, t);
       if (opt_.obs.decision_log != nullptr) {
@@ -481,11 +466,13 @@ class BsaRunner {
       }
       return;
     }
-    if (guarded && !replayed) sched_.commit_transaction();
     if (replayed) {
-      // Part of the replay fallback's cost: re-read the kept result.
+      // Part of the replay fallback's cost: keep the result and re-read it.
       obs::Span span(opt_.obs.tracer, "replay", "bsa", opt_.obs.trace_tid);
+      replayer_.swap_into(sched_);
       retime_ctx_->adopt_schedule();
+    } else if (guarded) {
+      sched_.commit_transaction();
     }
 
     trace_.migrations.push_back(Migration{
@@ -639,9 +626,8 @@ class BsaRunner {
   /// Incremental re-timing engine, bound to sched_; constructed lazily at
   /// the first migration.
   std::optional<sched::RetimeContext> retime_ctx_;
-  /// Reused pre-migration snapshot for the replay fallback, which cannot
-  /// be journaled.
-  std::optional<Schedule> snapshot_;
+  /// Workspace of the replay fallback on a re-timing cycle.
+  sched::Replayer replayer_;
   /// Reused journal for transactional guarded migrations.
   Schedule::Transaction txn_;
   /// Trial bookings of the neighbour evaluations.

@@ -149,16 +149,17 @@ struct BsaTrace {
   std::int64_t gate_skips = 0;
   std::int64_t considered = 0;
   std::int64_t rejected_no_gain = 0;
-  /// Migrations whose re-timing hit an order cycle and fell back to the
-  /// wholesale replay_retime rebuild (the residual DESIGN_RETIME.md
-  /// discusses; rare by construction).
+  /// Migrations whose re-timing hit an order cycle and fell back to a
+  /// replay of the whole schedule in the run's sched::Replayer workspace
+  /// (measured there, swapped in when kept; DESIGN_PERF.md).
   std::int64_t replay_fallbacks = 0;
   /// Transaction-journal footprint of guarded migrations: deepest journal
   /// observed before commit/rollback, and total records journaled.
   std::int64_t txn_journal_hwm = 0;
   std::int64_t txn_journal_records = 0;
-  /// Lazily-built free-slot indexes the schedule constructed during the
-  /// run (Schedule::slot_index_builds()).
+  /// Lazily-built free-slot indexes constructed during the whole run:
+  /// the run schedule's Schedule::slot_index_builds() plus its replay
+  /// workspace's.
   std::int64_t slot_index_builds = 0;
   /// Neighbour evaluations run as sched::LinkProbe trials.
   std::int64_t eval_trials = 0;

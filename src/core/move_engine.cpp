@@ -1,26 +1,31 @@
 #include "core/move_engine.hpp"
 
 #include <algorithm>
-#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
 #include "sched/link_probe.hpp"
-#include "sched/retime.hpp"
 
 namespace bsa::core {
 
 MoveEngine::MoveEngine(sched::Schedule& s,
                        const net::HeterogeneousCostModel& costs)
-    : s_(s), costs_(costs), table_(s.topology()), ctx_(s, costs) {
+    : s_(s),
+      costs_(costs),
+      table_(s.topology()),
+      ctx_(s, costs),
+      replayer_(s.task_graph(), s.topology(), costs) {
   BSA_REQUIRE(s_.all_placed(), "MoveEngine requires a complete schedule");
   // Pull the input to its earliest-time fixpoint so the context's
   // incremental updates start from consistent ground.
-  if (!ctx_.retime_full(nullptr)) {
-    (void)sched::replay_retime(s_, costs_, true);
-    ctx_.adopt_schedule();
-    ++stats_.replay_fallbacks;
-  }
+  if (!ctx_.retime_full(nullptr)) replay_in_place();
+}
+
+void MoveEngine::replay_in_place() {
+  ++stats_.replay_fallbacks;
+  (void)replayer_.measure(s_);
+  replayer_.swap_into(s_);
+  ctx_.adopt_schedule();
 }
 
 /// Schedule mutations of moving `t` to `p` on the live schedule (no
@@ -75,30 +80,25 @@ Time MoveEngine::evaluate(TaskId t, ProcId p) {
   ++stats_.evaluated;
   s_.begin_transaction(txn_);
   apply_move_mutations(t, p);
-  const bool retimed = ctx_.retime_migration(t, nullptr);
-  const Time retimed_len = retimed ? s_.makespan() : Time{0};
+  Time len = 0;
+  if (ctx_.retime_migration(t, nullptr)) {
+    len = s_.makespan();
+  } else {
+    // Re-timing cycle: a failed delta writes no times, so the schedule
+    // still holds exactly the move's mutations; replay them in the
+    // workspace, leaving the schedule for the rollback below.
+    ++stats_.replay_fallbacks;
+    len = replayer_.measure(s_);
+  }
   s_.rollback_transaction();
   ctx_.undo_migration(t);
-  if (retimed) return retimed_len;
-  // Re-timing cycle: replay the whole schedule to measure and restore it
-  // from a copy. The context already mirrors the restored schedule.
-  ++stats_.replay_fallbacks;
-  sched::Schedule snapshot = s_;
-  apply_move_mutations(t, p);
-  (void)sched::replay_retime(s_, costs_, true);
-  const Time len = s_.makespan();
-  s_ = std::move(snapshot);
   return len;
 }
 
 void MoveEngine::apply(TaskId t, ProcId p) {
   ++stats_.applied;
   apply_move_mutations(t, p);
-  if (!ctx_.retime_migration(t, nullptr)) {
-    ++stats_.replay_fallbacks;
-    (void)sched::replay_retime(s_, costs_, true);
-    ctx_.adopt_schedule();
-  }
+  if (!ctx_.retime_migration(t, nullptr)) replay_in_place();
 }
 
 }  // namespace bsa::core

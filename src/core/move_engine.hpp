@@ -5,6 +5,7 @@
 #include "common/types.hpp"
 #include "network/cost_model.hpp"
 #include "network/routing.hpp"
+#include "sched/retime.hpp"
 #include "sched/retime_context.hpp"
 #include "sched/schedule.hpp"
 
@@ -26,9 +27,10 @@
 /// are cleared, crossing messages re-route along static shortest paths
 /// booking earliest free link slots (incoming messages in deterministic
 /// source-finish order), and the task lands in its earliest insertion
-/// slot. The rare re-timing-cycle fallback measures through a snapshot
-/// copy and replay_retime, exactly as before the extraction —
-/// deterministic either way.
+/// slot. On a re-timing cycle the move falls back to a replay in the
+/// engine's sched::Replayer workspace: an evaluation measures the
+/// mutated schedule there and still rolls back in O(touched); an applied
+/// move swaps the replayed schedule in. No schedule is ever copied.
 
 namespace bsa::core {
 
@@ -52,7 +54,7 @@ class MoveEngine {
   struct Stats {
     std::int64_t evaluated = 0;         ///< trial moves measured + rolled back
     std::int64_t applied = 0;           ///< moves committed
-    std::int64_t replay_fallbacks = 0;  ///< re-timing-cycle snapshot replays
+    std::int64_t replay_fallbacks = 0;  ///< re-timing cycles resolved by replay
   };
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
   /// Counters of the engine's re-timing context.
@@ -63,12 +65,15 @@ class MoveEngine {
 
  private:
   void apply_move_mutations(TaskId t, ProcId p);
+  /// Replace the schedule by its replay and re-read it into the context.
+  void replay_in_place();
 
   sched::Schedule& s_;
   const net::HeterogeneousCostModel& costs_;
   net::RoutingTable table_;
   sched::RetimeContext ctx_;
   sched::Schedule::Transaction txn_;
+  sched::Replayer replayer_;
   Stats stats_;
 };
 

@@ -1,8 +1,8 @@
 #include "sched/retime.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <queue>
-#include <tuple>
 #include <vector>
 
 #include "common/check.hpp"
@@ -175,44 +175,59 @@ Time retime(Schedule& s, const net::HeterogeneousCostModel& costs) {
   return mk;
 }
 
-Time replay_retime(Schedule& s, const net::HeterogeneousCostModel& costs,
-                   bool insertion_slots) {
-  const auto& g = s.task_graph();
-  const auto& topo = s.topology();
-  BSA_REQUIRE(s.all_placed(), "replay requires a complete placement");
+Replayer::Replayer(const graph::TaskGraph& g, const net::Topology& topo,
+                   const net::HeterogeneousCostModel& costs,
+                   bool insertion_slots)
+    : costs_(&costs), insertion_slots_(insertion_slots), work_(g, topo) {}
 
-  // Snapshot the assignment and priorities.
+void Replayer::push(Time prio, int kind, std::int64_t id, int hop) {
+  heap_.emplace_back(prio, kind, id, hop);
+  std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+}
+
+Time Replayer::measure(const Schedule& s) {
+  const auto& g = s.task_graph();
+  BSA_REQUIRE(&g == &work_.task_graph() && &s.topology() == &work_.topology(),
+              "replay of a schedule over another graph or topology");
+  BSA_REQUIRE(s.all_placed(), "replay requires a complete placement");
+  const auto& costs = *costs_;
+
+  // Copy the assignment and priorities.
   const auto n = static_cast<std::size_t>(g.num_tasks());
-  std::vector<ProcId> proc(n);
-  std::vector<Time> task_prio(n);
+  proc_.resize(n);
+  task_prio_.resize(n);
   for (TaskId t = 0; t < g.num_tasks(); ++t) {
-    proc[static_cast<std::size_t>(t)] = s.proc_of(t);
-    task_prio[static_cast<std::size_t>(t)] = s.start_of(t);
+    proc_[static_cast<std::size_t>(t)] = s.proc_of(t);
+    task_prio_[static_cast<std::size_t>(t)] = s.start_of(t);
   }
-  std::vector<std::vector<LinkId>> route_links(
-      static_cast<std::size_t>(g.num_edges()));
-  std::vector<std::vector<Time>> hop_prio(
-      static_cast<std::size_t>(g.num_edges()));
+  route_off_.clear();
+  route_link_.clear();
+  hop_prio_.clear();
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    route_off_.push_back(static_cast<int>(route_link_.size()));
     for (const Hop& h : s.route_of(e)) {
-      route_links[static_cast<std::size_t>(e)].push_back(h.link);
-      hop_prio[static_cast<std::size_t>(e)].push_back(h.start);
+      route_link_.push_back(h.link);
+      hop_prio_.push_back(h.start);
     }
   }
+  route_off_.push_back(static_cast<int>(route_link_.size()));
+  auto hops_of = [&](EdgeId e) {
+    return route_off_[static_cast<std::size_t>(e) + 1] -
+           route_off_[static_cast<std::size_t>(e)];
+  };
+  auto hop_at = [&](EdgeId e, int k) {
+    return static_cast<std::size_t>(route_off_[static_cast<std::size_t>(e)] +
+                                    k);
+  };
 
-  Schedule fresh(g, topo);
-
-  // Replay state (hops booked so far are fresh.route_of(e)).
-  std::vector<Time> task_finish(n, kUnsetTime);
-  // Item key: (priority, kind 0=task 1=hop, id, hop index).
-  using Key = std::tuple<Time, int, std::int64_t, int>;
-  std::priority_queue<Key, std::vector<Key>, std::greater<>> ready;
-
-  std::vector<int> task_waits(n, 0);
+  work_.clear();
+  measured_ = true;
+  heap_.clear();
+  task_waits_.resize(n);
   for (TaskId t = 0; t < g.num_tasks(); ++t) {
-    task_waits[static_cast<std::size_t>(t)] = g.in_degree(t);
+    task_waits_[static_cast<std::size_t>(t)] = g.in_degree(t);
     if (g.in_degree(t) == 0) {
-      ready.emplace(task_prio[static_cast<std::size_t>(t)], 0, t, 0);
+      push(task_prio_[static_cast<std::size_t>(t)], 0, t, 0);
     }
   }
 
@@ -220,66 +235,74 @@ Time replay_retime(Schedule& s, const net::HeterogeneousCostModel& costs,
     // Fires once the message's arrival time at its destination processor
     // is determined; enables the destination task.
     const TaskId dst = g.edge_dst(e);
-    if (--task_waits[static_cast<std::size_t>(dst)] == 0) {
-      ready.emplace(task_prio[static_cast<std::size_t>(dst)], 0, dst, 0);
+    if (--task_waits_[static_cast<std::size_t>(dst)] == 0) {
+      push(task_prio_[static_cast<std::size_t>(dst)], 0, dst, 0);
     }
   };
 
-  int executed = 0;
-  while (!ready.empty()) {
-    const auto [prio, kind, id, k] = ready.top();
-    ready.pop();
+  std::size_t executed = 0;
+  while (!heap_.empty()) {
+    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+    const auto [prio, kind, id, k] = heap_.back();
+    heap_.pop_back();
     ++executed;
     if (kind == 0) {
       const auto t = static_cast<TaskId>(id);
-      const auto ti = static_cast<std::size_t>(t);
       Time drt = 0;
+      // Every in-edge's arrival is known: its source is placed and its
+      // route fully booked.
       for (const EdgeId e : g.in_edges(t)) {
-        const auto& hops = fresh.route_of(e);
-        const Time arr =
-            hops.empty()
-                ? task_finish[static_cast<std::size_t>(g.edge_src(e))]
-                : hops.back().finish;
-        BSA_ASSERT(arr != kUnsetTime, "replay ordering bug");
-        drt = std::max(drt, arr);
+        drt = std::max(drt, work_.arrival_of(e));
       }
-      const ProcId p = proc[ti];
+      const ProcId p = proc_[static_cast<std::size_t>(t)];
       const Time dur = costs.exec_cost(t, p);
-      const Time st = task_start(fresh, p, drt, dur, insertion_slots);
-      fresh.place_task(t, p, st, st + dur);
-      task_finish[ti] = st + dur;
+      const Time st = task_start(work_, p, drt, dur, insertion_slots_);
+      work_.place_task(t, p, st, st + dur);
       // Enable outgoing messages.
       for (const EdgeId e : g.out_edges(t)) {
-        if (route_links[static_cast<std::size_t>(e)].empty()) {
+        if (hops_of(e) == 0) {
           arrival_known(e);
         } else {
-          ready.emplace(hop_prio[static_cast<std::size_t>(e)][0], 1, e, 0);
+          push(hop_prio_[hop_at(e, 0)], 1, e, 0);
         }
       }
     } else {
       const auto e = static_cast<EdgeId>(id);
-      const auto ei = static_cast<std::size_t>(e);
-      const LinkId l = route_links[ei][static_cast<std::size_t>(k)];
-      BSA_ASSERT(fresh.route_of(e).size() == static_cast<std::size_t>(k),
+      const LinkId l = route_link_[hop_at(e, k)];
+      BSA_ASSERT(work_.route_of(e).size() == static_cast<std::size_t>(k),
                  "replay ordering bug (hop)");
       // Booked immediately so later searches see it.
-      book_route(fresh, costs, e, {&l, 1}, fresh.arrival_of(e),
-                 insertion_slots);
-      if (static_cast<std::size_t>(k + 1) < route_links[ei].size()) {
-        ready.emplace(hop_prio[ei][static_cast<std::size_t>(k + 1)], 1, e,
-                      k + 1);
+      book_route(work_, costs, e, {&l, 1}, work_.arrival_of(e),
+                 insertion_slots_);
+      if (k + 1 < hops_of(e)) {
+        push(hop_prio_[hop_at(e, k + 1)], 1, e, k + 1);
       } else {
         arrival_known(e);
       }
     }
   }
-  std::size_t expected = n;
-  for (const auto& links : route_links) expected += links.size();
-  BSA_ASSERT(static_cast<std::size_t>(executed) == expected,
-             "replay executed " << executed << " of " << expected
-                                << " items");
-  s = std::move(fresh);
-  return s.makespan();
+  const std::size_t expected = n + route_link_.size();
+  BSA_ASSERT(executed == expected,
+             "replay executed " << executed << " of " << expected << " items");
+  return work_.makespan();
+}
+
+void Replayer::swap_into(Schedule& s) {
+  BSA_REQUIRE(measured_, "swap_into without a measured replay");
+  BSA_REQUIRE(&s.task_graph() == &work_.task_graph() &&
+                  &s.topology() == &work_.topology(),
+              "replay result kept in a schedule over another graph or "
+              "topology");
+  s.swap(work_);
+  measured_ = false;
+}
+
+Time replay_retime(Schedule& s, const net::HeterogeneousCostModel& costs,
+                   bool insertion_slots) {
+  Replayer replayer(s.task_graph(), s.topology(), costs, insertion_slots);
+  const Time makespan = replayer.measure(s);
+  replayer.swap_into(s);
+  return makespan;
 }
 
 }  // namespace bsa::sched

@@ -1,7 +1,13 @@
 #pragma once
 
+#include <cstdint>
+#include <tuple>
+#include <vector>
+
 #include "common/types.hpp"
+#include "graph/task_graph.hpp"
 #include "network/cost_model.hpp"
+#include "network/topology.hpp"
 #include "sched/schedule.hpp"
 
 /// \file retime.hpp
@@ -18,20 +24,23 @@
 ///    recorded orders are cyclic, which can happen transiently right
 ///    after a migration re-issues outgoing routes with later hop times.
 ///
-/// 2. `replay_retime` — *order re-deriving*: keep only the assignment
-///    (task -> processor, message -> link sequence) and replay everything
-///    through insertion-based list scheduling, processing items in the
-///    order of their previous start times. This realises "bubbling up"
-///    even when the recorded orders became inconsistent; it cannot
-///    deadlock because it only depends on the (acyclic) task graph and
-///    route chains.
+/// 2. `Replayer` / `replay_retime` — *order re-deriving*: keep only the
+///    assignment (task -> processor, message -> link sequence) and replay
+///    everything through insertion-based list scheduling, processing
+///    items in the order of their previous start times. This realises
+///    "bubbling up" even when the recorded orders became inconsistent; it
+///    cannot deadlock because it only depends on the (acyclic) task graph
+///    and route chains.
 ///
-/// BSA re-times each migration with the incremental RetimeContext
-/// (retime_context.hpp), which reaches the same fixpoint as `try_retime`,
-/// and falls back to `replay_retime` on the rare cycle (see
-/// core/bsa.cpp). `try_retime` stays the reference: the test oracle
-/// behind `core::BsaOptions::validate_each_step` checks every migration
-/// against it.
+/// BSA, SA and refine re-time each move with the incremental
+/// RetimeContext (retime_context.hpp), which reaches the same fixpoint as
+/// `try_retime`, and fall back to replay on a cycle through one
+/// reusable `Replayer` workspace per run (see core/bsa.cpp and
+/// core/move_engine.cpp): the replay is measured without touching the
+/// live schedule and, when kept, swapped in — no schedule copy, no
+/// per-replay allocation in steady state. `try_retime` stays the
+/// reference: the test oracle behind `core::BsaOptions::validate_each_step`
+/// checks every migration against it.
 
 namespace bsa::sched {
 
@@ -47,13 +56,70 @@ namespace bsa::sched {
 /// the resulting makespan.
 Time retime(Schedule& s, const net::HeterogeneousCostModel& costs);
 
-/// Rebuild all times (and resource orders) by replaying the current
-/// assignment through insertion-based list scheduling. Priorities are the
-/// previous start times (ties: tasks before hops, then ids), so relative
-/// placement is preserved wherever feasible. `insertion_slots=false`
-/// replays with append-only placement instead (BSA's slot-policy
-/// ablation). Returns the resulting makespan. Requires a complete
-/// placement.
+/// Reusable workspace of the order re-deriving replay.
+///
+/// A replay keeps only the assignment of a schedule (task -> processor,
+/// message -> link sequence) and rebuilds all times and resource orders
+/// through list scheduling. Priorities are the previous start times
+/// (ties: tasks before hops, then ids), so relative placement is
+/// preserved wherever feasible. `insertion_slots=false` replays with
+/// append-only placement instead (BSA's slot-policy ablation).
+///
+/// The result is built in a schedule the workspace owns and clears in
+/// place, so its storage — and the workspace's flat route copy (CSR
+/// offsets, links, hop priorities), wait counts and heap — keeps its
+/// capacity from one replay to the next. Own one per run.
+class Replayer {
+ public:
+  /// A workspace for schedules over `g` and `topo`; all three must
+  /// outlive it.
+  Replayer(const graph::TaskGraph& g, const net::Topology& topo,
+           const net::HeterogeneousCostModel& costs,
+           bool insertion_slots = true);
+
+  Replayer(const Replayer&) = delete;
+  Replayer& operator=(const Replayer&) = delete;
+
+  /// Replay the assignment of `s` (complete placement, same graph and
+  /// topology) into the workspace and return the replayed makespan. `s`
+  /// is only read: it may be mid-transaction.
+  [[nodiscard]] Time measure(const Schedule& s);
+
+  /// Keep the last measured result: exchange it into `s` (no open
+  /// transaction). `s`'s previous content becomes the workspace's
+  /// scratch. Requires a measure since the last swap_into.
+  void swap_into(Schedule& s);
+
+  /// SlotIndex builds the workspace has performed over all replays, kept
+  /// or not; add it to the run schedule's own count for the run total.
+  [[nodiscard]] std::int64_t slot_index_builds() const noexcept {
+    return work_.slot_index_builds();
+  }
+
+ private:
+  void push(Time prio, int kind, std::int64_t id, int hop);
+
+  const net::HeterogeneousCostModel* costs_;
+  bool insertion_slots_;
+  Schedule work_;
+  bool measured_ = false;
+  // The replayed assignment: per-task processor and priority; routes
+  // flat, hops of edge e at [route_off_[e], route_off_[e + 1]).
+  std::vector<ProcId> proc_;
+  std::vector<Time> task_prio_;
+  std::vector<int> route_off_;
+  std::vector<LinkId> route_link_;
+  std::vector<Time> hop_prio_;
+  std::vector<int> task_waits_;
+  /// Ready items, a min-heap on (priority, kind 0=task 1=hop, id, hop
+  /// index).
+  using Item = std::tuple<Time, int, std::int64_t, int>;
+  std::vector<Item> heap_;
+};
+
+/// One-call replay through a temporary Replayer: rebuild all times (and
+/// resource orders) of `s` in place and return the resulting makespan.
+/// Requires a complete placement. `s` keeps its own slot_index_builds().
 Time replay_retime(Schedule& s, const net::HeterogeneousCostModel& costs,
                    bool insertion_slots = true);
 

@@ -50,10 +50,11 @@
 /// full rebuild — tests/retime_context_test.cpp checks this against
 /// `try_retime` after every delta of randomized migration streams.
 ///
-/// A failed (cyclic) delta writes no times. After the caller restores the
-/// schedule (transaction rollback or snapshot copy), `undo_migration`
-/// undoes it exactly like a successful one, in O(touched); after the
-/// caller replaces the schedule with a `replay_retime` result,
+/// A failed (cyclic) delta writes no times, so a Replayer can measure the
+/// mutated schedule as it stands. After the caller restores the schedule
+/// (transaction rollback or snapshot copy), `undo_migration` undoes the
+/// delta exactly like a successful one, in O(touched); after the caller
+/// replaces the schedule with a replay result (Replayer::swap_into),
 /// `adopt_schedule` re-reads it without a time sweep (a replay result is
 /// already a fixpoint). The context never needs a silent full rebuild.
 
@@ -94,7 +95,7 @@ class RetimeContext {
   /// O(touched).
   void undo_migration(TaskId t);
 
-  /// Re-read a schedule that was replaced wholesale (replay_retime):
+  /// Re-read a schedule that was replaced wholesale (a kept replay):
   /// rebuild the structure and the order and adopt its times. Runs no
   /// time sweep — the schedule must be a re-timing fixpoint, which a
   /// replay result is. A cyclic schedule leaves the context unusable

@@ -1,6 +1,7 @@
 #include "sched/schedule.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/check.hpp"
 
@@ -41,6 +42,32 @@ Schedule& Schedule::operator=(const Schedule& other) {
   proc_slots_.assign(other.proc_slots_.size(), SlotIndex{});
   link_slots_.assign(other.link_slots_.size(), SlotIndex{});
   return *this;
+}
+
+void Schedule::clear() {
+  BSA_REQUIRE(txn_ == nullptr, "clear of a schedule with an open transaction");
+  std::fill(placements_.begin(), placements_.end(), Placement{});
+  for (auto& order : proc_tasks_) order.clear();
+  for (auto& route : routes_) route.clear();
+  for (auto& bookings : link_bookings_) bookings.clear();
+  num_placed_ = 0;
+  for (SlotIndex& idx : proc_slots_) idx.reset();
+  for (SlotIndex& idx : link_slots_) idx.reset();
+}
+
+void Schedule::swap(Schedule& other) {
+  BSA_REQUIRE(txn_ == nullptr && other.txn_ == nullptr,
+              "swap of a schedule with an open transaction");
+  using std::swap;
+  swap(graph_, other.graph_);
+  swap(topo_, other.topo_);
+  swap(placements_, other.placements_);
+  swap(proc_tasks_, other.proc_tasks_);
+  swap(routes_, other.routes_);
+  swap(link_bookings_, other.link_bookings_);
+  swap(num_placed_, other.num_placed_);
+  swap(proc_slots_, other.proc_slots_);
+  swap(link_slots_, other.link_slots_);
 }
 
 // --- transactions -----------------------------------------------------------

@@ -182,12 +182,25 @@ class Schedule {
                                         Time duration) const;
   /// SlotIndex builds this schedule object has performed — an
   /// observability counter (docs/DESIGN_OBS.md). Deterministic: builds
-  /// depend only on the query/mutation sequence. Copies start at 0 and
-  /// copy-assignment keeps the destination's count, so the total is
-  /// exact even under snapshot-rollback restores.
+  /// depend only on the query/mutation sequence. The count belongs to the
+  /// object, not to its content: copies start at 0, and copy-assignment,
+  /// clear() and swap() keep each object's own count, so a total summed
+  /// over the objects of a run (e.g. a schedule and its Replayer) is
+  /// exact. Moves carry the count along with the content.
   [[nodiscard]] std::int64_t slot_index_builds() const noexcept {
     return slot_index_builds_;
   }
+
+  // --- wholesale ----------------------------------------------------------
+  /// Remove every placement and route in place: the schedule becomes
+  /// empty over the same graph and topology while its storage keeps its
+  /// capacity (a reused rebuild target, see Replayer). Requires no open
+  /// transaction.
+  void clear();
+  /// Exchange contents (graph, topology, placements, routes, orders and
+  /// slot caches) with `other` in O(1), each object keeping its own
+  /// slot_index_builds(). Requires no open transaction on either side.
+  void swap(Schedule& other);
 
   // --- mutation -----------------------------------------------------------
   /// Assign task `t` to processor `p` at [start, finish). Inserted into

@@ -2,16 +2,23 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <exception>
+#include <functional>
 #include <ios>
 #include <optional>
+#include <queue>
 #include <sstream>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/bsa.hpp"
+#include "network/cost_model.hpp"
+#include "sched/link_probe.hpp"
 #include "sched/schedule.hpp"
 #include "sched/validate.hpp"
 
@@ -30,9 +37,97 @@
 ///    off, and compare it with a pinned digest / migration / rejection
 ///    triple. The pins were taken from the build that still carried the
 ///    full-rebuild, snapshot-rollback and per-call-allocating reference
-///    engines as BSA options, where all engine combinations agreed.
+///    engines as BSA options, where all engine combinations agreed;
+///  * reference_replay — the replay as it was before sched::Replayer: a
+///    freshly allocated schedule, per-edge route vectors and a
+///    std::priority_queue, move-assigned over the input. The workspace
+///    must reproduce it bit for bit.
 
 namespace bsa::testing {
+
+/// The former sched::replay_retime, kept verbatim as the oracle of
+/// sched::Replayer: rebuild `s` by replaying its assignment through list
+/// scheduling, items in the order of their previous start times (ties:
+/// tasks before hops, then ids). Returns the makespan.
+inline Time reference_replay(sched::Schedule& s,
+                             const net::HeterogeneousCostModel& costs,
+                             bool insertion_slots) {
+  const auto& g = s.task_graph();
+  const auto n = static_cast<std::size_t>(g.num_tasks());
+  std::vector<ProcId> proc(n);
+  std::vector<Time> task_prio(n);
+  for (TaskId t = 0; t < g.num_tasks(); ++t) {
+    proc[static_cast<std::size_t>(t)] = s.proc_of(t);
+    task_prio[static_cast<std::size_t>(t)] = s.start_of(t);
+  }
+  std::vector<std::vector<LinkId>> route_links(
+      static_cast<std::size_t>(g.num_edges()));
+  std::vector<std::vector<Time>> hop_prio(
+      static_cast<std::size_t>(g.num_edges()));
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    for (const sched::Hop& h : s.route_of(e)) {
+      route_links[static_cast<std::size_t>(e)].push_back(h.link);
+      hop_prio[static_cast<std::size_t>(e)].push_back(h.start);
+    }
+  }
+  sched::Schedule fresh(g, s.topology());
+  std::vector<Time> task_finish(n, kUnsetTime);
+  using Key = std::tuple<Time, int, std::int64_t, int>;
+  std::priority_queue<Key, std::vector<Key>, std::greater<>> ready;
+  std::vector<int> task_waits(n, 0);
+  for (TaskId t = 0; t < g.num_tasks(); ++t) {
+    task_waits[static_cast<std::size_t>(t)] = g.in_degree(t);
+    if (g.in_degree(t) == 0) {
+      ready.emplace(task_prio[static_cast<std::size_t>(t)], 0, t, 0);
+    }
+  }
+  auto arrival_known = [&](EdgeId e) {
+    const TaskId dst = g.edge_dst(e);
+    if (--task_waits[static_cast<std::size_t>(dst)] == 0) {
+      ready.emplace(task_prio[static_cast<std::size_t>(dst)], 0, dst, 0);
+    }
+  };
+  while (!ready.empty()) {
+    const auto [prio, kind, id, k] = ready.top();
+    ready.pop();
+    if (kind == 0) {
+      const auto t = static_cast<TaskId>(id);
+      Time drt = 0;
+      for (const EdgeId e : g.in_edges(t)) {
+        const auto& hops = fresh.route_of(e);
+        drt = std::max(drt, hops.empty() ? task_finish[static_cast<std::size_t>(
+                                               g.edge_src(e))]
+                                         : hops.back().finish);
+      }
+      const ProcId p = proc[static_cast<std::size_t>(t)];
+      const Time dur = costs.exec_cost(t, p);
+      const Time st = sched::task_start(fresh, p, drt, dur, insertion_slots);
+      fresh.place_task(t, p, st, st + dur);
+      task_finish[static_cast<std::size_t>(t)] = st + dur;
+      for (const EdgeId e : g.out_edges(t)) {
+        if (route_links[static_cast<std::size_t>(e)].empty()) {
+          arrival_known(e);
+        } else {
+          ready.emplace(hop_prio[static_cast<std::size_t>(e)][0], 1, e, 0);
+        }
+      }
+    } else {
+      const auto e = static_cast<EdgeId>(id);
+      const auto ei = static_cast<std::size_t>(e);
+      const LinkId l = route_links[ei][static_cast<std::size_t>(k)];
+      sched::book_route(fresh, costs, e, {&l, 1}, fresh.arrival_of(e),
+                        insertion_slots);
+      if (static_cast<std::size_t>(k + 1) < route_links[ei].size()) {
+        ready.emplace(hop_prio[ei][static_cast<std::size_t>(k + 1)], 1, e,
+                      k + 1);
+      } else {
+        arrival_known(e);
+      }
+    }
+  }
+  s = std::move(fresh);
+  return s.makespan();
+}
 
 /// Bit-exact schedule comparison: placements, per-processor orders,
 /// routes (hop links and times) and link-booking orders. Returns a

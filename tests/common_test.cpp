@@ -221,6 +221,24 @@ TEST(Cli, DefaultsAndErrors) {
   EXPECT_THROW((void)cli.get_int("n", 0), PreconditionError);
 }
 
+TEST(Cli, RequireKnownNamesEveryUndeclaredFlag) {
+  const char* argv[] = {"prog", "g.tg",  "--algo",       "dls",
+                        "--hett", "2",   "--bogus-flag", "3"};
+  CliParser cli(8, argv);
+  EXPECT_NO_THROW(cli.require_known({"algo", "hett", "bogus-flag", "het"}));
+  try {
+    cli.require_known({"algo", "het"});
+    FAIL() << "undeclared flags accepted";
+  } catch (const PreconditionError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("--hett"), std::string::npos) << what;
+    EXPECT_NE(what.find("--bogus-flag"), std::string::npos) << what;
+    EXPECT_EQ(what.find("--algo"), std::string::npos) << what;
+  }
+  const char* bare[] = {"prog", "pos"};
+  EXPECT_NO_THROW(CliParser(2, bare).require_known({}));
+}
+
 TEST(Cli, RepeatedFlagsCollectInOrderAndScalarsUseTheLast) {
   const char* argv[] = {"prog", "--algo=a", "--algo", "b", "--algo=c"};
   CliParser cli(5, argv);

@@ -541,6 +541,167 @@ TEST(MoveEngineRetime, ReplaysNeverForceAFullRebuild) {
   EXPECT_GT(engine.retime_stats().undos, 0);
 }
 
+TEST(MoveEngineRetime, EvaluateMeasuresLikeTheSnapshotCopyPath) {
+  // The former evaluation restored the schedule, copied it, re-applied
+  // the move and replayed the copy. The engine now replays the mutated
+  // schedule in its workspace before rolling back; every measured length
+  // — replayed or re-timed — must equal that reference, and evaluate
+  // must leave the schedule text untouched.
+  const auto seed = derive_seed(5, 17);
+  workloads::RandomDagParams params;
+  params.num_tasks = 30;
+  params.granularity = 1.0;
+  params.seed = seed;
+  const auto g = workloads::random_layered_dag(params);
+  const auto topo = exp::make_topology("ring", 8, seed);
+  const auto cm = net::HeterogeneousCostModel::uniform_processor_speeds(
+      g, topo, 1, 50, 1, 50, derive_seed(seed, 17));
+  const net::RoutingTable table(topo);
+  Schedule s =
+      sched::SchedulerRegistry::global().resolve("heft")->run(g, topo, cm, 1).schedule;
+  core::MoveEngine engine(s, cm);
+  std::int64_t replayed = 0;
+  // Every move from the start schedule and from four later ones, each
+  // reached by applying one move (an SA-style walk).
+  for (int round = 0; round < 5; ++round) {
+    if (round > 0) {
+      const auto t = static_cast<TaskId>((7 * round) % g.num_tasks());
+      engine.apply(t, (s.proc_of(t) + 3) % topo.num_processors());
+    }
+    const std::string pristine = sched::schedule_to_text(s);
+    for (TaskId t = 0; t < g.num_tasks(); ++t) {
+      for (ProcId p = 0; p < topo.num_processors(); ++p) {
+        if (p == s.proc_of(t)) continue;
+        const std::int64_t fallbacks = engine.stats().replay_fallbacks;
+        const Time len = engine.evaluate(t, p);
+        ASSERT_EQ(sched::schedule_to_text(s), pristine) << t << "->" << p;
+        const bool fell_back = engine.stats().replay_fallbacks > fallbacks;
+        replayed += fell_back;
+        Schedule snapshot = s;
+        move_task(snapshot, cm, table, t, p);
+        const bool reference_retimed =
+            sched::try_retime(snapshot, cm, nullptr);
+        ASSERT_EQ(fell_back, !reference_retimed) << t << "->" << p;
+        if (!reference_retimed) {
+          (void)testing::reference_replay(snapshot, cm, true);
+        }
+        ASSERT_EQ(len, snapshot.makespan()) << t << "->" << p;
+      }
+    }
+  }
+  EXPECT_GT(replayed, 20);
+}
+
+// --- the replay workspace -----------------------------------------------------
+
+TEST(ReplayerWorkspace, ReusedWorkspaceEqualsTheFormerReplay) {
+  // One workspace per slot mode, reused over consecutive schedules of
+  // one instance (every registered list scheduler's, BSA's, and the
+  // replays of those): measure leaves its input untouched, and the kept
+  // result equals both the former replay (fresh schedule, per-edge
+  // vectors) and replay_retime on a copy.
+  const auto seed = derive_seed(23, 5);
+  workloads::RandomDagParams params;
+  params.num_tasks = 40;
+  params.granularity = 0.5;
+  params.seed = seed;
+  const auto g = workloads::random_layered_dag(params);
+  const auto topo = exp::make_topology("ring", 8, seed);
+  const auto cm = net::HeterogeneousCostModel::uniform_processor_speeds(
+      g, topo, 1, 20, 1, 10, derive_seed(seed, 3));
+  std::vector<Schedule> inputs;
+  for (const char* spec : {"heft", "bsa", "dls", "mh", "peft", "eft"}) {
+    inputs.push_back(
+        sched::SchedulerRegistry::global().resolve(spec)->run(g, topo, cm, 1)
+            .schedule);
+  }
+  for (const bool insertion : {true, false}) {
+    sched::Replayer replayer(g, topo, cm, insertion);
+    std::vector<Schedule> chain = inputs;
+    for (std::size_t i = 0; i < chain.size(); ++i) {
+      const std::string where = std::to_string(i) +
+                                (insertion ? " insertion" : " append");
+      const std::string before = sched::schedule_to_text(chain[i]);
+      // A measure that is not kept leaves nothing behind.
+      (void)replayer.measure(chain[(i + 1) % chain.size()]);
+      const Time makespan = replayer.measure(chain[i]);
+      ASSERT_EQ(sched::schedule_to_text(chain[i]), before) << where;
+
+      Schedule expected = chain[i];
+      const Time expected_makespan =
+          testing::reference_replay(expected, cm, insertion);
+      Schedule wrapped = chain[i];
+      const Time wrapped_makespan =
+          sched::replay_retime(wrapped, cm, insertion);
+      Schedule kept = chain[i];
+      // Build kept's slot indexes: after the swap the workspace holds
+      // them, and its next replay must not answer from them.
+      for (int round = 0; round < 3; ++round) {
+        for (ProcId p = 0; p < topo.num_processors(); ++p) {
+          (void)kept.earliest_task_slot(p, 0, 1);
+        }
+        for (LinkId l = 0; l < topo.num_links(); ++l) {
+          (void)kept.earliest_link_slot(l, 0, 1);
+        }
+      }
+      replayer.swap_into(kept);
+
+      EXPECT_EQ(makespan, expected_makespan) << where;
+      EXPECT_EQ(wrapped_makespan, expected_makespan) << where;
+      ASSERT_EQ(diff_schedules(kept, expected), "") << where;
+      ASSERT_EQ(sched::schedule_to_text(wrapped),
+                sched::schedule_to_text(kept))
+          << where;
+      ASSERT_TRUE(sched::validate(kept, cm).ok()) << where;
+      // Replay the replays too, up to three rounds per input.
+      if (chain.size() < 3 * inputs.size()) chain.push_back(std::move(kept));
+    }
+  }
+}
+
+TEST(ReplayerWorkspace, KeptReplayNeverLowersTheSlotIndexBuildCount) {
+  // The build count belongs to the schedule object: keeping a replay
+  // (which swaps in a schedule built elsewhere) must not reset it, and
+  // the builds the workspace performed are its own.
+  const auto seed = derive_seed(9, 2);
+  workloads::RandomDagParams params;
+  params.num_tasks = 40;
+  params.seed = seed;
+  const auto g = workloads::random_layered_dag(params);
+  const auto topo = exp::make_topology("ring", 4, seed);
+  const auto cm = net::HeterogeneousCostModel::homogeneous(g, topo);
+  Schedule s =
+      sched::SchedulerRegistry::global().resolve("heft")->run(g, topo, cm, 1).schedule;
+  for (int round = 0; round < 4; ++round) {
+    for (ProcId p = 0; p < topo.num_processors(); ++p) {
+      (void)s.earliest_task_slot(p, 0, 1);
+    }
+    for (LinkId l = 0; l < topo.num_links(); ++l) {
+      (void)s.earliest_link_slot(l, 0, 1);
+    }
+  }
+  const std::int64_t built = s.slot_index_builds();
+  ASSERT_GT(built, 0);
+
+  (void)sched::replay_retime(s, cm, true);
+  EXPECT_EQ(s.slot_index_builds(), built);
+
+  sched::Replayer replayer(g, topo, cm, true);
+  for (int i = 0; i < 3; ++i) {
+    (void)replayer.measure(s);
+    replayer.swap_into(s);
+    EXPECT_EQ(s.slot_index_builds(), built);
+  }
+  EXPECT_GE(replayer.slot_index_builds(), 0);
+
+  // A copy starts at zero; clear() keeps the object's count.
+  Schedule copy = s;
+  EXPECT_EQ(copy.slot_index_builds(), 0);
+  s.clear();
+  EXPECT_EQ(s.slot_index_builds(), built);
+  EXPECT_EQ(s.num_placed(), 0);
+}
+
 // --- refine on the context ----------------------------------------------------
 
 TEST(RefineRetimeDelta, ValidMonotoneAndDeterministic) {
