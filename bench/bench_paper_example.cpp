@@ -89,7 +89,7 @@ int main() {
 
   const auto dls = baselines::schedule_dls(g, topo, cm);
   std::cout << "BSA schedule length: " << result.schedule_length()
-            << "  |  DLS schedule length: " << dls.schedule_length()
+            << "  |  DLS schedule length: " << dls.schedule.makespan()
             << "  |  lower bound: "
             << sched::schedule_length_lower_bound(g, cm) << '\n';
   return 0;

@@ -209,6 +209,11 @@ void run_and_print(const SweepConfig& cfg, const std::string& figure_name,
 int run_figure_bench(const CliParser& cli, SweepConfig config,
                      const std::string& figure_name) {
   try {
+    // Exactly the flags apply_cli reads: a typo such as --algoo fails
+    // instead of running the default columns.
+    cli.require_known({"full", "seeds", "procs", "per-pair", "algo", "eft",
+                       "csv", "seed", "threads", "jobs", "out", "progress",
+                       "trace"});
     apply_cli(cli, &config);
     run_and_print(config, figure_name, std::cout);
   } catch (const std::exception& e) {

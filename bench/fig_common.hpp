@@ -66,10 +66,11 @@ void apply_cli(const CliParser& cli, SweepConfig* config);
 void run_and_print(const SweepConfig& config, const std::string& figure_name,
                    std::ostream& os);
 
-/// apply_cli + run_and_print with clean error reporting: bad flag values
-/// (e.g. a typoed --algo spec) print `error: ...` to stderr and return
-/// exit code 1 instead of terminating on the uncaught exception. The
-/// figure drivers' main() is one call to this.
+/// apply_cli + run_and_print with clean error reporting: an undeclared
+/// flag (e.g. --algoo) or a bad flag value (e.g. a typoed --algo spec)
+/// prints `error: ...` to stderr and returns exit code 1 instead of
+/// terminating on the uncaught exception. The figure drivers' main() is
+/// one call to this.
 [[nodiscard]] int run_figure_bench(const CliParser& cli, SweepConfig config,
                                    const std::string& figure_name);
 

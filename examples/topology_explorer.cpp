@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
       const auto bsa_result = core::schedule_bsa(g, topo, cm);
       const auto dls_result = baselines::schedule_dls(g, topo, cm);
       bsa_sum += bsa_result.schedule_length();
-      dls_sum += dls_result.schedule_length();
+      dls_sum += dls_result.schedule.makespan();
       const auto m = sched::compute_metrics(bsa_result.schedule, cm);
       hops += m.total_hops;
       crossing += m.num_crossing_messages;

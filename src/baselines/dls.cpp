@@ -30,27 +30,15 @@ std::vector<Cost> compute_static_levels(
 
 }  // namespace
 
-DlsResult schedule_dls(const graph::TaskGraph& g, const net::Topology& topo,
-                       const net::HeterogeneousCostModel& costs,
-                       const DlsOptions& options) {
-  BSA_REQUIRE(g.num_tasks() >= 1, "empty task graph");
-  BSA_REQUIRE(costs.num_tasks() == g.num_tasks() &&
-                  costs.num_processors() == topo.num_processors(),
-              "cost model does not match graph/topology");
+sched::RankScheduleResult schedule_dls(
+    const graph::TaskGraph& g, const net::Topology& topo,
+    const net::HeterogeneousCostModel& costs, const DlsOptions& options) {
   const net::RoutingTable table(topo);
-  DlsResult result{sched::Schedule(g, topo), compute_static_levels(g, costs)};
-  sched::Schedule& s = result.schedule;
-
-  // Ready pool: tasks with all predecessors scheduled.
-  std::vector<int> missing_preds(static_cast<std::size_t>(g.num_tasks()));
-  std::vector<TaskId> ready;
-  for (TaskId t = 0; t < g.num_tasks(); ++t) {
-    missing_preds[static_cast<std::size_t>(t)] = g.in_degree(t);
-    if (g.in_degree(t) == 0) ready.push_back(t);
-  }
-
-  // Processor-finish times (append semantics of the TF term).
-  std::vector<Time> tf(static_cast<std::size_t>(topo.num_processors()), 0);
+  sched::RankScheduleResult result{sched::Schedule(g, topo), {}, {}};
+  // TF(P_x) is the append slot rule: the finish of P_x's last task.
+  ListRun run(result, table, costs, /*insertion=*/false);
+  result.ranks = compute_static_levels(g, costs);
+  const sched::Schedule& s = result.schedule;
 
   // Tie order among equal dynamic levels: smallest ids when seed == 0,
   // otherwise a deterministic hash shuffle of the (task, processor)
@@ -88,12 +76,11 @@ DlsResult schedule_dls(const graph::TaskGraph& g, const net::Topology& topo,
   std::vector<std::vector<std::size_t>> watchers(
       static_cast<std::size_t>(topo.num_links()));
   std::vector<LinkId> routed;
-  DataReadyProbe probe(s, table, costs);
   const auto data_arrival = [&](TaskId t, ProcId p) {
     const std::size_t pair = pair_of(t, p);
     if (da_valid[pair] == 0) {
       routed.clear();
-      da_cache[pair] = probe.tentative(t, p, &routed);
+      da_cache[pair] = run.probe().tentative(t, p, &routed);
       da_valid[pair] = 1;
       for (const LinkId l : routed) {
         watchers[static_cast<std::size_t>(l)].push_back(pair);
@@ -102,17 +89,19 @@ DlsResult schedule_dls(const graph::TaskGraph& g, const net::Topology& topo,
     return da_cache[pair];
   };
 
-  while (!ready.empty()) {
+  while (!run.ready().empty()) {
     // Evaluate every (ready task, processor) pair.
+    const std::vector<TaskId>& ready = run.ready();
+    std::size_t best_i = 0;
     TaskId best_task = kInvalidTask;
     ProcId best_proc = kInvalidProc;
     Time best_start = 0;
     double best_dl = 0;
-    for (const TaskId t : ready) {
-      const Cost sl_star = result.static_levels[static_cast<std::size_t>(t)];
+    for (std::size_t i = 0; i < ready.size(); ++i) {
+      const TaskId t = ready[i];
+      const Cost sl_star = result.ranks[static_cast<std::size_t>(t)];
       for (ProcId p = 0; p < m; ++p) {
-        const Time start =
-            std::max(data_arrival(t, p), tf[static_cast<std::size_t>(p)]);
+        const Time start = run.task_slot(p, data_arrival(t, p), 0);
         const double delta =
             costs.median_exec_cost(t) - costs.exec_cost(t, p);
         const double dl = sl_star - start + delta;
@@ -120,6 +109,7 @@ DlsResult schedule_dls(const graph::TaskGraph& g, const net::Topology& topo,
             best_task == kInvalidTask || dl > best_dl + kTimeEpsilon ||
             (time_eq(dl, best_dl) && tie_wins(t, p, best_task, best_proc));
         if (better) {
+          best_i = i;
           best_task = t;
           best_proc = p;
           best_start = start;
@@ -130,13 +120,9 @@ DlsResult schedule_dls(const graph::TaskGraph& g, const net::Topology& topo,
     BSA_ASSERT(best_task != kInvalidTask, "no schedulable pair found");
 
     // Commit: book the message routes, then the task itself.
-    const Time da = probe.commit(best_task, best_proc);
-    const Time start = std::max(da, tf[static_cast<std::size_t>(best_proc)]);
+    const Time start = run.commit(best_i, best_proc);
     BSA_ASSERT(time_eq(start, best_start),
                "tentative/commit divergence for task " << best_task);
-    const Time dur = costs.exec_cost(best_task, best_proc);
-    s.place_task(best_task, best_proc, start, start + dur);
-    tf[static_cast<std::size_t>(best_proc)] = start + dur;
     for (const EdgeId e : g.in_edges(best_task)) {
       for (const sched::Hop& hop : s.route_of(e)) {
         auto& stale = watchers[static_cast<std::size_t>(hop.link)];
@@ -144,16 +130,7 @@ DlsResult schedule_dls(const graph::TaskGraph& g, const net::Topology& topo,
         stale.clear();
       }
     }
-
-    // Update the ready pool.
-    ready.erase(std::find(ready.begin(), ready.end(), best_task));
-    for (const EdgeId e : g.out_edges(best_task)) {
-      const TaskId d = g.edge_dst(e);
-      if (--missing_preds[static_cast<std::size_t>(d)] == 0) {
-        ready.push_back(d);
-      }
-    }
-    std::sort(ready.begin(), ready.end());
+    run.sort_ready();
   }
   BSA_ASSERT(s.all_placed(), "DLS left tasks unscheduled");
   return result;

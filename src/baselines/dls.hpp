@@ -1,13 +1,12 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "common/types.hpp"
 #include "graph/task_graph.hpp"
 #include "network/cost_model.hpp"
 #include "network/topology.hpp"
-#include "sched/schedule.hpp"
+#include "sched/rank_schedulers.hpp"
 
 /// \file dls.hpp
 /// The Dynamic Level Scheduling (DLS) baseline of Sih & Lee (IEEE TPDS
@@ -26,6 +25,10 @@
 /// the time P_x finishes its last scheduled task, and
 /// Δ(T_i,P_x) = median_exec(T_i) − exec(T_i,P_x) accounts for processor
 /// heterogeneity (large when P_x is fast for T_i).
+///
+/// DLS shares the ready pool and commit step of the static-priority list
+/// schedulers (baselines::ListRun, append task slots) and returns their
+/// result, with the static levels as its `ranks`.
 ///
 /// DA(T_i,P_x) is cached per pair: a ready task's predecessors are all
 /// placed and nothing is ever un-booked, so it changes only when a hop is
@@ -46,17 +49,10 @@ struct DlsOptions {
   std::uint64_t seed = 0;
 };
 
-struct DlsResult {
-  sched::Schedule schedule;
-  /// Static levels (indexed by TaskId) used for the dynamic levels.
-  std::vector<Cost> static_levels;
-  [[nodiscard]] Time schedule_length() const { return schedule.makespan(); }
-};
-
-/// Run DLS. The returned schedule is complete and valid.
-[[nodiscard]] DlsResult schedule_dls(const graph::TaskGraph& g,
-                                     const net::Topology& topo,
-                                     const net::HeterogeneousCostModel& costs,
-                                     const DlsOptions& options = {});
+/// Run DLS. The returned schedule is complete and valid; `ranks` holds
+/// the static levels SL* used for the dynamic levels.
+[[nodiscard]] sched::RankScheduleResult schedule_dls(
+    const graph::TaskGraph& g, const net::Topology& topo,
+    const net::HeterogeneousCostModel& costs, const DlsOptions& options = {});
 
 }  // namespace bsa::baselines

@@ -51,6 +51,23 @@ Time DataReadyProbe::data_ready(TaskId t, ProcId p,
   return drt;
 }
 
+Time DataReadyProbe::contention_free(TaskId t, ProcId p) {
+  const auto& g = s_.task_graph();
+  Time drt = 0;
+  for (const EdgeId e : g.in_edges(t)) {
+    const TaskId src = g.edge_src(e);
+    BSA_REQUIRE(s_.is_placed(src), "predecessor " << src << " not scheduled");
+    const ProcId ps = s_.proc_of(src);
+    Time ready = s_.finish_of(src);
+    if (ps != p) {
+      table_.route_into(ps, p, links_);
+      for (const LinkId l : links_) ready += costs_.comm_cost(e, l);
+    }
+    drt = std::max(drt, ready);
+  }
+  return drt;
+}
+
 Time incoming_data_ready(sched::Schedule& s, const net::RoutingTable& table,
                          const net::HeterogeneousCostModel& costs, TaskId t,
                          ProcId p, bool commit) {
@@ -58,24 +75,46 @@ Time incoming_data_ready(sched::Schedule& s, const net::RoutingTable& table,
   return commit ? probe.commit(t, p) : probe.tentative(t, p);
 }
 
-Time incoming_data_ready_no_contention(
-    const sched::Schedule& s, const net::RoutingTable& table,
-    const net::HeterogeneousCostModel& costs, TaskId t, ProcId p) {
-  const auto& g = s.task_graph();
-  Time drt = 0;
-  for (const EdgeId e : g.in_edges(t)) {
-    const TaskId src = g.edge_src(e);
-    BSA_REQUIRE(s.is_placed(src), "predecessor " << src << " not scheduled");
-    const ProcId ps = s.proc_of(src);
-    Time ready = s.finish_of(src);
-    if (ps != p) {
-      for (const LinkId l : table.route(ps, p)) {
-        ready += costs.comm_cost(e, l);
-      }
-    }
-    drt = std::max(drt, ready);
+ListRun::ListRun(sched::RankScheduleResult& out,
+                 const net::RoutingTable& table,
+                 const net::HeterogeneousCostModel& costs, bool insertion)
+    : s_(out.schedule),
+      order_(out.order),
+      costs_(costs),
+      insertion_(insertion),
+      probe_(out.schedule, table, costs),
+      proc_free_(static_cast<std::size_t>(costs.num_processors()), 0) {
+  const graph::TaskGraph& g = s_.task_graph();
+  BSA_REQUIRE(g.num_tasks() >= 1, "empty task graph");
+  BSA_REQUIRE(costs.num_tasks() == g.num_tasks() &&
+                  costs.num_processors() == s_.topology().num_processors(),
+              "cost model does not match graph/topology");
+  order_.reserve(static_cast<std::size_t>(g.num_tasks()));
+  missing_preds_.resize(static_cast<std::size_t>(g.num_tasks()));
+  for (TaskId t = 0; t < g.num_tasks(); ++t) {
+    missing_preds_[static_cast<std::size_t>(t)] = g.in_degree(t);
+    if (g.in_degree(t) == 0) ready_.push_back(t);
   }
-  return drt;
+}
+
+Time ListRun::commit(std::size_t i, ProcId p) {
+  const TaskId t = ready_[i];
+  ready_.erase(ready_.begin() + static_cast<std::ptrdiff_t>(i));
+  const Time da = probe_.commit(t, p);
+  const Time dur = costs_.exec_cost(t, p);
+  const Time start = task_slot(p, da, dur);
+  s_.place_task(t, p, start, start + dur);
+  Time& last = proc_free_[static_cast<std::size_t>(p)];
+  last = std::max(last, start + dur);
+  order_.push_back(t);
+  const graph::TaskGraph& g = s_.task_graph();
+  for (const EdgeId e : g.out_edges(t)) {
+    const TaskId d = g.edge_dst(e);
+    if (--missing_preds_[static_cast<std::size_t>(d)] == 0) {
+      ready_.push_back(d);
+    }
+  }
+  return start;
 }
 
 }  // namespace bsa::baselines

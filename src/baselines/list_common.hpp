@@ -1,5 +1,7 @@
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <vector>
 
 #include "common/types.hpp"
@@ -7,14 +9,16 @@
 #include "network/cost_model.hpp"
 #include "network/routing.hpp"
 #include "sched/link_probe.hpp"
+#include "sched/rank_schedulers.hpp"
 #include "sched/schedule.hpp"
 
 /// \file list_common.hpp
 /// Machinery shared by the traditional list-scheduling baselines (DLS, MH,
-/// HEFT, PEFT and the contention-oblivious EFT): routing a task's incoming
-/// messages along pre-computed shortest-path routes while booking
-/// contended link slots by the rule every scheduler shares
-/// (sched::book_route / sched::LinkProbe, link_probe.hpp).
+/// HEFT, PEFT and the contention-oblivious EFT): the data-ready probe that
+/// routes a task's incoming messages along pre-computed shortest-path
+/// routes while booking contended link slots by the rule every scheduler
+/// shares (sched::book_route / sched::LinkProbe, link_probe.hpp), and the
+/// ready pool and commit step of one list-scheduler run (ListRun).
 ///
 /// This is exactly the "routing table" design the paper contrasts BSA
 /// against (§1): routes are fixed per processor pair; only the time slots
@@ -32,6 +36,7 @@ namespace bsa::baselines {
 /// tentative() is a probe trial and leaves `s` untouched; commit() books
 /// the same hops with sched::book_route. Both give identical times
 /// because the messages are booked in the same deterministic order.
+/// contention_free() is the estimate with every link idle.
 /// All of `t`'s predecessors must be placed.
 class DataReadyProbe {
  public:
@@ -44,6 +49,9 @@ class DataReadyProbe {
   [[nodiscard]] Time tentative(TaskId t, ProcId p,
                                std::vector<LinkId>* links = nullptr);
   Time commit(TaskId t, ProcId p);
+  /// Contention-oblivious estimate: every hop starts the moment its data
+  /// is available, as if links were idle (EFT's decisions).
+  [[nodiscard]] Time contention_free(TaskId t, ProcId p);
 
  private:
   template <bool Commit>
@@ -64,11 +72,49 @@ class DataReadyProbe {
                                        const net::HeterogeneousCostModel& costs,
                                        TaskId t, ProcId p, bool commit);
 
-/// Contention-oblivious estimate of the same quantity: every hop starts
-/// the moment its data is available (links are assumed idle). Used by the
-/// EFT ablation baseline for its *decisions*.
-[[nodiscard]] Time incoming_data_ready_no_contention(
-    const sched::Schedule& s, const net::RoutingTable& table,
-    const net::HeterogeneousCostModel& costs, TaskId t, ProcId p);
+/// The ready pool and commit step of one list-scheduler run. The pool
+/// holds the tasks whose predecessors are all placed: the sources by
+/// ascending id, then each commit's newly ready successors in out-edge
+/// order. A scheduler picks a ready task and a processor by probing
+/// (probe(), task_slot()), then commit() books it. Tasks take their
+/// processor slot by `insertion` (sched::task_start's rule); messages
+/// always take insertion-based link slots.
+class ListRun {
+ public:
+  /// Fill `out.schedule` (empty) and `out.order`; `out`, `table` and
+  /// `costs` must outlive the run.
+  ListRun(sched::RankScheduleResult& out, const net::RoutingTable& table,
+          const net::HeterogeneousCostModel& costs, bool insertion);
+
+  [[nodiscard]] const std::vector<TaskId>& ready() const noexcept {
+    return ready_;
+  }
+  [[nodiscard]] DataReadyProbe& probe() noexcept { return probe_; }
+
+  /// Start the slot rule gives a task of `duration` on `p` whose data is
+  /// ready at `ready`: the earliest idle gap, or after `p`'s last task.
+  [[nodiscard]] Time task_slot(ProcId p, Time ready, Time duration) const {
+    if (insertion_) return s_.earliest_task_slot(p, ready, duration);
+    return std::max(ready, proc_free_[static_cast<std::size_t>(p)]);
+  }
+
+  /// Book the messages of ready()[i] to `p`, place it in its slot,
+  /// append it to the order and release its successors into the pool.
+  /// Returns its start time.
+  Time commit(std::size_t i, ProcId p);
+
+  /// Reorder the pool by ascending task id.
+  void sort_ready() { std::sort(ready_.begin(), ready_.end()); }
+
+ private:
+  sched::Schedule& s_;
+  std::vector<TaskId>& order_;
+  const net::HeterogeneousCostModel& costs_;
+  bool insertion_;
+  DataReadyProbe probe_;
+  std::vector<TaskId> ready_;
+  std::vector<int> missing_preds_;  // by TaskId
+  std::vector<Time> proc_free_;     // by ProcId: finish of its last task
+};
 
 }  // namespace bsa::baselines

@@ -1,5 +1,5 @@
-#include <algorithm>
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -7,8 +7,6 @@
 #include <vector>
 
 #include "baselines/dls.hpp"
-#include "baselines/eft.hpp"
-#include "baselines/mh.hpp"
 #include "core/bsa.hpp"
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
@@ -17,14 +15,15 @@
 #include "sched/scheduler.hpp"
 
 /// \file builtin_schedulers.cpp
-/// Adapters that put the library's algorithms — BSA, the DLS, MH and EFT
-/// baselines, the HEFT/PEFT rank schedulers and the simulated-annealing
-/// refiner — behind the unified sched::Scheduler interface, and their
-/// registration with the global SchedulerRegistry. The existing free
-/// functions (core::schedule_bsa, baselines::schedule_*,
-/// sched::schedule_heft/peft, sched::anneal_schedule) remain the
-/// implementation and keep their white-box result structs; the adapters
-/// only translate options and package results.
+/// Adapters that put the library's algorithms — BSA, the list schedulers
+/// (DLS, EFT, MH, HEFT, PEFT; one adapter class) and the
+/// simulated-annealing refiner — behind the unified sched::Scheduler
+/// interface, and their registration with the global SchedulerRegistry.
+/// The existing free functions (core::schedule_bsa,
+/// baselines::schedule_dls, sched::schedule_heft/peft/mh/eft_oblivious,
+/// sched::anneal_schedule) remain the implementation and keep their
+/// white-box result structs; the adapters only translate options and
+/// package results.
 
 namespace bsa::sched {
 namespace {
@@ -156,133 +155,46 @@ class BsaScheduler final : public Scheduler {
   std::string spec_;
 };
 
-// --- DLS --------------------------------------------------------------------
+// --- list schedulers (DLS, EFT, MH, HEFT, PEFT) -----------------------------
 
-class DlsScheduler final : public Scheduler {
+class ListScheduler final : public Scheduler {
  public:
-  explicit DlsScheduler(const SpecOptions& opts)
-      : seed_(opts.get_uint64("seed", 0)) {
-    std::vector<std::string> parts;
-    if (seed_ != 0) parts.push_back("seed=" + std::to_string(seed_));
-    spec_ = canonical_spec("dls", std::move(parts));
-  }
+  using Fn = std::function<RankScheduleResult(
+      const graph::TaskGraph&, const net::Topology&,
+      const net::HeterogeneousCostModel&)>;
+
+  ListScheduler(std::string spec, std::string display_name, Fn fn)
+      : spec_(std::move(spec)),
+        display_name_(std::move(display_name)),
+        fn_(std::move(fn)) {}
 
   [[nodiscard]] std::string spec() const override { return spec_; }
-  [[nodiscard]] std::string display_name() const override { return "DLS"; }
+  [[nodiscard]] std::string display_name() const override {
+    return display_name_;
+  }
 
   [[nodiscard]] SchedulerResult run(const graph::TaskGraph& g,
                                     const net::Topology& topo,
                                     const net::HeterogeneousCostModel& costs,
                                     std::uint64_t /*seed*/) const override {
-    // The caller seed is deliberately ignored: the default DLS is fully
-    // deterministic (ties towards smaller ids, as in the legacy enum
-    // dispatch); randomised tie-breaking is opted into by pinning seed=.
-    baselines::DlsOptions opt;
-    opt.seed = seed_;
+    // The caller seed is deliberately ignored: the list schedulers are
+    // fully deterministic (DLS ties towards smaller ids, as in the legacy
+    // enum dispatch); DLS's randomised tie-breaking is opted into by
+    // pinning seed=.
     // lint:allow(wall-clock): phase wall-time reporting only, never a result
     const auto t0 = Clock::now();
-    baselines::DlsResult r = baselines::schedule_dls(g, topo, costs, opt);
+    RankScheduleResult r = fn_(g, topo, costs);
     const double ms = ms_since(t0);
-    Cost max_sl = 0;
-    for (const Cost sl : r.static_levels) max_sl = std::max(max_sl, sl);
     SchedulerResult out(std::move(r.schedule));
     out.phase_ms = {{"schedule", ms}};
-    // Static levels are integral sums of integral costs — exact as a
-    // counter.
-    out.counters = {{"dls.max_static_level", static_cast<std::int64_t>(max_sl)}};
     audit_result(out.schedule, costs, spec());
     return out;
   }
 
  private:
-  std::uint64_t seed_;
   std::string spec_;
-};
-
-// --- EFT / MH ---------------------------------------------------------------
-
-class EftScheduler final : public Scheduler {
- public:
-  [[nodiscard]] std::string spec() const override { return "eft"; }
-  [[nodiscard]] std::string display_name() const override {
-    return "EFT (oblivious)";
-  }
-
-  [[nodiscard]] SchedulerResult run(const graph::TaskGraph& g,
-                                    const net::Topology& topo,
-                                    const net::HeterogeneousCostModel& costs,
-                                    std::uint64_t /*seed*/) const override {
-    // lint:allow(wall-clock): phase wall-time reporting only, never a result
-    const auto t0 = Clock::now();
-    baselines::EftResult r = baselines::schedule_eft_oblivious(g, topo, costs);
-    const double ms = ms_since(t0);
-    SchedulerResult out(std::move(r.schedule));
-    out.phase_ms = {{"schedule", ms}};
-    audit_result(out.schedule, costs, spec());
-    return out;
-  }
-};
-
-class MhScheduler final : public Scheduler {
- public:
-  [[nodiscard]] std::string spec() const override { return "mh"; }
-  [[nodiscard]] std::string display_name() const override { return "MH"; }
-
-  [[nodiscard]] SchedulerResult run(const graph::TaskGraph& g,
-                                    const net::Topology& topo,
-                                    const net::HeterogeneousCostModel& costs,
-                                    std::uint64_t /*seed*/) const override {
-    // lint:allow(wall-clock): phase wall-time reporting only, never a result
-    const auto t0 = Clock::now();
-    baselines::MhResult r = baselines::schedule_mh(g, topo, costs);
-    const double ms = ms_since(t0);
-    SchedulerResult out(std::move(r.schedule));
-    out.phase_ms = {{"schedule", ms}};
-    audit_result(out.schedule, costs, spec());
-    return out;
-  }
-};
-
-// --- HEFT / PEFT ------------------------------------------------------------
-
-class HeftScheduler final : public Scheduler {
- public:
-  [[nodiscard]] std::string spec() const override { return "heft"; }
-  [[nodiscard]] std::string display_name() const override { return "HEFT"; }
-
-  [[nodiscard]] SchedulerResult run(const graph::TaskGraph& g,
-                                    const net::Topology& topo,
-                                    const net::HeterogeneousCostModel& costs,
-                                    std::uint64_t /*seed*/) const override {
-    // lint:allow(wall-clock): phase wall-time reporting only, never a result
-    const auto t0 = Clock::now();
-    RankScheduleResult r = schedule_heft(g, topo, costs);
-    const double ms = ms_since(t0);
-    SchedulerResult out(std::move(r.schedule));
-    out.phase_ms = {{"schedule", ms}};
-    audit_result(out.schedule, costs, spec());
-    return out;
-  }
-};
-
-class PeftScheduler final : public Scheduler {
- public:
-  [[nodiscard]] std::string spec() const override { return "peft"; }
-  [[nodiscard]] std::string display_name() const override { return "PEFT"; }
-
-  [[nodiscard]] SchedulerResult run(const graph::TaskGraph& g,
-                                    const net::Topology& topo,
-                                    const net::HeterogeneousCostModel& costs,
-                                    std::uint64_t /*seed*/) const override {
-    // lint:allow(wall-clock): phase wall-time reporting only, never a result
-    const auto t0 = Clock::now();
-    RankScheduleResult r = schedule_peft(g, topo, costs);
-    const double ms = ms_since(t0);
-    SchedulerResult out(std::move(r.schedule));
-    out.phase_ms = {{"schedule", ms}};
-    audit_result(out.schedule, costs, spec());
-    return out;
-  }
+  std::string display_name_;
+  Fn fn_;
 };
 
 // --- SA ---------------------------------------------------------------------
@@ -409,7 +321,16 @@ void register_builtin_schedulers(SchedulerRegistry& registry) {
                     "non-zero randomises dynamic-level tie-breaking"},
       },
       [](const SpecOptions& opts) -> std::unique_ptr<Scheduler> {
-        return std::make_unique<DlsScheduler>(opts);
+        baselines::DlsOptions opt;
+        opt.seed = opts.get_uint64("seed", 0);
+        std::vector<std::string> parts;
+        if (opt.seed != 0) parts.push_back("seed=" + std::to_string(opt.seed));
+        return std::make_unique<ListScheduler>(
+            canonical_spec("dls", std::move(parts)), "DLS",
+            [opt](const graph::TaskGraph& g, const net::Topology& topo,
+                  const net::HeterogeneousCostModel& costs) {
+              return baselines::schedule_dls(g, topo, costs, opt);
+            });
       },
   });
   registry.add({
@@ -418,7 +339,8 @@ void register_builtin_schedulers(SchedulerRegistry& registry) {
       "contention-oblivious earliest-finish-time list scheduler",
       {},
       [](const SpecOptions&) -> std::unique_ptr<Scheduler> {
-        return std::make_unique<EftScheduler>();
+        return std::make_unique<ListScheduler>("eft", "EFT (oblivious)",
+                                               schedule_eft_oblivious);
       },
   });
   registry.add({
@@ -427,7 +349,7 @@ void register_builtin_schedulers(SchedulerRegistry& registry) {
       "Mapping-Heuristic-style contention-aware list scheduler",
       {},
       [](const SpecOptions&) -> std::unique_ptr<Scheduler> {
-        return std::make_unique<MhScheduler>();
+        return std::make_unique<ListScheduler>("mh", "MH", schedule_mh);
       },
   });
   registry.add({
@@ -436,7 +358,7 @@ void register_builtin_schedulers(SchedulerRegistry& registry) {
       "upward-rank list scheduler (Topcuoglu et al.) with contended routing",
       {},
       [](const SpecOptions&) -> std::unique_ptr<Scheduler> {
-        return std::make_unique<HeftScheduler>();
+        return std::make_unique<ListScheduler>("heft", "HEFT", schedule_heft);
       },
   });
   registry.add({
@@ -446,7 +368,7 @@ void register_builtin_schedulers(SchedulerRegistry& registry) {
       "contended routing",
       {},
       [](const SpecOptions&) -> std::unique_ptr<Scheduler> {
-        return std::make_unique<PeftScheduler>();
+        return std::make_unique<ListScheduler>("peft", "PEFT", schedule_peft);
       },
   });
   registry.add({

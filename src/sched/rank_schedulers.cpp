@@ -5,6 +5,7 @@
 
 #include "baselines/list_common.hpp"
 #include "common/check.hpp"
+#include "graph/levels.hpp"
 #include "network/routing.hpp"
 
 namespace bsa::sched {
@@ -30,33 +31,29 @@ Cost mean_comm(const net::HeterogeneousCostModel& costs, EdgeId e) {
   return sum / static_cast<Cost>(costs.num_links());
 }
 
-/// Shared placement loop: ready-list selection by descending `ranks`
-/// (ties to the smaller task id), earliest insertion-based slot via the
-/// contended link-booking path, processor choice minimising
-/// EFT + extra(t, p) where `extra` is 0 for HEFT and OCT(t, p) for PEFT.
+/// Whether a placement decision probes the contended routes or assumes
+/// idle links (EFT).
+enum class Estimate { kContended, kContentionFree };
+
+/// The one placement loop: ready-list selection by descending `ranks`
+/// (ties to the smaller task id), processor choice minimising
+/// finish + extra(t, p) (ties to the smaller processor id) with task
+/// slots by `insertion`, data-ready times by `estimate`, and the commit
+/// of baselines::ListRun.
 template <typename ExtraFn>
 RankScheduleResult place_by_rank(const graph::TaskGraph& g,
                                  const net::Topology& topo,
                                  const net::HeterogeneousCostModel& costs,
-                                 std::vector<Cost> ranks, ExtraFn extra) {
-  BSA_REQUIRE(g.num_tasks() >= 1, "empty task graph");
+                                 std::vector<Cost> ranks, ExtraFn extra,
+                                 bool insertion, Estimate estimate) {
   const net::RoutingTable table(topo);
   RankScheduleResult result{Schedule(g, topo), std::move(ranks), {}};
-  Schedule& s = result.schedule;
-  result.order.reserve(static_cast<std::size_t>(g.num_tasks()));
-
-  std::vector<int> missing_preds(static_cast<std::size_t>(g.num_tasks()));
-  std::vector<TaskId> ready;
-  for (TaskId t = 0; t < g.num_tasks(); ++t) {
-    missing_preds[static_cast<std::size_t>(t)] = g.in_degree(t);
-    if (g.in_degree(t) == 0) ready.push_back(t);
-  }
-
-  baselines::DataReadyProbe probe(s, table, costs);
-  while (!ready.empty()) {
+  baselines::ListRun run(result, table, costs, insertion);
+  while (!run.ready().empty()) {
     // Highest rank among ready tasks; ties to the smaller task id
     // (ready is maintained in ascending-id insertion order per wave, so
     // a strict > keeps the first of equals).
+    const std::vector<TaskId>& ready = run.ready();
     std::size_t pick = 0;
     for (std::size_t i = 1; i < ready.size(); ++i) {
       const Cost ri = result.ranks[static_cast<std::size_t>(ready[i])];
@@ -66,15 +63,16 @@ RankScheduleResult place_by_rank(const graph::TaskGraph& g,
       }
     }
     const TaskId t = ready[pick];
-    ready.erase(ready.begin() + static_cast<std::ptrdiff_t>(pick));
 
     ProcId best_proc = kInvalidProc;
     Time best_eft = kInfiniteTime;
     Time best_score = kInfiniteTime;
     for (ProcId p = 0; p < topo.num_processors(); ++p) {
-      const Time da = probe.tentative(t, p);
+      const Time da = estimate == Estimate::kContended
+                          ? run.probe().tentative(t, p)
+                          : run.probe().contention_free(t, p);
       const Time dur = costs.exec_cost(t, p);
-      const Time eft = s.earliest_task_slot(p, da, dur) + dur;
+      const Time eft = run.task_slot(p, da, dur) + dur;
       const Time score = eft + extra(t, p);
       if (time_lt(score, best_score)) {
         best_score = score;
@@ -84,25 +82,21 @@ RankScheduleResult place_by_rank(const graph::TaskGraph& g,
     }
     BSA_ASSERT(best_proc != kInvalidProc, "no processor chosen");
 
-    // Commit: identical booking order, so da and the slot reproduce the
-    // tentative values exactly (see list_common.hpp).
-    const Time da = probe.commit(t, best_proc);
-    const Time dur = costs.exec_cost(t, best_proc);
-    const Time start = s.earliest_task_slot(best_proc, da, dur);
-    BSA_ASSERT(time_eq(start + dur, best_eft), "tentative EFT drifted");
-    s.place_task(t, best_proc, start, start + dur);
-    result.order.push_back(t);
-
-    for (const EdgeId e : g.out_edges(t)) {
-      const TaskId d = g.edge_dst(e);
-      if (--missing_preds[static_cast<std::size_t>(d)] == 0) {
-        ready.push_back(d);
-      }
-    }
+    // Commit: identical booking order, so a contended decision's finish
+    // is reproduced exactly (see list_common.hpp). EFT's contention-free
+    // estimate is what the commit corrects, so it may drift.
+    const Time start = run.commit(pick, best_proc);
+    BSA_ASSERT(estimate == Estimate::kContentionFree ||
+                   time_eq(start + costs.exec_cost(t, best_proc), best_eft),
+               "tentative EFT drifted");
   }
-  BSA_ASSERT(s.all_placed(), "rank scheduler left tasks unscheduled");
+  BSA_ASSERT(result.schedule.all_placed(),
+             "list scheduler left tasks unscheduled");
   return result;
 }
+
+/// The score of HEFT, MH and EFT.
+constexpr auto kNoExtra = [](TaskId, ProcId) -> Cost { return 0; };
 
 }  // namespace
 
@@ -162,8 +156,8 @@ OctTable peft_optimistic_costs(const graph::TaskGraph& g,
 RankScheduleResult schedule_heft(const graph::TaskGraph& g,
                                  const net::Topology& topo,
                                  const net::HeterogeneousCostModel& costs) {
-  return place_by_rank(g, topo, costs, heft_upward_ranks(g, costs),
-                       [](TaskId, ProcId) -> Cost { return 0; });
+  return place_by_rank(g, topo, costs, heft_upward_ranks(g, costs), kNoExtra,
+                       /*insertion=*/true, Estimate::kContended);
 }
 
 RankScheduleResult schedule_peft(const graph::TaskGraph& g,
@@ -176,7 +170,23 @@ RankScheduleResult schedule_peft(const graph::TaskGraph& g,
       [oct = std::move(table.oct), m](TaskId t, ProcId p) -> Cost {
         return oct[static_cast<std::size_t>(t) * static_cast<std::size_t>(m) +
                    static_cast<std::size_t>(p)];
-      });
+      },
+      /*insertion=*/true, Estimate::kContended);
+}
+
+RankScheduleResult schedule_mh(const graph::TaskGraph& g,
+                               const net::Topology& topo,
+                               const net::HeterogeneousCostModel& costs) {
+  return place_by_rank(g, topo, costs, graph::compute_levels(g).b_level,
+                       kNoExtra, /*insertion=*/false, Estimate::kContended);
+}
+
+RankScheduleResult schedule_eft_oblivious(
+    const graph::TaskGraph& g, const net::Topology& topo,
+    const net::HeterogeneousCostModel& costs) {
+  return place_by_rank(g, topo, costs, graph::compute_levels(g).b_level,
+                       kNoExtra, /*insertion=*/false,
+                       Estimate::kContentionFree);
 }
 
 }  // namespace bsa::sched

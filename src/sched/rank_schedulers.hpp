@@ -9,32 +9,39 @@
 #include "sched/schedule.hpp"
 
 /// \file rank_schedulers.hpp
-/// HEFT and PEFT: the rank-based list-scheduling baselines the
-/// heterogeneous-scheduling literature compares against (Topcuoglu et
-/// al. 2002; Arabnejad & Barbosa 2014). Both compute a static per-task
-/// rank on the heterogeneous cost model, then place tasks one at a time
-/// into their earliest insertion-based slot, routing every incoming
-/// message through the contended link-booking rule every scheduler
-/// shares (baselines::DataReadyProbe over sched::book_route and
-/// sched::LinkProbe) — so unlike the textbook formulations these
-/// schedules are link contention-constrained, matching the rest of the
-/// library.
+/// The static-priority list schedulers, all on one placement loop: HEFT
+/// and PEFT, the rank-based baselines of the heterogeneous-scheduling
+/// literature (Topcuoglu et al. 2002; Arabnejad & Barbosa 2014), MH
+/// (after El-Rewini & Lewis, JPDC 1990) and the contention-oblivious EFT
+/// ablation. Each supplies only a per-task rank and a per-(task,
+/// processor) score; the loop takes the highest-ranked ready task (ties
+/// to the smaller task id), puts it on the processor minimising
+/// finish time + score (ties to the smaller processor id), and commits it
+/// through the ready pool and commit step every list scheduler shares
+/// (baselines::ListRun, list_common.hpp). Every incoming message is
+/// routed through the contended link-booking rule (sched::book_route and
+/// sched::LinkProbe), so unlike the textbook formulations these schedules
+/// are link contention-constrained, matching the rest of the library.
 ///
-/// Rank definitions (averages over the *actual* heterogeneous costs):
-///  * HEFT upward rank:
+/// The parameterisations:
+///  * HEFT: rank_u, score 0, insertion-based task slots.
 ///      rank_u(t) = wbar(t) + max over edges (t,j) of (cbar(t,j) + rank_u(j))
 ///    with wbar(t) the mean exec cost over processors and cbar(e) the
 ///    mean comm cost over links (exit tasks: rank_u = wbar).
-///  * PEFT optimistic cost table:
+///  * PEFT: rank_oct, score OCT(t,p), insertion-based task slots.
 ///      OCT(t,p) = max over edges (t,j) of
 ///                 min over q of (OCT(j,q) + w(j,q) + [q != p] * cbar(t,j))
 ///    (exit tasks: all-zero row); rank_oct(t) = mean of OCT(t, ·).
+///  * MH: static b-level on nominal costs (communication included),
+///    score 0, append task slots.
+///  * EFT: as MH, but each decision uses the contention-free data-ready
+///    estimate (links assumed idle); only the commit books contention, so
+///    the schedule is feasible and its length shows what the oblivious
+///    decisions cost (ablation baseline, not from the paper).
 ///
-/// Task selection is ready-list driven (highest rank among ready tasks,
-/// ties to the smaller task id), which keeps precedence feasibility
-/// even for degenerate rank ties. Placement minimises EFT (HEFT) or
-/// EFT + OCT(t,p) (PEFT), ties to the smaller processor id. Everything
-/// is deterministic; there is no seed.
+/// Everything is deterministic; there is no seed. DLS
+/// (baselines/dls.hpp) selects over every (ready task, processor) pair
+/// instead, on the same ready pool and commit step.
 
 namespace bsa::sched {
 
@@ -52,9 +59,11 @@ struct OctTable {
 [[nodiscard]] OctTable peft_optimistic_costs(
     const graph::TaskGraph& g, const net::HeterogeneousCostModel& costs);
 
+/// The result of every list scheduler (the loop here and DLS).
 struct RankScheduleResult {
   Schedule schedule;
-  /// The priority rank actually used (rank_u / rank_oct), by TaskId.
+  /// The priority rank actually used (rank_u, rank_oct, b-level, DLS's
+  /// static level), by TaskId.
   std::vector<Cost> ranks;
   /// Tasks in the order they were placed.
   std::vector<TaskId> order;
@@ -65,6 +74,14 @@ struct RankScheduleResult {
     const net::HeterogeneousCostModel& costs);
 
 [[nodiscard]] RankScheduleResult schedule_peft(
+    const graph::TaskGraph& g, const net::Topology& topo,
+    const net::HeterogeneousCostModel& costs);
+
+[[nodiscard]] RankScheduleResult schedule_mh(
+    const graph::TaskGraph& g, const net::Topology& topo,
+    const net::HeterogeneousCostModel& costs);
+
+[[nodiscard]] RankScheduleResult schedule_eft_oblivious(
     const graph::TaskGraph& g, const net::Topology& topo,
     const net::HeterogeneousCostModel& costs);
 

@@ -3,12 +3,11 @@
 #include <tuple>
 
 #include "baselines/dls.hpp"
-#include "baselines/eft.hpp"
-#include "baselines/mh.hpp"
 #include "common/rng.hpp"
 #include "core/bsa.hpp"
 #include "sched/event_sim.hpp"
 #include "sched/metrics.hpp"
+#include "sched/rank_schedulers.hpp"
 #include "sched/retime.hpp"
 #include "sched/validate.hpp"
 #include "workloads/random_dag.hpp"
@@ -40,9 +39,9 @@ sched::Schedule run(Which which, const graph::TaskGraph& g,
     case Which::kDls:
       return baselines::schedule_dls(g, topo, cm).schedule;
     case Which::kEft:
-      return baselines::schedule_eft_oblivious(g, topo, cm).schedule;
+      return sched::schedule_eft_oblivious(g, topo, cm).schedule;
     default:
-      return baselines::schedule_mh(g, topo, cm).schedule;
+      return sched::schedule_mh(g, topo, cm).schedule;
   }
 }
 

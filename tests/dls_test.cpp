@@ -24,28 +24,28 @@ TEST_F(DlsPaperTest, ProducesValidSchedule) {
   EXPECT_TRUE(result.schedule.all_placed());
   const auto report = sched::validate(result.schedule, cm);
   EXPECT_TRUE(report.ok()) << report.to_string();
-  EXPECT_GE(result.schedule_length(),
+  EXPECT_GE(result.schedule.makespan(),
             sched::schedule_length_lower_bound(g, cm));
 }
 
 TEST_F(DlsPaperTest, StaticLevelsUseMedianExecCosts) {
   const auto result = schedule_dls(g, topo, cm);
   // SL*(T9) = median exec of T9 = 15.5 (no successors).
-  EXPECT_DOUBLE_EQ(result.static_levels[pf::T9], 15.5);
+  EXPECT_DOUBLE_EQ(result.ranks[pf::T9], 15.5);
   // SL*(T8) = median(T8) + SL*(T9) = (47+51)/2 ... medians: T8 row
   // {51,18,47,74} -> (47+51)/2 = 49; so 49 + 15.5 = 64.5.
-  EXPECT_DOUBLE_EQ(result.static_levels[pf::T8], 64.5);
+  EXPECT_DOUBLE_EQ(result.ranks[pf::T8], 64.5);
   // SL* decreases along edges.
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    EXPECT_GT(result.static_levels[g.edge_src(e)],
-              result.static_levels[g.edge_dst(e)]);
+    EXPECT_GT(result.ranks[g.edge_src(e)],
+              result.ranks[g.edge_dst(e)]);
   }
 }
 
 TEST_F(DlsPaperTest, Deterministic) {
   const auto a = schedule_dls(g, topo, cm);
   const auto b = schedule_dls(g, topo, cm);
-  EXPECT_DOUBLE_EQ(a.schedule_length(), b.schedule_length());
+  EXPECT_DOUBLE_EQ(a.schedule.makespan(), b.schedule.makespan());
   for (TaskId t = 0; t < g.num_tasks(); ++t) {
     EXPECT_EQ(a.schedule.proc_of(t), b.schedule.proc_of(t));
     EXPECT_DOUBLE_EQ(a.schedule.start_of(t), b.schedule.start_of(t));
@@ -60,7 +60,7 @@ TEST_F(DlsPaperTest, SeededTieBreaksAreValidAndDeterministic) {
   const auto a = schedule_dls(g, topo, cm, opt);
   const auto b = schedule_dls(g, topo, cm, opt);
   EXPECT_TRUE(sched::validate(a.schedule, cm).ok());
-  EXPECT_DOUBLE_EQ(a.schedule_length(), b.schedule_length());
+  EXPECT_DOUBLE_EQ(a.schedule.makespan(), b.schedule.makespan());
   for (TaskId t = 0; t < g.num_tasks(); ++t) {
     EXPECT_EQ(a.schedule.proc_of(t), b.schedule.proc_of(t));
   }
@@ -99,7 +99,7 @@ TEST(DlsSmall, SingleTaskPicksLargestDynamicLevel) {
       net::HeterogeneousCostModel::from_exec_matrix(g, topo, matrix);
   const auto result = schedule_dls(g, topo, cm);
   EXPECT_EQ(result.schedule.proc_of(0), 1);
-  EXPECT_DOUBLE_EQ(result.schedule_length(), 10);
+  EXPECT_DOUBLE_EQ(result.schedule.makespan(), 10);
 }
 
 TEST(DlsSmall, RespectsReadiness) {
@@ -172,7 +172,7 @@ TEST_P(DlsProperty, ValidOnRandomInstances) {
     const auto result = schedule_dls(g, topo, cm);
     const auto report = sched::validate(result.schedule, cm);
     ASSERT_TRUE(report.ok()) << report.to_string();
-    EXPECT_GE(result.schedule_length() + kTimeEpsilon,
+    EXPECT_GE(result.schedule.makespan() + kTimeEpsilon,
               sched::schedule_length_lower_bound(g, cm));
   }
 }

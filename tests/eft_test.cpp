@@ -1,13 +1,13 @@
 #include <gtest/gtest.h>
 
 #include "common/check.hpp"
-#include "baselines/eft.hpp"
 #include "paper_fixture.hpp"
 #include "sched/metrics.hpp"
+#include "sched/rank_schedulers.hpp"
 #include "sched/validate.hpp"
 #include "workloads/random_dag.hpp"
 
-namespace bsa::baselines {
+namespace bsa::sched {
 namespace {
 
 namespace pf = bsa::testing;
@@ -20,7 +20,7 @@ TEST(Eft, ValidOnPaperExample) {
   EXPECT_TRUE(result.schedule.all_placed());
   const auto report = sched::validate(result.schedule, cm);
   EXPECT_TRUE(report.ok()) << report.to_string();
-  EXPECT_GE(result.schedule_length(),
+  EXPECT_GE(result.schedule.makespan(),
             sched::schedule_length_lower_bound(g, cm));
 }
 
@@ -71,4 +71,4 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(4u, 5u)));
 
 }  // namespace
-}  // namespace bsa::baselines
+}  // namespace bsa::sched

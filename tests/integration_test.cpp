@@ -1,13 +1,13 @@
 #include <gtest/gtest.h>
 
 #include "baselines/dls.hpp"
-#include "baselines/eft.hpp"
 #include "core/bsa.hpp"
 #include "exp/experiment.hpp"
 #include "graph/graph_io.hpp"
 #include "sched/event_sim.hpp"
 #include "sched/gantt.hpp"
 #include "sched/metrics.hpp"
+#include "sched/rank_schedulers.hpp"
 #include "sched/retime.hpp"
 #include "sched/validate.hpp"
 #include "workloads/random_dag.hpp"
@@ -30,7 +30,7 @@ TEST(Integration, RoundTripThenScheduleAllAlgorithms) {
 
   const auto bsa_result = core::schedule_bsa(g, topo, cm);
   const auto dls_result = baselines::schedule_dls(g, topo, cm);
-  const auto eft_result = baselines::schedule_eft_oblivious(g, topo, cm);
+  const auto eft_result = sched::schedule_eft_oblivious(g, topo, cm);
 
   for (const sched::Schedule* s :
        {&bsa_result.schedule, &dls_result.schedule, &eft_result.schedule}) {
@@ -62,7 +62,7 @@ TEST(Integration, BsaBeatsDlsOnAverageOnFineGrainedRing) {
     const auto cm = net::HeterogeneousCostModel::uniform(
         g, topo, 1, 50, 1, 50, derive_seed(seed, 77));
     bsa_sum += core::schedule_bsa(g, topo, cm).schedule_length();
-    dls_sum += baselines::schedule_dls(g, topo, cm).schedule_length();
+    dls_sum += baselines::schedule_dls(g, topo, cm).schedule.makespan();
   }
   EXPECT_LT(bsa_sum, dls_sum)
       << "BSA mean " << bsa_sum / kSeeds << " vs DLS mean "
@@ -130,7 +130,7 @@ TEST(Integration, ReplayNormalisationIsUniversal) {
   auto schedules = {
       core::schedule_bsa(g, topo, cm).schedule,
       baselines::schedule_dls(g, topo, cm).schedule,
-      baselines::schedule_eft_oblivious(g, topo, cm).schedule,
+      sched::schedule_eft_oblivious(g, topo, cm).schedule,
   };
   for (sched::Schedule s : schedules) {
     (void)sched::replay_retime(s, cm);

@@ -1,14 +1,13 @@
 #include <gtest/gtest.h>
 
-#include "baselines/eft.hpp"
-#include "baselines/mh.hpp"
 #include "common/check.hpp"
 #include "paper_fixture.hpp"
 #include "sched/metrics.hpp"
+#include "sched/rank_schedulers.hpp"
 #include "sched/validate.hpp"
 #include "workloads/random_dag.hpp"
 
-namespace bsa::baselines {
+namespace bsa::sched {
 namespace {
 
 namespace pf = bsa::testing;
@@ -21,7 +20,7 @@ TEST(Mh, ValidOnPaperExample) {
   EXPECT_TRUE(result.schedule.all_placed());
   const auto report = sched::validate(result.schedule, cm);
   EXPECT_TRUE(report.ok()) << report.to_string();
-  EXPECT_GE(result.schedule_length(),
+  EXPECT_GE(result.schedule.makespan(),
             sched::schedule_length_lower_bound(g, cm));
 }
 
@@ -47,7 +46,7 @@ TEST(Mh, SingleTaskFastestProcessor) {
       net::HeterogeneousCostModel::from_exec_matrix(g, topo, matrix);
   const auto result = schedule_mh(g, topo, cm);
   EXPECT_EQ(result.schedule.proc_of(0), 1);
-  EXPECT_DOUBLE_EQ(result.schedule_length(), 10);
+  EXPECT_DOUBLE_EQ(result.schedule.makespan(), 10);
 }
 
 TEST(Mh, ContentionAwareBeatsObliviousUnderPressure) {
@@ -65,9 +64,9 @@ TEST(Mh, ContentionAwareBeatsObliviousUnderPressure) {
     const auto topo = net::Topology::ring(8);
     const auto cm = net::HeterogeneousCostModel::uniform_processor_speeds(
         g, topo, 1, 20, 1, 20, derive_seed(seed, 3));
-    mh_sum += schedule_mh(g, topo, cm).schedule_length();
+    mh_sum += schedule_mh(g, topo, cm).schedule.makespan();
     // EFT shares the priority rule but decides blind to contention.
-    dumb_sum += schedule_eft_oblivious(g, topo, cm).schedule_length();
+    dumb_sum += schedule_eft_oblivious(g, topo, cm).schedule.makespan();
   }
   EXPECT_LT(mh_sum, dumb_sum * 1.05);
 }
@@ -96,4 +95,4 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(6u, 7u)));
 
 }  // namespace
-}  // namespace bsa::baselines
+}  // namespace bsa::sched

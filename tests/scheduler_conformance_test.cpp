@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
 #include <string>
 #include <utility>
@@ -7,6 +9,7 @@
 
 #include "common/rng.hpp"
 #include "exp/experiment.hpp"
+#include "graph/task_graph.hpp"
 #include "network/cost_model.hpp"
 #include "network/topology.hpp"
 #include "runtime/scenario.hpp"
@@ -326,6 +329,74 @@ TEST(Conformance, ListSchedulerSchedulesArePinned) {
       EXPECT_EQ(digest, pin.digests[i])
           << specs[i] << " on " << pin.workload << " / " << pin.topology
           << "-" << pin.procs;
+    }
+  }
+}
+
+/// `g` with every nominal task and edge cost multiplied by 2^k, which is
+/// exact in binary floating point.
+graph::TaskGraph scaled_by_pow2(const graph::TaskGraph& g, int k) {
+  graph::TaskGraphBuilder b;
+  for (TaskId t = 0; t < g.num_tasks(); ++t) {
+    (void)b.add_task(std::ldexp(g.task_cost(t), k), g.task_name(t));
+  }
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    (void)b.add_edge(g.edge_src(e), g.edge_dst(e),
+                     std::ldexp(g.edge_cost(e), k));
+  }
+  return b.build();
+}
+
+TEST(Conformance, EveryScheduleScalesExactlyWithPowerOfTwoCosts) {
+  // Time has no unit: scaling every nominal cost by 2^k (same cost-model
+  // seed) must give the same placements and routes with every task and
+  // hop time multiplied by exactly 2^k, for every registered scheduler.
+  // Smaller k (2^-30 and below) is not yet unit-free: the absolute
+  // kTimeEpsilon then exceeds the time scale.
+  const net::Topology topo = exp::make_topology("hypercube", 16, 1);
+  for (const std::string workload : {"random", "gauss", "fft"}) {
+    for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
+      const graph::TaskGraph g = workloads::WorkloadRegistry::global()
+                                     .resolve(workload)
+                                     ->generate(/*target_tasks=*/120,
+                                                /*granularity=*/1.0, seed);
+      const auto cm = net::HeterogeneousCostModel::uniform_processor_speeds(
+          g, topo, 1, 4, 1, 2, seed);
+      for (const std::string& spec : reg().names()) {
+        const std::unique_ptr<Scheduler> s = reg().resolve(spec);
+        const Schedule base = s->run(g, topo, cm, seed).schedule;
+        for (const int k : {-20, -10, 10, 30}) {
+          const graph::TaskGraph gk = scaled_by_pow2(g, k);
+          const auto cmk =
+              net::HeterogeneousCostModel::uniform_processor_speeds(
+                  gk, topo, 1, 4, 1, 2, seed);
+          const Schedule scaled = s->run(gk, topo, cmk, seed).schedule;
+          const std::string where = spec + " on " + workload + " seed " +
+                                    std::to_string(seed) + " k " +
+                                    std::to_string(k);
+          const auto off = [k](Time base_time, Time scaled_time) {
+            return scaled_time != std::ldexp(base_time, k);
+          };
+          std::size_t mismatches = 0;
+          for (TaskId t = 0; t < g.num_tasks(); ++t) {
+            mismatches += scaled.proc_of(t) != base.proc_of(t) ||
+                          off(base.start_of(t), scaled.start_of(t)) ||
+                          off(base.finish_of(t), scaled.finish_of(t));
+          }
+          for (EdgeId e = 0; e < g.num_edges(); ++e) {
+            const std::vector<Hop>& hops = base.route_of(e);
+            const std::vector<Hop>& hops_k = scaled.route_of(e);
+            mismatches += hops.size() != hops_k.size();
+            for (std::size_t h = 0; h < std::min(hops.size(), hops_k.size());
+                 ++h) {
+              mismatches += hops_k[h].link != hops[h].link ||
+                            off(hops[h].start, hops_k[h].start) ||
+                            off(hops[h].finish, hops_k[h].finish);
+            }
+          }
+          EXPECT_EQ(mismatches, 0U) << where;
+        }
+      }
     }
   }
 }

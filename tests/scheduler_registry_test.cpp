@@ -6,14 +6,13 @@
 #include <vector>
 
 #include "baselines/dls.hpp"
-#include "baselines/eft.hpp"
-#include "baselines/mh.hpp"
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "core/bsa.hpp"
 #include "exp/experiment.hpp"
 #include "runtime/scenario.hpp"
 #include "runtime/sweep_runner.hpp"
+#include "sched/rank_schedulers.hpp"
 #include "sched/schedule_io.hpp"
 #include "sched/scheduler.hpp"
 #include "workloads/random_dag.hpp"
@@ -253,10 +252,9 @@ TEST(Registry, DefaultSpecsMatchLegacyDispatchBitIdentically) {
           return baselines::schedule_dls(in.g, in.topo, in.cm).schedule;
         }
         if (name == "eft") {
-          return baselines::schedule_eft_oblivious(in.g, in.topo, in.cm)
-              .schedule;
+          return schedule_eft_oblivious(in.g, in.topo, in.cm).schedule;
         }
-        return baselines::schedule_mh(in.g, in.topo, in.cm).schedule;
+        return schedule_mh(in.g, in.topo, in.cm).schedule;
       };
       for (const std::string name : {"bsa", "dls", "eft", "mh"}) {
         const SchedulerResult result =
