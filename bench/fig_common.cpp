@@ -2,10 +2,12 @@
 
 #include <exception>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <map>
 #include <memory>
 #include <ostream>
+#include <string_view>
 
 #include "common/check.hpp"
 #include "common/table.hpp"
@@ -208,12 +210,19 @@ void run_and_print(const SweepConfig& cfg, const std::string& figure_name,
 
 int run_figure_bench(const CliParser& cli, SweepConfig config,
                      const std::string& figure_name) {
+  // Exactly the flags apply_cli reads: --help lists them, and a typo such
+  // as --algoo fails instead of running the default columns.
+  static const std::initializer_list<std::string_view> kFlags = {
+      "full", "seeds",   "procs", "per-pair", "algo",     "eft",  "csv",
+      "seed", "threads", "jobs",  "out",      "progress", "trace"};
+  if (cli.has("help")) {
+    std::cout << figure_name << " bench flags:";
+    for (const std::string_view flag : kFlags) std::cout << " --" << flag;
+    std::cout << '\n';
+    return 0;
+  }
   try {
-    // Exactly the flags apply_cli reads: a typo such as --algoo fails
-    // instead of running the default columns.
-    cli.require_known({"full", "seeds", "procs", "per-pair", "algo", "eft",
-                       "csv", "seed", "threads", "jobs", "out", "progress",
-                       "trace"});
+    cli.require_known(kFlags);
     apply_cli(cli, &config);
     run_and_print(config, figure_name, std::cout);
   } catch (const std::exception& e) {

@@ -69,8 +69,8 @@ void run_and_print(const SweepConfig& config, const std::string& figure_name,
 /// apply_cli + run_and_print with clean error reporting: an undeclared
 /// flag (e.g. --algoo) or a bad flag value (e.g. a typoed --algo spec)
 /// prints `error: ...` to stderr and returns exit code 1 instead of
-/// terminating on the uncaught exception. The figure drivers' main() is
-/// one call to this.
+/// terminating on the uncaught exception; --help prints the declared
+/// flags and returns 0. The figure drivers' main() is one call to this.
 [[nodiscard]] int run_figure_bench(const CliParser& cli, SweepConfig config,
                                    const std::string& figure_name);
 

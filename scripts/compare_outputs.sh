@@ -41,6 +41,11 @@ if [[ ${#specs[@]} -lt 2 ]]; then
   exit 2
 fi
 
+# Counter lines of `bsa_tool --counters`: each run's `counters (<spec>):`
+# header (printed only when the run has a counter) and its `  name = value`
+# lines.
+counter_re='^(counters \(.*\):$|  [a-z][a-z0-9_.]* = )'
+
 # run SIDE NAME ARGS...: one bsa_tool run; splits stdout into the
 # counter lines and everything else (the schedule listing and metrics).
 run() {
@@ -51,8 +56,8 @@ run() {
   local out="$work/$side/$name"
   "$bin/bsa_tool" "$@" --export "$out.sched" --decision-log "$out.log" \
     --counters > "$out.stdout" 2>&1 || echo "exit $?" >> "$out.stdout"
-  grep -E '^  [a-z][a-z0-9_.]* = ' "$out.stdout" > "$out.counters" || true
-  grep -vE '^  [a-z][a-z0-9_.]* = ' "$out.stdout" > "$out.listing" || true
+  grep -E "$counter_re" "$out.stdout" > "$out.counters" || true
+  grep -vE "$counter_re" "$out.stdout" > "$out.listing" || true
 }
 
 mkdir -p "$work/parent" "$work/change"

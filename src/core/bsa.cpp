@@ -14,7 +14,6 @@
 #include "obs/trace.hpp"
 #include "sched/link_probe.hpp"
 #include "sched/retime.hpp"
-#include "sched/retime_context.hpp"
 #include "sched/schedule_io.hpp"
 #include "sched/validate.hpp"
 
@@ -49,7 +48,7 @@ class BsaRunner {
         costs_(costs),
         opt_(opt),
         sched_(g, topo),
-        replayer_(g, topo, costs, opt.insertion_slots),
+        engine_(sched_, costs, opt.insertion_slots, opt.obs),
         probe_(sched_, costs, opt.insertion_slots) {
     if (opt_.routing == RouteDiscipline::kStaticShortestPath) {
       routing_table_.emplace(topo_);
@@ -101,9 +100,7 @@ class BsaRunner {
       }
       if (trace_.migrations.size() == migrations_before) break;
     }
-    if (retime_ctx_.has_value()) trace_.retime = retime_ctx_->stats();
-    trace_.slot_index_builds =
-        sched_.slot_index_builds() + replayer_.slot_index_builds();
+    trace_.engine = engine_.stats();
     trace_.eval_trials = probe_.trials();
     return BsaResult{std::move(sched_), std::move(trace_)};
   }
@@ -148,6 +145,17 @@ class BsaRunner {
     }
     return out;
   }
+
+  /// One migration attempt of `task` off `pivot`, as the decision log
+  /// and the migration trace record it.
+  struct Attempt {
+    TaskId task;
+    ProcId pivot;
+    int phase;
+    Time old_finish, predicted_finish;
+  };
+  /// Decision-log value of a time the outcome does not have.
+  static constexpr Time kNoTime = std::numeric_limits<Time>::quiet_NaN();
 
   void consider_task(TaskId t, ProcId pivot, int phase) {
     const CurrentArrival cur = current_arrival(t);
@@ -194,28 +202,27 @@ class BsaRunner {
       target = vip_proc;
       via_vip = true;
     }
+    const Attempt a{t, pivot, phase, cur_ft, via_vip ? vip_ft : best_ft};
     if (target == kInvalidProc) {
       ++trace_.rejected_no_gain;
-      if (opt_.obs.decision_log != nullptr) {
-        obs::MigrationDecision d;
-        d.sweep = sweep_;
-        d.phase = phase;
-        d.pivot = pivot;
-        d.task = t;
-        d.from = pivot;
-        d.old_finish = cur_ft;
-        d.predicted_finish = best_ft;
-        d.new_finish = std::numeric_limits<double>::quiet_NaN();
-        d.makespan_before = std::numeric_limits<double>::quiet_NaN();
-        d.makespan_after = std::numeric_limits<double>::quiet_NaN();
-        d.outcome = obs::DecisionOutcome::kRejectedNoGain;
-        opt_.obs.decision_log->record(d);
-      }
+      log_decision(a, obs::DecisionOutcome::kRejectedNoGain, kInvalidProc,
+                   kNoTime, kNoTime, kNoTime);
       return;
     }
+    commit_migration(a, target, via_vip);
+  }
 
-    const Time predicted = via_vip ? vip_ft : best_ft;
-    commit_migration(t, pivot, target, phase, cur_ft, predicted, via_vip);
+  /// Record one decision-log row (no-op without a decision log).
+  void log_decision(const Attempt& a, obs::DecisionOutcome outcome, ProcId to,
+                    Time new_finish, Time makespan_before,
+                    Time makespan_after) const {
+    if (opt_.obs.decision_log == nullptr) return;
+    opt_.obs.decision_log->record(obs::MigrationDecision{
+        .sweep = sweep_, .phase = a.phase, .pivot = a.pivot, .task = a.task,
+        .from = a.pivot, .to = to, .old_finish = a.old_finish,
+        .predicted_finish = a.predicted_finish, .new_finish = new_finish,
+        .makespan_before = makespan_before, .makespan_after = makespan_after,
+        .outcome = outcome});
   }
 
   // --- incoming-message planning (shared by eval and commit) --------------
@@ -278,23 +285,6 @@ class BsaRunner {
     routing_table_->route_into(from, to, out);
   }
 
-  /// Crossing in-edges of `t` in the deterministic order used by both the
-  /// static evaluation and the static commit: by source finish time, then
-  /// edge id.
-  void static_incoming_order_into(TaskId t, ProcId py,
-                                  std::vector<EdgeId>& order) const {
-    order.clear();
-    for (const EdgeId e : g_.in_edges(t)) {
-      if (sched_.proc_of(g_.edge_src(e)) != py) order.push_back(e);
-    }
-    std::sort(order.begin(), order.end(), [&](EdgeId a, EdgeId b) {
-      const Time fa = sched_.finish_of(g_.edge_src(a));
-      const Time fb = sched_.finish_of(g_.edge_src(b));
-      if (!time_eq(fa, fb)) return fa < fb;
-      return a < b;
-    });
-  }
-
   /// Static-routing evaluation: every incoming message is re-routed from
   /// scratch along the static route, on a probe trial that hides the
   /// (to-be-cleared) old routes.
@@ -307,7 +297,7 @@ class BsaRunner {
         drt = std::max(drt, sched_.finish_of(g_.edge_src(e)));
       }
     }
-    static_incoming_order_into(t, py, order_);
+    crossing_in_edges_into(sched_, t, py, order_);
     for (const EdgeId e : order_) {
       const TaskId src = g_.edge_src(e);
       static_route_into(sched_.proc_of(src), py, route_links_);
@@ -384,120 +374,47 @@ class BsaRunner {
     }
   }
 
-  void commit_migration(TaskId t, ProcId pivot, ProcId py, int phase,
-                        Time old_ft, Time predicted_ft, bool via_vip) {
+  void commit_migration(const Attempt& a, ProcId py, bool via_vip) {
+    const TaskId t = a.task;
     // A migration whose re-routed messages stretch the schedule is rolled
     // back (the task's own finish improving is not allowed to push its
-    // successors past the old SL): a guarded migration journals its
-    // mutations into a transaction, undone in O(touched) on reject.
+    // successors past the old SL): a guarded migration is journaled, and
+    // undone in O(touched) on reject.
     const bool guarded = opt_.policy == MigrationPolicy::kMakespanGuarded;
     const Time makespan_before = guarded ? sched_.makespan() : Time{0};
     const std::string text_before = opt_.validate_each_step && guarded
                                         ? sched::schedule_to_text(sched_)
                                         : std::string{};
 
-    // The re-timing engine captures the pre-migration structure around
-    // `t` (lazily constructed here: the schedule is a re-timing fixpoint
-    // between migrations, which construction requires).
-    if (!retime_ctx_.has_value()) retime_ctx_.emplace(sched_, costs_);
-    retime_ctx_->begin_migration(t);
-
-    if (guarded) sched_.begin_transaction(txn_);
-    apply_migration_mutations(t, pivot, py);
+    engine_.begin(t, guarded);
+    apply_migration_mutations(t, a.pivot, py);
     std::optional<Schedule> oracle;
     if (opt_.validate_each_step) oracle.emplace(sched_);
 
     // Bubble up: earliest times under the new orders; replay on the rare
     // order cycle introduced by re-issued outgoing routes.
-    bool retimed = false;
-    {
-      obs::Span span(opt_.obs.tracer, "retime", "bsa", opt_.obs.trace_tid);
-      retimed = retime_ctx_->retime_migration(t, nullptr);
-    }
-    if (oracle.has_value()) check_retime_oracle(*oracle, retimed, t);
-    if (guarded) {
-      const auto depth = static_cast<std::int64_t>(txn_.size());
-      trace_.txn_journal_records += depth;
-      trace_.txn_journal_hwm = std::max(trace_.txn_journal_hwm, depth);
-    }
-    const bool replayed = !retimed;
-    Time makespan_after = 0;
-    if (retimed) {
-      makespan_after = sched_.makespan();
-    } else {
-      // A failed delta writes no times, so the schedule still holds
-      // exactly the migration's mutations: replay them in the workspace.
-      // A guarded migration is then undone (the context with it) in
-      // O(touched) whatever the guard decides — a kept replay is swapped
-      // in below.
-      obs::Span span(opt_.obs.tracer, "replay", "bsa", opt_.obs.trace_tid);
-      makespan_after = replayer_.measure(sched_);
-      ++trace_.replay_fallbacks;
-      if (guarded) {
-        sched_.rollback_transaction();
-        retime_ctx_->undo_migration(t);
-      }
-    }
+    const Time makespan_after = engine_.settle();
+    if (oracle.has_value()) check_retime_oracle(*oracle, t);
 
     if (guarded && time_lt(makespan_before, makespan_after)) {
       ++trace_.rejected_migrations;
-      if (!replayed) {
-        obs::Span span(opt_.obs.tracer, "rollback", "bsa",
-                       opt_.obs.trace_tid);
-        sched_.rollback_transaction();
-        retime_ctx_->undo_migration(t);
-      }
+      engine_.discard();
       if (opt_.validate_each_step) check_rollback_oracle(text_before, t);
-      if (opt_.obs.decision_log != nullptr) {
-        obs::MigrationDecision d;
-        d.sweep = sweep_;
-        d.phase = phase;
-        d.pivot = pivot;
-        d.task = t;
-        d.from = pivot;
-        d.to = py;
-        d.old_finish = old_ft;
-        d.predicted_finish = predicted_ft;
-        d.new_finish = std::numeric_limits<double>::quiet_NaN();
-        d.makespan_before = makespan_before;
-        d.makespan_after = makespan_after;
-        d.outcome = obs::DecisionOutcome::kRejectedMakespanGuard;
-        opt_.obs.decision_log->record(d);
-      }
+      log_decision(a, obs::DecisionOutcome::kRejectedMakespanGuard, py,
+                   kNoTime, makespan_before, makespan_after);
       return;
     }
-    if (replayed) {
-      // Part of the replay fallback's cost: keep the result and re-read it.
-      obs::Span span(opt_.obs.tracer, "replay", "bsa", opt_.obs.trace_tid);
-      replayer_.swap_into(sched_);
-      retime_ctx_->adopt_schedule();
-    } else if (guarded) {
-      sched_.commit_transaction();
-    }
+    engine_.keep();
 
-    trace_.migrations.push_back(Migration{
-        t, pivot, py, old_ft, predicted_ft, sched_.finish_of(t),
-        makespan_after, phase, via_vip});
-
-    if (opt_.obs.decision_log != nullptr) {
-      obs::MigrationDecision d;
-      d.sweep = sweep_;
-      d.phase = phase;
-      d.pivot = pivot;
-      d.task = t;
-      d.from = pivot;
-      d.to = py;
-      d.old_finish = old_ft;
-      d.predicted_finish = predicted_ft;
-      d.new_finish = sched_.finish_of(t);
-      d.makespan_before = guarded
-                              ? makespan_before
-                              : std::numeric_limits<double>::quiet_NaN();
-      d.makespan_after = makespan_after;
-      d.outcome = via_vip ? obs::DecisionOutcome::kCommittedVip
-                          : obs::DecisionOutcome::kCommitted;
-      opt_.obs.decision_log->record(d);
-    }
+    const Time new_finish = sched_.finish_of(t);
+    trace_.migrations.push_back(Migration{t, a.pivot, py, a.old_finish,
+                                          a.predicted_finish, new_finish,
+                                          makespan_after, a.phase, via_vip});
+    log_decision(a,
+                 via_vip ? obs::DecisionOutcome::kCommittedVip
+                         : obs::DecisionOutcome::kCommitted,
+                 py, new_finish, guarded ? makespan_before : kNoTime,
+                 makespan_after);
 
     if (opt_.validate_each_step) {
       const auto report = sched::validate(sched_, costs_);
@@ -511,7 +428,8 @@ class BsaRunner {
   /// Re-time `mutated` — a copy of the schedule taken right after the
   /// migration's mutations — with the full-rebuild sched::try_retime and
   /// require the incremental engine's verdict and, on success, schedule.
-  void check_retime_oracle(Schedule& mutated, bool retimed, TaskId t) const {
+  void check_retime_oracle(Schedule& mutated, TaskId t) const {
+    const bool retimed = !engine_.replayed();
     const bool reference = sched::try_retime(mutated, costs_, nullptr);
     BSA_ASSERT(reference == retimed,
                "re-timing verdicts differ after migrating task "
@@ -532,7 +450,7 @@ class BsaRunner {
     BSA_ASSERT(sched::schedule_to_text(sched_) == text_before,
                "rolling back task " << t
                                     << " did not restore the schedule");
-    const std::string ctx = retime_ctx_->check_consistency();
+    const std::string ctx = engine_.check_consistency();
     BSA_ASSERT(ctx.empty(), "re-timing context inconsistent after rolling "
                             "back task "
                                 << t << ": " << ctx);
@@ -568,7 +486,7 @@ class BsaRunner {
   /// crossing messages along the static routes in the same deterministic
   /// order used by the static evaluation.
   void commit_incoming_static(TaskId t, ProcId py) {
-    static_incoming_order_into(t, py, order_);
+    crossing_in_edges_into(sched_, t, py, order_);
     sched_.unplace_task(t);
     for (const EdgeId e : g_.in_edges(t)) sched_.clear_route(e);
     for (const EdgeId e : order_) {
@@ -623,13 +541,8 @@ class BsaRunner {
   BsaTrace trace_;
   /// Only built for RouteDiscipline::kStaticShortestPath.
   std::optional<net::RoutingTable> routing_table_;
-  /// Incremental re-timing engine, bound to sched_; constructed lazily at
-  /// the first migration.
-  std::optional<sched::RetimeContext> retime_ctx_;
-  /// Workspace of the replay fallback on a re-timing cycle.
-  sched::Replayer replayer_;
-  /// Reused journal for transactional guarded migrations.
-  Schedule::Transaction txn_;
+  /// Transaction, re-timing and replay fallback of every migration.
+  MoveEngine engine_;
   /// Trial bookings of the neighbour evaluations.
   sched::LinkProbe probe_;
   /// Buffers reused by evaluation and commit (length-reset per call, so

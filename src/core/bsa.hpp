@@ -4,12 +4,12 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "core/move_engine.hpp"
 #include "core/serialization.hpp"
 #include "graph/task_graph.hpp"
 #include "network/cost_model.hpp"
 #include "network/topology.hpp"
 #include "obs/hooks.hpp"
-#include "sched/retime_context.hpp"
 #include "sched/schedule.hpp"
 
 /// \file bsa.hpp
@@ -149,22 +149,12 @@ struct BsaTrace {
   std::int64_t gate_skips = 0;
   std::int64_t considered = 0;
   std::int64_t rejected_no_gain = 0;
-  /// Migrations whose re-timing hit an order cycle and fell back to a
-  /// replay of the whole schedule in the run's sched::Replayer workspace
-  /// (measured there, swapped in when kept; DESIGN_PERF.md).
-  std::int64_t replay_fallbacks = 0;
-  /// Transaction-journal footprint of guarded migrations: deepest journal
-  /// observed before commit/rollback, and total records journaled.
-  std::int64_t txn_journal_hwm = 0;
-  std::int64_t txn_journal_records = 0;
-  /// Lazily-built free-slot indexes constructed during the whole run:
-  /// the run schedule's Schedule::slot_index_builds() plus its replay
-  /// workspace's.
-  std::int64_t slot_index_builds = 0;
   /// Neighbour evaluations run as sched::LinkProbe trials.
   std::int64_t eval_trials = 0;
-  /// Re-timing engine counters (zero when no migration was attempted).
-  sched::RetimeContext::Stats retime;
+  /// The migrations' MoveEngine counters: replay fallbacks, the journal
+  /// footprint of guarded migrations, slot-index builds of the whole run
+  /// and the re-timing counters (zero when no migration was attempted).
+  MoveEngine::Stats engine;
 };
 
 struct BsaResult {

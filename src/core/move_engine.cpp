@@ -1,67 +1,128 @@
 #include "core/move_engine.hpp"
 
 #include <algorithm>
-#include <vector>
 
 #include "common/check.hpp"
+#include "obs/trace.hpp"
 #include "sched/link_probe.hpp"
 
 namespace bsa::core {
 
+void crossing_in_edges_into(const sched::Schedule& s, TaskId t, ProcId p,
+                            std::vector<EdgeId>& out) {
+  const auto& g = s.task_graph();
+  out.clear();
+  for (const EdgeId e : g.in_edges(t)) {
+    if (s.proc_of(g.edge_src(e)) != p) out.push_back(e);
+  }
+  std::sort(out.begin(), out.end(), [&](EdgeId a, EdgeId b) {
+    const Time fa = s.finish_of(g.edge_src(a));
+    const Time fb = s.finish_of(g.edge_src(b));
+    if (!time_eq(fa, fb)) return fa < fb;
+    return a < b;
+  });
+}
+
 MoveEngine::MoveEngine(sched::Schedule& s,
-                       const net::HeterogeneousCostModel& costs)
+                       const net::HeterogeneousCostModel& costs,
+                       bool insertion_slots, const obs::Hooks& hooks)
     : s_(s),
       costs_(costs),
-      table_(s.topology()),
-      ctx_(s, costs),
-      replayer_(s.task_graph(), s.topology(), costs) {
+      hooks_(hooks),
+      replayer_(s.task_graph(), s.topology(), costs, insertion_slots) {}
+
+MoveEngine::MoveEngine(sched::Schedule& s,
+                       const net::HeterogeneousCostModel& costs)
+    : MoveEngine(s, costs, true, obs::Hooks{}) {
   BSA_REQUIRE(s_.all_placed(), "MoveEngine requires a complete schedule");
-  // Pull the input to its earliest-time fixpoint so the context's
-  // incremental updates start from consistent ground.
-  if (!ctx_.retime_full(nullptr)) replay_in_place();
+  table_.emplace(s_.topology());
+  ctx_.emplace(s_, costs_);
+  if (!ctx_->retime_full(nullptr)) {
+    ++stats_.replay_fallbacks;
+    (void)replayer_.measure(s_);
+    swap_replay_in();
+  }
 }
 
-void MoveEngine::replay_in_place() {
+void MoveEngine::begin(TaskId t, bool journal) {
+  // Built at the first move: the schedule is a re-timing fixpoint
+  // between moves, which construction requires.
+  if (!ctx_.has_value()) ctx_.emplace(s_, costs_);
+  task_ = t;
+  journaled_ = journal;
+  replayed_ = false;
+  if (journal) s_.begin_transaction(txn_);
+  ctx_->begin_migration(t);
+}
+
+Time MoveEngine::settle() {
+  obs::Span retime_span(hooks_.tracer, "retime", "bsa", hooks_.trace_tid);
+  const bool retimed = ctx_->retime_migration(task_, nullptr);
+  retime_span.close();
+  if (journaled_) {
+    const auto depth = static_cast<std::int64_t>(txn_.size());
+    stats_.txn_journal_records += depth;
+    stats_.txn_journal_hwm = std::max(stats_.txn_journal_hwm, depth);
+  }
+  replayed_ = !retimed;
+  if (retimed) return s_.makespan();
+  // A failed delta writes no times, so the schedule still holds exactly
+  // the move's mutations: replay them in the workspace. A journaled move
+  // is then undone (the context with it) whatever the caller decides;
+  // keep swaps the replay in.
+  obs::Span span(hooks_.tracer, "replay", "bsa", hooks_.trace_tid);
   ++stats_.replay_fallbacks;
-  (void)replayer_.measure(s_);
-  replayer_.swap_into(s_);
-  ctx_.adopt_schedule();
+  const Time len = replayer_.measure(s_);
+  if (journaled_) {
+    s_.rollback_transaction();
+    ctx_->undo_migration(task_);
+  }
+  return len;
 }
 
-/// Schedule mutations of moving `t` to `p` on the live schedule (no
-/// re-timing): clear its incident routes, re-route crossing messages
-/// along static shortest paths (deterministic source-finish order) and
-/// place `t` at its earliest slot. Outgoing messages re-route from the
-/// task's actual new finish rather than BSA's pre-retime estimate, so
-/// this defines the engine's own move semantics, not a mirror of BSA's
-/// static commit. Deterministic in the pre-move schedule state.
+void MoveEngine::keep() {
+  if (replayed_) {
+    obs::Span span(hooks_.tracer, "replay", "bsa", hooks_.trace_tid);
+    swap_replay_in();
+  } else if (journaled_) {
+    s_.commit_transaction();
+  }
+}
+
+void MoveEngine::discard() {
+  BSA_REQUIRE(journaled_, "only a journaled move can be discarded");
+  if (replayed_) return;  // settle already undid it
+  obs::Span span(hooks_.tracer, "rollback", "bsa", hooks_.trace_tid);
+  s_.rollback_transaction();
+  ctx_->undo_migration(task_);
+}
+
+void MoveEngine::swap_replay_in() {
+  replayer_.swap_into(s_);
+  ctx_->adopt_schedule();
+}
+
+/// The engine's own move of `t` to `p` (no re-timing). Outgoing messages
+/// re-route from the task's actual new finish rather than BSA's
+/// pre-retime estimate, so this is not a mirror of BSA's static commit.
+/// Deterministic in the pre-move schedule state.
 void MoveEngine::apply_move_mutations(TaskId t, ProcId p) {
   const auto& g = s_.task_graph();
-  ctx_.begin_migration(t);
   s_.unplace_task(t);
   for (const EdgeId e : g.in_edges(t)) s_.clear_route(e);
   for (const EdgeId e : g.out_edges(t)) s_.clear_route(e);
 
-  std::vector<EdgeId> incoming;
-  for (const EdgeId e : g.in_edges(t)) {
-    if (s_.proc_of(g.edge_src(e)) != p) incoming.push_back(e);
-  }
-  std::sort(incoming.begin(), incoming.end(), [&](EdgeId a, EdgeId b) {
-    const Time fa = s_.finish_of(g.edge_src(a));
-    const Time fb = s_.finish_of(g.edge_src(b));
-    if (!time_eq(fa, fb)) return fa < fb;
-    return a < b;
-  });
   Time drt = 0;
   for (const EdgeId e : g.in_edges(t)) {
     if (s_.proc_of(g.edge_src(e)) == p) {
       drt = std::max(drt, s_.finish_of(g.edge_src(e)));
     }
   }
-  for (const EdgeId e : incoming) {
+  crossing_in_edges_into(s_, t, p, order_);
+  for (const EdgeId e : order_) {
     const TaskId src = g.edge_src(e);
-    drt = std::max(drt, sched::book_route(s_, costs_, e,
-                                          table_.route(s_.proc_of(src), p),
+    table_->route_into(s_.proc_of(src), p, route_);
+    drt = std::max(drt, sched::book_route(s_, costs_, e, route_,
                                           s_.finish_of(src), true));
   }
 
@@ -72,33 +133,36 @@ void MoveEngine::apply_move_mutations(TaskId t, ProcId p) {
   for (const EdgeId e : g.out_edges(t)) {
     const ProcId pd = s_.proc_of(g.edge_dst(e));
     if (pd == p) continue;
-    sched::book_route(s_, costs_, e, table_.route(p, pd), st + dur, true);
+    table_->route_into(p, pd, route_);
+    sched::book_route(s_, costs_, e, route_, st + dur, true);
   }
 }
 
 Time MoveEngine::evaluate(TaskId t, ProcId p) {
-  ++stats_.evaluated;
-  s_.begin_transaction(txn_);
+  begin(t, true);
   apply_move_mutations(t, p);
-  Time len = 0;
-  if (ctx_.retime_migration(t, nullptr)) {
-    len = s_.makespan();
-  } else {
-    // Re-timing cycle: a failed delta writes no times, so the schedule
-    // still holds exactly the move's mutations; replay them in the
-    // workspace, leaving the schedule for the rollback below.
-    ++stats_.replay_fallbacks;
-    len = replayer_.measure(s_);
-  }
-  s_.rollback_transaction();
-  ctx_.undo_migration(t);
+  const Time len = settle();
+  discard();
   return len;
 }
 
 void MoveEngine::apply(TaskId t, ProcId p) {
-  ++stats_.applied;
+  begin(t, false);
   apply_move_mutations(t, p);
-  if (!ctx_.retime_migration(t, nullptr)) replay_in_place();
+  (void)settle();
+  keep();
+}
+
+MoveEngine::Stats MoveEngine::stats() const {
+  Stats out = stats_;
+  out.slot_index_builds =
+      s_.slot_index_builds() + replayer_.slot_index_builds();
+  if (ctx_.has_value()) out.retime = ctx_->stats();
+  return out;
+}
+
+std::string MoveEngine::check_consistency() const {
+  return ctx_.has_value() ? ctx_->check_consistency() : std::string{};
 }
 
 }  // namespace bsa::core

@@ -1,80 +1,105 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "common/types.hpp"
 #include "network/cost_model.hpp"
 #include "network/routing.hpp"
+#include "obs/hooks.hpp"
 #include "sched/retime.hpp"
 #include "sched/retime_context.hpp"
 #include "sched/schedule.hpp"
 
 /// \file move_engine.hpp
-/// Transactional single-task move evaluation over a live schedule.
+/// The guarded-move engine: the one transaction, re-time and
+/// replay-fallback path for moving a task on a live schedule, driven by
+/// BSA's migrations and by SA's and refine's moves. It owns the bound
+/// schedule's sched::RetimeContext, a reusable Schedule::Transaction and
+/// a sched::Replayer workspace. A move is
 ///
-/// The engine owns the machinery that core::refine_schedule and the
-/// simulated-annealing scheduler share: one bound Schedule, one persistent
-/// sched::RetimeContext, and one reusable Schedule::Transaction. A
-/// candidate move (migrate task t to processor p) is
+///  1. `begin(t, journal)`: build the context on first use, open the
+///     transaction when `journal` is set, capture the structure around t;
+///  2. the caller's schedule mutations;
+///  3. `settle()`: re-time incrementally and return the makespan, or on
+///     an order cycle measure the replay in the workspace (restoring a
+///     journaled move at once, in O(touched)); then `keep()` commits or
+///     swaps the replay in, or `discard()` rolls back and undoes.
 ///
-///  * evaluated by journaling its mutations into the transaction,
-///    re-timing the affected region incrementally, reading the resulting
-///    makespan and rolling everything back — O(touched) per rejected
-///    move, never a schedule rebuild (docs/DESIGN_PERF.md);
-///  * applied by performing the same mutations for real and committing.
-///
-/// Move semantics (shared by both callers): the task's incident routes
-/// are cleared, crossing messages re-route along static shortest paths
-/// booking earliest free link slots (incoming messages in deterministic
-/// source-finish order), and the task lands in its earliest insertion
-/// slot. On a re-timing cycle the move falls back to a replay in the
-/// engine's sched::Replayer workspace: an evaluation measures the
-/// mutated schedule there and still rolls back in O(touched); an applied
-/// move swaps the replayed schedule in. No schedule is ever copied.
+/// No schedule is ever copied (docs/DESIGN_PERF.md). The engine's own
+/// move (`evaluate` / `apply`) clears the task's routes, re-routes its
+/// crossing messages along static shortest paths at the earliest free
+/// link slots and lands the task in its earliest insertion slot.
 
 namespace bsa::core {
 
+/// The in-edges of `t` whose source is not on `p`, in the order a static
+/// re-routing books them: by source finish time, then edge id. Writes
+/// into the reused buffer `out`.
+void crossing_in_edges_into(const sched::Schedule& s, TaskId t, ProcId p,
+                            std::vector<EdgeId>& out);
+
 class MoveEngine {
  public:
-  /// Bind to `s` (complete; must outlive the engine) and pull it to its
-  /// earliest-time fixpoint so the incremental re-timing deltas start
-  /// from consistent ground.
+  /// Bind to `s` (must outlive the engine) for moves the caller mutates
+  /// itself; nothing is built before the first begin, when `s` must be a
+  /// re-timing fixpoint. Spans go to `hooks.tracer`.
+  MoveEngine(sched::Schedule& s, const net::HeterogeneousCostModel& costs,
+             bool insertion_slots, const obs::Hooks& hooks);
+  /// Bind to complete `s` for evaluate / apply: build the routing table
+  /// and pull `s` to its earliest-time fixpoint.
   MoveEngine(sched::Schedule& s, const net::HeterogeneousCostModel& costs);
 
   MoveEngine(const MoveEngine&) = delete;
   MoveEngine& operator=(const MoveEngine&) = delete;
 
-  /// Makespan the schedule would have after moving `t` to `p`; the
-  /// schedule is restored bit-exactly before returning.
-  [[nodiscard]] Time evaluate(TaskId t, ProcId p);
+  /// Start a move of placed task `t`, journaled (discardable) or not.
+  void begin(TaskId t, bool journal);
+  /// Re-time the move (or measure its replay) and return its makespan.
+  [[nodiscard]] Time settle();
+  /// Whether the settled move fell back to a replay.
+  [[nodiscard]] bool replayed() const noexcept { return replayed_; }
+  void keep();
+  /// Undo the settled move bit-exactly; PreconditionError if unjournaled.
+  void discard();
 
+  /// Makespan after moving `t` to `p`; the schedule is left bit-exact.
+  [[nodiscard]] Time evaluate(TaskId t, ProcId p);
   /// Move `t` to `p` for real and re-time.
   void apply(TaskId t, ProcId p);
 
   struct Stats {
-    std::int64_t evaluated = 0;         ///< trial moves measured + rolled back
-    std::int64_t applied = 0;           ///< moves committed
     std::int64_t replay_fallbacks = 0;  ///< re-timing cycles resolved by replay
+    /// Journal of journaled moves at settle: deepest, and records in total.
+    std::int64_t txn_journal_hwm = 0;
+    std::int64_t txn_journal_records = 0;
+    /// Free-slot indexes built by the schedule and the replay workspace.
+    std::int64_t slot_index_builds = 0;
+    sched::RetimeContext::Stats retime;  ///< zero before the first begin
   };
-  [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
-  /// Counters of the engine's re-timing context.
-  [[nodiscard]] const sched::RetimeContext::Stats& retime_stats()
-      const noexcept {
-    return ctx_.stats();
-  }
+  [[nodiscard]] Stats stats() const;
+  /// The context's check_consistency (testing aid).
+  [[nodiscard]] std::string check_consistency() const;
 
  private:
   void apply_move_mutations(TaskId t, ProcId p);
-  /// Replace the schedule by its replay and re-read it into the context.
-  void replay_in_place();
+  void swap_replay_in();
 
   sched::Schedule& s_;
   const net::HeterogeneousCostModel& costs_;
-  net::RoutingTable table_;
-  sched::RetimeContext ctx_;
+  obs::Hooks hooks_;  ///< spans only
+  std::optional<net::RoutingTable> table_;  ///< evaluate / apply only
+  std::optional<sched::RetimeContext> ctx_;
   sched::Schedule::Transaction txn_;
   sched::Replayer replayer_;
   Stats stats_;
+  TaskId task_ = kInvalidTask;  ///< the move in progress
+  bool journaled_ = false;
+  bool replayed_ = false;
+  std::vector<EdgeId> order_;  ///< buffers of the engine's own move
+  std::vector<LinkId> route_;
 };
 
 }  // namespace bsa::core

@@ -32,10 +32,8 @@ std::vector<ProcId> move_candidates(TaskId t, const net::Topology& topo,
 
 }  // namespace
 
-/// Local search over core::MoveEngine: one live schedule, one
-/// RetimeContext; each candidate move is journaled into a
-/// Schedule::Transaction, measured, and rolled back in O(touched) (the
-/// best one is then re-applied for real).
+/// Local search over core::MoveEngine: each candidate move is measured
+/// and rolled back in O(touched); the best one is applied for real.
 RefineResult refine_schedule(const sched::Schedule& input,
                              const net::HeterogeneousCostModel& costs,
                              const RefineOptions& options) {

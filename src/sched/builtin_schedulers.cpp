@@ -132,18 +132,18 @@ class BsaScheduler final : public Scheduler {
     reg.add("bsa.gate_skips", t.gate_skips);
     reg.add("bsa.rejected.makespan_guard", t.rejected_migrations);
     reg.add("bsa.rejected.no_gain", t.rejected_no_gain);
-    reg.add("bsa.replay_fallbacks", t.replay_fallbacks);
+    reg.add("bsa.replay_fallbacks", t.engine.replay_fallbacks);
     // Serial lengths are integral by the cost model's construction
     // (integer factor x integer nominal cost), so the counter is exact.
     reg.add("bsa.initial_serial_length",
             static_cast<std::int64_t>(t.initial_serial_length));
-    reg.add("bsa.retime.nodes_recomputed", t.retime.nodes_recomputed);
-    reg.add("bsa.retime.migrations", t.retime.migrations);
-    reg.add("bsa.retime.undos", t.retime.undos);
-    reg.add("bsa.retime.full_rebuilds", t.retime.full_rebuilds);
-    reg.add("bsa.txn.journal_hwm", t.txn_journal_hwm);
-    reg.add("bsa.txn.journal_records", t.txn_journal_records);
-    reg.add("bsa.slot_index_builds", t.slot_index_builds);
+    reg.add("bsa.retime.nodes_recomputed", t.engine.retime.nodes_recomputed);
+    reg.add("bsa.retime.migrations", t.engine.retime.migrations);
+    reg.add("bsa.retime.undos", t.engine.retime.undos);
+    reg.add("bsa.retime.full_rebuilds", t.engine.retime.full_rebuilds);
+    reg.add("bsa.txn.journal_hwm", t.engine.txn_journal_hwm);
+    reg.add("bsa.txn.journal_records", t.engine.txn_journal_records);
+    reg.add("bsa.slot_index_builds", t.engine.slot_index_builds);
     reg.add("bsa.eval.trials", t.eval_trials);
     out.counters = reg.snapshot();
     audit_result(out.schedule, costs, spec());

@@ -32,13 +32,13 @@
 ///    cannot deadlock because it only depends on the (acyclic) task graph
 ///    and route chains.
 ///
-/// BSA, SA and refine re-time each move with the incremental
+/// BSA, SA and refine move tasks through one engine, core::MoveEngine
+/// (core/move_engine.hpp). It re-times each move with the incremental
 /// RetimeContext (retime_context.hpp), which reaches the same fixpoint as
-/// `try_retime`, and fall back to replay on a cycle through one
-/// reusable `Replayer` workspace per run (see core/bsa.cpp and
-/// core/move_engine.cpp): the replay is measured without touching the
-/// live schedule and, when kept, swapped in — no schedule copy, no
-/// per-replay allocation in steady state. `try_retime` stays the
+/// `try_retime`, and falls back to replay on a cycle through its one
+/// reusable `Replayer` workspace: the replay is measured without
+/// touching the live schedule and, when kept, swapped in — no schedule
+/// copy, no per-replay allocation in steady state. `try_retime` stays the
 /// reference: the test oracle behind `core::BsaOptions::validate_each_step`
 /// checks every migration against it.
 

@@ -51,12 +51,13 @@
 /// `try_retime` after every delta of randomized migration streams.
 ///
 /// A failed (cyclic) delta writes no times, so a Replayer can measure the
-/// mutated schedule as it stands. After the caller restores the schedule
+/// mutated schedule as it stands. After the schedule is restored
 /// (transaction rollback or snapshot copy), `undo_migration` undoes the
-/// delta exactly like a successful one, in O(touched); after the caller
-/// replaces the schedule with a replay result (Replayer::swap_into),
-/// `adopt_schedule` re-reads it without a time sweep (a replay result is
-/// already a fixpoint). The context never needs a silent full rebuild.
+/// delta exactly like a successful one, in O(touched); after it is
+/// replaced with a replay result (Replayer::swap_into), `adopt_schedule`
+/// re-reads it without a time sweep (a replay result is already a
+/// fixpoint). The context never needs a silent full rebuild. In the
+/// schedulers, core::MoveEngine (BSA, SA and refine) drives it.
 
 namespace bsa::sched {
 

@@ -10,10 +10,8 @@
 /// Simulated-annealing refinement over an existing schedule.
 ///
 /// Moves are single-task migrations (uniform random task, uniform random
-/// other processor) evaluated through core::MoveEngine: each candidate is
-/// journaled into a Schedule::Transaction, incrementally re-timed by a
-/// RetimeContext and rolled back bit-exactly, so a rejected move costs
-/// O(touched) instead of a schedule rebuild (docs/DESIGN_PORTFOLIO.md).
+/// other processor) evaluated through core::MoveEngine, so a rejected move
+/// costs O(touched) instead of a schedule rebuild (docs/DESIGN_PORTFOLIO.md).
 /// Acceptance is Metropolis on the makespan delta with geometric cooling:
 ///
 ///   T_k = temp0 * SL_init * 0.001^(k / max(iters - 1, 1))

@@ -37,7 +37,9 @@
 ///    off, and compare it with a pinned digest / migration / rejection
 ///    triple. The pins were taken from the build that still carried the
 ///    full-rebuild, snapshot-rollback and per-call-allocating reference
-///    engines as BSA options, where all engine combinations agreed;
+///    engines as BSA options, where all engine combinations agreed. Each
+///    pin also holds the run's replay-fallback count, the number of
+///    times the move engine took its replay branch;
 ///  * reference_replay — the replay as it was before sched::Replayer: a
 ///    freshly allocated schedule, per-edge route vectors and a
 ///    std::priority_queue, move-assigned over the input. The workspace
@@ -243,12 +245,14 @@ struct OraclePin {
   std::uint64_t digest = 0;
   std::size_t migrations = 0;
   std::int64_t rejections = 0;
+  /// Migrations the engine settled by a replay (order-cycle fallbacks).
+  std::int64_t replay_fallbacks = 0;
 };
 
 /// Run BSA with the oracle on and off, require identical schedules and a
 /// valid result, and compare with `pins[index]`. A missing pin fails and
-/// prints the row to add. Returns the run's rejected-migration count.
-inline std::int64_t expect_bsa_oracle_run(
+/// prints the row to add. Returns the run's actual result.
+inline OraclePin expect_bsa_oracle_run(
     const graph::TaskGraph& g, const net::Topology& topo,
     const net::HeterogeneousCostModel& cm, core::BsaOptions opt,
     const std::string& label, const std::vector<OraclePin>& pins,
@@ -259,7 +263,7 @@ inline std::int64_t expect_bsa_oracle_run(
     checked.emplace(core::schedule_bsa(g, topo, cm, opt));
   } catch (const std::exception& e) {
     ADD_FAILURE() << label << ": oracle failed: " << e.what();
-    return 0;
+    return {};
   }
   opt.validate_each_step = false;
   const core::BsaResult plain = core::schedule_bsa(g, topo, cm, opt);
@@ -269,18 +273,21 @@ inline std::int64_t expect_bsa_oracle_run(
 
   const OraclePin actual{schedule_digest(plain.schedule),
                          plain.trace.migrations.size(),
-                         plain.trace.rejected_migrations};
+                         plain.trace.rejected_migrations,
+                         plain.trace.engine.replay_fallbacks};
   if (index >= pins.size()) {
     ADD_FAILURE() << label << ": unpinned case " << index << ", pin: {0x"
                   << std::hex << actual.digest << std::dec << "ull, "
-                  << actual.migrations << ", " << actual.rejections << "},";
-    return actual.rejections;
+                  << actual.migrations << ", " << actual.rejections << ", "
+                  << actual.replay_fallbacks << "},";
+    return actual;
   }
   const OraclePin& pin = pins[index];
   EXPECT_EQ(actual.digest, pin.digest) << label;
   EXPECT_EQ(actual.migrations, pin.migrations) << label;
   EXPECT_EQ(actual.rejections, pin.rejections) << label;
-  return actual.rejections;
+  EXPECT_EQ(actual.replay_fallbacks, pin.replay_fallbacks) << label;
+  return actual;
 }
 
 }  // namespace bsa::testing

@@ -39,30 +39,30 @@ using testing::OraclePin;
 
 TEST(RetimeContextProperty, BitIdenticalToFullRebuildOnRandomScenarios) {
   const std::vector<OraclePin> pins = {
-    {0x1aa3d34c70023df5ull, 7, 3},
-    {0xdcf954c6e87abc9ull, 5, 2},
-    {0xe8de1d4847132eedull, 6, 2},
-    {0x3aea903373266394ull, 18, 7},
-    {0x9e297763677600daull, 0, 0},
-    {0x29364a47aeef55a1ull, 34, 13},
-    {0x93f8fd34e57692daull, 6, 3},
-    {0x2081dc967f07bd16ull, 10, 2},
-    {0xdca1ffdefeb79c19ull, 3, 5},
-    {0xeb42a2e7e0eab1e1ull, 18, 7},
-    {0x660f93eecb9c3521ull, 29, 4},
-    {0xe6ddc3d4c7a2ad82ull, 37, 11},
-    {0xc05d3535074c085dull, 17, 1},
-    {0xb4472c1a1bebee72ull, 10, 1},
-    {0x56f10ebf99ade7ull, 36, 3},
-    {0x5e667e90c326cda7ull, 27, 6},
-    {0x4cf002c8d19b2423ull, 6, 6},
-    {0xef7bf3f2fa7f5bd1ull, 57, 9},
-    {0x6cf9fea01b42a76dull, 0, 0},
-    {0x1acc187a00998116ull, 11, 3},
-    {0xfb78eb130b4ac41ull, 33, 5},
-    {0xf35d816c123a914aull, 23, 4},
-    {0x11932255edf9fb81ull, 16, 10},
-    {0xcde99c898a6f7c94ull, 37, 10},
+    {0x1aa3d34c70023df5ull, 7, 3, 0},
+    {0xdcf954c6e87abc9ull, 5, 2, 0},
+    {0xe8de1d4847132eedull, 6, 2, 0},
+    {0x3aea903373266394ull, 18, 7, 0},
+    {0x9e297763677600daull, 0, 0, 0},
+    {0x29364a47aeef55a1ull, 34, 13, 3},
+    {0x93f8fd34e57692daull, 6, 3, 0},
+    {0x2081dc967f07bd16ull, 10, 2, 0},
+    {0xdca1ffdefeb79c19ull, 3, 5, 0},
+    {0xeb42a2e7e0eab1e1ull, 18, 7, 1},
+    {0x660f93eecb9c3521ull, 29, 4, 1},
+    {0xe6ddc3d4c7a2ad82ull, 37, 11, 1},
+    {0xc05d3535074c085dull, 17, 1, 0},
+    {0xb4472c1a1bebee72ull, 10, 1, 0},
+    {0x56f10ebf99ade7ull, 36, 3, 0},
+    {0x5e667e90c326cda7ull, 27, 6, 0},
+    {0x4cf002c8d19b2423ull, 6, 6, 0},
+    {0xef7bf3f2fa7f5bd1ull, 57, 9, 0},
+    {0x6cf9fea01b42a76dull, 0, 0, 0},
+    {0x1acc187a00998116ull, 11, 3, 0},
+    {0xfb78eb130b4ac41ull, 33, 5, 1},
+    {0xf35d816c123a914aull, 23, 4, 0},
+    {0x11932255edf9fb81ull, 16, 10, 0},
+    {0xcde99c898a6f7c94ull, 37, 10, 0},
   };
   const std::vector<std::string> topologies{"ring", "hypercube", "clique",
                                             "random"};
@@ -104,16 +104,20 @@ TEST(RetimeContextProperty, BitIdenticalAcrossOptionVariants) {
       exp::make_cost_model(g, topo, 1, 100, 1, 100, false, derive_seed(seed, 17));
 
   const std::vector<OraclePin> pins = {
-    {0x55d85cd52e9edc85ull, 1, 14},
-    {0x55d85cd52e9edc85ull, 1, 14},
-    {0x55d85cd52e9edc85ull, 1, 14},
-    {0x55d85cd52e9edc85ull, 1, 14},
-    {0x9615006328b5174cull, 91, 0},
-    {0x409aa00992da16cfull, 46, 0},
-    {0xe79753c9c1c63d82ull, 84, 0},
-    {0xf1a8c1879f5984b3ull, 44, 0},
+    {0x55d85cd52e9edc85ull, 1, 14, 5},
+    {0x55d85cd52e9edc85ull, 1, 14, 0},
+    {0x55d85cd52e9edc85ull, 1, 14, 5},
+    {0x55d85cd52e9edc85ull, 1, 14, 0},
+    {0x9615006328b5174cull, 91, 0, 14},
+    {0x409aa00992da16cfull, 46, 0, 3},
+    {0xe79753c9c1c63d82ull, 84, 0, 8},
+    {0xf1a8c1879f5984b3ull, 44, 0, 5},
   };
   std::size_t case_index = 0;
+  // Replay fallbacks per policy: the guarded one discards or keeps a
+  // replay, the greedy one always keeps it.
+  std::int64_t guarded_fallbacks = 0;
+  std::int64_t greedy_fallbacks = 0;
   for (const auto policy : {core::MigrationPolicy::kMakespanGuarded,
                             core::MigrationPolicy::kTaskGreedy}) {
     for (const auto gate :
@@ -129,11 +133,18 @@ TEST(RetimeContextProperty, BitIdenticalAcrossOptionVariants) {
         label << "policy=" << static_cast<int>(policy)
               << " gate=" << static_cast<int>(gate)
               << " insertion=" << insertion;
-        (void)expect_bsa_oracle_run(g, topo, cm, opt, label.str(), pins,
-                                    case_index++);
+        const std::int64_t fallbacks =
+            expect_bsa_oracle_run(g, topo, cm, opt, label.str(), pins,
+                                  case_index++)
+                .replay_fallbacks;
+        (policy == core::MigrationPolicy::kTaskGreedy ? greedy_fallbacks
+                                                      : guarded_fallbacks) +=
+            fallbacks;
       }
     }
   }
+  EXPECT_GT(guarded_fallbacks, 0);
+  EXPECT_GT(greedy_fallbacks, 0);
 }
 
 TEST(RetimeContextProperty, BitIdenticalUnderStaticRouting) {
@@ -147,9 +158,9 @@ TEST(RetimeContextProperty, BitIdenticalUnderStaticRouting) {
   const auto cm =
       exp::make_cost_model(g, topo, 1, 50, 1, 50, false, derive_seed(seed, 17));
   const std::vector<OraclePin> pins = {
-    {0xc1e751e34a58c422ull, 10, 5},
-    {0xf1081046534acbabull, 10, 6},
-    {0x889a52fa484f9d06ull, 9, 6},
+    {0xc1e751e34a58c422ull, 10, 5, 0},
+    {0xf1081046534acbabull, 10, 6, 0},
+    {0x889a52fa484f9d06ull, 9, 6, 0},
   };
   std::size_t case_index = 0;
   for (const auto routing : {core::RouteDiscipline::kStaticShortestPath,
@@ -524,7 +535,7 @@ TEST(MoveEngineRetime, ReplaysNeverForceAFullRebuild) {
   Schedule s =
       sched::SchedulerRegistry::global().resolve("heft")->run(g, topo, cm, 1).schedule;
   core::MoveEngine engine(s, cm);
-  const std::int64_t built = engine.retime_stats().full_rebuilds;
+  const std::int64_t built = engine.stats().retime.full_rebuilds;
   const std::string pristine = sched::schedule_to_text(s);
   for (TaskId t = 0; t < g.num_tasks(); ++t) {
     for (ProcId p = 0; p < topo.num_processors(); ++p) {
@@ -537,8 +548,26 @@ TEST(MoveEngineRetime, ReplaysNeverForceAFullRebuild) {
     }
   }
   EXPECT_GT(engine.stats().replay_fallbacks, 0);
-  EXPECT_EQ(engine.retime_stats().full_rebuilds, built);
-  EXPECT_GT(engine.retime_stats().undos, 0);
+  EXPECT_EQ(engine.stats().retime.full_rebuilds, built);
+  EXPECT_GT(engine.stats().retime.undos, 0);
+}
+
+TEST(MoveEngineRetime, DiscardNeedsAJournaledBegin) {
+  // A move begun without a journal cannot be rolled back: discard must
+  // refuse it rather than leave the schedule half restored.
+  const auto seed = derive_seed(5, 17);
+  workloads::RandomDagParams params;
+  params.num_tasks = 12;
+  params.seed = seed;
+  const auto g = workloads::random_layered_dag(params);
+  const auto topo = exp::make_topology("ring", 4, seed);
+  const auto cm = net::HeterogeneousCostModel::uniform_processor_speeds(
+      g, topo, 1, 50, 1, 50, derive_seed(seed, 17));
+  Schedule s =
+      sched::SchedulerRegistry::global().resolve("heft")->run(g, topo, cm, 1).schedule;
+  core::MoveEngine engine(s, cm);
+  engine.begin(0, false);
+  EXPECT_THROW(engine.discard(), PreconditionError);
 }
 
 TEST(MoveEngineRetime, EvaluateMeasuresLikeTheSnapshotCopyPath) {

@@ -297,22 +297,22 @@ TEST_F(TxnFixture, RandomizedMutationSequencesRollBackExactly) {
 
 TEST(ScheduleTxnProperty, BitIdenticalAcrossTopologiesAndRoutings) {
   const std::vector<OraclePin> pins = {
-    {0x260730571f325bc5ull, 3, 16},
-    {0x6214ddaa765b3380ull, 25, 1},
-    {0x72b9a06b50f24a68ull, 7, 10},
-    {0xd81217f02852a185ull, 48, 11},
-    {0xca6f057ceb0e3215ull, 0, 0},
-    {0xece8a444403dddaeull, 29, 7},
-    {0x3c7cf99805a658b3ull, 33, 8},
-    {0x7381e3c197ad2c78ull, 64, 9},
-    {0xec13b96c37ab2fc3ull, 7, 4},
-    {0xd84246962b92be32ull, 23, 2},
-    {0x160e0f0361b227cull, 10, 14},
-    {0xec1debeaa4096395ull, 56, 1},
-    {0xdc9d1a8d6247ad7full, 4, 10},
-    {0xe1859078d4cdd1a3ull, 23, 0},
-    {0x2b282ce6272aab6bull, 41, 17},
-    {0x358e5727d65c7864ull, 55, 4},
+    {0x260730571f325bc5ull, 3, 16, 0},
+    {0x6214ddaa765b3380ull, 25, 1, 0},
+    {0x72b9a06b50f24a68ull, 7, 10, 0},
+    {0xd81217f02852a185ull, 48, 11, 8},
+    {0xca6f057ceb0e3215ull, 0, 0, 0},
+    {0xece8a444403dddaeull, 29, 7, 4},
+    {0x3c7cf99805a658b3ull, 33, 8, 3},
+    {0x7381e3c197ad2c78ull, 64, 9, 5},
+    {0xec13b96c37ab2fc3ull, 7, 4, 0},
+    {0xd84246962b92be32ull, 23, 2, 0},
+    {0x160e0f0361b227cull, 10, 14, 3},
+    {0xec1debeaa4096395ull, 56, 1, 0},
+    {0xdc9d1a8d6247ad7full, 4, 10, 0},
+    {0xe1859078d4cdd1a3ull, 23, 0, 0},
+    {0x2b282ce6272aab6bull, 41, 17, 5},
+    {0x358e5727d65c7864ull, 55, 4, 0},
   };
   std::int64_t rejections = 0;
   int case_index = 0;
@@ -341,8 +341,9 @@ TEST(ScheduleTxnProperty, BitIdenticalAcrossTopologiesAndRoutings) {
         label << kind << "/" << size << "/routing="
               << static_cast<int>(routing);
         rejections += expect_bsa_oracle_run(
-            g, topo, cm, opt, label.str(), pins,
-            static_cast<std::size_t>(case_index));
+                          g, topo, cm, opt, label.str(), pins,
+                          static_cast<std::size_t>(case_index))
+                          .rejections;
         ++case_index;
       }
     }
@@ -363,14 +364,14 @@ TEST(ScheduleTxnProperty, BitIdenticalAcrossGatePolicyAndPruneVariants) {
       exp::make_cost_model(g, topo, 1, 100, 1, 100, false,
                            derive_seed(seed, 17));
   const std::vector<OraclePin> pins = {
-    {0x734052702271740aull, 4, 1},
-    {0x734052702271740aull, 4, 1},
-    {0xbed990218c86b8c8ull, 10, 0},
-    {0xbed990218c86b8c8ull, 10, 0},
-    {0x734052702271740aull, 4, 1},
-    {0x734052702271740aull, 4, 1},
-    {0xbed990218c86b8c8ull, 10, 0},
-    {0xbed990218c86b8c8ull, 10, 0},
+    {0x734052702271740aull, 4, 1, 0},
+    {0x734052702271740aull, 4, 1, 0},
+    {0xbed990218c86b8c8ull, 10, 0, 0},
+    {0xbed990218c86b8c8ull, 10, 0, 0},
+    {0x734052702271740aull, 4, 1, 0},
+    {0x734052702271740aull, 4, 1, 0},
+    {0xbed990218c86b8c8ull, 10, 0, 0},
+    {0xbed990218c86b8c8ull, 10, 0, 0},
   };
   std::int64_t rejections = 0;
   std::size_t case_index = 0;
@@ -389,7 +390,8 @@ TEST(ScheduleTxnProperty, BitIdenticalAcrossGatePolicyAndPruneVariants) {
         label << "gate=" << static_cast<int>(gate)
               << " policy=" << static_cast<int>(policy) << " prune=" << prune;
         rejections += expect_bsa_oracle_run(g, topo, cm, opt, label.str(),
-                                            pins, case_index++);
+                                            pins, case_index++)
+                          .rejections;
       }
     }
   }
@@ -407,8 +409,8 @@ TEST(ScheduleTxnProperty, BitIdenticalUnderEcubeAndAppendSlots) {
   const auto cm =
       exp::make_cost_model(g, topo, 1, 50, 1, 50, false, derive_seed(seed, 17));
   const std::vector<OraclePin> pins = {
-    {0x83670ef17e1a332cull, 14, 10},
-    {0xf70ef2bfb14e0dedull, 12, 8},
+    {0x83670ef17e1a332cull, 14, 10, 2},
+    {0xf70ef2bfb14e0dedull, 12, 8, 0},
   };
   std::int64_t rejections = 0;
   std::size_t case_index = 0;
@@ -418,9 +420,11 @@ TEST(ScheduleTxnProperty, BitIdenticalUnderEcubeAndAppendSlots) {
     opt.routing = core::RouteDiscipline::kEcube;
     opt.insertion_slots = insertion;
     opt.max_sweeps = 2;
-    rejections += expect_bsa_oracle_run(
-        g, topo, cm, opt, insertion ? "ecube/insert" : "ecube/append", pins,
-        case_index++);
+    rejections += expect_bsa_oracle_run(g, topo, cm, opt,
+                                        insertion ? "ecube/insert"
+                                                  : "ecube/append",
+                                        pins, case_index++)
+                      .rejections;
   }
   EXPECT_GT(rejections, 0);
 }
