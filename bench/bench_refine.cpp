@@ -8,12 +8,16 @@
 /// BENCH_refine.json (same schema as BENCH_runtime.json) so the perf
 /// trajectory is tracked run over run.
 ///
-/// Flags: --tasks N, --seeds N, --rounds N, --per-pair, --seed S.
+/// Flags: --tasks N, --seeds N, --rounds N, --per-pair, --seed S, --help
+/// (lists the flags). Any other flag is an error.
 
 #include <chrono>
+#include <exception>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/check.hpp"
@@ -30,6 +34,22 @@
 int main(int argc, char** argv) {
   using namespace bsa;
   const CliParser cli(argc, argv);
+  // Exactly the flags read below: --help lists them, and a typo such as
+  // --task (for --tasks) fails instead of running with the default.
+  static const std::initializer_list<std::string_view> kFlags = {
+      "tasks", "seeds", "rounds", "per-pair", "seed"};
+  if (cli.has("help")) {
+    std::cout << "bench_refine flags:";
+    for (const std::string_view flag : kFlags) std::cout << " --" << flag;
+    std::cout << '\n';
+    return 0;
+  }
+  try {
+    cli.require_known(kFlags);
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << '\n';
+    return 1;
+  }
   const int num_tasks = static_cast<int>(cli.get_int("tasks", 60));
   const int seeds = static_cast<int>(cli.get_int("seeds", 2));
   const int rounds = static_cast<int>(cli.get_int("rounds", 1));

@@ -20,7 +20,8 @@
 ///        aggregate report either way),
 ///        --progress (live stderr meter for the scenario sweep),
 ///        --quick (CI smoke: one rep of 50-task graphs; fails loudly on
-///        an invalid schedule and writes no report file).
+///        an invalid schedule and writes no report file),
+///        --help (lists the flags). Any other flag is an error.
 ///
 /// BSA's engine equivalences (incremental re-timing vs the full rebuild,
 /// transactional rollback vs the pre-migration schedule) are checked by
@@ -30,12 +31,15 @@
 /// to the historical means, plus each cell's summed deterministic
 /// algorithm counters (see docs/DESIGN_OBS.md).
 
+#include <exception>
 #include <fstream>
-#include <iterator>
+#include <initializer_list>
 #include <iostream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/check.hpp"
@@ -52,6 +56,22 @@
 int main(int argc, char** argv) {
   using namespace bsa;
   const CliParser cli(argc, argv);
+  // Exactly the flags read below: --help lists them, and a typo such as
+  // --ful (for --full) fails instead of running with the default.
+  static const std::initializer_list<std::string_view> kFlags = {
+      "full", "quick", "reps", "seed", "threads", "jobs", "out", "progress"};
+  if (cli.has("help")) {
+    std::cout << "bench_runtime flags:";
+    for (const std::string_view flag : kFlags) std::cout << " --" << flag;
+    std::cout << '\n';
+    return 0;
+  }
+  try {
+    cli.require_known(kFlags);
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << '\n';
+    return 1;
+  }
   const bool full =
       cli.get_bool("full", false) || exp::full_benchmarks_requested();
   const bool quick = cli.get_bool("quick", false);

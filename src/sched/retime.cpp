@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/check.hpp"
-#include "sched/link_probe.hpp"
 
 namespace bsa::sched {
 namespace {
@@ -178,11 +177,26 @@ Time retime(Schedule& s, const net::HeterogeneousCostModel& costs) {
 Replayer::Replayer(const graph::TaskGraph& g, const net::Topology& topo,
                    const net::HeterogeneousCostModel& costs,
                    bool insertion_slots)
-    : costs_(&costs), insertion_slots_(insertion_slots), work_(g, topo) {}
+    : costs_(&costs),
+      insertion_slots_(insertion_slots),
+      work_(g, topo),
+      timelines_(static_cast<std::size_t>(topo.num_processors() +
+                                          topo.num_links())) {}
 
 void Replayer::push(Time prio, int kind, std::int64_t id, int hop) {
   heap_.emplace_back(prio, kind, id, hop);
   std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+}
+
+Time Replayer::book(std::size_t resource, Time ready, Time duration) {
+  Timeline& tl = timelines_[resource];
+  // The slot rule of task_start/book_route, over the replay's own lists.
+  const Time start =
+      insertion_slots_
+          ? tl.index.query(ready, duration)
+          : std::max(ready, tl.busy.empty() ? Time{0} : tl.busy.back().finish);
+  tl.index.insert(tl.busy, Interval{start, start + duration});
+  return start;
 }
 
 Time Replayer::measure(const Schedule& s) {
@@ -220,7 +234,12 @@ Time Replayer::measure(const Schedule& s) {
                                     k);
   };
 
-  work_.clear();
+  for (Timeline& tl : timelines_) {
+    tl.busy.clear();
+    tl.index.build(tl.busy);
+  }
+  edge_ready_.resize(static_cast<std::size_t>(g.num_edges()));
+  log_.clear();
   measured_ = true;
   heap_.clear();
   task_waits_.resize(n);
@@ -240,26 +259,29 @@ Time Replayer::measure(const Schedule& s) {
     }
   };
 
-  std::size_t executed = 0;
+  const auto num_procs =
+      static_cast<std::size_t>(s.topology().num_processors());
+  Time makespan = 0;
   while (!heap_.empty()) {
     std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
     const auto [prio, kind, id, k] = heap_.back();
     heap_.pop_back();
-    ++executed;
     if (kind == 0) {
       const auto t = static_cast<TaskId>(id);
       Time drt = 0;
       // Every in-edge's arrival is known: its source is placed and its
       // route fully booked.
       for (const EdgeId e : g.in_edges(t)) {
-        drt = std::max(drt, work_.arrival_of(e));
+        drt = std::max(drt, edge_ready_[static_cast<std::size_t>(e)]);
       }
       const ProcId p = proc_[static_cast<std::size_t>(t)];
       const Time dur = costs.exec_cost(t, p);
-      const Time st = task_start(work_, p, drt, dur, insertion_slots_);
-      work_.place_task(t, p, st, st + dur);
+      const Time st = book(static_cast<std::size_t>(p), drt, dur);
+      log_.push_back(Booked{t, -1, p, st, st + dur});
+      makespan = std::max(makespan, st + dur);
       // Enable outgoing messages.
       for (const EdgeId e : g.out_edges(t)) {
+        edge_ready_[static_cast<std::size_t>(e)] = st + dur;
         if (hops_of(e) == 0) {
           arrival_known(e);
         } else {
@@ -269,11 +291,13 @@ Time Replayer::measure(const Schedule& s) {
     } else {
       const auto e = static_cast<EdgeId>(id);
       const LinkId l = route_link_[hop_at(e, k)];
-      BSA_ASSERT(work_.route_of(e).size() == static_cast<std::size_t>(k),
-                 "replay ordering bug (hop)");
-      // Booked immediately so later searches see it.
-      book_route(work_, costs, e, {&l, 1}, work_.arrival_of(e),
-                 insertion_slots_);
+      const Time ready = edge_ready_[static_cast<std::size_t>(e)];
+      const Time dur = costs.comm_cost(e, l);
+      const Time st = book(num_procs + static_cast<std::size_t>(l), ready, dur);
+      BSA_ASSERT(time_le(ready, st),
+                 "route hops of message " << e << " not contiguous in time");
+      log_.push_back(Booked{e, k, l, st, st + dur});
+      edge_ready_[static_cast<std::size_t>(e)] = st + dur;
       if (k + 1 < hops_of(e)) {
         push(hop_prio_[hop_at(e, k + 1)], 1, e, k + 1);
       } else {
@@ -282,9 +306,10 @@ Time Replayer::measure(const Schedule& s) {
     }
   }
   const std::size_t expected = n + route_link_.size();
-  BSA_ASSERT(executed == expected,
-             "replay executed " << executed << " of " << expected << " items");
-  return work_.makespan();
+  BSA_ASSERT(log_.size() == expected,
+             "replay executed " << log_.size() << " of " << expected
+                                << " items");
+  return makespan;
 }
 
 void Replayer::swap_into(Schedule& s) {
@@ -293,6 +318,17 @@ void Replayer::swap_into(Schedule& s) {
                   &s.topology() == &work_.topology(),
               "replay result kept in a schedule over another graph or "
               "topology");
+  // The measured bookings, written in the order they were made: the same
+  // mutations a schedule-building replay performs, so the same resource
+  // orders, ties included.
+  work_.clear();
+  for (const Booked& b : log_) {
+    if (b.hop < 0) {
+      work_.place_task(b.id, b.resource, b.start, b.finish);
+    } else {
+      work_.append_hop(b.id, Hop{b.resource, b.start, b.finish});
+    }
+  }
   s.swap(work_);
   measured_ = false;
 }

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <tuple>
 #include <vector>
@@ -9,6 +10,7 @@
 #include "network/cost_model.hpp"
 #include "network/topology.hpp"
 #include "sched/schedule.hpp"
+#include "sched/timeline.hpp"
 
 /// \file retime.hpp
 /// Schedule re-timing.
@@ -36,9 +38,9 @@
 /// (core/move_engine.hpp). It re-times each move with the incremental
 /// RetimeContext (retime_context.hpp), which reaches the same fixpoint as
 /// `try_retime`, and falls back to replay on a cycle through its one
-/// reusable `Replayer` workspace: the replay is measured without
-/// touching the live schedule and, when kept, swapped in — no schedule
-/// copy, no per-replay allocation in steady state. `try_retime` stays the
+/// reusable `Replayer` workspace: measuring a replay writes no schedule,
+/// and only a kept one is written and swapped in — no schedule copy, no
+/// per-replay allocation in steady state. `try_retime` stays the
 /// reference: the test oracle behind `core::BsaOptions::validate_each_step`
 /// checks every migration against it.
 
@@ -65,10 +67,14 @@ Time retime(Schedule& s, const net::HeterogeneousCostModel& costs);
 /// preserved wherever feasible. `insertion_slots=false` replays with
 /// append-only placement instead (BSA's slot-policy ablation).
 ///
-/// The result is built in a schedule the workspace owns and clears in
-/// place, so its storage — and the workspace's flat route copy (CSR
-/// offsets, links, hop priorities), wait counts and heap — keeps its
-/// capacity from one replay to the next. Own one per run.
+/// `measure` is a pure computation: it keeps one interval list per
+/// processor and link with an incrementally grown SlotIndex (each slot
+/// query O(log k), each booking a binary-searched insert), the arrival
+/// time of every message, and a log of the bookings in the order they
+/// were made. No Schedule is written. `swap_into` — only for a replay
+/// that is kept — writes the log into the workspace's own schedule
+/// through place_task/append_hop and exchanges it in. All storage keeps
+/// its capacity from one replay to the next. Own one per run.
 class Replayer {
  public:
   /// A workspace for schedules over `g` and `topo`; all three must
@@ -81,23 +87,44 @@ class Replayer {
   Replayer& operator=(const Replayer&) = delete;
 
   /// Replay the assignment of `s` (complete placement, same graph and
-  /// topology) into the workspace and return the replayed makespan. `s`
-  /// is only read: it may be mid-transaction.
+  /// topology) and return the replayed makespan. `s` is only read: it
+  /// may be mid-transaction. Neither `s` nor the workspace schedule is
+  /// written.
   [[nodiscard]] Time measure(const Schedule& s);
 
-  /// Keep the last measured result: exchange it into `s` (no open
-  /// transaction). `s`'s previous content becomes the workspace's
-  /// scratch. Requires a measure since the last swap_into.
+  /// Keep the last measured result: write it into the workspace schedule
+  /// and exchange that into `s` (no open transaction). `s`'s previous
+  /// content becomes the workspace's scratch. Requires a measure since
+  /// the last swap_into.
   void swap_into(Schedule& s);
 
-  /// SlotIndex builds the workspace has performed over all replays, kept
-  /// or not; add it to the run schedule's own count for the run total.
+  /// SlotIndex builds of the workspace schedule over all replays, kept or
+  /// not; add it to the run schedule's own count for the run total.
+  /// Writing a kept replay queries no slot, so it builds none.
   [[nodiscard]] std::int64_t slot_index_builds() const noexcept {
     return work_.slot_index_builds();
   }
 
  private:
   void push(Time prio, int kind, std::int64_t id, int hop);
+  /// Book `duration` on `resource` (processors, then links) by the slot
+  /// rule from `ready`; returns the start.
+  Time book(std::size_t resource, Time ready, Time duration);
+
+  /// One resource's bookings in list order and their free-slot index.
+  struct Timeline {
+    std::vector<Interval> busy;
+    SlotIndex index;
+  };
+  /// One booking of a replay: task `id` on processor `resource` (hop
+  /// < 0), or hop `hop` of message `id` on link `resource`.
+  struct Booked {
+    std::int32_t id = 0;
+    std::int32_t hop = -1;
+    std::int32_t resource = 0;
+    Time start = 0;
+    Time finish = 0;
+  };
 
   const net::HeterogeneousCostModel* costs_;
   bool insertion_slots_;
@@ -115,6 +142,16 @@ class Replayer {
   /// index).
   using Item = std::tuple<Time, int, std::int64_t, int>;
   std::vector<Item> heap_;
+  // The measured replay: per-resource timelines (processors, then
+  // links), each message's arrival so far (by EdgeId), and the bookings
+  // in the order they were made.
+  std::vector<Timeline> timelines_;
+  std::vector<Time> edge_ready_;
+  std::vector<Booked> log_;
+
+  /// Testing aid (tests/retime_context_test.cpp): reads the workspace
+  /// schedule to show that measure leaves it untouched.
+  friend struct ReplayerTestPeer;
 };
 
 /// One-call replay through a temporary Replayer: rebuild all times (and

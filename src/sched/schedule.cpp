@@ -250,10 +250,10 @@ Time Schedule::arrival_of(EdgeId e) const {
 
 namespace {
 /// Queries answered by a plain scan before an invalidated resource's
-/// index is rebuilt. Mutation-heavy phases (replay, migration commits)
-/// touch a resource between almost every query, so an eager rebuild per
-/// query is pure overhead; genuinely hot resources repay the build within
-/// a few queries. Answers are bit-identical either way.
+/// index is rebuilt. Migration commits book on a resource right after
+/// almost every query of it, so an eager rebuild per query is pure
+/// overhead; genuinely hot resources repay the build within a few
+/// queries. Answers are bit-identical either way.
 constexpr int kLinearSlotQueries = 2;
 }  // namespace
 

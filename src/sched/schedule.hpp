@@ -194,7 +194,7 @@ class Schedule {
   // --- wholesale ----------------------------------------------------------
   /// Remove every placement and route in place: the schedule becomes
   /// empty over the same graph and topology while its storage keeps its
-  /// capacity (a reused rebuild target, see Replayer). Requires no open
+  /// capacity (a reused write target, see Replayer). Requires no open
   /// transaction.
   void clear();
   /// Exchange contents (graph, topology, placements, routes, orders and

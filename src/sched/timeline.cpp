@@ -63,7 +63,6 @@ void SlotIndex::build(std::span<const Interval> busy) {
   gap_end_.resize(busy.size());
   gap_open_.resize(busy.size());
   Time open = 0;  // running max of finishes == the scan's `candidate`
-  tail_open_ = 0;
   for (std::size_t j = 0; j < busy.size(); ++j) {
     gap_end_[j] = busy[j].start;
     gap_open_[j] = open;
@@ -74,17 +73,68 @@ void SlotIndex::build(std::span<const Interval> busy) {
   int p = 1;
   while (p < std::max(n_, 1)) p *= 2;
   seg_.assign(static_cast<std::size_t>(2 * p), -kInfiniteTime);
-  for (int j = 0; j < n_; ++j) {
+  refresh_tree(0);
+  built_ = true;
+}
+
+std::size_t SlotIndex::insert(std::vector<Interval>& busy, const Interval& iv) {
+  BSA_ASSERT(built_ && busy.size() == static_cast<std::size_t>(n_),
+             "SlotIndex::insert into a list it does not index");
+  const auto it = std::upper_bound(
+      busy.begin(), busy.end(), iv, [](const Interval& a, const Interval& b) {
+        return a.start < b.start || (a.start == b.start && a.finish < b.finish);
+      });
+  if (it != busy.end()) {
+    BSA_ASSERT(time_le(iv.finish, it->start),
+               "interval [" << iv.start << "," << iv.finish
+                            << ") overlaps successor");
+  }
+  if (it != busy.begin()) {
+    BSA_ASSERT(time_le((it - 1)->finish, iv.start),
+               "interval [" << iv.start << "," << iv.finish
+                            << ") overlaps predecessor");
+  }
+  const auto pos = static_cast<std::size_t>(it - busy.begin());
+  busy.insert(it, iv);
+
+  // The new gap opens where the old gap at `pos` did; every later gap's
+  // left edge (a running max of finishes) now also covers iv.finish.
+  const Time open = pos < gap_open_.size() ? gap_open_[pos] : tail_open_;
+  const auto at = static_cast<std::ptrdiff_t>(pos);
+  gap_end_.insert(gap_end_.begin() + at, iv.start);
+  gap_open_.insert(gap_open_.begin() + at, open);
+  ++n_;
+  for (std::size_t j = pos + 1; j < gap_open_.size(); ++j) {
+    if (!(gap_open_[j] < iv.finish)) break;  // running max: the rest hold
+    gap_open_[j] = iv.finish;
+  }
+  tail_open_ = std::max(tail_open_, iv.finish);
+
+  if (static_cast<std::size_t>(n_) > seg_.size() / 2) {
+    // Outgrew the tree: double it, the size a fresh build would pick.
+    seg_.assign(2 * seg_.size(), -kInfiniteTime);
+    refresh_tree(0);
+  } else {
+    refresh_tree(static_cast<int>(pos));
+  }
+  return pos;
+}
+
+void SlotIndex::refresh_tree(int from) {
+  const int p = static_cast<int>(seg_.size()) / 2;
+  for (int j = from; j < n_; ++j) {
     seg_[static_cast<std::size_t>(p + j)] =
         gap_end_[static_cast<std::size_t>(j)] -
         gap_open_[static_cast<std::size_t>(j)];
   }
-  for (int v = p - 1; v >= 1; --v) {
-    seg_[static_cast<std::size_t>(v)] =
-        std::max(seg_[static_cast<std::size_t>(2 * v)],
-                 seg_[static_cast<std::size_t>(2 * v + 1)]);
+  for (int lo = (p + from) / 2, hi = (p + n_ - 1) / 2; lo >= 1;
+       lo /= 2, hi /= 2) {
+    for (int v = lo; v <= hi; ++v) {
+      seg_[static_cast<std::size_t>(v)] =
+          std::max(seg_[static_cast<std::size_t>(2 * v)],
+                   seg_[static_cast<std::size_t>(2 * v + 1)]);
+    }
   }
-  built_ = true;
 }
 
 int SlotIndex::descend(int node, int lo, int hi, int from, Time min_cap) const {

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <span>
 #include <vector>
 
@@ -50,8 +51,10 @@ void insert_interval(std::vector<Interval>& busy, const Interval& iv);
 /// tree only prunes (with a small epsilon/ulp slack) and every candidate
 /// gap is re-checked with the scan's exact floating-point predicate.
 ///
-/// Build is O(k); the index is immutable — rebuild after the timeline
-/// changes (Schedule caches one per processor/link behind a dirty flag).
+/// Build is O(k). A timeline that only grows keeps its index current
+/// with insert() instead (the replay workspace, retime.hpp); one whose
+/// intervals move or leave is rebuilt (Schedule caches one per
+/// processor/link behind a dirty flag).
 class SlotIndex {
  public:
   /// Index `busy` (sorted by start, mutually non-overlapping).
@@ -59,9 +62,20 @@ class SlotIndex {
   void reset() noexcept;
   [[nodiscard]] bool built() const noexcept { return built_; }
 
+  /// Grow `busy` — the list this index was built over and has grown
+  /// since, sorted by (start, finish) — by `iv`, and keep the index
+  /// equal to a fresh build over the grown list. `iv` goes before the
+  /// first interval whose (start, finish) is greater, Schedule's
+  /// place_task/append_hop rule, found by binary search; the gap records
+  /// from there on and the tree above them are updated in
+  /// O(k - position + log k). Returns the position. Throws InvariantError,
+  /// leaving both untouched, when `iv` overlaps a neighbour.
+  std::size_t insert(std::vector<Interval>& busy, const Interval& iv);
+
   /// Churn heuristic: counts queries that arrived while the index was
   /// unbuilt, cleared on reset(). A resource that is invalidated between
-  /// almost every query (the replay engine's pattern) never repays an
+  /// almost every query (a migration commit's pattern: each slot query
+  /// is followed by a booking on the same resource) never repays an
   /// O(k) build — its owner answers the first few post-invalidation
   /// queries with a linear earliest_fit scan (bit-identical by
   /// definition) and only builds once the resource proves hot.
@@ -74,6 +88,8 @@ class SlotIndex {
  private:
   [[nodiscard]] int descend(int node, int lo, int hi, int from,
                             Time min_cap) const;
+  /// Recompute tree leaves [from, n_) and their ancestors.
+  void refresh_tree(int from);
 
   std::vector<Time> gap_end_;   // gap j right edge = busy[j].start
   std::vector<Time> gap_open_;  // gap j left edge = max finish of busy[0..j)
@@ -82,6 +98,10 @@ class SlotIndex {
   Time tail_open_ = 0;          // max finish over all intervals
   bool built_ = false;
   int unbuilt_queries_ = 0;     // queries since reset while unbuilt
+
+  /// Testing aid (tests/timeline_test.cpp): compares the arrays of an
+  /// index grown by insert() with those of a fresh build.
+  friend struct SlotIndexTestPeer;
 };
 
 }  // namespace bsa::sched

@@ -21,6 +21,15 @@
 #include "workloads/random_dag.hpp"
 
 namespace bsa {
+
+namespace sched {
+/// Reads the replay workspace's own schedule (declared friend in
+/// retime.hpp).
+struct ReplayerTestPeer {
+  static const Schedule& workspace(const Replayer& r) { return r.work_; }
+};
+}  // namespace sched
+
 namespace {
 
 using core::BsaOptions;
@@ -729,6 +738,52 @@ TEST(ReplayerWorkspace, KeptReplayNeverLowersTheSlotIndexBuildCount) {
   s.clear();
   EXPECT_EQ(s.slot_index_builds(), built);
   EXPECT_EQ(s.num_placed(), 0);
+}
+
+TEST(ReplayerWorkspace, MeasureWritesNoScheduleUntilKept) {
+  // measure is a pure computation: the workspace schedule keeps what the
+  // last swap_into left there (nothing at first) over any number of
+  // measures, and only a kept replay is written. Its makespan is the
+  // kept schedule's. Both slot modes.
+  const auto seed = derive_seed(23, 7);
+  workloads::RandomDagParams params;
+  params.num_tasks = 50;
+  params.granularity = 0.5;
+  params.seed = seed;
+  const auto g = workloads::random_layered_dag(params);
+  const auto topo = exp::make_topology("hypercube", 8, seed);
+  const auto cm = net::HeterogeneousCostModel::uniform_processor_speeds(
+      g, topo, 1, 4, 1, 2, derive_seed(seed, 3));
+  std::vector<Schedule> inputs;
+  for (const char* spec : {"bsa", "heft", "dls"}) {
+    inputs.push_back(
+        sched::SchedulerRegistry::global().resolve(spec)->run(g, topo, cm, 1)
+            .schedule);
+  }
+  for (const bool insertion : {true, false}) {
+    const std::string mode = insertion ? "insertion" : "append";
+    sched::Replayer replayer(g, topo, cm, insertion);
+    const Schedule& workspace = sched::ReplayerTestPeer::workspace(replayer);
+    std::string scratch = sched::schedule_to_text(workspace);
+    ASSERT_EQ(workspace.num_placed(), 0) << mode;
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+      for (const Schedule& other : inputs) (void)replayer.measure(other);
+      const Time makespan = replayer.measure(inputs[i]);
+      ASSERT_EQ(sched::schedule_to_text(workspace), scratch) << mode << i;
+
+      Schedule kept = inputs[i];
+      const std::string previous = sched::schedule_to_text(kept);
+      replayer.swap_into(kept);
+      EXPECT_EQ(makespan, kept.makespan()) << mode << i;
+      ASSERT_TRUE(sched::validate(kept, cm).ok()) << mode << i;
+      Schedule expected = inputs[i];
+      (void)testing::reference_replay(expected, cm, insertion);
+      ASSERT_EQ(diff_schedules(kept, expected), "") << mode << i;
+      // The kept schedule's previous content is the workspace's scratch.
+      scratch = sched::schedule_to_text(workspace);
+      ASSERT_EQ(scratch, previous) << mode << i;
+    }
+  }
 }
 
 // --- refine on the context ----------------------------------------------------

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "graph/task_graph.hpp"
@@ -8,6 +11,17 @@
 #include "sched/timeline.hpp"
 
 namespace bsa::sched {
+
+/// Reads SlotIndex's arrays (declared friend in timeline.hpp).
+struct SlotIndexTestPeer {
+  /// Same gap records, tail, tree and built flag.
+  static bool same_arrays(const SlotIndex& a, const SlotIndex& b) {
+    return a.built_ == b.built_ && a.n_ == b.n_ &&
+           a.tail_open_ == b.tail_open_ && a.gap_end_ == b.gap_end_ &&
+           a.gap_open_ == b.gap_open_ && a.seg_ == b.seg_;
+  }
+};
+
 namespace {
 
 TEST(EarliestFit, EmptyTimeline) {
@@ -161,6 +175,153 @@ TEST(SlotIndex, RejectsNegativeDuration) {
   SlotIndex idx;
   idx.build({});
   EXPECT_THROW((void)idx.query(0, -1), PreconditionError);
+}
+
+// --- SlotIndex::insert: the incrementally grown index ------------------------
+
+/// A candidate interval for the grown list: at the tail, inside an
+/// interior gap, zero-length on a boundary (ties), a duplicate of an
+/// existing interval, or one that overruns a gap by less than the time
+/// tolerance. Some candidates overlap a neighbour; insert must reject
+/// those.
+Interval random_candidate(Rng& rng, const std::vector<Interval>& busy) {
+  const auto pick = [&]() -> const Interval& {
+    return busy[rng.index(busy.size())];
+  };
+  Time tail = 0;
+  for (const Interval& iv : busy) tail = std::max(tail, iv.finish);
+  const bool fractional = rng.bernoulli(0.5);
+  const auto length = [&](Time hi) {
+    const auto whole = static_cast<std::size_t>(hi) + 1;
+    return fractional ? rng.uniform_real(0.0, hi)
+                      : static_cast<Time>(rng.index(whole));
+  };
+  switch (busy.empty() ? 0 : rng.index(6)) {
+    case 0: {  // tail, touching or after a gap
+      const Time start = tail + (rng.bernoulli(0.4) ? 0 : length(5));
+      return {start, start + length(6)};
+    }
+    case 1: {  // inside the gap before a random interval
+      const std::size_t j = rng.index(busy.size());
+      const Time open = j == 0 ? 0 : busy[j - 1].finish;
+      const Time end = busy[j].start;
+      if (end <= open) return {open, open};
+      const Time start = rng.uniform_real(open, end);
+      return {start, rng.uniform_real(start, end)};
+    }
+    case 2: {  // zero-length on a boundary
+      const Interval& iv = pick();
+      const Time at = rng.bernoulli(0.5) ? iv.start : iv.finish;
+      return {at, at};
+    }
+    case 3:  // an equal (start, finish) tie
+      return pick();
+    case 4: {  // overruns the gap before an interval by under the tolerance
+      const std::size_t j = rng.index(busy.size());
+      const Time open = j == 0 ? 0 : busy[j - 1].finish;
+      return {open, busy[j].start + 0.5 * kTimeEpsilon};
+    }
+    default: {  // anywhere: may overlap
+      const Time start = rng.uniform_real(0.0, tail + 2);
+      return {start, start + length(4)};
+    }
+  }
+}
+
+/// Property: after every insert the grown index equals a fresh build
+/// over the grown list, answers every query like earliest_fit, and put
+/// the interval where Schedule::place_task puts a task with those times.
+TEST(SlotIndexInsert, RandomInsertSequencesEqualAFreshBuild) {
+  constexpr int kInserts = 60;
+  graph::TaskGraphBuilder b;
+  for (int i = 0; i < kInserts; ++i) (void)b.add_task(1);
+  const graph::TaskGraph g = b.build();
+  const net::Topology topo = net::Topology::clique(2);
+  Rng rng(23);
+  int interior = 0;
+  int rejected = 0;
+  for (int round = 0; round < 120; ++round) {
+    std::vector<Interval> busy;
+    SlotIndex grown;
+    grown.build(busy);
+    Schedule s(g, topo);
+    TaskId next = 0;
+    for (int step = 0; step < 3 * kInserts && next < kInserts; ++step) {
+      const Interval iv = random_candidate(rng, busy);
+      const std::vector<Interval> before = busy;
+      std::size_t pos = 0;
+      try {
+        pos = grown.insert(busy, iv);
+      } catch (const InvariantError&) {
+        // Rejected: list and index untouched.
+        ++rejected;
+        ASSERT_EQ(busy.size(), before.size());
+        SlotIndex fresh;
+        fresh.build(busy);
+        ASSERT_TRUE(SlotIndexTestPeer::same_arrays(grown, fresh))
+            << "round=" << round;
+        continue;
+      }
+      interior += pos + 1 < busy.size();
+      s.place_task(next, 0, iv.start, iv.finish);
+      ++next;
+      // Same position as the schedule's processor order.
+      const std::vector<TaskId>& order = s.tasks_on(0);
+      ASSERT_EQ(order.size(), busy.size());
+      ASSERT_EQ(order[pos], next - 1) << "round=" << round << " step=" << step;
+      for (std::size_t i = 0; i < order.size(); ++i) {
+        ASSERT_EQ(s.start_of(order[i]), busy[i].start);
+        ASSERT_EQ(s.finish_of(order[i]), busy[i].finish);
+      }
+      SlotIndex fresh;
+      fresh.build(busy);
+      ASSERT_TRUE(SlotIndexTestPeer::same_arrays(grown, fresh))
+          << "round=" << round << " step=" << step << " pos=" << pos;
+      for (int q = 0; q < 8; ++q) {
+        const Time ready = rng.uniform_real(-1.0, busy.back().finish + 3);
+        // Durations within a few tolerances of a gap's capacity probe
+        // the tree's slack.
+        Time dur = rng.uniform_real(0.0, 6.0);
+        if (q % 2 == 1) {
+          const std::size_t j = rng.index(busy.size());
+          const Time open = j == 0 ? 0 : busy[j - 1].finish;
+          dur = std::max(Time{0}, busy[j].start - open +
+                                      kTimeEpsilon * rng.uniform_real(-2, 2));
+        }
+        ASSERT_EQ(grown.query(ready, dur), earliest_fit(busy, ready, dur))
+            << "round=" << round << " ready=" << ready << " dur=" << dur;
+      }
+    }
+  }
+  EXPECT_GT(interior, 500);
+  EXPECT_GT(rejected, 100);
+}
+
+TEST(SlotIndexInsert, GrowsThroughTreeResizesAndTies) {
+  // Tail inserts cross every power-of-two tree size; zero-length ties at
+  // one instant keep insertion order among equals and sort before the
+  // longer interval that starts there.
+  std::vector<Interval> busy;
+  SlotIndex grown;
+  grown.build(busy);
+  for (int i = 0; i < 33; ++i) {
+    const auto t = static_cast<Time>(2 * i);
+    EXPECT_EQ(grown.insert(busy, {t, t + 1}), static_cast<std::size_t>(i));
+    SlotIndex fresh;
+    fresh.build(busy);
+    ASSERT_TRUE(SlotIndexTestPeer::same_arrays(grown, fresh)) << i;
+  }
+  EXPECT_EQ(grown.insert(busy, {1, 1}), 1u);   // zero-length in gap 1
+  EXPECT_EQ(grown.insert(busy, {1, 2}), 2u);   // after the tie's shorter one
+  EXPECT_EQ(grown.insert(busy, {1, 1}), 2u);   // equal tie: after its twin
+  EXPECT_DOUBLE_EQ(grown.query(0, 1), 3);      // gap 1 is closed
+  EXPECT_DOUBLE_EQ(grown.query(0, 2), 65);     // no gap holds 2
+  const std::size_t tail = grown.insert(busy, {65, 65 + 2 * kTimeEpsilon});
+  EXPECT_EQ(tail, busy.size() - 1);
+  EXPECT_THROW((void)grown.insert(busy, {3.5, 4.5}), InvariantError);
+  SlotIndex fresh;
+  fresh.build(busy);
+  EXPECT_TRUE(SlotIndexTestPeer::same_arrays(grown, fresh));
 }
 
 // --- Schedule-level insertion edge cases ------------------------------------
