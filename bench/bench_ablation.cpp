@@ -19,7 +19,8 @@
 ///
 /// Flags: --tasks N, --seeds N, --per-pair, --seed S, --algo spec[,...]
 ///        (override the variant list), --threads/--jobs N, --out FILE,
-///        --progress (live stderr meter).
+///        --progress (live stderr meter), --help (lists the flags). Any
+///        other flag is an error.
 
 #include <exception>
 #include <iostream>
@@ -40,6 +41,11 @@
 int main(int argc, char** argv) try {
   using namespace bsa;
   const CliParser cli(argc, argv);
+  if (const auto exit_code = cli.check_flags(
+          "bench_ablation", {"tasks", "seeds", "per-pair", "seed", "algo",
+                             "threads", "jobs", "out", "progress"})) {
+    return *exit_code;
+  }
   const int num_tasks = static_cast<int>(cli.get_int("tasks", 80));
   const int seeds = static_cast<int>(cli.get_int("seeds", 3));
 

@@ -17,7 +17,8 @@
 ///        quicker 4 graphs of 250 tasks), --graphs N, --tasks N,
 ///        --per-pair, --csv, --seed S, --seed-mode legacy|grid,
 ///        --threads/--jobs N (0 = all cores), --out FILE (stream
-///        per-scenario JSONL rows), --progress (live stderr meter).
+///        per-scenario JSONL rows), --progress (live stderr meter),
+///        --help (lists the flags). Any other flag is an error.
 
 #include <exception>
 #include <iostream>
@@ -38,6 +39,12 @@
 int main(int argc, char** argv) try {
   using namespace bsa;
   const CliParser cli(argc, argv);
+  if (const auto exit_code = cli.check_flags(
+          "bench_fig7_heterogeneity",
+          {"full", "graphs", "tasks", "per-pair", "csv", "seed", "seed-mode",
+           "threads", "jobs", "out", "progress"})) {
+    return *exit_code;
+  }
   const bool full =
       cli.get_bool("full", false) || exp::full_benchmarks_requested();
   const int num_graphs = static_cast<int>(cli.get_int("graphs", full ? 10 : 4));

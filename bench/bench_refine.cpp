@@ -14,10 +14,8 @@
 #include <chrono>
 #include <exception>
 #include <fstream>
-#include <initializer_list>
 #include <iostream>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/check.hpp"
@@ -36,19 +34,9 @@ int main(int argc, char** argv) {
   const CliParser cli(argc, argv);
   // Exactly the flags read below: --help lists them, and a typo such as
   // --task (for --tasks) fails instead of running with the default.
-  static const std::initializer_list<std::string_view> kFlags = {
-      "tasks", "seeds", "rounds", "per-pair", "seed"};
-  if (cli.has("help")) {
-    std::cout << "bench_refine flags:";
-    for (const std::string_view flag : kFlags) std::cout << " --" << flag;
-    std::cout << '\n';
-    return 0;
-  }
-  try {
-    cli.require_known(kFlags);
-  } catch (const std::exception& e) {
-    std::cerr << "error: " << e.what() << '\n';
-    return 1;
+  if (const auto exit_code = cli.check_flags(
+          "bench_refine", {"tasks", "seeds", "rounds", "per-pair", "seed"})) {
+    return *exit_code;
   }
   const int num_tasks = static_cast<int>(cli.get_int("tasks", 60));
   const int seeds = static_cast<int>(cli.get_int("seeds", 2));

@@ -33,13 +33,11 @@
 
 #include <exception>
 #include <fstream>
-#include <initializer_list>
 #include <iostream>
 #include <iterator>
 #include <map>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/check.hpp"
@@ -58,19 +56,10 @@ int main(int argc, char** argv) {
   const CliParser cli(argc, argv);
   // Exactly the flags read below: --help lists them, and a typo such as
   // --ful (for --full) fails instead of running with the default.
-  static const std::initializer_list<std::string_view> kFlags = {
-      "full", "quick", "reps", "seed", "threads", "jobs", "out", "progress"};
-  if (cli.has("help")) {
-    std::cout << "bench_runtime flags:";
-    for (const std::string_view flag : kFlags) std::cout << " --" << flag;
-    std::cout << '\n';
-    return 0;
-  }
-  try {
-    cli.require_known(kFlags);
-  } catch (const std::exception& e) {
-    std::cerr << "error: " << e.what() << '\n';
-    return 1;
+  if (const auto exit_code = cli.check_flags(
+          "bench_runtime", {"full", "quick", "reps", "seed", "threads",
+                            "jobs", "out", "progress"})) {
+    return *exit_code;
   }
   const bool full =
       cli.get_bool("full", false) || exp::full_benchmarks_requested();

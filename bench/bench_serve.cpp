@@ -18,7 +18,8 @@
 /// (arm failpoints — docs/DESIGN_FAULT.md; typed error responses are
 /// then tolerated and tallied instead of fatal). With no --fault the
 /// output is byte-identical to a build without the fault layer, which
-/// is how CI pins the zero-cost-when-off contract.
+/// is how CI pins the zero-cost-when-off contract. --help lists the
+/// flags; any other flag is an error.
 
 #include <algorithm>
 #include <chrono>
@@ -140,6 +141,11 @@ int main(int argc, char** argv) {
   using namespace bsa;
   try {
     const CliParser cli(argc, argv);
+    if (const auto exit_code = cli.check_flags(
+            "bench_serve", {"requests", "hot-keys", "conns", "window",
+                            "threads", "jobs", "size", "out", "fault"})) {
+      return *exit_code;
+    }
     const std::uint64_t requests = cli.get_uint64("requests", 400);
     const std::uint64_t hot_keys = cli.get_uint64("hot-keys", 16);
     const int conns = static_cast<int>(cli.get_int("conns", 4));

@@ -5,7 +5,10 @@
 ///
 ///   $ ./bench_workloads [--threads 0] [--size 80] [--seeds 2]
 ///                       [--full] [--quick] [--out runs.jsonl] [--csv]
-///                       [--progress]
+///                       [--progress] [--gran G] [--procs N] [--het H]
+///                       [--seed S] [--help]
+///
+/// Any flag not listed is an error.
 ///
 /// --quick shrinks the grid (size 30, 1 seed/cell) for CI smoke runs
 /// that only assert the artefact shape.
@@ -173,7 +176,14 @@ int run(const CliParser& cli) {
 
 int main(int argc, char** argv) {
   try {
-    return run(bsa::CliParser(argc, argv));
+    const bsa::CliParser cli(argc, argv);
+    if (const auto exit_code = cli.check_flags(
+            "bench_workloads",
+            {"full", "quick", "size", "gran", "procs", "het", "seeds", "seed",
+             "threads", "jobs", "out", "csv", "progress"})) {
+      return *exit_code;
+    }
+    return run(cli);
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << '\n';
     return 1;

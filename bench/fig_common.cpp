@@ -2,12 +2,10 @@
 
 #include <exception>
 #include <fstream>
-#include <initializer_list>
 #include <iostream>
 #include <map>
 #include <memory>
 #include <ostream>
-#include <string_view>
 
 #include "common/check.hpp"
 #include "common/table.hpp"
@@ -212,17 +210,13 @@ int run_figure_bench(const CliParser& cli, SweepConfig config,
                      const std::string& figure_name) {
   // Exactly the flags apply_cli reads: --help lists them, and a typo such
   // as --algoo fails instead of running the default columns.
-  static const std::initializer_list<std::string_view> kFlags = {
-      "full", "seeds",   "procs", "per-pair", "algo",     "eft",  "csv",
-      "seed", "threads", "jobs",  "out",      "progress", "trace"};
-  if (cli.has("help")) {
-    std::cout << figure_name << " bench flags:";
-    for (const std::string_view flag : kFlags) std::cout << " --" << flag;
-    std::cout << '\n';
-    return 0;
+  if (const auto exit_code = cli.check_flags(
+          figure_name + " bench",
+          {"full", "seeds", "procs", "per-pair", "algo", "eft", "csv",
+           "seed", "threads", "jobs", "out", "progress", "trace"})) {
+    return *exit_code;
   }
   try {
-    cli.require_known(kFlags);
     apply_cli(cli, &config);
     run_and_print(config, figure_name, std::cout);
   } catch (const std::exception& e) {

@@ -322,6 +322,12 @@ int main(int argc, char** argv) {
       std::cout << kUsage;
       return 0;
     }
+    cli.require_known({"socket", "timeout-ms", "requests", "conns",
+                       "window", "seed", "hot-keys", "hot-frac", "cold-keys",
+                       "workloads", "algos", "size", "procs", "topology",
+                       "one", "workload", "algo", "gran", "het", "link-het",
+                       "per-pair", "validate", "no-cache", "export", "chaos",
+                       "retries", "shutdown"});
     const std::string socket = cli.get_string("socket", "bsa_served.sock");
 
     if (cli.has("shutdown")) {

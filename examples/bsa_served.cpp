@@ -72,6 +72,9 @@ int main(int argc, char** argv) {
       std::cout << kUsage;
       return 0;
     }
+    cli.require_known({"socket", "threads", "jobs", "cache", "shards",
+                       "max-batch", "batch-wait-us", "max-queue",
+                       "write-timeout-ms", "fault", "trace"});
 
     bsa::serve::ServerOptions options;
     options.socket_path = cli.get_string("socket", options.socket_path);

@@ -3,7 +3,7 @@
 /// 16-processor hypercube, comparing BSA against DLS and the
 /// contention-oblivious EFT baseline at three granularities.
 ///
-///   $ ./gaussian_elimination [--dim 12] [--procs 16] [--seed 3]
+///   $ ./gaussian_elimination [--dim 12] [--procs 16] [--seed 3] [--help]
 ///
 /// Shows how communication granularity flips the ranking: contention
 /// awareness matters most when messages are large relative to tasks.
@@ -27,6 +27,10 @@
 int main(int argc, char** argv) {
   using namespace bsa;
   const CliParser cli(argc, argv);
+  if (const auto exit_code =
+          cli.check_flags("gaussian_elimination", {"dim", "procs", "seed"})) {
+    return *exit_code;
+  }
   const int dim = static_cast<int>(cli.get_int("dim", 12));
   const int procs = static_cast<int>(cli.get_int("procs", 16));
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 3));

@@ -1,6 +1,6 @@
 /// Toolkit example: evaluating external mappings and polishing them.
 ///
-///   $ ./partition_and_refine [--tasks 80] [--seed 4]
+///   $ ./partition_and_refine [--tasks 80] [--seed 4] [--help]
 ///
 /// Demonstrates the assignment toolkit around the schedulers:
 ///  1. build a naive "layer-striped" mapping by hand (tasks striped over
@@ -29,6 +29,10 @@
 int main(int argc, char** argv) {
   using namespace bsa;
   const CliParser cli(argc, argv);
+  if (const auto exit_code =
+          cli.check_flags("partition_and_refine", {"tasks", "seed"})) {
+    return *exit_code;
+  }
   const int num_tasks = static_cast<int>(cli.get_int("tasks", 80));
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 4));
 

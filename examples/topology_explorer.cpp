@@ -1,6 +1,7 @@
 /// Domain example: the effect of processor connectivity.
 ///
 ///   $ ./topology_explorer [--tasks 120] [--granularity 0.5] [--seeds 3]
+///                         [--seed 11] [--help]
 ///
 /// Schedules the same workloads onto eight different 16-processor
 /// networks — from a linear chain to a full clique — and reports how
@@ -24,6 +25,10 @@
 int main(int argc, char** argv) {
   using namespace bsa;
   const CliParser cli(argc, argv);
+  if (const auto exit_code = cli.check_flags(
+          "topology_explorer", {"tasks", "granularity", "seeds", "seed"})) {
+    return *exit_code;
+  }
   const int num_tasks = static_cast<int>(cli.get_int("tasks", 120));
   const double granularity = cli.get_double("granularity", 0.5);
   const int seeds = static_cast<int>(cli.get_int("seeds", 3));

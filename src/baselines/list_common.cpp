@@ -97,6 +97,18 @@ ListRun::ListRun(sched::RankScheduleResult& out,
   }
 }
 
+std::size_t ListRun::highest_ranked(const std::vector<Cost>& ranks) const {
+  std::size_t pick = 0;
+  for (std::size_t i = 1; i < ready_.size(); ++i) {
+    const Cost ri = ranks[static_cast<std::size_t>(ready_[i])];
+    const Cost rp = ranks[static_cast<std::size_t>(ready_[pick])];
+    if (time_lt(rp, ri) || (time_eq(rp, ri) && ready_[i] < ready_[pick])) {
+      pick = i;
+    }
+  }
+  return pick;
+}
+
 Time ListRun::commit(std::size_t i, ProcId p) {
   const TaskId t = ready_[i];
   ready_.erase(ready_.begin() + static_cast<std::ptrdiff_t>(i));

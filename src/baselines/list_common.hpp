@@ -103,6 +103,11 @@ class ListRun {
   /// Returns its start time.
   Time commit(std::size_t i, ProcId p);
 
+  /// Index in ready() of the task of highest `ranks` (by TaskId); ties go
+  /// to the smaller task id.
+  [[nodiscard]] std::size_t highest_ranked(
+      const std::vector<Cost>& ranks) const;
+
   /// Reorder the pool by ascending task id.
   void sort_ready() { std::sort(ready_.begin(), ready_.end()); }
 

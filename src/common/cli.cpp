@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
+#include <iostream>
 #include <limits>
 
 #include "common/check.hpp"
@@ -109,6 +110,24 @@ void CliParser::require_known(
   }
   BSA_REQUIRE(count == 0, "unknown flag" << (count > 1 ? "s " : " ")
                                           << unknown << " (see --help)");
+}
+
+std::optional<int> CliParser::check_flags(
+    std::string_view title,
+    std::initializer_list<std::string_view> known) const {
+  if (has("help")) {
+    std::cout << title << " flags:";
+    for (const std::string_view flag : known) std::cout << " --" << flag;
+    std::cout << '\n';
+    return 0;
+  }
+  try {
+    require_known(known);
+  } catch (const PreconditionError& e) {
+    std::cerr << "error: " << e.what() << '\n';
+    return 1;
+  }
+  return std::nullopt;
 }
 
 const std::string* CliParser::last_value(const std::string& name) const {

@@ -39,6 +39,14 @@ class CliParser {
   /// `--hett 2` fails instead of running with the default.
   void require_known(std::initializer_list<std::string_view> known) const;
 
+  /// The flag check of a binary that declares its flags: with `--help`,
+  /// print "<title> flags: --a --b ..." to stdout and return 0; with a
+  /// flag outside `known`, print require_known's error to stderr and
+  /// return 1; otherwise return std::nullopt and let the binary run.
+  [[nodiscard]] std::optional<int> check_flags(
+      std::string_view title,
+      std::initializer_list<std::string_view> known) const;
+
   /// Value lookups with defaults; throw PreconditionError when the stored
   /// text cannot be parsed as the requested type. When a flag is repeated
   /// the scalar getters use the last occurrence.

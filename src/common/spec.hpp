@@ -2,14 +2,20 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <optional>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
+#include "common/check.hpp"
+
 /// \file spec.hpp
-/// The shared *spec string* machinery behind every named-thing registry in
-/// the repo (scheduler specs such as "bsa:gate=always,route=static" and
-/// workload specs such as "fft:points=64,ccr=0.5").
+/// The *spec string* machinery behind every named-thing registry in the
+/// repo (scheduler specs such as "bsa:gate=always,route=static" and
+/// workload specs such as "fft:points=64,ccr=0.5"), and the one registry
+/// class template, SpecRegistry<T>, that both registries are.
 ///
 /// Grammar (names, keys and values are case-insensitive ASCII,
 /// whitespace-tolerant; full reference: docs/SPECS.md):
@@ -17,13 +23,17 @@
 ///   spec    := name [ ":" option ("," option)* ]
 ///   option  := key "=" value
 ///
-/// The *canonical form* of a spec is the lowercase name followed by the
-/// non-default options sorted by key with canonical value spellings;
-/// `canonical_spec` assembles it and each registry's `canonical()`
-/// round-trips any accepted spec to it.
+/// Each option is declared once, as an OptionDoc built by choice_option,
+/// flag_option, int_option, uint64_option or real_option: key, type with
+/// its bound or choices, default and summary. The declaration drives
+/// validation (SpecOptions rejects unknown keys and bad values), the
+/// typed read (SpecOptions::choice, ::integer, ...), the documentation
+/// row, and the canonical spec: the lowercase name followed by the
+/// non-default values in canonical spelling, sorted by key.
 ///
-/// Everything here is stateless and thread-safe: parsing never mutates
-/// shared state, and SpecOptions instances are immutable.
+/// Everything here is thread-safe: parsing never mutates shared state,
+/// SpecOptions instances are immutable, and a registry's global() is
+/// built once and only read afterwards.
 
 namespace bsa {
 
@@ -43,55 +53,118 @@ struct ParsedSpec {
 [[nodiscard]] ParsedSpec parse_spec(const std::string& spec,
                                     const std::string& kind);
 
-/// Typed option accessors handed to registry factories. Every getter
-/// throws PreconditionError with the valid choices on a bad value.
-/// Immutable once constructed — safe to share across threads.
+/// A validated option value: a choice, a flag, an integer, an unsigned
+/// 64-bit integer (seeds) or a finite double.
+using OptionValue =
+    std::variant<std::string, bool, std::int64_t, std::uint64_t, double>;
+
+/// One declared option. The first four fields are its documentation row
+/// (the key is what unknown-option errors list); the rest is its type.
+/// Build declarations with the *_option functions below.
+struct OptionDoc {
+  enum class Type { kChoice, kFlag, kInt, kUint64, kReal };
+
+  std::string name;           ///< the key
+  std::string values;         ///< e.g. "paper|always" or "integer >= 1"
+  std::string default_value;  ///< canonical default, or a "(...)" note
+  std::string summary;
+
+  Type type = Type::kChoice;
+  std::vector<std::string> choices;  ///< kChoice; the first is the default
+  std::int64_t min_int = 0;          ///< kInt: inclusive lower bound
+  double min_real = 0;               ///< kReal: exclusive lower bound
+  /// The parsed default. An option without one (a "(...)" note) is
+  /// unset unless pinned, and a pinned value is always canonical.
+  std::optional<OptionValue> fallback;
+};
+
+/// Declarations. `fallback` is the default's canonical spelling, or a
+/// parenthesised note ("(caller seed)") for an option without a default.
+/// A choice option defaults to its first choice. `values` replaces the
+/// derived values text of an integer option whose owner checks more
+/// than the lower bound ("power of two >= 2").
+[[nodiscard]] OptionDoc choice_option(std::string key,
+                                      std::vector<std::string> choices,
+                                      std::string summary);
+[[nodiscard]] OptionDoc flag_option(std::string key, std::string fallback,
+                                    std::string summary);
+[[nodiscard]] OptionDoc int_option(std::string key, std::int64_t min,
+                                   std::string fallback, std::string summary,
+                                   std::string values = {});
+[[nodiscard]] OptionDoc uint64_option(std::string key, std::string fallback,
+                                      std::string summary);
+[[nodiscard]] OptionDoc real_option(std::string key, double min_exclusive,
+                                    std::string fallback,
+                                    std::string summary);
+
+/// A spec's options validated against its entry's declarations, with
+/// typed reads for the factory. Immutable — safe to share across threads.
 class SpecOptions {
  public:
-  SpecOptions(std::string kind, std::string name,
-              std::vector<std::pair<std::string, std::string>> options)
-      : kind_(std::move(kind)),
-        name_(std::move(name)),
-        options_(std::move(options)) {}
+  /// Validate `parsed` against `decls`: the first unknown key (spec
+  /// order) throws PreconditionError listing the valid options, then the
+  /// first bad value (declaration order) throws naming the key and the
+  /// accepted values.
+  SpecOptions(const std::string& kind, std::string display_name,
+              const std::vector<OptionDoc>& decls, const ParsedSpec& parsed);
 
   /// The (lowercase) registry name the options belong to.
   [[nodiscard]] const std::string& name() const { return name_; }
-  [[nodiscard]] bool has(const std::string& key) const;
+  /// The entry's display name ("BSA", "FFT butterfly").
+  [[nodiscard]] const std::string& display_name() const {
+    return display_name_;
+  }
+  /// The canonical spec: the name followed by the non-default values in
+  /// canonical spelling, sorted by key.
+  [[nodiscard]] const std::string& canonical() const { return canonical_; }
 
-  /// Value of `key` restricted to `choices`; returns the canonical
-  /// (lowercase) choice, or `fallback` when the key is absent.
-  [[nodiscard]] std::string get_choice(
-      const std::string& key, const std::vector<std::string>& choices,
-      const std::string& fallback) const;
+  /// Whether `o` has a value: pinned, or declared with a default.
+  [[nodiscard]] bool has(const OptionDoc& o) const;
 
-  /// Boolean option: accepts on/off, true/false, yes/no, 1/0.
-  [[nodiscard]] bool get_flag(const std::string& key, bool fallback) const;
-
-  /// Integer option with an inclusive lower bound.
-  [[nodiscard]] int get_int(const std::string& key, int fallback,
-                            int min_value) const;
-
-  /// Unsigned 64-bit option (seeds).
-  [[nodiscard]] std::uint64_t get_uint64(const std::string& key,
-                                         std::uint64_t fallback) const;
-
-  /// Finite floating-point option, strictly greater than `min_exclusive`.
-  [[nodiscard]] double get_double(const std::string& key, double fallback,
-                                  double min_exclusive) const;
+  /// Typed reads of `o`'s value (pinned, else its default); `o` must
+  /// have one and be of the read's type.
+  [[nodiscard]] const std::string& choice(const OptionDoc& o) const;
+  [[nodiscard]] bool flag(const OptionDoc& o) const;
+  [[nodiscard]] int integer(const OptionDoc& o) const;
+  [[nodiscard]] std::uint64_t uint64(const OptionDoc& o) const;
+  [[nodiscard]] double real(const OptionDoc& o) const;
 
  private:
-  [[nodiscard]] const std::string* raw(const std::string& key) const;
+  [[nodiscard]] const OptionValue* find(const OptionDoc& o) const;
+  template <typename V>
+  [[nodiscard]] const V& read(const OptionDoc& o) const;
 
-  std::string kind_;
   std::string name_;
-  std::vector<std::pair<std::string, std::string>> options_;
+  std::string display_name_;
+  std::string canonical_;
+  std::vector<std::pair<std::string, OptionValue>> pinned_;  // by key
 };
 
-/// Assemble a canonical spec: `name` followed by the given non-default
-/// "key=value" fragments sorted by key ("key=value" strings sort the same
-/// way as keys, so a plain sort is the canonical order).
-[[nodiscard]] std::string canonical_spec(
-    const std::string& name, std::vector<std::string> non_default_options);
+/// An object resolved from a spec string: a configured scheduler or
+/// workload. Immutable once built by its registry entry's factory.
+class SpecInstance {
+ public:
+  explicit SpecInstance(const SpecOptions& opts)
+      : spec_(opts.canonical()), display_name_(opts.display_name()) {}
+  virtual ~SpecInstance() = default;
+
+  /// Canonical spec string ("bsa:gate=always", "fft:points=64"). Feeding
+  /// it back through the registry reproduces the instance.
+  [[nodiscard]] std::string spec() const { return spec_; }
+
+  /// Human display name of the family ("BSA", "FFT butterfly").
+  [[nodiscard]] std::string display_name() const { return display_name_; }
+
+  /// Label for tables and reports: the display name for a default
+  /// configuration, the canonical spec for a variant.
+  [[nodiscard]] std::string display_label() const {
+    return spec_.find(':') == std::string::npos ? display_name_ : spec_;
+  }
+
+ private:
+  std::string spec_;
+  std::string display_name_;
+};
 
 /// Canonical spelling of a double-valued option ("0.5", "10", "2.25") —
 /// shortest representation that parses back to the same value.
@@ -110,5 +183,110 @@ class SpecOptions {
 /// Join strings with a separator — shared by registry error listings.
 [[nodiscard]] std::string join_list(const std::vector<std::string>& parts,
                                     const char* sep);
+
+/// Throw PreconditionError unless `name` is a canonical registry
+/// identifier (non-empty, lowercase, no ':', ',' or '=') and `options`
+/// declares each key once.
+void require_valid_entry(const std::string& kind, const std::string& name,
+                         const std::vector<OptionDoc>& options);
+
+/// What a SpecRegistry<T> needs from T's side: `kKind`, the noun its
+/// messages use ("scheduler"), and `register_builtins`, which fills
+/// global(). Specialised next to T.
+template <typename T>
+struct RegistryTraits;
+
+/// Registry of named factories of T (sched::Scheduler,
+/// workloads::Workload). `global()` holds the built-ins; local instances
+/// can be built in tests.
+template <typename T>
+class SpecRegistry {
+ public:
+  using OptionDoc = bsa::OptionDoc;
+  using Factory = std::function<std::unique_ptr<T>(const SpecOptions&)>;
+
+  struct Entry {
+    std::string name;          ///< canonical lowercase registry name
+    std::string display_name;  ///< e.g. "EFT (oblivious)"
+    std::string summary;       ///< one-line description
+    std::vector<OptionDoc> options;
+    Factory factory;
+  };
+
+  /// Register an entry. Throws on duplicate or non-canonical names.
+  void add(Entry entry) {
+    const char* kind = RegistryTraits<T>::kKind;
+    require_valid_entry(kind, entry.name, entry.options);
+    BSA_REQUIRE(find(entry.name) == nullptr,
+                kind << " '" << entry.name << "' is already registered");
+    BSA_REQUIRE(entry.factory != nullptr, kind << " '" << entry.name
+                                               << "' registered without a "
+                                                  "factory");
+    entries_.push_back(std::move(entry));
+  }
+
+  /// Resolve a spec string into a configured instance. Unknown names,
+  /// unknown option keys and bad values throw PreconditionError messages
+  /// listing the registered names / the valid options / the accepted
+  /// values.
+  [[nodiscard]] std::unique_ptr<T> resolve(const std::string& spec) const {
+    const char* kind = RegistryTraits<T>::kKind;
+    const ParsedSpec parsed = parse_spec(spec, kind);
+    const Entry* entry = find(parsed.name);
+    BSA_REQUIRE(entry != nullptr, "unknown " << kind << " '" << parsed.name
+                                             << "'; registered: "
+                                             << join_list(names(), ", "));
+    return entry->factory(
+        SpecOptions(kind, entry->display_name, entry->options, parsed));
+  }
+
+  /// Canonical form of `spec` (resolve + spec()).
+  [[nodiscard]] std::string canonical(const std::string& spec) const {
+    return resolve(spec)->spec();
+  }
+
+  /// Table/report label for `spec` (resolve + display_label()).
+  [[nodiscard]] std::string display_label(const std::string& spec) const {
+    return resolve(spec)->display_label();
+  }
+
+  /// Registered names in registration order.
+  [[nodiscard]] std::vector<std::string> names() const {
+    std::vector<std::string> out;
+    out.reserve(entries_.size());
+    for (const Entry& e : entries_) out.push_back(e.name);
+    return out;
+  }
+
+  /// bsa::split_spec_list with this registry's names as spec starts.
+  [[nodiscard]] std::vector<std::string> split_spec_list(
+      const std::string& text) const {
+    return bsa::split_spec_list(text, [this](const std::string& name) {
+      return find(name) != nullptr;
+    });
+  }
+
+  /// Entry for `name` (case-insensitive), or nullptr.
+  [[nodiscard]] const Entry* find(const std::string& name) const {
+    const std::string key = ascii_lower(name);
+    for (const Entry& e : entries_) {
+      if (e.name == key) return &e;
+    }
+    return nullptr;
+  }
+
+  /// The process-wide registry, populated with the built-ins.
+  [[nodiscard]] static const SpecRegistry& global() {
+    static const SpecRegistry* const instance = [] {
+      auto* r = new SpecRegistry();
+      RegistryTraits<T>::register_builtins(*r);
+      return r;
+    }();
+    return *instance;
+  }
+
+ private:
+  std::vector<Entry> entries_;
+};
 
 }  // namespace bsa

@@ -1,10 +1,11 @@
 #include "sched/assignment.hpp"
 
-#include <algorithm>
+#include <utility>
 
+#include "baselines/list_common.hpp"
 #include "common/check.hpp"
 #include "graph/levels.hpp"
-#include "sched/link_probe.hpp"
+#include "sched/rank_schedulers.hpp"
 
 namespace bsa::sched {
 
@@ -21,53 +22,20 @@ Schedule schedule_from_assignment(const graph::TaskGraph& g,
                 "assignment contains invalid processor " << p);
   }
 
-  const graph::LevelSets levels = graph::compute_levels(g);
-  Schedule s(g, topo);
-
-  // Ready-driven list scheduling by descending b-level.
-  std::vector<int> missing(static_cast<std::size_t>(g.num_tasks()));
-  std::vector<TaskId> ready;
-  for (TaskId t = 0; t < g.num_tasks(); ++t) {
-    missing[static_cast<std::size_t>(t)] = g.in_degree(t);
-    if (g.in_degree(t) == 0) ready.push_back(t);
+  // The list-scheduling loop of the rank schedulers, with the processor
+  // fixed: descending b-level (ties to the smaller id), messages booked
+  // along `table` routes and tasks in insertion slots.
+  RankScheduleResult result{Schedule(g, topo), graph::compute_levels(g).b_level,
+                            {}};
+  baselines::ListRun run(result, table, costs, /*insertion=*/true);
+  while (!run.ready().empty()) {
+    const std::size_t pick = run.highest_ranked(result.ranks);
+    (void)run.commit(pick,
+                     assignment[static_cast<std::size_t>(run.ready()[pick])]);
   }
-  auto priority_less = [&](TaskId a, TaskId b) {
-    const Cost ba = levels.b_level[static_cast<std::size_t>(a)];
-    const Cost bb = levels.b_level[static_cast<std::size_t>(b)];
-    if (!time_eq(ba, bb)) return ba > bb;
-    return a < b;
-  };
-
-  while (!ready.empty()) {
-    std::sort(ready.begin(), ready.end(), priority_less);
-    const TaskId t = ready.front();
-    ready.erase(ready.begin());
-    const ProcId p = assignment[static_cast<std::size_t>(t)];
-
-    // Route incoming messages and compute the data-ready time.
-    Time drt = 0;
-    for (const EdgeId e : g.in_edges(t)) {
-      const TaskId src = g.edge_src(e);
-      const ProcId ps = s.proc_of(src);
-      if (ps == p) {
-        drt = std::max(drt, s.finish_of(src));
-        continue;
-      }
-      drt = std::max(drt, book_route(s, costs, e, table.route(ps, p),
-                                     s.finish_of(src), true));
-    }
-
-    const Time dur = costs.exec_cost(t, p);
-    const Time st = task_start(s, p, drt, dur, true);
-    s.place_task(t, p, st, st + dur);
-
-    for (const EdgeId e : g.out_edges(t)) {
-      const TaskId d = g.edge_dst(e);
-      if (--missing[static_cast<std::size_t>(d)] == 0) ready.push_back(d);
-    }
-  }
-  BSA_ASSERT(s.all_placed(), "assignment scheduling left tasks unplaced");
-  return s;
+  BSA_ASSERT(result.schedule.all_placed(),
+             "assignment scheduling left tasks unplaced");
+  return std::move(result.schedule);
 }
 
 Schedule schedule_from_assignment(const graph::TaskGraph& g,

@@ -14,9 +14,9 @@
 /// assignment.
 ///
 /// Tasks are list-scheduled in descending nominal b-level (ties by id)
-/// onto their assigned processors with insertion-based slot search;
-/// crossing messages are routed along shortest paths and booked into
-/// exclusive link slots. This turns *any* mapping — produced by a
+/// onto their assigned processors with insertion-based slot search, on
+/// the rank schedulers' loop (baselines::ListRun); crossing messages are
+/// routed along shortest paths and booked into exclusive link slots. This turns *any* mapping — produced by a
 /// partitioner, a metaheuristic, or a human — into a feasible schedule
 /// whose length can be compared against BSA/DLS.
 

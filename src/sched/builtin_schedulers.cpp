@@ -22,8 +22,11 @@
 /// The existing free functions (core::schedule_bsa,
 /// baselines::schedule_dls, sched::schedule_heft/peft/mh/eft_oblivious,
 /// sched::anneal_schedule) remain the implementation and keep their
-/// white-box result structs; the adapters only translate options and
-/// package results.
+/// white-box result structs. Each option is declared once in
+/// register_builtin_schedulers (key, type with its bound or choices,
+/// default, summary); the registry validates specs against the
+/// declarations and builds the canonical spec, and the adapters only map
+/// the declared values onto the algorithm's options and package results.
 
 namespace bsa::sched {
 namespace {
@@ -35,61 +38,13 @@ double ms_since(const Clock::time_point& t0) {
   return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
 }
 
-// Canonical specs are assembled by the shared bsa::canonical_spec
-// (common/spec.hpp) — non-default options only, sorted by key.
-using bsa::canonical_spec;
-
 // --- BSA --------------------------------------------------------------------
 
 class BsaScheduler final : public Scheduler {
  public:
-  explicit BsaScheduler(const SpecOptions& opts) {
-    const std::string gate = opts.get_choice("gate", {"paper", "always"},
-                                             "paper");
-    options_.gate = gate == "always" ? core::GateRule::kAlwaysConsider
-                                     : core::GateRule::kPaper;
-    const std::string policy =
-        opts.get_choice("policy", {"guarded", "greedy"}, "guarded");
-    options_.policy = policy == "greedy" ? core::MigrationPolicy::kTaskGreedy
-                                         : core::MigrationPolicy::kMakespanGuarded;
-    const std::string route = opts.get_choice(
-        "route", {"incremental", "static", "ecube"}, "incremental");
-    options_.routing = route == "static"
-                           ? core::RouteDiscipline::kStaticShortestPath
-                       : route == "ecube" ? core::RouteDiscipline::kEcube
-                                          : core::RouteDiscipline::kIncremental;
-    const std::string serial =
-        opts.get_choice("serial", {"cpibob", "blevel"}, "cpibob");
-    options_.serialization = serial == "blevel"
-                                 ? core::SerializationRule::kBLevel
-                                 : core::SerializationRule::kCpIbOb;
-    options_.max_sweeps = opts.get_int("sweeps", 1, 1);
-    options_.vip_rule = opts.get_flag("vip", true);
-    options_.prune_route_cycles = opts.get_flag("prune", false);
-    const std::string slots =
-        opts.get_choice("slots", {"insert", "append"}, "insert");
-    options_.insertion_slots = slots == "insert";
-    if (opts.has("seed")) pinned_seed_ = opts.get_uint64("seed", 0);
-
-    std::vector<std::string> parts;  // alphabetical by key
-    if (gate != "paper") parts.push_back("gate=" + gate);
-    if (policy != "guarded") parts.push_back("policy=" + policy);
-    if (options_.prune_route_cycles) parts.push_back("prune=on");
-    if (route != "incremental") parts.push_back("route=" + route);
-    if (pinned_seed_.has_value()) {
-      parts.push_back("seed=" + std::to_string(*pinned_seed_));
-    }
-    if (serial != "cpibob") parts.push_back("serial=" + serial);
-    if (slots != "insert") parts.push_back("slots=" + slots);
-    if (options_.max_sweeps != 1) {
-      parts.push_back("sweeps=" + std::to_string(options_.max_sweeps));
-    }
-    if (!options_.vip_rule) parts.push_back("vip=off");
-    spec_ = canonical_spec("bsa", std::move(parts));
-  }
-
-  [[nodiscard]] std::string spec() const override { return spec_; }
-  [[nodiscard]] std::string display_name() const override { return "BSA"; }
+  BsaScheduler(const SpecOptions& opts, const core::BsaOptions& options,
+               std::optional<std::uint64_t> pinned_seed)
+      : Scheduler(opts), options_(options), pinned_seed_(pinned_seed) {}
 
   [[nodiscard]] SchedulerResult run(const graph::TaskGraph& g,
                                     const net::Topology& topo,
@@ -152,7 +107,6 @@ class BsaScheduler final : public Scheduler {
 
   core::BsaOptions options_;
   std::optional<std::uint64_t> pinned_seed_;
-  std::string spec_;
 };
 
 // --- list schedulers (DLS, EFT, MH, HEFT, PEFT) -----------------------------
@@ -163,15 +117,8 @@ class ListScheduler final : public Scheduler {
       const graph::TaskGraph&, const net::Topology&,
       const net::HeterogeneousCostModel&)>;
 
-  ListScheduler(std::string spec, std::string display_name, Fn fn)
-      : spec_(std::move(spec)),
-        display_name_(std::move(display_name)),
-        fn_(std::move(fn)) {}
-
-  [[nodiscard]] std::string spec() const override { return spec_; }
-  [[nodiscard]] std::string display_name() const override {
-    return display_name_;
-  }
+  ListScheduler(const SpecOptions& opts, Fn fn)
+      : Scheduler(opts), fn_(std::move(fn)) {}
 
   [[nodiscard]] SchedulerResult run(const graph::TaskGraph& g,
                                     const net::Topology& topo,
@@ -192,8 +139,6 @@ class ListScheduler final : public Scheduler {
   }
 
  private:
-  std::string spec_;
-  std::string display_name_;
   Fn fn_;
 };
 
@@ -201,53 +146,18 @@ class ListScheduler final : public Scheduler {
 
 class SaScheduler final : public Scheduler {
  public:
-  explicit SaScheduler(const SpecOptions& opts) {
-    const std::string init = opts.get_choice(
-        "init", {"heft", "peft", "bsa", "dls", "eft", "mh"}, "heft");
-    options_.iters = opts.get_int("iters", 100, 0);
-    options_.temp0 = opts.get_double("temp0", 0.05, 0.0);
-    if (opts.has("seed")) pinned_seed_ = opts.get_uint64("seed", 0);
-    // Factories run at resolve time, after the registry is fully built,
-    // so resolving the init scheduler here cannot recurse into
-    // registration. "sa" is not an accepted init, so no self-nesting.
-    init_ = SchedulerRegistry::global().resolve(init);
-
-    std::vector<std::string> parts;  // alphabetical by key
-    if (init != "heft") parts.push_back("init=" + init);
-    if (options_.iters != 100) {
-      parts.push_back("iters=" + std::to_string(options_.iters));
-    }
-    if (pinned_seed_.has_value()) {
-      parts.push_back("seed=" + std::to_string(*pinned_seed_));
-    }
-    if (options_.temp0 != 0.05) {
-      parts.push_back("temp0=" + bsa::canonical_double(options_.temp0));
-    }
-    spec_ = canonical_spec("sa", std::move(parts));
-  }
-
-  [[nodiscard]] std::string spec() const override { return spec_; }
-  [[nodiscard]] std::string display_name() const override { return "SA"; }
+  SaScheduler(const SpecOptions& opts, const SaOptions& options,
+              std::optional<std::uint64_t> pinned_seed,
+              std::unique_ptr<Scheduler> init)
+      : Scheduler(opts),
+        options_(options),
+        pinned_seed_(pinned_seed),
+        init_(std::move(init)) {}
 
   [[nodiscard]] SchedulerResult run(const graph::TaskGraph& g,
                                     const net::Topology& topo,
                                     const net::HeterogeneousCostModel& costs,
                                     std::uint64_t seed) const override {
-    return run_impl(g, topo, costs, seed);
-  }
-
-  [[nodiscard]] SchedulerResult run_observed(
-      const graph::TaskGraph& g, const net::Topology& topo,
-      const net::HeterogeneousCostModel& costs, std::uint64_t seed,
-      const obs::Hooks& hooks) const override {
-    obs::Span span(hooks.tracer, spec(), "sched", hooks.trace_tid);
-    return run_impl(g, topo, costs, seed);
-  }
-
- private:
-  [[nodiscard]] SchedulerResult run_impl(
-      const graph::TaskGraph& g, const net::Topology& topo,
-      const net::HeterogeneousCostModel& costs, std::uint64_t seed) const {
     const std::uint64_t eff = pinned_seed_.value_or(seed);
     // lint:allow(wall-clock): phase wall-time reporting only, never a result
     auto t0 = Clock::now();
@@ -274,123 +184,160 @@ class SaScheduler final : public Scheduler {
     return out;
   }
 
+ private:
   SaOptions options_;
   std::optional<std::uint64_t> pinned_seed_;
   std::unique_ptr<Scheduler> init_;
-  std::string spec_;
 };
 
 }  // namespace
 
 void register_builtin_schedulers(SchedulerRegistry& registry) {
-  using OptionDoc = SchedulerRegistry::OptionDoc;
-  registry.add({
-      "bsa",
-      "BSA",
-      "Bubble Scheduling and Allocation (the paper's algorithm)",
-      {
-          OptionDoc{"gate", "paper|always", "paper",
-                    "which pivot tasks are examined for migration"},
-          OptionDoc{"policy", "guarded|greedy", "guarded",
-                    "makespan-guarded vs literal task-greedy migration"},
-          OptionDoc{"prune", "on|off", "off",
-                    "cut cycles out of hop-extended message routes"},
-          OptionDoc{"route", "incremental|static|ecube", "incremental",
-                    "message route discipline"},
-          OptionDoc{"seed", "unsigned integer", "(caller seed)",
-                    "pin the critical-path tie-breaking seed"},
-          OptionDoc{"serial", "cpibob|blevel", "cpibob",
-                    "serial-injection order"},
-          OptionDoc{"slots", "insert|append", "insert",
-                    "insertion-based vs append-only slot search"},
-          OptionDoc{"sweeps", "integer >= 1", "1",
-                    "breadth-first pivot sweeps"},
-          OptionDoc{"vip", "on|off", "on",
-                    "equal-finish-time VIP migration rule"},
-      },
-      [](const SpecOptions& opts) -> std::unique_ptr<Scheduler> {
-        return std::make_unique<BsaScheduler>(opts);
-      },
-  });
-  registry.add({
-      "dls",
-      "DLS",
-      "Dynamic Level Scheduling (Sih & Lee), the paper's comparison",
-      {
-          OptionDoc{"seed", "unsigned integer", "0",
-                    "non-zero randomises dynamic-level tie-breaking"},
-      },
-      [](const SpecOptions& opts) -> std::unique_ptr<Scheduler> {
-        baselines::DlsOptions opt;
-        opt.seed = opts.get_uint64("seed", 0);
-        std::vector<std::string> parts;
-        if (opt.seed != 0) parts.push_back("seed=" + std::to_string(opt.seed));
-        return std::make_unique<ListScheduler>(
-            canonical_spec("dls", std::move(parts)), "DLS",
-            [opt](const graph::TaskGraph& g, const net::Topology& topo,
-                  const net::HeterogeneousCostModel& costs) {
-              return baselines::schedule_dls(g, topo, costs, opt);
-            });
-      },
-  });
-  registry.add({
-      "eft",
-      "EFT (oblivious)",
-      "contention-oblivious earliest-finish-time list scheduler",
-      {},
-      [](const SpecOptions&) -> std::unique_ptr<Scheduler> {
-        return std::make_unique<ListScheduler>("eft", "EFT (oblivious)",
-                                               schedule_eft_oblivious);
-      },
-  });
-  registry.add({
-      "mh",
-      "MH",
-      "Mapping-Heuristic-style contention-aware list scheduler",
-      {},
-      [](const SpecOptions&) -> std::unique_ptr<Scheduler> {
-        return std::make_unique<ListScheduler>("mh", "MH", schedule_mh);
-      },
-  });
-  registry.add({
-      "heft",
-      "HEFT",
-      "upward-rank list scheduler (Topcuoglu et al.) with contended routing",
-      {},
-      [](const SpecOptions&) -> std::unique_ptr<Scheduler> {
-        return std::make_unique<ListScheduler>("heft", "HEFT", schedule_heft);
-      },
-  });
-  registry.add({
-      "peft",
-      "PEFT",
-      "optimistic-cost-table list scheduler (Arabnejad & Barbosa) with "
-      "contended routing",
-      {},
-      [](const SpecOptions&) -> std::unique_ptr<Scheduler> {
-        return std::make_unique<ListScheduler>("peft", "PEFT", schedule_peft);
-      },
-  });
-  registry.add({
-      "sa",
-      "SA",
-      "simulated-annealing refinement of an init scheduler's result "
-      "(transactional O(touched) move evaluation)",
-      {
-          OptionDoc{"init", "heft|peft|bsa|dls|eft|mh", "heft",
-                    "scheduler whose result is refined"},
-          OptionDoc{"iters", "integer >= 0", "100",
-                    "proposed migration moves (0 returns the init schedule "
-                    "bit-identically)"},
-          OptionDoc{"seed", "unsigned integer", "(caller seed)",
-                    "pin the move/acceptance stream (also passed to init)"},
-          OptionDoc{"temp0", "float > 0", "0.05",
-                    "initial temperature as a fraction of the init makespan"},
-      },
-      [](const SpecOptions& opts) -> std::unique_ptr<Scheduler> {
-        return std::make_unique<SaScheduler>(opts);
-      },
-  });
+  // BSA and SA pin the caller's seed when seed= is given; DLS's seed
+  // switches its tie-breaking on.
+  const auto seed_option = [](std::string fallback, std::string summary) {
+    return uint64_option("seed", std::move(fallback), std::move(summary));
+  };
+  const auto pinned_seed =
+      [](const SpecOptions& opts,
+         const OptionDoc& seed) -> std::optional<std::uint64_t> {
+    if (!opts.has(seed)) return std::nullopt;
+    return opts.uint64(seed);
+  };
+
+  {
+    const OptionDoc gate =
+        choice_option("gate", {"paper", "always"},
+                      "which pivot tasks are examined for migration");
+    const OptionDoc policy =
+        choice_option("policy", {"guarded", "greedy"},
+                      "makespan-guarded vs literal task-greedy migration");
+    const OptionDoc prune = flag_option(
+        "prune", "off", "cut cycles out of hop-extended message routes");
+    const OptionDoc route =
+        choice_option("route", {"incremental", "static", "ecube"},
+                      "message route discipline");
+    const OptionDoc seed = seed_option(
+        "(caller seed)", "pin the critical-path tie-breaking seed");
+    const OptionDoc serial = choice_option("serial", {"cpibob", "blevel"},
+                                           "serial-injection order");
+    const OptionDoc slots =
+        choice_option("slots", {"insert", "append"},
+                      "insertion-based vs append-only slot search");
+    const OptionDoc sweeps =
+        int_option("sweeps", 1, "1", "breadth-first pivot sweeps");
+    const OptionDoc vip =
+        flag_option("vip", "on", "equal-finish-time VIP migration rule");
+    registry.add({
+        "bsa",
+        "BSA",
+        "Bubble Scheduling and Allocation (the paper's algorithm)",
+        {gate, policy, prune, route, seed, serial, slots, sweeps, vip},
+        [=](const SpecOptions& opts) -> std::unique_ptr<Scheduler> {
+          core::BsaOptions o;
+          o.gate = opts.choice(gate) == "always"
+                       ? core::GateRule::kAlwaysConsider
+                       : core::GateRule::kPaper;
+          o.policy = opts.choice(policy) == "greedy"
+                         ? core::MigrationPolicy::kTaskGreedy
+                         : core::MigrationPolicy::kMakespanGuarded;
+          const std::string& r = opts.choice(route);
+          o.routing = r == "static"  ? core::RouteDiscipline::kStaticShortestPath
+                      : r == "ecube" ? core::RouteDiscipline::kEcube
+                                     : core::RouteDiscipline::kIncremental;
+          o.serialization = opts.choice(serial) == "blevel"
+                                ? core::SerializationRule::kBLevel
+                                : core::SerializationRule::kCpIbOb;
+          o.max_sweeps = opts.integer(sweeps);
+          o.vip_rule = opts.flag(vip);
+          o.prune_route_cycles = opts.flag(prune);
+          o.insertion_slots = opts.choice(slots) == "insert";
+          return std::make_unique<BsaScheduler>(opts, o,
+                                                pinned_seed(opts, seed));
+        },
+    });
+  }
+  {
+    const OptionDoc seed = seed_option(
+        "0", "non-zero randomises dynamic-level tie-breaking");
+    registry.add({
+        "dls",
+        "DLS",
+        "Dynamic Level Scheduling (Sih & Lee), the paper's comparison",
+        {seed},
+        [=](const SpecOptions& opts) -> std::unique_ptr<Scheduler> {
+          baselines::DlsOptions o;
+          o.seed = opts.uint64(seed);
+          return std::make_unique<ListScheduler>(
+              opts, [o](const graph::TaskGraph& g, const net::Topology& topo,
+                        const net::HeterogeneousCostModel& costs) {
+                return baselines::schedule_dls(g, topo, costs, o);
+              });
+        },
+    });
+  }
+  // The list schedulers without options.
+  const auto add_list = [&](std::string name, std::string display,
+                            std::string summary, ListScheduler::Fn fn) {
+    registry.add({
+        std::move(name),
+        std::move(display),
+        std::move(summary),
+        {},
+        [fn = std::move(fn)](
+            const SpecOptions& opts) -> std::unique_ptr<Scheduler> {
+          return std::make_unique<ListScheduler>(opts, fn);
+        },
+    });
+  };
+  add_list("eft", "EFT (oblivious)",
+           "contention-oblivious earliest-finish-time list scheduler",
+           schedule_eft_oblivious);
+  add_list("mh", "MH",
+           "Mapping-Heuristic-style contention-aware list scheduler",
+           schedule_mh);
+  add_list("heft", "HEFT",
+           "upward-rank list scheduler (Topcuoglu et al.) with contended "
+           "routing",
+           schedule_heft);
+  add_list("peft", "PEFT",
+           "optimistic-cost-table list scheduler (Arabnejad & Barbosa) with "
+           "contended routing",
+           schedule_peft);
+  {
+    // "sa" is not an accepted init, so there is no self-nesting.
+    const OptionDoc init =
+        choice_option("init", {"heft", "peft", "bsa", "dls", "eft", "mh"},
+                      "scheduler whose result is refined");
+    const OptionDoc iters =
+        int_option("iters", 0, "100",
+                   "proposed migration moves (0 returns the init schedule "
+                   "bit-identically)");
+    const OptionDoc seed = seed_option(
+        "(caller seed)",
+        "pin the move/acceptance stream (also passed to init)");
+    const OptionDoc temp0 = real_option(
+        "temp0", 0.0, "0.05",
+        "initial temperature as a fraction of the init makespan");
+    registry.add({
+        "sa",
+        "SA",
+        "simulated-annealing refinement of an init scheduler's result "
+        "(transactional O(touched) move evaluation)",
+        {init, iters, seed, temp0},
+        [=](const SpecOptions& opts) -> std::unique_ptr<Scheduler> {
+          SaOptions o;
+          o.iters = opts.integer(iters);
+          o.temp0 = opts.real(temp0);
+          // Factories run at resolve time, after the registry is fully
+          // built, so resolving the init scheduler here cannot recurse
+          // into registration.
+          return std::make_unique<SaScheduler>(
+              opts, o, pinned_seed(opts, seed),
+              SchedulerRegistry::global().resolve(opts.choice(init)));
+        },
+    });
+  }
 }
 
 }  // namespace bsa::sched

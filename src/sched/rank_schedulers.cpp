@@ -50,19 +50,8 @@ RankScheduleResult place_by_rank(const graph::TaskGraph& g,
   RankScheduleResult result{Schedule(g, topo), std::move(ranks), {}};
   baselines::ListRun run(result, table, costs, insertion);
   while (!run.ready().empty()) {
-    // Highest rank among ready tasks; ties to the smaller task id
-    // (ready is maintained in ascending-id insertion order per wave, so
-    // a strict > keeps the first of equals).
-    const std::vector<TaskId>& ready = run.ready();
-    std::size_t pick = 0;
-    for (std::size_t i = 1; i < ready.size(); ++i) {
-      const Cost ri = result.ranks[static_cast<std::size_t>(ready[i])];
-      const Cost rp = result.ranks[static_cast<std::size_t>(ready[pick])];
-      if (time_lt(rp, ri) || (time_eq(rp, ri) && ready[i] < ready[pick])) {
-        pick = i;
-      }
-    }
-    const TaskId t = ready[pick];
+    const std::size_t pick = run.highest_ranked(result.ranks);
+    const TaskId t = run.ready()[pick];
 
     ProcId best_proc = kInvalidProc;
     Time best_eft = kInfiniteTime;

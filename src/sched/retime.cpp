@@ -162,7 +162,8 @@ bool try_retime(Schedule& s, const net::HeterogeneousCostModel& costs,
       s.set_hop_times(e, k, start[vi], finish[vi]);
     }
   }
-  s.normalize_orders();
+  // Orders need no re-sorting: the processor- and link-order chain edges
+  // give every item a start at or after its predecessor's finish.
   if (makespan != nullptr) *makespan = mk;
   return true;
 }

@@ -98,13 +98,6 @@ class Replayer {
   /// the last swap_into.
   void swap_into(Schedule& s);
 
-  /// SlotIndex builds of the workspace schedule over all replays, kept or
-  /// not; add it to the run schedule's own count for the run total.
-  /// Writing a kept replay queries no slot, so it builds none.
-  [[nodiscard]] std::int64_t slot_index_builds() const noexcept {
-    return work_.slot_index_builds();
-  }
-
  private:
   void push(Time prio, int kind, std::int64_t id, int hop);
   /// Book `duration` on `resource` (processors, then links) by the slot

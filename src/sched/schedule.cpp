@@ -155,18 +155,6 @@ void Schedule::rollback_transaction() {
         link_slots_[static_cast<std::size_t>(hop.link)].reset();
         break;
       }
-      case Transaction::Op::kOrderSnapshot: {
-        proc_tasks_[static_cast<std::size_t>(r.a)] =
-            txn.order_snaps_[static_cast<std::size_t>(r.idx1)];
-        proc_slots_[static_cast<std::size_t>(r.a)].reset();
-        break;
-      }
-      case Transaction::Op::kBookingSnapshot: {
-        link_bookings_[static_cast<std::size_t>(r.a)] =
-            txn.booking_snaps_[static_cast<std::size_t>(r.idx1)];
-        link_slots_[static_cast<std::size_t>(r.a)].reset();
-        break;
-      }
     }
   }
   txn.reset();
@@ -493,48 +481,6 @@ void Schedule::set_hop_times(EdgeId e, int hop_index, Time start, Time finish,
   link_slots_[static_cast<std::size_t>(hop.link)].reset();
   booking.start = start;
   booking.finish = finish;
-}
-
-void Schedule::normalize_orders() {
-  const auto task_lt = [&](TaskId a, TaskId b) {
-    return placements_[static_cast<std::size_t>(a)].start <
-           placements_[static_cast<std::size_t>(b)].start;
-  };
-  for (std::size_t p = 0; p < proc_tasks_.size(); ++p) {
-    auto& order = proc_tasks_[p];
-    // A stable sort of an already-sorted order is the identity; skipping
-    // it keeps the common case cheap and the journal empty.
-    if (std::is_sorted(order.begin(), order.end(), task_lt)) continue;
-    if (txn_ != nullptr) {
-      const std::size_t slot = txn_->orders_used_++;
-      if (slot == txn_->order_snaps_.size()) txn_->order_snaps_.emplace_back();
-      txn_->order_snaps_[slot] = order;
-      txn_->records_.push_back({Transaction::Op::kOrderSnapshot,
-                                static_cast<std::int32_t>(p), 0, 0,
-                                static_cast<std::int32_t>(slot), 0, 0});
-    }
-    proc_slots_[p].reset();
-    std::stable_sort(order.begin(), order.end(), task_lt);
-  }
-  const auto booking_lt = [](const LinkBooking& a, const LinkBooking& b) {
-    return a.start < b.start;
-  };
-  for (std::size_t l = 0; l < link_bookings_.size(); ++l) {
-    auto& bookings = link_bookings_[l];
-    if (std::is_sorted(bookings.begin(), bookings.end(), booking_lt)) continue;
-    if (txn_ != nullptr) {
-      const std::size_t slot = txn_->bookings_used_++;
-      if (slot == txn_->booking_snaps_.size()) {
-        txn_->booking_snaps_.emplace_back();
-      }
-      txn_->booking_snaps_[slot] = bookings;
-      txn_->records_.push_back({Transaction::Op::kBookingSnapshot,
-                                static_cast<std::int32_t>(l), 0, 0,
-                                static_cast<std::int32_t>(slot), 0, 0});
-    }
-    link_slots_[l].reset();
-    std::stable_sort(bookings.begin(), bookings.end(), booking_lt);
-  }
 }
 
 }  // namespace bsa::sched

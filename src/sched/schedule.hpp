@@ -81,32 +81,19 @@ class Schedule {
       kAppendHop,     ///< undo: pop last hop, erase its booking
       kEraseHop,      ///< undo: push hop back, re-insert its booking
       kSetHopTimes,   ///< undo: restore previous hop/booking times
-      kOrderSnapshot,  ///< undo: restore a processor order wholesale
-      kBookingSnapshot,  ///< undo: restore a link-booking order wholesale
     };
     struct Record {
       Op op;
       std::int32_t a = 0;     // primary id: task / edge / proc / link
       std::int32_t b = 0;     // secondary id: proc / link
       std::int32_t idx0 = 0;  // order position / hop index
-      std::int32_t idx1 = 0;  // booking position / snapshot slot
+      std::int32_t idx1 = 0;  // booking position
       Time t0 = 0, t1 = 0;    // previous start / finish
     };
 
-    void reset() noexcept {
-      records_.clear();
-      orders_used_ = 0;
-      bookings_used_ = 0;
-    }
+    void reset() noexcept { records_.clear(); }
 
     std::vector<Record> records_;
-    // Whole-vector snapshots for normalize_orders (the only mutator whose
-    // inverse is not O(1) to record). Slots are reused so inner vectors
-    // keep their capacity.
-    std::vector<std::vector<TaskId>> order_snaps_;
-    std::vector<std::vector<LinkBooking>> booking_snaps_;
-    std::size_t orders_used_ = 0;
-    std::size_t bookings_used_ = 0;
   };
 
   /// An empty schedule over `g` and `topo`; both must outlive the
@@ -230,10 +217,6 @@ class Schedule {
   /// list (bookings_on); saves the lookup.
   void set_hop_times(EdgeId e, int hop_index, Time start, Time finish,
                      std::size_t booking_pos);
-
-  /// Re-establish link-booking and processor orders sorted by start time
-  /// after a re-timing pass (stable; equal starts keep relative order).
-  void normalize_orders();
 
  private:
   struct Placement {

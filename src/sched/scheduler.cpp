@@ -3,7 +3,6 @@
 #include <atomic>
 
 #include "common/check.hpp"
-#include "common/spec.hpp"
 #include "obs/trace.hpp"
 #include "sched/validate.hpp"
 
@@ -40,12 +39,6 @@ void audit_result(const Schedule& s, const net::HeterogeneousCostModel& costs,
   }
 }
 
-std::string Scheduler::display_label() const {
-  const std::string canonical = spec();
-  return canonical.find(':') == std::string::npos ? display_name()
-                                                  : canonical;
-}
-
 SchedulerResult Scheduler::run_observed(const graph::TaskGraph& g,
                                         const net::Topology& topo,
                                         const net::HeterogeneousCostModel& costs,
@@ -53,86 +46,6 @@ SchedulerResult Scheduler::run_observed(const graph::TaskGraph& g,
                                         const obs::Hooks& hooks) const {
   obs::Span span(hooks.tracer, spec(), "sched", hooks.trace_tid);
   return run(g, topo, costs, seed);
-}
-
-// --- SchedulerRegistry ------------------------------------------------------
-
-void SchedulerRegistry::add(Entry entry) {
-  BSA_REQUIRE(!entry.name.empty(), "scheduler registration with empty name");
-  BSA_REQUIRE(entry.name == ascii_lower(entry.name) &&
-                  entry.name.find(':') == std::string::npos &&
-                  entry.name.find(',') == std::string::npos &&
-                  entry.name.find('=') == std::string::npos,
-              "scheduler name '" << entry.name
-                                 << "' is not a canonical identifier");
-  BSA_REQUIRE(find(entry.name) == nullptr,
-              "scheduler '" << entry.name << "' is already registered");
-  BSA_REQUIRE(entry.factory != nullptr,
-              "scheduler '" << entry.name << "' registered without a factory");
-  entries_.push_back(std::move(entry));
-}
-
-const SchedulerRegistry::Entry* SchedulerRegistry::find(
-    const std::string& name) const {
-  const std::string key = ascii_lower(name);
-  for (const Entry& e : entries_) {
-    if (e.name == key) return &e;
-  }
-  return nullptr;
-}
-
-std::vector<std::string> SchedulerRegistry::names() const {
-  std::vector<std::string> out;
-  out.reserve(entries_.size());
-  for (const Entry& e : entries_) out.push_back(e.name);
-  return out;
-}
-
-std::unique_ptr<Scheduler> SchedulerRegistry::resolve(
-    const std::string& spec) const {
-  const ParsedSpec parsed = parse_spec(spec);
-  const Entry* entry = find(parsed.name);
-  BSA_REQUIRE(entry != nullptr, "unknown scheduler '"
-                                    << parsed.name << "'; registered: "
-                                    << join_list(names(), ", "));
-  for (const auto& [key, _] : parsed.options) {
-    bool known = false;
-    for (const OptionDoc& doc : entry->options) known = known || doc.name == key;
-    if (!known) {
-      std::vector<std::string> valid;
-      valid.reserve(entry->options.size());
-      for (const OptionDoc& doc : entry->options) valid.push_back(doc.name);
-      BSA_REQUIRE(false, "scheduler '"
-                             << entry->name << "': unknown option '" << key
-                             << "'; valid options: "
-                             << (valid.empty() ? std::string("(none)")
-                                               : join_list(valid, ", ")));
-    }
-  }
-  return entry->factory(SpecOptions("scheduler", entry->name, parsed.options));
-}
-
-std::vector<std::string> SchedulerRegistry::split_spec_list(
-    const std::string& text) const {
-  return bsa::split_spec_list(
-      text, [this](const std::string& name) { return find(name) != nullptr; });
-}
-
-std::string SchedulerRegistry::canonical(const std::string& spec) const {
-  return resolve(spec)->spec();
-}
-
-std::string SchedulerRegistry::display_label(const std::string& spec) const {
-  return resolve(spec)->display_label();
-}
-
-const SchedulerRegistry& SchedulerRegistry::global() {
-  static const SchedulerRegistry* instance = [] {
-    auto* r = new SchedulerRegistry();
-    register_builtin_schedulers(*r);
-    return r;
-  }();
-  return *instance;
 }
 
 }  // namespace bsa::sched

@@ -18,12 +18,11 @@
 
 /// \file scheduler.hpp
 /// The unified scheduling surface: a polymorphic Scheduler interface and
-/// a process-wide registry that resolves *spec strings* into configured
-/// scheduler instances.
+/// SchedulerRegistry, the bsa::SpecRegistry (common/spec.hpp) that
+/// resolves *spec strings* into configured scheduler instances.
 ///
 /// Spec grammar (names, keys and values are case-insensitive; shared with
-/// the workload registry via common/spec.hpp — full reference:
-/// docs/SPECS.md):
+/// the workload registry — full reference: docs/SPECS.md):
 ///
 ///   spec    := name [ ":" option ("," option)* ]
 ///   option  := key "=" value
@@ -32,9 +31,12 @@
 ///   "bsa:gate=always,route=static"         BSA ablation variant
 ///   "dls:seed=7"                           DLS with randomised tie-breaks
 ///
-/// The canonical form of a spec is the lowercase name followed by the
-/// non-default options sorted by key with canonical value spellings —
-/// `SchedulerRegistry::canonical` round-trips any accepted spec to it.
+/// Each algorithm declares each of its options once (key, type with its
+/// bound or choices, default, summary) in builtin_schedulers.cpp; the
+/// registry validates a spec against those declarations and builds its
+/// canonical form — the lowercase name followed by the non-default
+/// options sorted by key with canonical value spellings — and the
+/// adapter only maps the declared values onto the algorithm's options.
 /// Everything that dispatches on an algorithm (experiment sweeps, figure
 /// benches, bsa_tool, JSONL sinks) goes through this surface; adding an
 /// algorithm means registering one factory, not widening an enum in four
@@ -76,21 +78,11 @@ struct SchedulerResult {
 
 /// A configured scheduling algorithm. Instances are immutable and
 /// thread-safe: one instance may serve concurrent run() calls (the
-/// parallel sweep runtime relies on this).
-class Scheduler {
+/// parallel sweep runtime relies on this). spec(), display_name() and
+/// display_label() come from bsa::SpecInstance.
+class Scheduler : public SpecInstance {
  public:
-  virtual ~Scheduler() = default;
-
-  /// Canonical spec string ("bsa", "bsa:gate=always", ...). Feeding this
-  /// back through SchedulerRegistry::resolve reproduces the instance.
-  [[nodiscard]] virtual std::string spec() const = 0;
-
-  /// Human display name of the algorithm family ("BSA", "DLS", ...).
-  [[nodiscard]] virtual std::string display_name() const = 0;
-
-  /// Label for tables and reports: the display name for a default
-  /// configuration, the canonical spec for a variant.
-  [[nodiscard]] std::string display_label() const;
+  using SpecInstance::SpecInstance;
 
   /// Schedule `g` onto `topo` under `costs`. `seed` is the caller's
   /// tie-breaking seed (experiment sweeps derive it per instance); a
@@ -130,8 +122,8 @@ void set_audit(bool on) noexcept;
 void audit_result(const Schedule& s, const net::HeterogeneousCostModel& costs,
                   const std::string& label);
 
-/// The spec grammar (ParsedSpec, SpecOptions, canonicalisation helpers)
-/// is shared with the workload registry — see common/spec.hpp. The sched
+/// The spec grammar (ParsedSpec, SpecOptions, option declarations) is
+/// shared with the workload registry — see common/spec.hpp. The sched
 /// aliases keep existing call sites (`sched::parse_spec`, ...) working.
 using bsa::ascii_lower;
 using bsa::ParsedSpec;
@@ -146,63 +138,7 @@ using bsa::SpecOptions;
 /// Registry of named scheduler factories. `global()` holds the built-in
 /// algorithms (bsa, dls, eft, mh, heft, peft, sa); local instances can be
 /// built in tests.
-class SchedulerRegistry {
- public:
-  /// Documentation of one accepted option, used for error messages,
-  /// `--help`-style listings and DESIGN_API.md examples.
-  struct OptionDoc {
-    std::string name;
-    std::string values;         ///< e.g. "paper|always" or "integer >= 1"
-    std::string default_value;  ///< canonical default spelling
-    std::string summary;
-  };
-
-  using Factory = std::function<std::unique_ptr<Scheduler>(const SpecOptions&)>;
-
-  struct Entry {
-    std::string name;          ///< canonical lowercase registry name
-    std::string display_name;  ///< e.g. "EFT (oblivious)"
-    std::string summary;       ///< one-line description
-    std::vector<OptionDoc> options;
-    Factory factory;
-  };
-
-  /// Register an algorithm. Throws on duplicate or non-canonical names.
-  void add(Entry entry);
-
-  /// Resolve a spec string into a configured scheduler. Unknown names
-  /// and unknown option keys throw PreconditionError messages listing
-  /// the registered names / the algorithm's valid options.
-  [[nodiscard]] std::unique_ptr<Scheduler> resolve(
-      const std::string& spec) const;
-
-  /// Canonical form of `spec` (resolve + Scheduler::spec).
-  [[nodiscard]] std::string canonical(const std::string& spec) const;
-
-  /// Table/report label for `spec` (resolve + Scheduler::display_label).
-  [[nodiscard]] std::string display_label(const std::string& spec) const;
-
-  /// Registered names in registration order.
-  [[nodiscard]] std::vector<std::string> names() const;
-
-  /// Split a comma-separated list of specs, e.g. a CLI `--algo` value.
-  /// Variant options themselves use commas ("bsa:gate=always,route=static"),
-  /// so a comma token of the form key=value whose key is not a registered
-  /// scheduler name continues the preceding spec instead of starting a
-  /// new one. The returned specs are not yet validated — feed them to
-  /// resolve/canonical.
-  [[nodiscard]] std::vector<std::string> split_spec_list(
-      const std::string& text) const;
-
-  /// Entry for `name` (case-insensitive), or nullptr.
-  [[nodiscard]] const Entry* find(const std::string& name) const;
-
-  /// The process-wide registry, populated with the built-in algorithms.
-  [[nodiscard]] static const SchedulerRegistry& global();
-
- private:
-  std::vector<Entry> entries_;
-};
+using SchedulerRegistry = SpecRegistry<Scheduler>;
 
 /// Register the built-in algorithms (bsa, dls, eft, mh, heft, peft, sa) —
 /// defined in builtin_schedulers.cpp, invoked once by
@@ -210,3 +146,13 @@ class SchedulerRegistry {
 void register_builtin_schedulers(SchedulerRegistry& registry);
 
 }  // namespace bsa::sched
+
+namespace bsa {
+template <>
+struct RegistryTraits<sched::Scheduler> {
+  static constexpr const char* kKind = "scheduler";
+  static void register_builtins(sched::SchedulerRegistry& registry) {
+    sched::register_builtin_schedulers(registry);
+  }
+};
+}  // namespace bsa

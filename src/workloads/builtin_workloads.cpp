@@ -18,75 +18,70 @@
 /// pipeline) — behind the unified workloads::Workload interface, and
 /// their registration with the global WorkloadRegistry. The existing free
 /// functions (workloads::fft, workloads::gaussian_elimination, ...)
-/// remain the implementation; the adapters only translate options,
-/// derive unpinned structure parameters from the caller's target size,
-/// and assemble canonical specs.
+/// remain the implementation. Each option is declared once (key, lower
+/// bound, default or "(scaled to target)", summary); the registry
+/// validates specs against the declarations and builds the canonical
+/// spec, and the adapters only map the declared values onto the
+/// generator's dimensions, deriving unpinned ones from the caller's
+/// target size.
 
 namespace bsa::workloads {
 namespace {
 
-/// Pinned-or-absent structure parameters, in the registration's key
-/// order. A pinned option fixes the dimension; an absent one is derived
-/// from the caller's target task count by the workload's scale function.
+/// Structure values in declaration order: a pinned or constant-default
+/// option holds its value, a scaled option left unset is empty and is
+/// derived from the caller's target task count by the scale function.
 using Pinned = std::vector<std::optional<int>>;
 
-/// Resolve the concrete dimensions (same order as the keys) for a target
-/// task count.
+/// Resolve the concrete dimensions (same order as the options) for a
+/// target task count.
 using ScaleFn = std::vector<int> (*)(const Pinned& pinned, int target);
 
 /// Build the graph from resolved dimensions and cost parameters.
 using BuildFn = graph::TaskGraph (*)(const std::vector<int>& dims,
                                      const CostParams& costs);
 
-/// Extra resolve-time validation of pinned options (may be null).
-using CheckFn = void (*)(const SpecOptions& opts);
+/// Resolve-time checks beyond the declared lower bounds (may be null).
+using CheckFn = void (*)(const Pinned& pinned);
 
-/// One generator behind the Workload interface. All builtin workloads
-/// share the ccr= / seed= handling: a pinned CCR (communication-to-
+/// Default text of a structure option derived from the target size.
+constexpr const char* kScaled = "(scaled to target)";
+
+/// The options every workload shares: a pinned CCR (communication-to-
 /// computation ratio, i.e. 1/granularity) overrides the caller's
 /// granularity axis, a pinned seed overrides the caller's seed.
+const OptionDoc& ccr_option() {
+  static const OptionDoc o = real_option(
+      "ccr", 0.0, "(1/granularity axis)",
+      "pin the communication-to-computation ratio (granularity = 1/ccr)");
+  return o;
+}
+const OptionDoc& seed_option() {
+  static const OptionDoc o = uint64_option(
+      "seed", "(caller seed)", "pin the cost/structure RNG seed");
+  return o;
+}
+
+/// One generator behind the Workload interface.
 class GenericWorkload final : public Workload {
  public:
-  /// `constant_defaults[i]` >= 0 marks a structure option whose unpinned
-  /// value is a constant (not derived from the target size): pinning it
-  /// at that constant is a no-op and canonicalises away, like a
-  /// default-valued scheduler option.
-  GenericWorkload(std::string name, std::string display,
-                  std::vector<std::string> keys, std::vector<int> min_values,
-                  std::vector<int> constant_defaults, ScaleFn scale,
-                  BuildFn build, const SpecOptions& opts)
-      : name_(std::move(name)),
-        display_(std::move(display)),
-        keys_(std::move(keys)),
+  GenericWorkload(const SpecOptions& opts, Pinned pinned, ScaleFn scale,
+                  BuildFn build)
+      : Workload(opts),
+        name_(opts.name()),
+        pinned_(std::move(pinned)),
         scale_(scale),
         build_(build) {
-    std::vector<std::string> parts;
-    pinned_.resize(keys_.size());
-    for (std::size_t i = 0; i < keys_.size(); ++i) {
-      if (!opts.has(keys_[i])) continue;
-      pinned_[i] = opts.get_int(keys_[i], 0, min_values[i]);
-      if (constant_defaults[i] >= 0 && *pinned_[i] == constant_defaults[i]) {
-        continue;
-      }
-      parts.push_back(keys_[i] + "=" + std::to_string(*pinned_[i]));
-    }
-    if (opts.has("ccr")) {
-      ccr_ = opts.get_double("ccr", 1.0, 0.0);
+    if (opts.has(ccr_option())) {
+      ccr_ = opts.real(ccr_option());
       BSA_REQUIRE(comm_costs_in_range(1.0 / *ccr_),
-                  "workload '" << name_ << "': option 'ccr' = " << *ccr_
+                  "workload '" << name_ << "': option '"
+                               << ccr_option().name << "' = " << *ccr_
                                << " makes communication costs overflow "
                                   "(the largest draw must stay below 2^63)");
-      parts.push_back("ccr=" + canonical_double(*ccr_));
     }
-    if (opts.has("seed")) {
-      seed_ = opts.get_uint64("seed", 0);
-      parts.push_back("seed=" + std::to_string(*seed_));
-    }
-    spec_ = canonical_spec(name_, std::move(parts));
+    if (opts.has(seed_option())) seed_ = opts.uint64(seed_option());
   }
-
-  [[nodiscard]] std::string spec() const override { return spec_; }
-  [[nodiscard]] std::string display_name() const override { return display_; }
 
   [[nodiscard]] graph::TaskGraph generate(
       int target_tasks, double granularity,
@@ -106,52 +101,35 @@ class GenericWorkload final : public Workload {
 
  private:
   std::string name_;
-  std::string display_;
-  std::vector<std::string> keys_;
   Pinned pinned_;
   std::optional<double> ccr_;
   std::optional<std::uint64_t> seed_;
   ScaleFn scale_;
   BuildFn build_;
-  std::string spec_;
 };
 
-/// Shared ccr= / seed= option docs appended to every registration.
-void append_common_options(
-    std::vector<WorkloadRegistry::OptionDoc>* options) {
-  options->push_back({"ccr", "finite number > 0", "(1/granularity axis)",
-                      "pin the communication-to-computation ratio "
-                      "(granularity = 1/ccr)"});
-  options->push_back({"seed", "unsigned integer", "(caller seed)",
-                      "pin the cost/structure RNG seed"});
-}
-
-/// Registration helper: entry boilerplate plus the shared options.
-/// `constant_defaults[i]` < 0 marks a structure option that is scaled
-/// from the target size when unpinned.
-WorkloadRegistry::Entry make_entry(
-    std::string name, std::string display, std::string summary,
-    std::vector<WorkloadRegistry::OptionDoc> structure_options,
-    std::vector<int> min_values, std::vector<int> constant_defaults,
-    ScaleFn scale, BuildFn build, CheckFn check = nullptr) {
-  std::vector<std::string> keys;
-  keys.reserve(structure_options.size());
-  for (const auto& doc : structure_options) keys.push_back(doc.name);
-  append_common_options(&structure_options);
-  WorkloadRegistry::Entry entry;
-  entry.name = name;
-  entry.display_name = std::move(display);
-  entry.summary = std::move(summary);
-  entry.options = std::move(structure_options);
-  entry.factory = [name, display = entry.display_name, keys,
-                   min_values = std::move(min_values),
-                   constant_defaults = std::move(constant_defaults), scale,
-                   build,
+/// Registration helper: the entry with the shared options appended, and
+/// a factory reading the structure options into Pinned.
+WorkloadRegistry::Entry make_entry(std::string name, std::string display,
+                                   std::string summary,
+                                   std::vector<OptionDoc> structure,
+                                   ScaleFn scale, BuildFn build,
+                                   CheckFn check = nullptr) {
+  WorkloadRegistry::Entry entry{std::move(name), std::move(display),
+                                std::move(summary), structure, nullptr};
+  entry.options.push_back(ccr_option());
+  entry.options.push_back(seed_option());
+  entry.factory = [structure = std::move(structure), scale, build,
                    check](const SpecOptions& opts) -> std::unique_ptr<Workload> {
-    if (check != nullptr) check(opts);
-    return std::make_unique<GenericWorkload>(name, display, keys, min_values,
-                                             constant_defaults, scale, build,
-                                             opts);
+    Pinned pinned;
+    pinned.reserve(structure.size());
+    for (const OptionDoc& o : structure) {
+      pinned.push_back(opts.has(o) ? std::optional<int>(opts.integer(o))
+                                   : std::nullopt);
+    }
+    if (check != nullptr) check(pinned);
+    return std::make_unique<GenericWorkload>(opts, std::move(pinned), scale,
+                                             build);
   };
   return entry;
 }
@@ -163,14 +141,24 @@ int round_positive(double v) {
 }  // namespace
 
 void register_builtin_workloads(WorkloadRegistry& registry) {
-  using OptionDoc = WorkloadRegistry::OptionDoc;
+  // Keys several workloads share, with one shape each.
+  const auto n_option = [](std::string fallback, std::string summary) {
+    return int_option("n", 2, std::move(fallback), std::move(summary));
+  };
+  const auto depth_option = [](std::string summary, std::string values) {
+    return int_option("depth", 1, kScaled, std::move(summary),
+                      std::move(values));
+  };
+  const auto width_option = [](std::string summary) {
+    return int_option("width", 1, "4", std::move(summary));
+  };
+  const OptionDoc tiles =
+      int_option("tiles", 2, kScaled, "tile rows of the factored matrix");
 
   registry.add(make_entry(
       "cholesky", "Tiled Cholesky",
       "right-looking tiled Cholesky factorisation (POTRF/TRSM/SYRK/GEMM)",
-      {OptionDoc{"tiles", "integer >= 2", "(scaled to target)",
-                 "tile rows of the factored matrix"}},
-      {2}, {-1},
+      {tiles},
       [](const Pinned& p, int target) {
         return std::vector<int>{p[0] ? *p[0] : cholesky_tiles_for(target)};
       },
@@ -182,34 +170,30 @@ void register_builtin_workloads(WorkloadRegistry& registry) {
       "fft", "FFT butterfly",
       "FFT butterfly: log2(points)+1 rows of `points` tasks with "
       "stride-2^s exchanges",
-      {OptionDoc{"points", "power of two >= 2", "(scaled to target)",
-                 "transform size (rows have `points` tasks each)"}},
-      {2}, {-1},
+      {int_option("points", 2, kScaled,
+                  "transform size (rows have `points` tasks each)",
+                  "power of two >= 2")},
       [](const Pinned& p, int target) {
         return std::vector<int>{p[0] ? *p[0] : fft_points_for(target)};
       },
       [](const std::vector<int>& d, const CostParams& cp) {
         return fft(d[0], cp);
       },
-      [](const SpecOptions& opts) {
-        if (!opts.has("points")) return;
-        const int points = opts.get_int("points", 0, 2);
-        BSA_REQUIRE((points & (points - 1)) == 0,
+      [](const Pinned& p) {
+        BSA_REQUIRE(!p[0] || (*p[0] & (*p[0] - 1)) == 0,
                     "workload 'fft': option 'points' expects a power of "
                     "two >= 2, got "
-                        << points);
+                        << *p[0]);
       }));
 
   registry.add(make_entry(
       "forkjoin", "Fork-join",
       "`depth` fork-join stages of `width` parallel tasks between joins "
       "(Wang & Sinnen-style)",
-      {OptionDoc{"depth", "integer >= 1", "(scaled to target)",
-                 "number of fork-join stages"},
-       OptionDoc{"width", "integer >= 1", "4", "parallel tasks per stage"}},
-      {1, 1}, {-1, 4},
+      {depth_option("number of fork-join stages", {}),
+       width_option("parallel tasks per stage")},
       [](const Pinned& p, int target) {
-        const int width = p[1] ? *p[1] : 4;
+        const int width = *p[1];
         // task count = depth*(width+1) + 1
         const int depth =
             p[0] ? *p[0]
@@ -225,9 +209,7 @@ void register_builtin_workloads(WorkloadRegistry& registry) {
       "gauss", "Gaussian elimination",
       "Gaussian elimination, kji form: pivot task feeds the update tasks "
       "of each elimination step",
-      {OptionDoc{"n", "integer >= 2", "(scaled to target)",
-                 "matrix dimension (n(n+1)/2 - 1 tasks)"}},
-      {2}, {-1},
+      {n_option(kScaled, "matrix dimension (n(n+1)/2 - 1 tasks)")},
       [](const Pinned& p, int target) {
         return std::vector<int>{p[0] ? *p[0]
                                      : gaussian_elimination_dim_for(target)};
@@ -240,9 +222,7 @@ void register_builtin_workloads(WorkloadRegistry& registry) {
       "laplace", "Laplace solver",
       "Laplace equation solver: n x n wavefront lattice (Figures 3/5 "
       "suite)",
-      {OptionDoc{"n", "integer >= 2", "(scaled to target)",
-                 "lattice dimension (n^2 tasks)"}},
-      {2}, {-1},
+      {n_option(kScaled, "lattice dimension (n^2 tasks)")},
       [](const Pinned& p, int target) {
         return std::vector<int>{p[0] ? *p[0] : laplace_dim_for(target)};
       },
@@ -254,9 +234,7 @@ void register_builtin_workloads(WorkloadRegistry& registry) {
       "lu", "LU decomposition",
       "right-looking tiled LU decomposition (GETRF/TRSM/GEMM; Figures "
       "3/5 suite)",
-      {OptionDoc{"tiles", "integer >= 2", "(scaled to target)",
-                 "tile rows of the factored matrix"}},
-      {2}, {-1},
+      {tiles},
       [](const Pinned& p, int target) {
         return std::vector<int>{p[0] ? *p[0]
                                      : lu_decomposition_dim_for(target)};
@@ -269,13 +247,10 @@ void register_builtin_workloads(WorkloadRegistry& registry) {
       "mva", "Mean value analysis",
       "mean value analysis: per-level station tasks feeding an "
       "aggregation task that fans out to the next level",
-      {OptionDoc{"levels", "integer >= 1", "(scaled to target)",
-                 "population levels"},
-       OptionDoc{"stations", "integer >= 1", "8",
-                 "queueing stations per level"}},
-      {1, 1}, {-1, 8},
+      {int_option("levels", 1, kScaled, "population levels"),
+       int_option("stations", 1, "8", "queueing stations per level")},
       [](const Pinned& p, int target) {
-        const int stations = p[1] ? *p[1] : 8;
+        const int stations = *p[1];
         const int levels = p[0] ? *p[0] : mva_levels_for(target, stations);
         return std::vector<int>{levels, stations};
       },
@@ -287,12 +262,11 @@ void register_builtin_workloads(WorkloadRegistry& registry) {
       "pipeline", "Linear pipeline",
       "linear systolic pipeline: `stages` stages of `width` lanes with "
       "same-lane and diagonal forwarding",
-      {OptionDoc{"stages", "integer >= 1 (>= 2 when width > 1)",
-                 "(scaled to target)", "pipeline stages"},
-       OptionDoc{"width", "integer >= 1", "4", "parallel lanes"}},
-      {1, 1}, {-1, 4},
+      {int_option("stages", 1, kScaled, "pipeline stages",
+                  "integer >= 1 (>= 2 when width > 1)"),
+       width_option("parallel lanes")},
       [](const Pinned& p, int target) {
-        const int width = p[1] ? *p[1] : 4;
+        const int width = *p[1];
         const int stages =
             p[0] ? *p[0]
                  : std::max(2, round_positive(static_cast<double>(target) /
@@ -302,11 +276,10 @@ void register_builtin_workloads(WorkloadRegistry& registry) {
       [](const std::vector<int>& d, const CostParams& cp) {
         return pipeline(d[0], d[1], cp);
       },
-      [](const SpecOptions& opts) {
+      [](const Pinned& p) {
         // Fail at resolve time (the registry's fail-up-front contract),
         // not mid-sweep from a worker thread.
-        const int width = opts.get_int("width", 4, 1);
-        BSA_REQUIRE(opts.get_int("stages", 2, 1) >= 2 || width == 1,
+        BSA_REQUIRE(!p[0] || *p[0] >= 2 || *p[1] == 1,
                     "workload 'pipeline': option 'stages' expects an "
                     "integer >= 2 when width > 1 (connectivity)");
       }));
@@ -315,13 +288,11 @@ void register_builtin_workloads(WorkloadRegistry& registry) {
       "random", "Random layered DAG",
       "layered random DAG with enforced connectivity (Figures 4/6/7 "
       "suite)",
-      {OptionDoc{"n", "integer >= 2", "(target size)", "exact task count"},
-       OptionDoc{"preds", "integer >= 1", "3",
-                 "max predecessors drawn per non-entry task"}},
-      {2, 1}, {-1, 3},
+      {n_option("(target size)", "exact task count"),
+       int_option("preds", 1, "3",
+                  "max predecessors drawn per non-entry task")},
       [](const Pinned& p, int target) {
-        return std::vector<int>{p[0] ? *p[0] : std::max(2, target),
-                                p[1] ? *p[1] : 3};
+        return std::vector<int>{p[0] ? *p[0] : std::max(2, target), *p[1]};
       },
       [](const std::vector<int>& d, const CostParams& cp) {
         RandomDagParams params;
@@ -336,11 +307,10 @@ void register_builtin_workloads(WorkloadRegistry& registry) {
       "sp", "Series-parallel",
       "recursive two-terminal series-parallel decomposition (Wilhelm & "
       "Pionteck-style)",
-      {OptionDoc{"depth", "integer in [1, 14]", "(scaled to target)",
-                 "expansion rounds (~2.5x edges per round)"},
-       OptionDoc{"branch", "integer in [2, 32]", "3",
-                 "max branches of a parallel composition"}},
-      {1, 2}, {-1, 3},
+      {depth_option("expansion rounds (~2.5x edges per round)",
+                    "integer in [1, 14]"),
+       int_option("branch", 2, "3", "max branches of a parallel composition",
+                  "integer in [2, 32]")},
       [](const Pinned& p, int target) {
         // Expected node count grows ~2.5x per round; invert for the
         // round count and clamp to the generator's accepted range.
@@ -349,16 +319,16 @@ void register_builtin_workloads(WorkloadRegistry& registry) {
                  : std::min(14, std::max(1, static_cast<int>(std::lround(
                                                 std::log(0.8 * target) /
                                                 std::log(2.5)))));
-        return std::vector<int>{depth, p[1] ? *p[1] : 3};
+        return std::vector<int>{depth, *p[1]};
       },
       [](const std::vector<int>& d, const CostParams& cp) {
         return series_parallel(d[0], d[1], cp);
       },
-      [](const SpecOptions& opts) {
-        BSA_REQUIRE(opts.get_int("depth", 1, 1) <= 14,
+      [](const Pinned& p) {
+        BSA_REQUIRE(!p[0] || *p[0] <= 14,
                     "workload 'sp': option 'depth' expects an integer in "
                     "[1, 14] (expansion is ~2.5x per round)");
-        BSA_REQUIRE(opts.get_int("branch", 2, 2) <= 32,
+        BSA_REQUIRE(*p[1] <= 32,
                     "workload 'sp': option 'branch' expects an integer "
                     "in [2, 32]");
       }));
@@ -366,14 +336,12 @@ void register_builtin_workloads(WorkloadRegistry& registry) {
   registry.add(make_entry(
       "stencil", "2-D Laplace stencil",
       "iterated 5-point Jacobi stencil over a rows x cols grid",
-      {OptionDoc{"cols", "integer >= 1", "(scaled to target)",
-                 "grid columns"},
-       OptionDoc{"iters", "integer >= 2 (1 only for a 1x1 grid)", "4",
-                 "Jacobi sweeps"},
-       OptionDoc{"rows", "integer >= 1", "(scaled to target)", "grid rows"}},
-      {1, 1, 1}, {-1, 4, -1},
+      {int_option("cols", 1, kScaled, "grid columns"),
+       int_option("iters", 1, "4", "Jacobi sweeps",
+                  "integer >= 2 (1 only for a 1x1 grid)"),
+       int_option("rows", 1, kScaled, "grid rows")},
       [](const Pinned& p, int target) {
-        const int iters = p[1] ? *p[1] : 4;
+        const int iters = *p[1];
         const double cells =
             std::max(1.0, static_cast<double>(target) / iters);
         int rows, cols;
@@ -395,12 +363,10 @@ void register_builtin_workloads(WorkloadRegistry& registry) {
       [](const std::vector<int>& d, const CostParams& cp) {
         return stencil_2d(d[2], d[0], d[1], cp);
       },
-      [](const SpecOptions& opts) {
+      [](const Pinned& p) {
         // A single sweep over more than one cell would be edgeless and
         // disconnected; unpinned rows/cols scale to > 1 cell.
-        BSA_REQUIRE(opts.get_int("iters", 4, 1) >= 2 ||
-                        (opts.get_int("rows", 2, 1) == 1 &&
-                         opts.get_int("cols", 2, 1) == 1),
+        BSA_REQUIRE(*p[1] >= 2 || (p[2] == 1 && p[0] == 1),
                     "workload 'stencil': option 'iters' expects an "
                     "integer >= 2 unless rows=1,cols=1 (connectivity)");
       }));

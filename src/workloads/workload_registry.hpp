@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -10,11 +9,15 @@
 #include "graph/task_graph.hpp"
 
 /// \file workload_registry.hpp
-/// The unified workload surface: a polymorphic Workload interface and a
-/// process-wide registry that resolves *workload spec strings* into
-/// configured task-graph generators — the exact mirror of the scheduler
-/// registry (sched/scheduler.hpp), sharing its grammar, canonicalisation
-/// and error-listing behaviour via common/spec.hpp.
+/// The unified workload surface: a polymorphic Workload interface and
+/// WorkloadRegistry, the bsa::SpecRegistry (common/spec.hpp) that
+/// resolves *workload spec strings* into configured task-graph
+/// generators — the same registry class as the scheduler registry
+/// (sched/scheduler.hpp), with the same grammar, canonicalisation and
+/// error listings. Each workload declares each of its options once
+/// (key, type with its bound, default, summary) in
+/// builtin_workloads.cpp; the adapter only maps the declared values
+/// onto the generator's dimensions.
 ///
 /// Spec examples (names, keys and values are case-insensitive; full
 /// reference: docs/SPECS.md):
@@ -43,21 +46,11 @@
 
 namespace bsa::workloads {
 
-/// A configured task-graph generator.
-class Workload {
+/// A configured task-graph generator. spec(), display_name() and
+/// display_label() come from bsa::SpecInstance.
+class Workload : public SpecInstance {
  public:
-  virtual ~Workload() = default;
-
-  /// Canonical spec string ("fft", "fft:points=64", ...). Feeding this
-  /// back through WorkloadRegistry::resolve reproduces the instance.
-  [[nodiscard]] virtual std::string spec() const = 0;
-
-  /// Human display name of the workload family ("FFT butterfly", ...).
-  [[nodiscard]] virtual std::string display_name() const = 0;
-
-  /// Label for tables and reports: the display name for a default
-  /// configuration, the canonical spec for a variant.
-  [[nodiscard]] std::string display_label() const;
+  using SpecInstance::SpecInstance;
 
   /// Generate the task graph. `target_tasks` sizes workloads whose
   /// structure options are unset (a pinned structure option wins);
@@ -70,61 +63,7 @@ class Workload {
 
 /// Registry of named workload factories. `global()` holds the built-in
 /// generators; local instances can be built in tests.
-class WorkloadRegistry {
- public:
-  /// Documentation of one accepted option, used for error messages,
-  /// `--help`-style listings and docs/SPECS.md tables.
-  struct OptionDoc {
-    std::string name;
-    std::string values;         ///< e.g. "power of two >= 2"
-    std::string default_value;  ///< canonical default spelling
-    std::string summary;
-  };
-
-  using Factory = std::function<std::unique_ptr<Workload>(const SpecOptions&)>;
-
-  struct Entry {
-    std::string name;          ///< canonical lowercase registry name
-    std::string display_name;  ///< e.g. "FFT butterfly"
-    std::string summary;       ///< one-line description
-    std::vector<OptionDoc> options;
-    Factory factory;
-  };
-
-  /// Register a workload. Throws on duplicate or non-canonical names.
-  void add(Entry entry);
-
-  /// Resolve a spec string into a configured workload. Unknown names
-  /// and unknown option keys throw PreconditionError messages listing
-  /// the registered names / the workload's valid options.
-  [[nodiscard]] std::unique_ptr<Workload> resolve(
-      const std::string& spec) const;
-
-  /// Canonical form of `spec` (resolve + Workload::spec).
-  [[nodiscard]] std::string canonical(const std::string& spec) const;
-
-  /// Table/report label for `spec` (resolve + Workload::display_label).
-  [[nodiscard]] std::string display_label(const std::string& spec) const;
-
-  /// Registered names in registration order.
-  [[nodiscard]] std::vector<std::string> names() const;
-
-  /// Split a comma-separated list of specs, e.g. a CLI `--workload`
-  /// value — same continuation rule as the scheduler registry: a
-  /// key=value token whose key is not a registered workload name
-  /// continues the preceding spec.
-  [[nodiscard]] std::vector<std::string> split_spec_list(
-      const std::string& text) const;
-
-  /// Entry for `name` (case-insensitive), or nullptr.
-  [[nodiscard]] const Entry* find(const std::string& name) const;
-
-  /// The process-wide registry, populated with the built-in workloads.
-  [[nodiscard]] static const WorkloadRegistry& global();
-
- private:
-  std::vector<Entry> entries_;
-};
+using WorkloadRegistry = SpecRegistry<Workload>;
 
 /// Register the built-in workloads (cholesky, fft, forkjoin, gauss,
 /// laplace, lu, mva, pipeline, random, sp, stencil) — defined in
@@ -132,3 +71,13 @@ class WorkloadRegistry {
 void register_builtin_workloads(WorkloadRegistry& registry);
 
 }  // namespace bsa::workloads
+
+namespace bsa {
+template <>
+struct RegistryTraits<workloads::Workload> {
+  static constexpr const char* kKind = "workload";
+  static void register_builtins(workloads::WorkloadRegistry& registry) {
+    workloads::register_builtin_workloads(registry);
+  }
+};
+}  // namespace bsa

@@ -699,8 +699,7 @@ TEST(ReplayerWorkspace, ReusedWorkspaceEqualsTheFormerReplay) {
 
 TEST(ReplayerWorkspace, KeptReplayNeverLowersTheSlotIndexBuildCount) {
   // The build count belongs to the schedule object: keeping a replay
-  // (which swaps in a schedule built elsewhere) must not reset it, and
-  // the builds the workspace performed are its own.
+  // (which swaps in a schedule built elsewhere) must not reset it.
   const auto seed = derive_seed(9, 2);
   workloads::RandomDagParams params;
   params.num_tasks = 40;
@@ -730,7 +729,6 @@ TEST(ReplayerWorkspace, KeptReplayNeverLowersTheSlotIndexBuildCount) {
     replayer.swap_into(s);
     EXPECT_EQ(s.slot_index_builds(), built);
   }
-  EXPECT_GE(replayer.slot_index_builds(), 0);
 
   // A copy starts at zero; clear() keeps the object's count.
   Schedule copy = s;

@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "common/check.hpp"
+#include "common/rng.hpp"
 #include "network/cost_model.hpp"
 #include "sched/retime.hpp"
 #include "sched/schedule.hpp"
+#include "sched/scheduler.hpp"
 #include "sched/validate.hpp"
+#include "workloads/random_dag.hpp"
 
 namespace bsa::sched {
 namespace {
@@ -200,6 +206,77 @@ TEST_F(RetimeTest, UnplacedPredecessorImposesNoConstraint) {
   ASSERT_TRUE(try_retime(s, cm, &mk));
   EXPECT_DOUBLE_EQ(s.start_of(D), 0);
   EXPECT_DOUBLE_EQ(mk, 10);
+}
+
+/// Every processor order and link-booking list of `s` is sorted by start.
+bool orders_sorted_by_start(const Schedule& s) {
+  for (ProcId p = 0; p < s.topology().num_processors(); ++p) {
+    const auto& order = s.tasks_on(p);
+    if (!std::is_sorted(order.begin(), order.end(), [&](TaskId a, TaskId b) {
+          return s.start_of(a) < s.start_of(b);
+        })) {
+      return false;
+    }
+  }
+  for (LinkId l = 0; l < s.topology().num_links(); ++l) {
+    const auto& bookings = s.bookings_on(l);
+    if (!std::is_sorted(
+            bookings.begin(), bookings.end(),
+            [](const LinkBooking& a, const LinkBooking& b) {
+              return a.start < b.start;
+            })) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(RetimeOrders, SuccessfulRetimeLeavesEveryOrderSortedByStart) {
+  // try_retime keeps the recorded orders and re-sorts nothing: the
+  // processor- and link-order chain edges must leave every list sorted
+  // by start. Perturb scheduled instances as a migration does (a task
+  // re-placed elsewhere at a random time, its messages unrouted, another
+  // task's times shifted) and check every successful re-time.
+  int retimed = 0;
+  for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
+    workloads::RandomDagParams params;
+    params.num_tasks = 30;
+    params.seed = seed;
+    const graph::TaskGraph g = workloads::random_layered_dag(params);
+    const net::Topology topo = net::Topology::random(6, 2, 4, seed);
+    const auto cm = net::HeterogeneousCostModel::uniform_processor_speeds(
+        g, topo, 1, 10, 1, 5, derive_seed(seed, 2));
+    for (const std::string spec : {"bsa", "dls", "heft"}) {
+      Schedule s = SchedulerRegistry::global()
+                       .resolve(spec)
+                       ->run(g, topo, cm, seed)
+                       .schedule;
+      Rng rng(derive_seed(seed, 7));
+      for (int round = 0; round < 20; ++round) {
+        const auto t = static_cast<TaskId>(
+            rng.index(static_cast<std::size_t>(g.num_tasks())));
+        for (const EdgeId e : g.in_edges(t)) s.clear_route(e);
+        for (const EdgeId e : g.out_edges(t)) s.clear_route(e);
+        const Time at = static_cast<Time>(rng.index(
+            static_cast<std::size_t>(s.makespan()) + 1));
+        const auto p = static_cast<ProcId>(
+            rng.index(static_cast<std::size_t>(topo.num_processors())));
+        const Time dur = cm.exec_cost(t, p);
+        s.unplace_task(t);
+        s.place_task(t, p, at, at + dur);
+        const auto u = static_cast<TaskId>(
+            rng.index(static_cast<std::size_t>(g.num_tasks())));
+        s.set_task_times(u, s.start_of(u) + 3, s.finish_of(u) + 3);
+        Time mk = 0;
+        if (!try_retime(s, cm, &mk)) continue;
+        ++retimed;
+        ASSERT_TRUE(orders_sorted_by_start(s))
+            << spec << " seed " << seed << " round " << round;
+      }
+    }
+  }
+  // Most perturbations keep the orders acyclic; the check is not vacuous.
+  EXPECT_GT(retimed, 40);
 }
 
 }  // namespace

@@ -153,17 +153,5 @@ TEST_F(ScheduleTest, AppendHopExtendsRoute) {
   EXPECT_THROW(s.append_hop(e12, Hop{l01, 70, 110}), PreconditionError);
 }
 
-TEST_F(ScheduleTest, NormalizeOrdersAfterManualTimeEdits) {
-  s.place_task(pf::T1, 0, 0, 10);
-  s.place_task(pf::T2, 0, 10, 30);
-  // Swap times manually; order vector is stale until normalized.
-  s.set_task_times(pf::T1, 40, 50);
-  s.set_task_times(pf::T2, 0, 20);
-  s.normalize_orders();
-  const auto& order = s.tasks_on(0);
-  EXPECT_EQ(order[0], pf::T2);
-  EXPECT_EQ(order[1], pf::T1);
-}
-
 }  // namespace
 }  // namespace bsa::sched

@@ -142,21 +142,6 @@ TEST_F(TxnFixture, UnplaceRollbackRestoresOrderPositionAmongTies) {
   EXPECT_EQ(s.tasks_on(0), order_before);
 }
 
-TEST_F(TxnFixture, NormalizeOrdersJournalsWholeVectors) {
-  Schedule s = make_schedule();
-  // Skew task times so the processor order is no longer start-sorted,
-  // then normalize inside a transaction and roll back.
-  Schedule::Transaction txn;
-  s.begin_transaction(txn);
-  s.set_task_times(A, 22, 32);  // A now starts after C and D
-  const Schedule skewed = s;    // copy carries no journal
-  s.normalize_orders();
-  EXPECT_NE(s.tasks_on(0), skewed.tasks_on(0));
-  s.rollback_transaction();
-  const Schedule before = make_schedule();
-  EXPECT_TRUE(diff_schedules(s, before).empty());
-}
-
 TEST_F(TxnFixture, SetRouteUnwindTruncatesJournal) {
   Schedule s = make_schedule();
   const Schedule before = s;
@@ -248,7 +233,7 @@ TEST_F(TxnFixture, RandomizedMutationSequencesRollBackExactly) {
     for (int i = 0; i < ops; ++i) {
       const TaskId t = static_cast<TaskId>(
           rng.index(static_cast<std::size_t>(rg.num_tasks())));
-      switch (rng.index(4)) {
+      switch (rng.index(3)) {
         case 0: {  // displace a task and its routes
           if (!s.is_placed(t)) break;
           for (const EdgeId e : rg.in_edges(t)) s.clear_route(e);
@@ -276,9 +261,6 @@ TEST_F(TxnFixture, RandomizedMutationSequencesRollBackExactly) {
           s.set_task_times(t, st + 1, ft + 1);
           break;
         }
-        case 3:
-          s.normalize_orders();
-          break;
       }
     }
     s.rollback_transaction();

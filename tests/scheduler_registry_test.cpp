@@ -15,6 +15,7 @@
 #include "sched/rank_schedulers.hpp"
 #include "sched/schedule_io.hpp"
 #include "sched/scheduler.hpp"
+#include "spec_declarations.hpp"
 #include "workloads/random_dag.hpp"
 #include "workloads/workload_registry.hpp"
 
@@ -92,6 +93,10 @@ TEST(Registry, CanonicalDropsDefaultsLowercasesAndSortsKeys) {
   EXPECT_EQ(reg().canonical("sa:init=heft,iters=100,temp0=0.05"), "sa");
   EXPECT_EQ(reg().canonical("SA:temp0=0.10,init=PEFT"),
             "sa:init=peft,temp0=0.1");
+}
+
+TEST(Registry, EveryDeclaredOptionCanonicalisesAndRejectsByItsType) {
+  bsa::testing::expect_declarations_hold(reg());
 }
 
 TEST(Registry, CanonicalIsIdempotent) {

@@ -15,6 +15,7 @@
 #include "runtime/sweep_runner.hpp"
 #include "runtime/thread_pool.hpp"
 #include "sched/scheduler.hpp"
+#include "spec_declarations.hpp"
 #include "workloads/random_dag.hpp"
 #include "workloads/regular.hpp"
 #include "workloads/workload_registry.hpp"
@@ -90,6 +91,10 @@ TEST(WorkloadRegistry, CanonicalLowercasesSortsAndDropsNoOpOptions) {
             "pipeline:stages=10");
   EXPECT_EQ(reg().canonical("stencil:iters=4"), "stencil");
   EXPECT_EQ(reg().canonical("gauss:ccr=2.0"), "gauss:ccr=2");
+}
+
+TEST(WorkloadRegistry, EveryDeclaredOptionCanonicalisesAndRejectsByItsType) {
+  bsa::testing::expect_declarations_hold(reg());
 }
 
 TEST(WorkloadRegistry, CanonicalIsIdempotent) {
