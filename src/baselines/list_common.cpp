@@ -82,8 +82,7 @@ ListRun::ListRun(sched::RankScheduleResult& out,
       order_(out.order),
       costs_(costs),
       insertion_(insertion),
-      probe_(out.schedule, table, costs),
-      proc_free_(static_cast<std::size_t>(costs.num_processors()), 0) {
+      probe_(out.schedule, table, costs) {
   const graph::TaskGraph& g = s_.task_graph();
   BSA_REQUIRE(g.num_tasks() >= 1, "empty task graph");
   BSA_REQUIRE(costs.num_tasks() == g.num_tasks() &&
@@ -116,8 +115,6 @@ Time ListRun::commit(std::size_t i, ProcId p) {
   const Time dur = costs_.exec_cost(t, p);
   const Time start = task_slot(p, da, dur);
   s_.place_task(t, p, start, start + dur);
-  Time& last = proc_free_[static_cast<std::size_t>(p)];
-  last = std::max(last, start + dur);
   order_.push_back(t);
   const graph::TaskGraph& g = s_.task_graph();
   for (const EdgeId e : g.out_edges(t)) {

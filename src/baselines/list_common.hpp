@@ -92,10 +92,10 @@ class ListRun {
   [[nodiscard]] DataReadyProbe& probe() noexcept { return probe_; }
 
   /// Start the slot rule gives a task of `duration` on `p` whose data is
-  /// ready at `ready`: the earliest idle gap, or after `p`'s last task.
+  /// ready at `ready`: the earliest idle gap, or after `p`'s last task
+  /// (sched::task_start).
   [[nodiscard]] Time task_slot(ProcId p, Time ready, Time duration) const {
-    if (insertion_) return s_.earliest_task_slot(p, ready, duration);
-    return std::max(ready, proc_free_[static_cast<std::size_t>(p)]);
+    return sched::task_start(s_, p, ready, duration, insertion_);
   }
 
   /// Book the messages of ready()[i] to `p`, place it in its slot,
@@ -119,7 +119,6 @@ class ListRun {
   DataReadyProbe probe_;
   std::vector<TaskId> ready_;
   std::vector<int> missing_preds_;  // by TaskId
-  std::vector<Time> proc_free_;     // by ProcId: finish of its last task
 };
 
 }  // namespace bsa::baselines

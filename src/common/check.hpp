@@ -26,14 +26,17 @@ class InvariantError : public std::logic_error {
 
 namespace detail {
 
-[[noreturn]] inline void throw_precondition(const char* expr, const char* file,
-                                            int line, const std::string& msg) {
+/// A caller's error: the text names the failed condition, not where in
+/// this library it was checked (tools and the daemon show it to users).
+[[noreturn]] inline void throw_precondition(const char* expr,
+                                            const std::string& msg) {
   std::ostringstream os;
-  os << "precondition failed: " << expr << " at " << file << ':' << line;
+  os << "precondition failed: " << expr;
   if (!msg.empty()) os << " — " << msg;
   throw PreconditionError(os.str());
 }
 
+/// A bug report: the text carries the source location of the check.
 [[noreturn]] inline void throw_invariant(const char* expr, const char* file,
                                          int line, const std::string& msg) {
   std::ostringstream os;
@@ -49,7 +52,7 @@ namespace detail {
 #define BSA_REQUIRE(expr, msg)                                              \
   do {                                                                      \
     if (!(expr)) {                                                          \
-      ::bsa::detail::throw_precondition(#expr, __FILE__, __LINE__,          \
+      ::bsa::detail::throw_precondition(#expr,                              \
                                         (std::ostringstream{} << msg).str()); \
     }                                                                       \
   } while (false)

@@ -152,8 +152,8 @@ struct BsaTrace {
   /// Neighbour evaluations run as sched::LinkProbe trials.
   std::int64_t eval_trials = 0;
   /// The migrations' MoveEngine counters: replay fallbacks, the journal
-  /// footprint of guarded migrations, slot-index builds of the whole run
-  /// and the re-timing counters (zero when no migration was attempted).
+  /// footprint of guarded migrations and the re-timing counters (zero
+  /// when no migration was attempted).
   MoveEngine::Stats engine;
 };
 

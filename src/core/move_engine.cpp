@@ -155,7 +155,6 @@ void MoveEngine::apply(TaskId t, ProcId p) {
 
 MoveEngine::Stats MoveEngine::stats() const {
   Stats out = stats_;
-  out.slot_index_builds = s_.slot_index_builds();
   if (ctx_.has_value()) out.retime = ctx_->stats();
   return out;
 }

@@ -75,9 +75,6 @@ class MoveEngine {
     /// Journal of journaled moves at settle: deepest, and records in total.
     std::int64_t txn_journal_hwm = 0;
     std::int64_t txn_journal_records = 0;
-    /// Free-slot indexes built by the schedule (the replay workspace
-    /// queries no slot, so it builds none).
-    std::int64_t slot_index_builds = 0;
     sched::RetimeContext::Stats retime;  ///< zero before the first begin
   };
   [[nodiscard]] Stats stats() const;

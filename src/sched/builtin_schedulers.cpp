@@ -98,7 +98,6 @@ class BsaScheduler final : public Scheduler {
     reg.add("bsa.retime.full_rebuilds", t.engine.retime.full_rebuilds);
     reg.add("bsa.txn.journal_hwm", t.engine.txn_journal_hwm);
     reg.add("bsa.txn.journal_records", t.engine.txn_journal_records);
-    reg.add("bsa.slot_index_builds", t.engine.slot_index_builds);
     reg.add("bsa.eval.trials", t.eval_trials);
     out.counters = reg.snapshot();
     audit_result(out.schedule, costs, spec());

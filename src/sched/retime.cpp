@@ -190,13 +190,27 @@ void Replayer::push(Time prio, int kind, std::int64_t id, int hop) {
 }
 
 Time Replayer::book(std::size_t resource, Time ready, Time duration) {
-  Timeline& tl = timelines_[resource];
+  std::vector<Interval>& busy = timelines_[resource];
   // The slot rule of task_start/book_route, over the replay's own lists.
   const Time start =
       insertion_slots_
-          ? tl.index.query(ready, duration)
-          : std::max(ready, tl.busy.empty() ? Time{0} : tl.busy.back().finish);
-  tl.index.insert(tl.busy, Interval{start, start + duration});
+          ? earliest_fit(busy, ready, duration)
+          : std::max(ready, busy.empty() ? Time{0} : busy.back().finish);
+  // Inserted where place_task/append_hop would put it: after every
+  // interval whose (start, finish) is not greater.
+  const Interval iv{start, start + duration};
+  const auto it = std::upper_bound(busy.begin(), busy.end(), iv, interval_less);
+  if (it != busy.end()) {
+    BSA_ASSERT(time_le(iv.finish, it->start),
+               "interval [" << iv.start << "," << iv.finish
+                            << ") overlaps successor");
+  }
+  if (it != busy.begin()) {
+    BSA_ASSERT(time_le((it - 1)->finish, iv.start),
+               "interval [" << iv.start << "," << iv.finish
+                            << ") overlaps predecessor");
+  }
+  busy.insert(it, iv);
   return start;
 }
 
@@ -235,10 +249,7 @@ Time Replayer::measure(const Schedule& s) {
                                     k);
   };
 
-  for (Timeline& tl : timelines_) {
-    tl.busy.clear();
-    tl.index.build(tl.busy);
-  }
+  for (std::vector<Interval>& busy : timelines_) busy.clear();
   edge_ready_.resize(static_cast<std::size_t>(g.num_edges()));
   log_.clear();
   measured_ = true;

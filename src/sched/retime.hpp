@@ -68,10 +68,10 @@ Time retime(Schedule& s, const net::HeterogeneousCostModel& costs);
 /// append-only placement instead (BSA's slot-policy ablation).
 ///
 /// `measure` is a pure computation: it keeps one interval list per
-/// processor and link with an incrementally grown SlotIndex (each slot
-/// query O(log k), each booking a binary-searched insert), the arrival
-/// time of every message, and a log of the bookings in the order they
-/// were made. No Schedule is written. `swap_into` — only for a replay
+/// processor and link, sorted by (start, finish) (slot queries are
+/// sched::earliest_fit, each booking a binary-searched insert), the
+/// arrival time of every message, and a log of the bookings in the order
+/// they were made. No Schedule is written. `swap_into` — only for a replay
 /// that is kept — writes the log into the workspace's own schedule
 /// through place_task/append_hop and exchanges it in. All storage keeps
 /// its capacity from one replay to the next. Own one per run.
@@ -104,11 +104,6 @@ class Replayer {
   /// rule from `ready`; returns the start.
   Time book(std::size_t resource, Time ready, Time duration);
 
-  /// One resource's bookings in list order and their free-slot index.
-  struct Timeline {
-    std::vector<Interval> busy;
-    SlotIndex index;
-  };
   /// One booking of a replay: task `id` on processor `resource` (hop
   /// < 0), or hop `hop` of message `id` on link `resource`.
   struct Booked {
@@ -138,7 +133,7 @@ class Replayer {
   // The measured replay: per-resource timelines (processors, then
   // links), each message's arrival so far (by EdgeId), and the bookings
   // in the order they were made.
-  std::vector<Timeline> timelines_;
+  std::vector<std::vector<Interval>> timelines_;
   std::vector<Time> edge_ready_;
   std::vector<Booked> log_;
 
@@ -149,7 +144,7 @@ class Replayer {
 
 /// One-call replay through a temporary Replayer: rebuild all times (and
 /// resource orders) of `s` in place and return the resulting makespan.
-/// Requires a complete placement. `s` keeps its own slot_index_builds().
+/// Requires a complete placement.
 Time replay_retime(Schedule& s, const net::HeterogeneousCostModel& costs,
                    bool insertion_slots = true);
 

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/check.hpp"
+#include "sched/timeline.hpp"
 
 namespace bsa::sched {
 
@@ -13,8 +14,6 @@ Schedule::Schedule(const graph::TaskGraph& g, const net::Topology& topo)
   proc_tasks_.resize(static_cast<std::size_t>(topo.num_processors()));
   routes_.resize(static_cast<std::size_t>(g.num_edges()));
   link_bookings_.resize(static_cast<std::size_t>(topo.num_links()));
-  proc_slots_.resize(static_cast<std::size_t>(topo.num_processors()));
-  link_slots_.resize(static_cast<std::size_t>(topo.num_links()));
 }
 
 Schedule::Schedule(const Schedule& other)
@@ -24,9 +23,7 @@ Schedule::Schedule(const Schedule& other)
       proc_tasks_(other.proc_tasks_),
       routes_(other.routes_),
       link_bookings_(other.link_bookings_),
-      num_placed_(other.num_placed_),
-      proc_slots_(other.proc_slots_.size()),   // caches stay unbuilt
-      link_slots_(other.link_slots_.size()) {}
+      num_placed_(other.num_placed_) {}  // the copy's txn_ stays null
 
 Schedule& Schedule::operator=(const Schedule& other) {
   if (this == &other) return *this;
@@ -39,8 +36,6 @@ Schedule& Schedule::operator=(const Schedule& other) {
   routes_ = other.routes_;
   link_bookings_ = other.link_bookings_;
   num_placed_ = other.num_placed_;
-  proc_slots_.assign(other.proc_slots_.size(), SlotIndex{});
-  link_slots_.assign(other.link_slots_.size(), SlotIndex{});
   return *this;
 }
 
@@ -51,8 +46,6 @@ void Schedule::clear() {
   for (auto& route : routes_) route.clear();
   for (auto& bookings : link_bookings_) bookings.clear();
   num_placed_ = 0;
-  for (SlotIndex& idx : proc_slots_) idx.reset();
-  for (SlotIndex& idx : link_slots_) idx.reset();
 }
 
 void Schedule::swap(Schedule& other) {
@@ -66,8 +59,6 @@ void Schedule::swap(Schedule& other) {
   swap(routes_, other.routes_);
   swap(link_bookings_, other.link_bookings_);
   swap(num_placed_, other.num_placed_);
-  swap(proc_slots_, other.proc_slots_);
-  swap(link_slots_, other.link_slots_);
 }
 
 // --- transactions -----------------------------------------------------------
@@ -100,7 +91,6 @@ void Schedule::rollback_transaction() {
         BSA_ASSERT(order[static_cast<std::size_t>(r.idx0)] == r.a,
                    "transaction undo: order slot mismatch");
         order.erase(order.begin() + r.idx0);
-        proc_slots_[static_cast<std::size_t>(pl.proc)].reset();
         pl = Placement{};
         --num_placed_;
         break;
@@ -110,7 +100,6 @@ void Schedule::rollback_transaction() {
             Placement{r.b, r.t0, r.t1};
         auto& order = proc_tasks_[static_cast<std::size_t>(r.b)];
         order.insert(order.begin() + r.idx0, r.a);
-        proc_slots_[static_cast<std::size_t>(r.b)].reset();
         ++num_placed_;
         break;
       }
@@ -118,7 +107,6 @@ void Schedule::rollback_transaction() {
         auto& pl = placements_[static_cast<std::size_t>(r.a)];
         pl.start = r.t0;
         pl.finish = r.t1;
-        proc_slots_[static_cast<std::size_t>(pl.proc)].reset();
         break;
       }
       case Transaction::Op::kAppendHop: {
@@ -129,7 +117,6 @@ void Schedule::rollback_transaction() {
         BSA_ASSERT(bookings[static_cast<std::size_t>(r.idx1)].edge == r.a,
                    "transaction undo: booking slot mismatch");
         bookings.erase(bookings.begin() + r.idx1);
-        link_slots_[static_cast<std::size_t>(hop.link)].reset();
         break;
       }
       case Transaction::Op::kEraseHop: {
@@ -140,7 +127,6 @@ void Schedule::rollback_transaction() {
         auto& bookings = link_bookings_[static_cast<std::size_t>(r.b)];
         bookings.insert(bookings.begin() + r.idx1,
                         LinkBooking{r.a, r.idx0, r.t0, r.t1});
-        link_slots_[static_cast<std::size_t>(r.b)].reset();
         break;
       }
       case Transaction::Op::kSetHopTimes: {
@@ -152,7 +138,6 @@ void Schedule::rollback_transaction() {
                                  [static_cast<std::size_t>(r.idx1)];
         bk.start = r.t0;
         bk.finish = r.t1;
-        link_slots_[static_cast<std::size_t>(hop.link)].reset();
         break;
       }
     }
@@ -236,48 +221,23 @@ Time Schedule::arrival_of(EdgeId e) const {
   return finish_of(graph_->edge_src(e));
 }
 
-namespace {
-/// Queries answered by a plain scan before an invalidated resource's
-/// index is rebuilt. Migration commits book on a resource right after
-/// almost every query of it, so an eager rebuild per query is pure
-/// overhead; genuinely hot resources repay the build within a few
-/// queries. Answers are bit-identical either way.
-constexpr int kLinearSlotQueries = 2;
-}  // namespace
-
 Time Schedule::earliest_task_slot(ProcId p, Time ready, Time duration) const {
   check_proc(p);
-  SlotIndex& idx = proc_slots_[static_cast<std::size_t>(p)];
-  if (!idx.built()) {
-    slot_scratch_.clear();
-    for (const TaskId t : proc_tasks_[static_cast<std::size_t>(p)]) {
-      const auto& pl = placements_[static_cast<std::size_t>(t)];
-      slot_scratch_.push_back(Interval{pl.start, pl.finish});
-    }
-    if (idx.note_unbuilt_query() <= kLinearSlotQueries) {
-      return earliest_fit(slot_scratch_, ready, duration);
-    }
-    ++slot_index_builds_;
-    idx.build(slot_scratch_);
-  }
-  return idx.query(ready, duration);
+  const auto interval_of = [this](TaskId t) {
+    const Placement& pl = placements_[static_cast<std::size_t>(t)];
+    return Interval{pl.start, pl.finish};
+  };
+  return earliest_fit(proc_tasks_[static_cast<std::size_t>(p)], ready,
+                      duration, interval_of);
 }
 
 Time Schedule::earliest_link_slot(LinkId l, Time ready, Time duration) const {
   check_link(l);
-  SlotIndex& idx = link_slots_[static_cast<std::size_t>(l)];
-  if (!idx.built()) {
-    slot_scratch_.clear();
-    for (const LinkBooking& b : link_bookings_[static_cast<std::size_t>(l)]) {
-      slot_scratch_.push_back(Interval{b.start, b.finish});
-    }
-    if (idx.note_unbuilt_query() <= kLinearSlotQueries) {
-      return earliest_fit(slot_scratch_, ready, duration);
-    }
-    ++slot_index_builds_;
-    idx.build(slot_scratch_);
-  }
-  return idx.query(ready, duration);
+  const auto interval_of = [](const LinkBooking& b) {
+    return Interval{b.start, b.finish};
+  };
+  return earliest_fit(link_bookings_[static_cast<std::size_t>(l)], ready,
+                      duration, interval_of);
 }
 
 void Schedule::place_task(TaskId t, ProcId p, Time start, Time finish) {
@@ -288,7 +248,6 @@ void Schedule::place_task(TaskId t, ProcId p, Time start, Time finish) {
   BSA_REQUIRE(time_le(start, finish), "task " << t << " start " << start
                                               << " after finish " << finish);
   pl = Placement{p, start, finish};
-  proc_slots_[static_cast<std::size_t>(p)].reset();
   auto& order = proc_tasks_[static_cast<std::size_t>(p)];
   const auto pos = std::find_if(order.begin(), order.end(), [&](TaskId u) {
     const auto& o = placements_[static_cast<std::size_t>(u)];
@@ -307,7 +266,6 @@ void Schedule::unplace_task(TaskId t) {
   check_task(t);
   auto& pl = placements_[static_cast<std::size_t>(t)];
   BSA_REQUIRE(pl.proc != kInvalidProc, "task " << t << " is not placed");
-  proc_slots_[static_cast<std::size_t>(pl.proc)].reset();
   auto& order = proc_tasks_[static_cast<std::size_t>(pl.proc)];
   const auto pos = std::find(order.begin(), order.end(), t);
   BSA_ASSERT(pos != order.end(), "task missing from processor order");
@@ -330,7 +288,6 @@ void Schedule::set_task_times(TaskId t, Time start, Time finish) {
   BSA_REQUIRE(pl.proc != kInvalidProc, "task " << t << " is not placed");
   BSA_REQUIRE(time_le(start, finish), "task " << t << " start " << start
                                               << " after finish " << finish);
-  proc_slots_[static_cast<std::size_t>(pl.proc)].reset();
   if (txn_ != nullptr) {
     txn_->records_.push_back({Transaction::Op::kSetTaskTimes, t, pl.proc, 0, 0,
                               pl.start, pl.finish});
@@ -363,7 +320,6 @@ void Schedule::set_route(EdgeId e, std::vector<Hop> hops) {
             return b.edge == e && b.hop_index == hop_index;
           });
       BSA_ASSERT(pos != bookings.end(), "rollback lost a booking");
-      link_slots_[static_cast<std::size_t>(h.link)].reset();
       bookings.erase(pos);
       route.pop_back();
     }
@@ -407,7 +363,6 @@ void Schedule::append_hop(EdgeId e, const Hop& hop) {
         {Transaction::Op::kAppendHop, e, hop.link, 0,
          static_cast<std::int32_t>(pos - bookings.begin()), 0, 0});
   }
-  link_slots_[static_cast<std::size_t>(hop.link)].reset();
   route.push_back(hop);
   bookings.insert(pos, nb);
 }
@@ -432,7 +387,6 @@ void Schedule::clear_route(EdgeId e) {
            static_cast<std::int32_t>(pos - bookings.begin()), hop.start,
            hop.finish});
     }
-    link_slots_[static_cast<std::size_t>(hop.link)].reset();
     bookings.erase(pos);
     route.pop_back();
   }
@@ -478,7 +432,6 @@ void Schedule::set_hop_times(EdgeId e, int hop_index, Time start, Time finish,
   }
   hop.start = start;
   hop.finish = finish;
-  link_slots_[static_cast<std::size_t>(hop.link)].reset();
   booking.start = start;
   booking.finish = finish;
 }

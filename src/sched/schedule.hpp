@@ -8,7 +8,6 @@
 #include "common/types.hpp"
 #include "graph/task_graph.hpp"
 #include "network/topology.hpp"
-#include "sched/timeline.hpp"
 
 /// \file schedule.hpp
 /// The schedule data structure shared by all scheduling algorithms.
@@ -97,10 +96,10 @@ class Schedule {
   };
 
   /// An empty schedule over `g` and `topo`; both must outlive the
-  /// schedule. Copyable (used for tentative evaluation in tests); copies
-  /// drop the lazily-built slot caches so snapshots stay cheap. Neither
-  /// side of a copy may have an open transaction; moved-from/moved-into
-  /// schedules must not have one either (unchecked for moves).
+  /// schedule. Copyable (used for tentative evaluation in tests); a copy
+  /// has no open transaction, and none may be open in a schedule that is
+  /// copy-assigned into. Moved-from/moved-into schedules must not have
+  /// one either (unchecked for moves).
   Schedule(const graph::TaskGraph& g, const net::Topology& topo);
   Schedule(const Schedule& other);
   Schedule& operator=(const Schedule& other);
@@ -157,26 +156,14 @@ class Schedule {
 
   // --- slot search --------------------------------------------------------
   /// Earliest start >= ready of an idle gap of `duration` on processor `p`
-  /// (insertion based). Served from a lazily-built per-processor
-  /// SlotIndex — amortized O(log k) per query, invalidated by mutations
-  /// of `p`'s timeline. Not thread-safe: concurrent const slot queries on
-  /// the same Schedule race on the cache.
+  /// (insertion based): sched::earliest_fit over `p`'s task order, read
+  /// in place.
   [[nodiscard]] Time earliest_task_slot(ProcId p, Time ready,
                                         Time duration) const;
-  /// Earliest start >= ready of an idle gap of `duration` on link `l`
-  /// (same lazily-indexed scheme as earliest_task_slot).
+  /// Earliest start >= ready of an idle gap of `duration` on link `l`:
+  /// sched::earliest_fit over its bookings.
   [[nodiscard]] Time earliest_link_slot(LinkId l, Time ready,
                                         Time duration) const;
-  /// SlotIndex builds this schedule object has performed — an
-  /// observability counter (docs/DESIGN_OBS.md). Deterministic: builds
-  /// depend only on the query/mutation sequence. The count belongs to the
-  /// object, not to its content: copies start at 0, and copy-assignment,
-  /// clear() and swap() keep each object's own count, so a total summed
-  /// over the objects of a run (e.g. a schedule and its Replayer) is
-  /// exact. Moves carry the count along with the content.
-  [[nodiscard]] std::int64_t slot_index_builds() const noexcept {
-    return slot_index_builds_;
-  }
 
   // --- wholesale ----------------------------------------------------------
   /// Remove every placement and route in place: the schedule becomes
@@ -184,9 +171,8 @@ class Schedule {
   /// capacity (a reused write target, see Replayer). Requires no open
   /// transaction.
   void clear();
-  /// Exchange contents (graph, topology, placements, routes, orders and
-  /// slot caches) with `other` in O(1), each object keeping its own
-  /// slot_index_builds(). Requires no open transaction on either side.
+  /// Exchange contents (graph, topology, placements, routes and orders)
+  /// with `other` in O(1). Requires no open transaction on either side.
   void swap(Schedule& other);
 
   // --- mutation -----------------------------------------------------------
@@ -237,19 +223,6 @@ class Schedule {
   std::vector<std::vector<Hop>> routes_;      // by EdgeId
   std::vector<std::vector<LinkBooking>> link_bookings_;  // by LinkId
   int num_placed_ = 0;
-  /// Lazily-built free-slot indexes (reset by mutations, rebuilt once a
-  /// resource shows repeated queries without mutation — the first few
-  /// post-invalidation queries are answered by a linear earliest_fit
-  /// scan instead, identical answers, no build churn); never copied with
-  /// the schedule.
-  mutable std::vector<SlotIndex> proc_slots_;  // by ProcId
-  mutable std::vector<SlotIndex> link_slots_;  // by LinkId
-  /// Reused buffer for slot queries on unbuilt indexes (no allocation on
-  /// the query hot path).
-  mutable std::vector<Interval> slot_scratch_;
-  /// Builds performed by this object (see slot_index_builds()); not
-  /// copied with the schedule content.
-  mutable std::int64_t slot_index_builds_ = 0;
   /// Active transaction journal; mutators record inverses while set.
   Transaction* txn_ = nullptr;
 

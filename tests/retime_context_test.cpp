@@ -672,16 +672,6 @@ TEST(ReplayerWorkspace, ReusedWorkspaceEqualsTheFormerReplay) {
       const Time wrapped_makespan =
           sched::replay_retime(wrapped, cm, insertion);
       Schedule kept = chain[i];
-      // Build kept's slot indexes: after the swap the workspace holds
-      // them, and its next replay must not answer from them.
-      for (int round = 0; round < 3; ++round) {
-        for (ProcId p = 0; p < topo.num_processors(); ++p) {
-          (void)kept.earliest_task_slot(p, 0, 1);
-        }
-        for (LinkId l = 0; l < topo.num_links(); ++l) {
-          (void)kept.earliest_link_slot(l, 0, 1);
-        }
-      }
       replayer.swap_into(kept);
 
       EXPECT_EQ(makespan, expected_makespan) << where;
@@ -695,47 +685,6 @@ TEST(ReplayerWorkspace, ReusedWorkspaceEqualsTheFormerReplay) {
       if (chain.size() < 3 * inputs.size()) chain.push_back(std::move(kept));
     }
   }
-}
-
-TEST(ReplayerWorkspace, KeptReplayNeverLowersTheSlotIndexBuildCount) {
-  // The build count belongs to the schedule object: keeping a replay
-  // (which swaps in a schedule built elsewhere) must not reset it.
-  const auto seed = derive_seed(9, 2);
-  workloads::RandomDagParams params;
-  params.num_tasks = 40;
-  params.seed = seed;
-  const auto g = workloads::random_layered_dag(params);
-  const auto topo = exp::make_topology("ring", 4, seed);
-  const auto cm = net::HeterogeneousCostModel::homogeneous(g, topo);
-  Schedule s =
-      sched::SchedulerRegistry::global().resolve("heft")->run(g, topo, cm, 1).schedule;
-  for (int round = 0; round < 4; ++round) {
-    for (ProcId p = 0; p < topo.num_processors(); ++p) {
-      (void)s.earliest_task_slot(p, 0, 1);
-    }
-    for (LinkId l = 0; l < topo.num_links(); ++l) {
-      (void)s.earliest_link_slot(l, 0, 1);
-    }
-  }
-  const std::int64_t built = s.slot_index_builds();
-  ASSERT_GT(built, 0);
-
-  (void)sched::replay_retime(s, cm, true);
-  EXPECT_EQ(s.slot_index_builds(), built);
-
-  sched::Replayer replayer(g, topo, cm, true);
-  for (int i = 0; i < 3; ++i) {
-    (void)replayer.measure(s);
-    replayer.swap_into(s);
-    EXPECT_EQ(s.slot_index_builds(), built);
-  }
-
-  // A copy starts at zero; clear() keeps the object's count.
-  Schedule copy = s;
-  EXPECT_EQ(copy.slot_index_builds(), 0);
-  s.clear();
-  EXPECT_EQ(s.slot_index_builds(), built);
-  EXPECT_EQ(s.num_placed(), 0);
 }
 
 TEST(ReplayerWorkspace, MeasureWritesNoScheduleUntilKept) {

@@ -14,15 +14,18 @@
 #include "network/topology.hpp"
 #include "runtime/scenario.hpp"
 #include "runtime/sweep_runner.hpp"
+#include "sched/schedule.hpp"
 #include "sched/schedule_io.hpp"
 #include "sched/scheduler.hpp"
+#include "sched/timeline.hpp"
 #include "sched/validate.hpp"
 #include "workloads/workload_registry.hpp"
 
 /// Cross-registry scheduler-conformance harness: every registered
 /// scheduler spec (default and variant) x a sampled grid of workload
 /// specs x topologies must
-///  * produce a sched::validate()-clean complete schedule,
+///  * produce a sched::validate()-clean complete schedule whose
+///    processor and link lists meet sched::earliest_fit's precondition,
 ///  * round-trip to its canonical spec, with repeated resolves
 ///    bit-identical,
 ///  * be bit-identical under the sweep runtime at 1/2/8 threads,
@@ -79,6 +82,38 @@ Instance make_instance(const std::string& workload,
   return {std::move(g), std::move(topo), std::move(cm)};
 }
 
+/// The precondition of sched::earliest_fit on every resource of `s`:
+/// each processor's task order and each link's bookings are sorted by
+/// (start, finish), and their finishes never decrease. Empty when it
+/// holds, else the first offending resource.
+std::string slot_precondition_violation(const Schedule& s) {
+  const auto check = [](const std::vector<Interval>& busy) {
+    for (std::size_t i = 1; i < busy.size(); ++i) {
+      if (interval_less(busy[i], busy[i - 1]) ||
+          busy[i].finish < busy[i - 1].finish) {
+        return false;
+      }
+    }
+    return true;
+  };
+  std::vector<Interval> busy;
+  for (ProcId p = 0; p < s.topology().num_processors(); ++p) {
+    busy.clear();
+    for (const TaskId t : s.tasks_on(p)) {
+      busy.push_back(Interval{s.start_of(t), s.finish_of(t)});
+    }
+    if (!check(busy)) return "processor " + std::to_string(p);
+  }
+  for (LinkId l = 0; l < s.topology().num_links(); ++l) {
+    busy.clear();
+    for (const LinkBooking& bk : s.bookings_on(l)) {
+      busy.push_back(Interval{bk.start, bk.finish});
+    }
+    if (!check(busy)) return "link " + std::to_string(l);
+  }
+  return {};
+}
+
 TEST(Conformance, EverySpecValidatesOnEveryWorkloadAndTopology) {
   for (const std::string& spec : conformance_specs()) {
     const std::unique_ptr<Scheduler> s = reg().resolve(spec);
@@ -92,6 +127,8 @@ TEST(Conformance, EverySpecValidatesOnEveryWorkloadAndTopology) {
         EXPECT_TRUE(report.ok()) << spec << " / " << workload << " / "
                                  << topo_kind << ": " << report.to_string();
         EXPECT_GT(r.makespan(), 0) << spec;
+        EXPECT_EQ(slot_precondition_violation(r.schedule), "")
+            << spec << " / " << workload << " / " << topo_kind;
       }
     }
   }

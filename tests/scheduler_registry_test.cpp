@@ -190,6 +190,19 @@ TEST(Registry, BadValueListsValidChoices) {
   EXPECT_THROW((void)reg().resolve("dls:seed=-3"), PreconditionError);
 }
 
+TEST(Registry, SpecErrorsNameNoSourceFile) {
+  // A caller's error reads as one: tools and the daemon print it, so it
+  // carries no source location of the check that raised it.
+  for (const std::string spec :
+       {"hneft", "bsa:gaet=always", "bsa:gate=sometimes", "bsa:sweeps=0",
+        "bsa:", "dls:seed=-3"}) {
+    const std::string msg = error_message([&] { (void)reg().resolve(spec); });
+    ASSERT_FALSE(msg.empty()) << spec;
+    EXPECT_EQ(msg.find(".cpp:"), std::string::npos) << msg;
+    EXPECT_EQ(msg.find(".hpp:"), std::string::npos) << msg;
+  }
+}
+
 TEST(Registry, LocalInstanceRejectsDuplicateAndMalformedRegistrations) {
   SchedulerRegistry local;
   register_builtin_schedulers(local);

@@ -276,6 +276,30 @@ TEST(ServeServer, UnknownSpecNamesListValidChoices) {
   server.stop();
 }
 
+TEST(ServeServer, BadRequestErrorsNameNoSourceFile) {
+  // bad_request replies pass the PreconditionError text on; it names
+  // what was wrong with the request, not where the check sits.
+  Server server(small_options("noloc"));
+  server.start();
+  auto client = Client::connect(server.socket_path());
+  std::vector<Request> bad(4, small_request());
+  bad[0].algo = "bsa:gate=sometimes";
+  bad[1].algo = "dls:seed=-3";
+  bad[2].workload = "fft:nosuch=1";
+  bad[3].topology = "ring";
+  bad[3].procs = 1;
+  for (const Request& req : bad) {
+    const Response err = client.call(req);
+    EXPECT_FALSE(err.ok);
+    EXPECT_EQ(err.code, error_code::kBadRequest) << err.error;
+    EXPECT_FALSE(err.error.empty());
+    EXPECT_EQ(err.error.find(".cpp:"), std::string::npos) << err.error;
+    EXPECT_EQ(err.error.find(".hpp:"), std::string::npos) << err.error;
+  }
+  EXPECT_TRUE(client.ping().ok);
+  server.stop();
+}
+
 TEST(ServeServer, OversizedRequestAnsweredThenDropped) {
   Server server(small_options("oversize"));
   server.start();

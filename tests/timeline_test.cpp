@@ -12,22 +12,13 @@
 
 namespace bsa::sched {
 
-/// Reads SlotIndex's arrays (declared friend in timeline.hpp).
-struct SlotIndexTestPeer {
-  /// Same gap records, tail, tree and built flag.
-  static bool same_arrays(const SlotIndex& a, const SlotIndex& b) {
-    return a.built_ == b.built_ && a.n_ == b.n_ &&
-           a.tail_open_ == b.tail_open_ && a.gap_end_ == b.gap_end_ &&
-           a.gap_open_ == b.gap_open_ && a.seg_ == b.seg_;
-  }
-};
-
 namespace {
 
 TEST(EarliestFit, EmptyTimeline) {
-  EXPECT_DOUBLE_EQ(earliest_fit({}, 0, 10), 0);
-  EXPECT_DOUBLE_EQ(earliest_fit({}, 7, 10), 7);
-  EXPECT_DOUBLE_EQ(earliest_fit({}, -5, 10), 0);  // clamped to zero
+  const std::vector<Interval> busy;
+  EXPECT_DOUBLE_EQ(earliest_fit(busy, 0, 10), 0);
+  EXPECT_DOUBLE_EQ(earliest_fit(busy, 7, 10), 7);
+  EXPECT_DOUBLE_EQ(earliest_fit(busy, -5, 10), 0);  // clamped to zero
 }
 
 TEST(EarliestFit, FitsBeforeFirstBooking) {
@@ -78,6 +69,19 @@ TEST(InsertInterval, KeepsSortedOrder) {
   EXPECT_TRUE(is_well_formed(busy));
 }
 
+TEST(InsertInterval, OrdersEqualStartsByFinish) {
+  // place_task's order: a longer interval goes after a zero-length one
+  // at the same start, an equal one after its twin.
+  std::vector<Interval> busy{{0, 5}, {5, 5}, {9, 10}};
+  insert_interval(busy, {5, 8});
+  insert_interval(busy, {5, 5});
+  ASSERT_EQ(busy.size(), 5u);
+  EXPECT_DOUBLE_EQ(busy[1].finish, 5);
+  EXPECT_DOUBLE_EQ(busy[2].finish, 5);
+  EXPECT_DOUBLE_EQ(busy[3].finish, 8);
+  EXPECT_DOUBLE_EQ(earliest_fit(busy, 5, 1), 8);
+}
+
 TEST(InsertInterval, RejectsOverlap) {
   std::vector<Interval> busy{{0, 10}, {30, 40}};
   EXPECT_THROW(insert_interval(busy, {5, 12}), InvariantError);
@@ -102,94 +106,47 @@ TEST(IsWellFormed, DetectsProblems) {
   EXPECT_FALSE(is_well_formed(std::vector<Interval>{{3, 2}}));
 }
 
-// --- SlotIndex ---------------------------------------------------------------
+// --- earliest_fit against the plain scan ------------------------------------
 
-TEST(SlotIndex, EmptyAndBasics) {
-  SlotIndex idx;
-  idx.build({});
-  EXPECT_TRUE(idx.built());
-  EXPECT_DOUBLE_EQ(idx.query(0, 10), 0);
-  EXPECT_DOUBLE_EQ(idx.query(7, 10), 7);
-  EXPECT_DOUBLE_EQ(idx.query(-5, 10), 0);  // clamped like earliest_fit
-
-  const std::vector<Interval> busy{{5, 10}, {12, 20}, {30, 35}};
-  idx.build(busy);
-  for (const Time ready : {0.0, 3.0, 5.0, 11.0, 20.0, 36.0}) {
-    for (const Time dur : {0.0, 1.0, 2.0, 5.0, 10.0, 100.0}) {
-      EXPECT_DOUBLE_EQ(idx.query(ready, dur), earliest_fit(busy, ready, dur))
-          << "ready=" << ready << " dur=" << dur;
-    }
+/// The scan earliest_fit must equal: candidate = max(ready, 0); stop at
+/// the first interval the request fits before, else move past it.
+Time plain_scan(const std::vector<Interval>& busy, Time ready, Time duration) {
+  Time candidate = std::max(ready, Time{0});
+  for (const Interval& iv : busy) {
+    if (time_le(candidate + duration, iv.start)) break;
+    candidate = std::max(candidate, iv.finish);
   }
-  idx.reset();
-  EXPECT_FALSE(idx.built());
+  return candidate;
 }
 
-TEST(SlotIndex, TouchingIntervalsAndZeroDurations) {
-  const std::vector<Interval> busy{{0, 4}, {4, 8}, {8, 8}, {10, 12}};
-  SlotIndex idx;
-  idx.build(busy);
-  for (const Time ready : {0.0, 4.0, 8.0, 9.0, 12.5}) {
-    for (const Time dur : {0.0, 1.0, 2.0, 3.0}) {
-      EXPECT_DOUBLE_EQ(idx.query(ready, dur), earliest_fit(busy, ready, dur))
-          << "ready=" << ready << " dur=" << dur;
-    }
+/// Insert `iv` where place_task puts a task with those times, unless it
+/// overlaps a neighbour (append_hop's check) or would break
+/// earliest_fit's precondition that finishes never decrease; returns
+/// whether it was inserted.
+bool try_insert(std::vector<Interval>& busy, const Interval& iv) {
+  const auto it = std::upper_bound(busy.begin(), busy.end(), iv, interval_less);
+  if (it != busy.end() &&
+      (!time_le(iv.finish, it->start) || it->finish < iv.finish)) {
+    return false;
   }
-}
-
-/// Property: SlotIndex answers exactly match the linear scan on random
-/// timelines (integral and fractional), across a sweep of queries.
-TEST(SlotIndex, MatchesLinearScanOnRandomTimelines) {
-  Rng rng(2026);
-  for (int round = 0; round < 200; ++round) {
-    const bool fractional = round % 3 == 0;
-    std::vector<Interval> busy;
-    Time cursor = 0;
-    const int intervals = static_cast<int>(rng.index(20));
-    for (int i = 0; i < intervals; ++i) {
-      // Gaps of zero are allowed (touching intervals).
-      const Time gap = fractional ? rng.uniform_real(0.0, 7.0)
-                                  : static_cast<Time>(rng.index(7));
-      const Time len = fractional ? rng.uniform_real(0.0, 9.0)
-                                  : static_cast<Time>(rng.index(9));
-      cursor += gap;
-      busy.push_back(Interval{cursor, cursor + len});
-      cursor += len;
-    }
-    SlotIndex idx;
-    idx.build(busy);
-    for (int q = 0; q < 50; ++q) {
-      const Time ready = fractional
-                             ? rng.uniform_real(-2.0, cursor + 5.0)
-                             : static_cast<Time>(rng.index(60)) - 2;
-      const Time dur = fractional ? rng.uniform_real(0.0, 12.0)
-                                  : static_cast<Time>(rng.index(12));
-      const Time expected = earliest_fit(busy, ready, dur);
-      const Time got = idx.query(ready, dur);
-      ASSERT_EQ(got, expected) << "round=" << round << " ready=" << ready
-                               << " dur=" << dur;
-    }
+  if (it != busy.begin() &&
+      (!time_le((it - 1)->finish, iv.start) || iv.finish < (it - 1)->finish)) {
+    return false;
   }
+  busy.insert(it, iv);
+  return true;
 }
 
-TEST(SlotIndex, RejectsNegativeDuration) {
-  SlotIndex idx;
-  idx.build({});
-  EXPECT_THROW((void)idx.query(0, -1), PreconditionError);
-}
-
-// --- SlotIndex::insert: the incrementally grown index ------------------------
-
-/// A candidate interval for the grown list: at the tail, inside an
+/// A candidate interval for a grown list: at the tail, inside an
 /// interior gap, zero-length on a boundary (ties), a duplicate of an
 /// existing interval, or one that overruns a gap by less than the time
-/// tolerance. Some candidates overlap a neighbour; insert must reject
+/// tolerance. Some candidates overlap a neighbour; try_insert refuses
 /// those.
 Interval random_candidate(Rng& rng, const std::vector<Interval>& busy) {
   const auto pick = [&]() -> const Interval& {
     return busy[rng.index(busy.size())];
   };
-  Time tail = 0;
-  for (const Interval& iv : busy) tail = std::max(tail, iv.finish);
+  const Time tail = busy.empty() ? 0 : busy.back().finish;
   const bool fractional = rng.bernoulli(0.5);
   const auto length = [&](Time hi) {
     const auto whole = static_cast<std::size_t>(hi) + 1;
@@ -228,100 +185,106 @@ Interval random_candidate(Rng& rng, const std::vector<Interval>& busy) {
   }
 }
 
-/// Property: after every insert the grown index equals a fresh build
-/// over the grown list, answers every query like earliest_fit, and put
-/// the interval where Schedule::place_task puts a task with those times.
-TEST(SlotIndexInsert, RandomInsertSequencesEqualAFreshBuild) {
+/// A ready time before, inside, on the boundary of, between or after the
+/// intervals.
+Time random_ready(Rng& rng, const std::vector<Interval>& busy) {
+  const Time tail = busy.empty() ? 0 : busy.back().finish;
+  if (busy.empty() || rng.bernoulli(0.2)) {
+    return rng.uniform_real(-2.0, tail + 3);
+  }
+  const std::size_t j = rng.index(busy.size());
+  switch (rng.index(4)) {
+    case 0:  // inside interval j
+      return rng.uniform_real(busy[j].start, busy[j].finish);
+    case 1:  // on a boundary of interval j
+      return rng.bernoulli(0.5) ? busy[j].start : busy[j].finish;
+    case 2: {  // in the gap before interval j
+      const Time open = j == 0 ? 0 : busy[j - 1].finish;
+      return rng.uniform_real(std::min(open, busy[j].start), busy[j].start);
+    }
+    default:  // before the first interval or after the last
+      return rng.bernoulli(0.5) ? -rng.uniform_real(0.0, 2.0)
+                                : tail + rng.uniform_real(0.0, 3.0);
+  }
+}
+
+/// A duration: anything, zero, or within a few tolerances of the
+/// capacity of the gap before a random interval.
+Time random_duration(Rng& rng, const std::vector<Interval>& busy) {
+  switch (busy.empty() ? 0 : rng.index(3)) {
+    case 0:
+      return rng.uniform_real(0.0, 6.0);
+    case 1:
+      return 0;
+    default: {
+      const std::size_t j = rng.index(busy.size());
+      const Time open = j == 0 ? 0 : busy[j - 1].finish;
+      return std::max(Time{0}, busy[j].start - open +
+                                   kTimeEpsilon * rng.uniform_real(-3, 3));
+    }
+  }
+}
+
+/// Property: on every list that meets its precondition, earliest_fit
+/// equals the plain scan — over a plain Interval list and, read in place,
+/// over a Schedule's processor order holding the same intervals (which
+/// place_task keeps in the list's order).
+TEST(EarliestFit, MatchesThePlainScanOnRandomTimelines) {
   constexpr int kInserts = 60;
   graph::TaskGraphBuilder b;
   for (int i = 0; i < kInserts; ++i) (void)b.add_task(1);
   const graph::TaskGraph g = b.build();
   const net::Topology topo = net::Topology::clique(2);
-  Rng rng(23);
-  int interior = 0;
-  int rejected = 0;
-  for (int round = 0; round < 120; ++round) {
+  Rng rng(2026);
+  int queries = 0;
+  int refused = 0;
+  for (int round = 0; round < 240; ++round) {
     std::vector<Interval> busy;
-    SlotIndex grown;
-    grown.build(busy);
     Schedule s(g, topo);
     TaskId next = 0;
+    const bool sequential = round % 2 == 0;
+    const bool fractional = round % 4 < 2;
+    Time cursor = 0;
     for (int step = 0; step < 3 * kInserts && next < kInserts; ++step) {
-      const Interval iv = random_candidate(rng, busy);
-      const std::vector<Interval> before = busy;
-      std::size_t pos = 0;
-      try {
-        pos = grown.insert(busy, iv);
-      } catch (const InvariantError&) {
-        // Rejected: list and index untouched.
-        ++rejected;
-        ASSERT_EQ(busy.size(), before.size());
-        SlotIndex fresh;
-        fresh.build(busy);
-        ASSERT_TRUE(SlotIndexTestPeer::same_arrays(grown, fresh))
-            << "round=" << round;
+      Interval iv;
+      if (sequential) {
+        // Left to right; gaps and lengths of zero (touching intervals,
+        // zero-length intervals) included.
+        const Time gap = fractional ? rng.uniform_real(0.0, 7.0)
+                                    : static_cast<Time>(rng.index(7));
+        const Time len = fractional ? rng.uniform_real(0.0, 9.0)
+                                    : static_cast<Time>(rng.index(9));
+        iv = {cursor + gap, cursor + gap + len};
+        cursor = iv.finish;
+      } else {
+        iv = random_candidate(rng, busy);
+      }
+      if (!try_insert(busy, iv)) {
+        ++refused;
         continue;
       }
-      interior += pos + 1 < busy.size();
-      s.place_task(next, 0, iv.start, iv.finish);
-      ++next;
-      // Same position as the schedule's processor order.
+      s.place_task(next++, 0, iv.start, iv.finish);
       const std::vector<TaskId>& order = s.tasks_on(0);
       ASSERT_EQ(order.size(), busy.size());
-      ASSERT_EQ(order[pos], next - 1) << "round=" << round << " step=" << step;
       for (std::size_t i = 0; i < order.size(); ++i) {
-        ASSERT_EQ(s.start_of(order[i]), busy[i].start);
-        ASSERT_EQ(s.finish_of(order[i]), busy[i].finish);
+        ASSERT_EQ(s.start_of(order[i]), busy[i].start) << "round=" << round;
+        ASSERT_EQ(s.finish_of(order[i]), busy[i].finish) << "round=" << round;
       }
-      SlotIndex fresh;
-      fresh.build(busy);
-      ASSERT_TRUE(SlotIndexTestPeer::same_arrays(grown, fresh))
-          << "round=" << round << " step=" << step << " pos=" << pos;
-      for (int q = 0; q < 8; ++q) {
-        const Time ready = rng.uniform_real(-1.0, busy.back().finish + 3);
-        // Durations within a few tolerances of a gap's capacity probe
-        // the tree's slack.
-        Time dur = rng.uniform_real(0.0, 6.0);
-        if (q % 2 == 1) {
-          const std::size_t j = rng.index(busy.size());
-          const Time open = j == 0 ? 0 : busy[j - 1].finish;
-          dur = std::max(Time{0}, busy[j].start - open +
-                                      kTimeEpsilon * rng.uniform_real(-2, 2));
-        }
-        ASSERT_EQ(grown.query(ready, dur), earliest_fit(busy, ready, dur))
-            << "round=" << round << " ready=" << ready << " dur=" << dur;
+      for (int q = 0; q < 6; ++q) {
+        const Time ready = random_ready(rng, busy);
+        const Time dur = random_duration(rng, busy);
+        const Time expected = plain_scan(busy, ready, dur);
+        ASSERT_EQ(earliest_fit(busy, ready, dur), expected)
+            << "round=" << round << " step=" << step << " ready=" << ready
+            << " dur=" << dur;
+        ASSERT_EQ(s.earliest_task_slot(0, ready, dur), expected)
+            << "round=" << round << " step=" << step;
+        ++queries;
       }
     }
   }
-  EXPECT_GT(interior, 500);
-  EXPECT_GT(rejected, 100);
-}
-
-TEST(SlotIndexInsert, GrowsThroughTreeResizesAndTies) {
-  // Tail inserts cross every power-of-two tree size; zero-length ties at
-  // one instant keep insertion order among equals and sort before the
-  // longer interval that starts there.
-  std::vector<Interval> busy;
-  SlotIndex grown;
-  grown.build(busy);
-  for (int i = 0; i < 33; ++i) {
-    const auto t = static_cast<Time>(2 * i);
-    EXPECT_EQ(grown.insert(busy, {t, t + 1}), static_cast<std::size_t>(i));
-    SlotIndex fresh;
-    fresh.build(busy);
-    ASSERT_TRUE(SlotIndexTestPeer::same_arrays(grown, fresh)) << i;
-  }
-  EXPECT_EQ(grown.insert(busy, {1, 1}), 1u);   // zero-length in gap 1
-  EXPECT_EQ(grown.insert(busy, {1, 2}), 2u);   // after the tie's shorter one
-  EXPECT_EQ(grown.insert(busy, {1, 1}), 2u);   // equal tie: after its twin
-  EXPECT_DOUBLE_EQ(grown.query(0, 1), 3);      // gap 1 is closed
-  EXPECT_DOUBLE_EQ(grown.query(0, 2), 65);     // no gap holds 2
-  const std::size_t tail = grown.insert(busy, {65, 65 + 2 * kTimeEpsilon});
-  EXPECT_EQ(tail, busy.size() - 1);
-  EXPECT_THROW((void)grown.insert(busy, {3.5, 4.5}), InvariantError);
-  SlotIndex fresh;
-  fresh.build(busy);
-  EXPECT_TRUE(SlotIndexTestPeer::same_arrays(grown, fresh));
+  EXPECT_GT(queries, 50000);
+  EXPECT_GT(refused, 1000);
 }
 
 // --- Schedule-level insertion edge cases ------------------------------------
