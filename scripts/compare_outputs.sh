@@ -7,12 +7,15 @@
 # fig3-6 benches (e.g. a build of the parent commit and one of the
 # change). For every spec of the specs-scheduler block of docs/SPECS.md,
 # plus bsa:route=static,slots=append and bsa:route=ecube (hypercube
-# only), over random/gauss/fft/stencil x ring/hypercube/mesh x seeds 1-3,
-# it runs `bsa_tool --export --decision-log --counters` with both builds;
-# then it runs the four figure benches with --eft with both.
+# only), over random/gauss/fft/stencil x ring/hypercube/mesh x seeds 1-3
+# and over three 60-task graphs where every third task and every third
+# edge costs zero (x the same topologies), it runs `bsa_tool --export
+# --decision-log --counters` with both builds; then it runs the four
+# figure benches with --eft with both.
 #
 # Exits 1 on any difference in a schedule (the --export file and the
-# printed listing), a decision log or a figure table. Differences in
+# printed listing, where a failed check's message counts but not its
+# expression or source location), a decision log or a figure table. Differences in
 # counter lines are listed separately and do not fail the run: a change
 # that renames or adds a counter explains them in CHANGES.md. Outputs
 # are kept under OUT_DIR/{parent,change}/ when it is given.
@@ -54,10 +57,17 @@ run() {
   bin=$parent
   [[ $side == change ]] && bin=$change
   local out="$work/$side/$name"
+  rm -f "$out.sched" "$out.log"
   "$bin/bsa_tool" "$@" --export "$out.sched" --decision-log "$out.log" \
     --counters > "$out.stdout" 2>&1 || echo "exit $?" >> "$out.stdout"
+  # A run that fails writes no schedule; its listing holds the error.
+  touch "$out.sched" "$out.log"
   grep -E "$counter_re" "$out.stdout" > "$out.counters" || true
-  grep -vE "$counter_re" "$out.stdout" > "$out.listing" || true
+  # A failed check's expression and source location differ between
+  # checkouts; its kind and message are compared.
+  grep -vE "$counter_re" "$out.stdout" |
+    sed -E 's/^error: (invariant violated|precondition failed):.* — /error: \1 — /' \
+      > "$out.listing" || true
 }
 
 mkdir -p "$work/parent" "$work/change"
@@ -90,6 +100,51 @@ for workload in random gauss fft stencil; do
         done
         compare "$name"
       done
+    done
+  done
+done
+
+# zero_cost_graph SEED: a 60-task DAG in bsa_tool's text format with
+# fractional costs (one decimal, so sums round) where every third task
+# and every third edge costs zero; a fixed LCG makes it the same on
+# every host.
+zero_cost_graph() {
+  awk -v seed="$1" 'BEGIN {
+    x = seed
+    for (i = 0; i < 60; i++) {
+      x = (x * 1103515245 + 12345) % 2147483648
+      printf "task %s\n", (i % 3 == 1) ? 0 : (x % 97 + 1) / 10
+    }
+    n = 0
+    for (j = 1; j < 60; j++) {
+      x = (x * 1103515245 + 12345) % 2147483648
+      k = 1 + x % 3
+      delete used
+      for (m = 0; m < k; m++) {
+        x = (x * 1103515245 + 12345) % 2147483648
+        i = x % j
+        if (i in used) continue
+        used[i] = 1
+        x = (x * 1103515245 + 12345) % 2147483648
+        printf "edge %d %d %s\n", i, j, (n++ % 3 == 0) ? 0 : (x % 61 + 1) / 10
+      }
+    }
+  }'
+}
+
+for seed in 1 2 3; do
+  graph="$work/zero_cost_$seed.tg"
+  zero_cost_graph "$seed" > "$graph"
+  for topology in ring hypercube mesh; do
+    cases=("${specs[@]}")
+    [[ $topology == hypercube ]] && cases+=("bsa:route=ecube")
+    for spec in "${cases[@]}"; do
+      name="zero_cost_${topology}_${seed}_${spec//[:,=]/_}"
+      for side in parent change; do
+        run "$side" "$name" "$graph" --topology "$topology" --seed "$seed" \
+          --het 4 --link-het 2 --algo "$spec"
+      done
+      compare "$name"
     done
   done
 done

@@ -83,7 +83,9 @@ std::vector<Interval>& LinkProbe::overlay(LinkId l, LinkMark& mark) {
     }
     busy.push_back(Interval{b.start, b.finish});
   }
-  if (mark.state == LinkMark::State::kFirst) insert_interval(busy, mark.first);
+  if (mark.state == LinkMark::State::kFirst) {
+    insert_interval(busy, mark.first, /*nest_short=*/true);
+  }
   mark.state = LinkMark::State::kOverlay;
   mark.slot = used_++;
   return busy;
@@ -109,7 +111,8 @@ Time LinkProbe::route(EdgeId e, std::span<const LinkId> links, Time ready,
       const Time tail = busy.empty() ? Time{0} : busy.back().finish;
       start =
           insertion_ ? earliest_fit(busy, ready, dur) : std::max(ready, tail);
-      insert_interval(busy, Interval{start, start + dur});
+      insert_interval(busy, Interval{start, start + dur},
+                      /*nest_short=*/true);
     }
     if (hops != nullptr) hops->push_back(Hop{l, start, start + dur});
     ready = start + dur;

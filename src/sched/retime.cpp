@@ -196,21 +196,8 @@ Time Replayer::book(std::size_t resource, Time ready, Time duration) {
       insertion_slots_
           ? earliest_fit(busy, ready, duration)
           : std::max(ready, busy.empty() ? Time{0} : busy.back().finish);
-  // Inserted where place_task/append_hop would put it: after every
-  // interval whose (start, finish) is not greater.
-  const Interval iv{start, start + duration};
-  const auto it = std::upper_bound(busy.begin(), busy.end(), iv, interval_less);
-  if (it != busy.end()) {
-    BSA_ASSERT(time_le(iv.finish, it->start),
-               "interval [" << iv.start << "," << iv.finish
-                            << ") overlaps successor");
-  }
-  if (it != busy.begin()) {
-    BSA_ASSERT(time_le((it - 1)->finish, iv.start),
-               "interval [" << iv.start << "," << iv.finish
-                            << ") overlaps predecessor");
-  }
-  busy.insert(it, iv);
+  // Inserted where place_task/append_hop would put it.
+  insert_interval(busy, Interval{start, start + duration});
   return start;
 }
 

@@ -6,36 +6,27 @@
 
 namespace bsa::sched {
 
-bool intervals_overlap(const Interval& a, const Interval& b) noexcept {
-  // Shared time span must be non-empty; empty intervals overlap nothing.
-  return time_lt(std::max(a.start, b.start), std::min(a.finish, b.finish));
-}
-
-void insert_interval(std::vector<Interval>& busy, const Interval& iv) {
+void insert_interval(std::vector<Interval>& busy, const Interval& iv,
+                     bool nest_short) {
+  // Whether `a`, sorted before `b`, and `b` overlap.
+  const auto overlap = [nest_short](const Interval& a, const Interval& b) {
+    return nest_short
+               ? time_lt(b.start, std::min(a.finish, b.finish))
+               : !time_le(a.finish, b.start);
+  };
   const auto pos =
       std::upper_bound(busy.begin(), busy.end(), iv, interval_less);
   if (pos != busy.end()) {
-    BSA_ASSERT(!intervals_overlap(*pos, iv),
-               "interval [" << iv.start << "," << iv.finish
-                            << ") overlaps successor");
+    BSA_ASSERT(!overlap(iv, *pos), "interval [" << iv.start << ","
+                                                << iv.finish
+                                                << ") overlaps successor");
   }
   if (pos != busy.begin()) {
-    BSA_ASSERT(!intervals_overlap(*(pos - 1), iv),
+    BSA_ASSERT(!overlap(*(pos - 1), iv),
                "interval [" << iv.start << "," << iv.finish
                             << ") overlaps predecessor");
   }
   busy.insert(pos, iv);
-}
-
-bool is_well_formed(std::span<const Interval> busy) noexcept {
-  for (std::size_t i = 1; i < busy.size(); ++i) {
-    if (busy[i].start < busy[i - 1].start) return false;
-    if (time_lt(busy[i].start, busy[i - 1].finish)) return false;
-  }
-  for (const Interval& iv : busy) {
-    if (time_lt(iv.finish, iv.start)) return false;
-  }
-  return true;
 }
 
 }  // namespace bsa::sched

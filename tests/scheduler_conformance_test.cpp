@@ -19,6 +19,7 @@
 #include "sched/scheduler.hpp"
 #include "sched/timeline.hpp"
 #include "sched/validate.hpp"
+#include "slot_precondition.hpp"
 #include "workloads/workload_registry.hpp"
 
 /// Cross-registry scheduler-conformance harness: every registered
@@ -69,12 +70,28 @@ struct Instance {
   net::HeterogeneousCostModel cm;
 };
 
+/// `g` with every third task cost and every third edge cost set to zero
+/// (zero-length tasks and hops: ties and boundary slots).
+graph::TaskGraph with_zero_costs(const graph::TaskGraph& g) {
+  graph::TaskGraphBuilder b;
+  for (TaskId t = 0; t < g.num_tasks(); ++t) {
+    (void)b.add_task(t % 3 == 1 ? 0 : g.task_cost(t), g.task_name(t));
+  }
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    (void)b.add_edge(g.edge_src(e), g.edge_dst(e),
+                     e % 3 == 0 ? 0 : g.edge_cost(e));
+  }
+  return b.build();
+}
+
 Instance make_instance(const std::string& workload,
-                       const std::string& topo_kind, std::uint64_t seed) {
+                       const std::string& topo_kind, std::uint64_t seed,
+                       bool zero_costs = false) {
   graph::TaskGraph g = workloads::WorkloadRegistry::global()
                            .resolve(workload)
                            ->generate(/*target_tasks=*/22,
                                       /*granularity=*/1.0, seed);
+  if (zero_costs) g = with_zero_costs(g);
   net::Topology topo = exp::make_topology(topo_kind, 8, seed);
   net::HeterogeneousCostModel cm =
       net::HeterogeneousCostModel::uniform_processor_speeds(
@@ -82,34 +99,24 @@ Instance make_instance(const std::string& workload,
   return {std::move(g), std::move(topo), std::move(cm)};
 }
 
-/// The precondition of sched::earliest_fit on every resource of `s`:
-/// each processor's task order and each link's bookings are sorted by
-/// (start, finish), and their finishes never decrease. Empty when it
-/// holds, else the first offending resource.
+/// Empty when every processor's task order and every link's bookings
+/// in `s` meet sched::earliest_fit's precondition, else the first
+/// offending resource.
 std::string slot_precondition_violation(const Schedule& s) {
-  const auto check = [](const std::vector<Interval>& busy) {
-    for (std::size_t i = 1; i < busy.size(); ++i) {
-      if (interval_less(busy[i], busy[i - 1]) ||
-          busy[i].finish < busy[i - 1].finish) {
-        return false;
-      }
-    }
-    return true;
-  };
-  std::vector<Interval> busy;
   for (ProcId p = 0; p < s.topology().num_processors(); ++p) {
-    busy.clear();
-    for (const TaskId t : s.tasks_on(p)) {
-      busy.push_back(Interval{s.start_of(t), s.finish_of(t)});
+    if (!testing::meets_slot_precondition(s.tasks_on(p), [&](TaskId t) {
+          return Interval{s.start_of(t), s.finish_of(t)};
+        })) {
+      return "processor " + std::to_string(p);
     }
-    if (!check(busy)) return "processor " + std::to_string(p);
   }
   for (LinkId l = 0; l < s.topology().num_links(); ++l) {
-    busy.clear();
-    for (const LinkBooking& bk : s.bookings_on(l)) {
-      busy.push_back(Interval{bk.start, bk.finish});
+    if (!testing::meets_slot_precondition(
+            s.bookings_on(l), [](const LinkBooking& bk) {
+              return Interval{bk.start, bk.finish};
+            })) {
+      return "link " + std::to_string(l);
     }
-    if (!check(busy)) return "link " + std::to_string(l);
   }
   return {};
 }
@@ -119,16 +126,18 @@ TEST(Conformance, EverySpecValidatesOnEveryWorkloadAndTopology) {
     const std::unique_ptr<Scheduler> s = reg().resolve(spec);
     for (const std::string& workload : kWorkloads) {
       for (const std::string& topo_kind : kTopologies) {
-        const Instance in = make_instance(workload, topo_kind, 5);
-        const SchedulerResult r = s->run(in.g, in.topo, in.cm, 11);
-        EXPECT_TRUE(r.schedule.all_placed())
-            << spec << " / " << workload << " / " << topo_kind;
-        const ValidationReport report = validate(r.schedule, in.cm);
-        EXPECT_TRUE(report.ok()) << spec << " / " << workload << " / "
-                                 << topo_kind << ": " << report.to_string();
-        EXPECT_GT(r.makespan(), 0) << spec;
-        EXPECT_EQ(slot_precondition_violation(r.schedule), "")
-            << spec << " / " << workload << " / " << topo_kind;
+        for (const bool zero_costs : {false, true}) {
+          const Instance in = make_instance(workload, topo_kind, 5, zero_costs);
+          const SchedulerResult r = s->run(in.g, in.topo, in.cm, 11);
+          const std::string where = spec + " / " + workload + " / " +
+                                    topo_kind +
+                                    (zero_costs ? " / zero costs" : "");
+          EXPECT_TRUE(r.schedule.all_placed()) << where;
+          const ValidationReport report = validate(r.schedule, in.cm);
+          EXPECT_TRUE(report.ok()) << where << ": " << report.to_string();
+          EXPECT_GT(r.makespan(), 0) << where;
+          EXPECT_EQ(slot_precondition_violation(r.schedule), "") << where;
+        }
       }
     }
   }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
@@ -9,6 +10,7 @@
 #include "network/topology.hpp"
 #include "sched/schedule.hpp"
 #include "sched/timeline.hpp"
+#include "slot_precondition.hpp"
 
 namespace bsa::sched {
 
@@ -61,12 +63,38 @@ TEST(EarliestFit, AppendsAfterLast) {
   EXPECT_DOUBLE_EQ(earliest_fit(busy, 50, 5), 50);
 }
 
+TEST(EarliestFit, ZeroLengthIntervalAfterAnOverrun) {
+  // 0.1 + 0.2 rounds to just above 0.3: the first interval overruns the
+  // zero-length one at 0.3 by under the tolerance, so finishes decrease.
+  // The scan passes the overrun and answers its finish, not 0.3.
+  const std::vector<Interval> busy{{0.1, 0.1 + 0.2}, {0.3, 0.3}};
+  ASSERT_GT(busy[0].finish, busy[1].finish);
+  EXPECT_EQ(earliest_fit(busy, 0.3, 0), 0.1 + 0.2);
+  EXPECT_EQ(earliest_fit(busy, 0.3, 1), 0.1 + 0.2);
+  EXPECT_EQ(earliest_fit(busy, 0.5, 0), 0.5);
+}
+
+TEST(EarliestFit, NestedZeroLengthInterval) {
+  // A zero-length request ready just after 5 fits "before" [5, 100)
+  // within the tolerance; it sorts after it, nested.
+  std::vector<Interval> busy{{5, 100}};
+  const Time ready = 5 + 0.5 * kTimeEpsilon;
+  ASSERT_EQ(earliest_fit(busy, ready, 0), ready);
+  insert_interval(busy, {ready, ready}, /*nest_short=*/true);
+  // Later requests still wait for [5, 100), whose finish the nested
+  // interval hides from a search that skips by start alone.
+  EXPECT_EQ(earliest_fit(busy, 6, 0), 100);
+  EXPECT_EQ(earliest_fit(busy, 6, 1), 100);
+  EXPECT_EQ(earliest_fit(busy, 0, 5), 0);
+  EXPECT_EQ(earliest_fit(busy, 0, 6), 100);
+}
+
 TEST(InsertInterval, KeepsSortedOrder) {
   std::vector<Interval> busy{{0, 10}, {30, 40}};
   insert_interval(busy, {15, 20});
   ASSERT_EQ(busy.size(), 3u);
   EXPECT_DOUBLE_EQ(busy[1].start, 15);
-  EXPECT_TRUE(is_well_formed(busy));
+  EXPECT_TRUE(testing::meets_slot_precondition(busy));
 }
 
 TEST(InsertInterval, OrdersEqualStartsByFinish) {
@@ -86,24 +114,33 @@ TEST(InsertInterval, RejectsOverlap) {
   std::vector<Interval> busy{{0, 10}, {30, 40}};
   EXPECT_THROW(insert_interval(busy, {5, 12}), InvariantError);
   EXPECT_THROW(insert_interval(busy, {25, 31}), InvariantError);
-  // Touching is allowed.
+  EXPECT_THROW(insert_interval(busy, {5, 12}, /*nest_short=*/true),
+               InvariantError);
+  // A zero-length interval inside another overlaps it, unless short
+  // intervals may nest.
+  EXPECT_THROW(insert_interval(busy, {5, 5}), InvariantError);
+  EXPECT_NO_THROW(insert_interval(busy, {5, 5}, /*nest_short=*/true));
+  // Touching is allowed, and so is an overrun within the tolerance.
   EXPECT_NO_THROW(insert_interval(busy, {10, 30}));
+  EXPECT_NO_THROW(insert_interval(busy, {40, 41}));
+  EXPECT_NO_THROW(insert_interval(busy, {41 - 0.5 * kTimeEpsilon, 42}));
+  EXPECT_EQ(busy.size(), 6u);
 }
 
-TEST(IntervalsOverlap, Cases) {
-  EXPECT_TRUE(intervals_overlap({0, 10}, {5, 15}));
-  EXPECT_TRUE(intervals_overlap({5, 15}, {0, 10}));
-  EXPECT_FALSE(intervals_overlap({0, 10}, {10, 20}));  // touching
-  EXPECT_FALSE(intervals_overlap({0, 10}, {20, 30}));
-  EXPECT_FALSE(intervals_overlap({5, 5}, {0, 10}));  // empty interval
-}
-
-TEST(IsWellFormed, DetectsProblems) {
-  EXPECT_TRUE(is_well_formed({}));
-  EXPECT_TRUE(is_well_formed(std::vector<Interval>{{0, 1}, {1, 2}}));
-  EXPECT_FALSE(is_well_formed(std::vector<Interval>{{1, 2}, {0, 1}}));
-  EXPECT_FALSE(is_well_formed(std::vector<Interval>{{0, 5}, {4, 6}}));
-  EXPECT_FALSE(is_well_formed(std::vector<Interval>{{3, 2}}));
+TEST(SlotPrecondition, DetectsProblems) {
+  using testing::meets_slot_precondition;
+  using V = std::vector<Interval>;
+  const Time nest = 5 + 0.5 * kTimeEpsilon;
+  EXPECT_TRUE(meets_slot_precondition(V{}));
+  EXPECT_TRUE(meets_slot_precondition(V{{0, 1}, {1, 2}}));
+  EXPECT_TRUE(meets_slot_precondition(V{{0.1, 0.1 + 0.2}, {0.3, 0.3}}));
+  EXPECT_TRUE(meets_slot_precondition(V{{5, 100}, {nest, nest}, {100, 101}}));
+  EXPECT_FALSE(meets_slot_precondition(V{{1, 2}, {0, 1}}));
+  EXPECT_FALSE(meets_slot_precondition(V{{0, 5}, {4, 6}}));
+  EXPECT_FALSE(meets_slot_precondition(V{{0, 5}, {0, 4}}));
+  EXPECT_FALSE(meets_slot_precondition(V{{0, 5}, {2, 2}}));
+  // Not only neighbours: [50, 60) starts inside [5, 100).
+  EXPECT_FALSE(meets_slot_precondition(V{{5, 100}, {nest, nest}, {50, 60}}));
 }
 
 // --- earliest_fit against the plain scan ------------------------------------
@@ -119,29 +156,11 @@ Time plain_scan(const std::vector<Interval>& busy, Time ready, Time duration) {
   return candidate;
 }
 
-/// Insert `iv` where place_task puts a task with those times, unless it
-/// overlaps a neighbour (append_hop's check) or would break
-/// earliest_fit's precondition that finishes never decrease; returns
-/// whether it was inserted.
-bool try_insert(std::vector<Interval>& busy, const Interval& iv) {
-  const auto it = std::upper_bound(busy.begin(), busy.end(), iv, interval_less);
-  if (it != busy.end() &&
-      (!time_le(iv.finish, it->start) || it->finish < iv.finish)) {
-    return false;
-  }
-  if (it != busy.begin() &&
-      (!time_le((it - 1)->finish, iv.start) || iv.finish < (it - 1)->finish)) {
-    return false;
-  }
-  busy.insert(it, iv);
-  return true;
-}
-
 /// A candidate interval for a grown list: at the tail, inside an
 /// interior gap, zero-length on a boundary (ties), a duplicate of an
 /// existing interval, or one that overruns a gap by less than the time
-/// tolerance. Some candidates overlap a neighbour; try_insert refuses
-/// those.
+/// tolerance. Some candidates break the slot order (overlap, or nest
+/// where no search answer would); the test drops those.
 Interval random_candidate(Rng& rng, const std::vector<Interval>& busy) {
   const auto pick = [&]() -> const Interval& {
     return busy[rng.index(busy.size())];
@@ -176,7 +195,7 @@ Interval random_candidate(Rng& rng, const std::vector<Interval>& busy) {
     case 4: {  // overruns the gap before an interval by under the tolerance
       const std::size_t j = rng.index(busy.size());
       const Time open = j == 0 ? 0 : busy[j - 1].finish;
-      return {open, busy[j].start + 0.5 * kTimeEpsilon};
+      return {open, std::max(open, busy[j].start + 0.5 * kTimeEpsilon)};
     }
     default: {  // anywhere: may overlap
       const Time start = rng.uniform_real(0.0, tail + 2);
@@ -225,29 +244,53 @@ Time random_duration(Rng& rng, const std::vector<Interval>& busy) {
   }
 }
 
-/// Property: on every list that meets its precondition, earliest_fit
-/// equals the plain scan — over a plain Interval list and, read in place,
-/// over a Schedule's processor order holding the same intervals (which
-/// place_task keeps in the list's order).
+/// A request as schedulers make them: a ready time as random_ready's,
+/// sometimes off by under the tolerance (sums rounded differently), and
+/// a duration as random_duration's or under the tolerance (zero costs).
+std::pair<Time, Time> random_request(Rng& rng,
+                                     const std::vector<Interval>& busy) {
+  Time ready = random_ready(rng, busy);
+  if (rng.bernoulli(0.3)) ready += kTimeEpsilon * rng.uniform_real(-1, 1);
+  const Time dur = rng.bernoulli(0.25) ? kTimeEpsilon * rng.uniform_real(0, 1)
+                                       : random_duration(rng, busy);
+  return {ready, dur};
+}
+
+/// Property: earliest_fit equals the plain scan on every list in the
+/// slot order — over a plain Interval list and, read in place, over a
+/// Schedule's processor order holding the same intervals (place_task
+/// keeps the list's order). Lists grow left to right, from the random
+/// candidates above that keep the slot order, or from the scan's own
+/// answers to random requests (as schedulers build them, nesting
+/// short intervals; each answer must keep the slot order), and lose a
+/// random interval now and then.
 TEST(EarliestFit, MatchesThePlainScanOnRandomTimelines) {
-  constexpr int kInserts = 60;
+  constexpr int kSteps = 150;
   graph::TaskGraphBuilder b;
-  for (int i = 0; i < kInserts; ++i) (void)b.add_task(1);
+  for (int i = 0; i < kSteps; ++i) (void)b.add_task(1);
   const graph::TaskGraph g = b.build();
   const net::Topology topo = net::Topology::clique(2);
   Rng rng(2026);
   int queries = 0;
-  int refused = 0;
+  int refused = 0;     // candidates dropped for breaking the slot order
+  int decreasing = 0;  // lists whose finishes decrease somewhere
+  int nested = 0;      // lists with an interval nested in its predecessor
   for (int round = 0; round < 240; ++round) {
     std::vector<Interval> busy;
+    std::vector<TaskId> ids;  // busy[i] is task ids[i] of `s`
     Schedule s(g, topo);
-    TaskId next = 0;
-    const bool sequential = round % 2 == 0;
-    const bool fractional = round % 4 < 2;
+    const int mode = round % 3;  // 0 sequential, 1 candidates, 2 answers
+    const bool fractional = round % 2 == 0;
     Time cursor = 0;
-    for (int step = 0; step < 3 * kInserts && next < kInserts; ++step) {
+    for (TaskId next = 0; next < kSteps; ++next) {
+      if (!busy.empty() && rng.bernoulli(0.1)) {
+        const std::size_t j = rng.index(busy.size());
+        s.unplace_task(ids[j]);
+        busy.erase(busy.begin() + static_cast<std::ptrdiff_t>(j));
+        ids.erase(ids.begin() + static_cast<std::ptrdiff_t>(j));
+      }
       Interval iv;
-      if (sequential) {
+      if (mode == 0) {
         // Left to right; gaps and lengths of zero (touching intervals,
         // zero-length intervals) included.
         const Time gap = fractional ? rng.uniform_real(0.0, 7.0)
@@ -256,35 +299,52 @@ TEST(EarliestFit, MatchesThePlainScanOnRandomTimelines) {
                                     : static_cast<Time>(rng.index(9));
         iv = {cursor + gap, cursor + gap + len};
         cursor = iv.finish;
-      } else {
+      } else if (mode == 1) {
         iv = random_candidate(rng, busy);
+      } else {
+        const auto [ready, dur] = random_request(rng, busy);
+        const Time start = plain_scan(busy, ready, dur);
+        iv = {start, start + dur};
       }
-      if (!try_insert(busy, iv)) {
+      const auto pos =
+          std::upper_bound(busy.begin(), busy.end(), iv, interval_less) -
+          busy.begin();
+      busy.insert(busy.begin() + pos, iv);
+      if (!testing::meets_slot_precondition(busy)) {
+        ASSERT_EQ(mode, 1) << "round=" << round << " next=" << next;
+        busy.erase(busy.begin() + pos);
         ++refused;
         continue;
       }
-      s.place_task(next++, 0, iv.start, iv.finish);
-      const std::vector<TaskId>& order = s.tasks_on(0);
-      ASSERT_EQ(order.size(), busy.size());
-      for (std::size_t i = 0; i < order.size(); ++i) {
-        ASSERT_EQ(s.start_of(order[i]), busy[i].start) << "round=" << round;
-        ASSERT_EQ(s.finish_of(order[i]), busy[i].finish) << "round=" << round;
-      }
+      ids.insert(ids.begin() + pos, next);
+      s.place_task(next, 0, iv.start, iv.finish);
+      ASSERT_EQ(s.tasks_on(0), ids) << "round=" << round;
+      const auto adjacent = [&](auto pred) {
+        return std::adjacent_find(busy.begin(), busy.end(), pred) !=
+               busy.end();
+      };
+      decreasing += adjacent([](const Interval& x, const Interval& y) {
+        return y.finish < x.finish;
+      });
+      nested += adjacent([](const Interval& x, const Interval& y) {
+        return !time_le(x.finish, y.start);
+      });
       for (int q = 0; q < 6; ++q) {
-        const Time ready = random_ready(rng, busy);
-        const Time dur = random_duration(rng, busy);
+        const auto [ready, dur] = random_request(rng, busy);
         const Time expected = plain_scan(busy, ready, dur);
         ASSERT_EQ(earliest_fit(busy, ready, dur), expected)
-            << "round=" << round << " step=" << step << " ready=" << ready
+            << "round=" << round << " next=" << next << " ready=" << ready
             << " dur=" << dur;
         ASSERT_EQ(s.earliest_task_slot(0, ready, dur), expected)
-            << "round=" << round << " step=" << step;
+            << "round=" << round << " next=" << next;
         ++queries;
       }
     }
   }
-  EXPECT_GT(queries, 50000);
+  EXPECT_GT(queries, 100000);
   EXPECT_GT(refused, 1000);
+  EXPECT_GT(decreasing, 1000);
+  EXPECT_GT(nested, 1000);
 }
 
 // --- Schedule-level insertion edge cases ------------------------------------
