@@ -138,10 +138,14 @@ void MoveEngine::apply_move_mutations(TaskId t, ProcId p) {
   }
 }
 
-Time MoveEngine::evaluate(TaskId t, ProcId p) {
+Time MoveEngine::propose(TaskId t, ProcId p) {
   begin(t, true);
   apply_move_mutations(t, p);
-  const Time len = settle();
+  return settle();
+}
+
+Time MoveEngine::evaluate(TaskId t, ProcId p) {
+  const Time len = propose(t, p);
   discard();
   return len;
 }

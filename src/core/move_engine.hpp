@@ -29,9 +29,10 @@
 ///     swaps the replay in, or `discard()` rolls back and undoes.
 ///
 /// No schedule is ever copied (docs/DESIGN_PERF.md). The engine's own
-/// move (`evaluate` / `apply`) clears the task's routes, re-routes its
-/// crossing messages along static shortest paths at the earliest free
-/// link slots and lands the task in its earliest insertion slot.
+/// move (`propose` / `evaluate` / `apply`) clears the task's routes,
+/// re-routes its crossing messages along static shortest paths at the
+/// earliest free link slots and lands the task in its earliest insertion
+/// slot.
 
 namespace bsa::core {
 
@@ -65,7 +66,11 @@ class MoveEngine {
   /// Undo the settled move bit-exactly; PreconditionError if unjournaled.
   void discard();
 
-  /// Makespan after moving `t` to `p`; the schedule is left bit-exact.
+  /// The engine's own move of `t` to `p`, journaled and settled: returns
+  /// its makespan; the caller then calls keep() or discard().
+  [[nodiscard]] Time propose(TaskId t, ProcId p);
+  /// Makespan after moving `t` to `p`; the schedule is left bit-exact
+  /// (propose, then discard).
   [[nodiscard]] Time evaluate(TaskId t, ProcId p);
   /// Move `t` to `p` for real and re-time.
   void apply(TaskId t, ProcId p);

@@ -1,8 +1,12 @@
 #include "sched/retime.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <functional>
+#include <numeric>
 #include <queue>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
@@ -155,11 +159,15 @@ bool try_retime(Schedule& s, const net::HeterogeneousCostModel& costs,
     s.set_task_times(t, start[vi], finish[vi]);
     mk = std::max(mk, finish[vi]);
   }
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    const auto& route = s.route_of(e);
-    for (int k = 0; k < static_cast<int>(route.size()); ++k) {
-      const auto vi = static_cast<std::size_t>(idx.hop_node(e, k));
-      s.set_hop_times(e, k, start[vi], finish[vi]);
+  // Hops by booking position: the lists are mid-rewrite, so a search by
+  // times would not find them.
+  for (LinkId l = 0; l < topo.num_links(); ++l) {
+    const auto& bookings = s.bookings_on(l);
+    for (std::size_t i = 0; i < bookings.size(); ++i) {
+      const LinkBooking& b = bookings[i];
+      const auto vi =
+          static_cast<std::size_t>(idx.hop_node(b.edge, b.hop_index));
+      s.set_hop_times(b.edge, b.hop_index, start[vi], finish[vi], i);
     }
   }
   // Orders need no re-sorting: the processor- and link-order chain edges
@@ -182,15 +190,22 @@ Replayer::Replayer(const graph::TaskGraph& g, const net::Topology& topo,
       insertion_slots_(insertion_slots),
       work_(g, topo),
       timelines_(static_cast<std::size_t>(topo.num_processors() +
-                                          topo.num_links())) {}
-
-void Replayer::push(Time prio, int kind, std::int64_t id, int hop) {
-  heap_.emplace_back(prio, kind, id, hop);
-  std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
-}
+                                          topo.num_links())),
+      latest_finish_(timelines_.size()) {}
 
 Time Replayer::book(std::size_t resource, Time ready, Time duration) {
   std::vector<Interval>& busy = timelines_[resource];
+  Time& latest = latest_finish_[resource];
+  // Every interval finishes by r0 (durations are non-negative, the cost
+  // model's): the slot search would answer r0, and the insert would land
+  // at the end, clear of its predecessor. Under the append rule,
+  // max(ready, back().finish) is r0 as well.
+  const Time r0 = std::max(ready, Time{0});
+  if (r0 >= latest) {
+    busy.push_back(Interval{r0, r0 + duration});
+    latest = r0 + duration;
+    return r0;
+  }
   // The slot rule of task_start/book_route, over the replay's own lists.
   const Time start =
       insertion_slots_
@@ -198,7 +213,37 @@ Time Replayer::book(std::size_t resource, Time ready, Time duration) {
           : std::max(ready, busy.empty() ? Time{0} : busy.back().finish);
   // Inserted where place_task/append_hop would put it.
   insert_interval(busy, Interval{start, start + duration});
+  latest = std::max(latest, start + duration);
   return start;
+}
+
+void Replayer::sort_items() {
+  constexpr std::size_t kDigits = 8;
+  constexpr std::size_t kBuckets = 256;
+  const std::size_t total = key_.size();
+  order_.resize(total);
+  sort_tmp_.resize(total);
+  std::iota(order_.begin(), order_.end(), 0);
+  if (total == 0) return;
+  std::array<std::array<std::uint32_t, kBuckets>, kDigits> count{};
+  for (const std::uint64_t k : key_) {
+    for (std::size_t d = 0; d < kDigits; ++d) {
+      ++count[d][(k >> (8 * d)) & 0xffu];
+    }
+  }
+  for (std::size_t d = 0; d < kDigits; ++d) {
+    const std::size_t shift = 8 * d;
+    auto& c = count[d];
+    if (c[(key_[0] >> shift) & 0xffu] == total) continue;  // constant digit
+    std::uint32_t sum = 0;
+    for (std::uint32_t& bucket : c) sum += std::exchange(bucket, sum);
+    for (const int item : order_) {
+      const auto digit =
+          (key_[static_cast<std::size_t>(item)] >> shift) & 0xffu;
+      sort_tmp_[c[digit]++] = item;
+    }
+    order_.swap(sort_tmp_);
+  }
 }
 
 Time Replayer::measure(const Schedule& s) {
@@ -208,65 +253,93 @@ Time Replayer::measure(const Schedule& s) {
   BSA_REQUIRE(s.all_placed(), "replay requires a complete placement");
   const auto& costs = *costs_;
 
-  // Copy the assignment and priorities.
+  // Items in tie order — tasks by id, then hops by (edge, hop) — each
+  // keyed by its previous start. `prio + 0.0` makes -0.0 equal to +0.0,
+  // as the double comparison has it; flipping the sign bit of a
+  // non-negative value and every bit of a negative one keeps the order.
+  const auto key_of = [](Time prio) {
+    const auto bits = std::bit_cast<std::uint64_t>(prio + 0.0);
+    return (bits >> 63) != 0 ? ~bits : bits | (std::uint64_t{1} << 63);
+  };
   const auto n = static_cast<std::size_t>(g.num_tasks());
   proc_.resize(n);
-  task_prio_.resize(n);
+  key_.clear();
+  waits_.clear();
   for (TaskId t = 0; t < g.num_tasks(); ++t) {
     proc_[static_cast<std::size_t>(t)] = s.proc_of(t);
-    task_prio_[static_cast<std::size_t>(t)] = s.start_of(t);
+    key_.push_back(key_of(s.start_of(t)));
+    waits_.push_back(g.in_degree(t));
   }
   route_off_.clear();
   route_link_.clear();
-  hop_prio_.clear();
+  hop_edge_.clear();
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
     route_off_.push_back(static_cast<int>(route_link_.size()));
     for (const Hop& h : s.route_of(e)) {
       route_link_.push_back(h.link);
-      hop_prio_.push_back(h.start);
+      hop_edge_.push_back(e);
+      key_.push_back(key_of(h.start));
+      waits_.push_back(1);
     }
   }
   route_off_.push_back(static_cast<int>(route_link_.size()));
-  auto hops_of = [&](EdgeId e) {
+  const auto hops_of = [&](EdgeId e) {
     return route_off_[static_cast<std::size_t>(e) + 1] -
            route_off_[static_cast<std::size_t>(e)];
   };
-  auto hop_at = [&](EdgeId e, int k) {
-    return static_cast<std::size_t>(route_off_[static_cast<std::size_t>(e)] +
-                                    k);
+  // The item of hop k of message e.
+  const auto hop_item = [&](EdgeId e, int k) {
+    return static_cast<int>(n) + route_off_[static_cast<std::size_t>(e)] + k;
   };
+  sort_items();
+  const std::size_t total = order_.size();
+  pos_.resize(total);
+  for (std::size_t i = 0; i < total; ++i) {
+    pos_[static_cast<std::size_t>(order_[i])] = static_cast<int>(i);
+  }
 
   for (std::vector<Interval>& busy : timelines_) busy.clear();
+  std::fill(latest_finish_.begin(), latest_finish_.end(), Time{0});
   edge_ready_.resize(static_cast<std::size_t>(g.num_edges()));
   log_.clear();
   measured_ = true;
-  heap_.clear();
-  task_waits_.resize(n);
-  for (TaskId t = 0; t < g.num_tasks(); ++t) {
-    task_waits_[static_cast<std::size_t>(t)] = g.in_degree(t);
-    if (g.in_degree(t) == 0) {
-      push(task_prio_[static_cast<std::size_t>(t)], 0, t, 0);
-    }
-  }
+  behind_.clear();
 
-  auto arrival_known = [&](EdgeId e) {
-    // Fires once the message's arrival time at its destination processor
-    // is determined; enables the destination task.
-    const TaskId dst = g.edge_dst(e);
-    if (--task_waits_[static_cast<std::size_t>(dst)] == 0) {
-      push(task_prio_[static_cast<std::size_t>(dst)], 0, dst, 0);
+  // The scan: order_[scan] is the next array item not yet reached. An
+  // item that becomes ready behind it joins behind_, whose positions all
+  // precede the scan's; so behind_'s top, else the scan's next ready
+  // item, is the smallest ready item.
+  std::size_t scan = 0;
+  const auto done_with = [&](int item) {
+    const auto i = static_cast<std::size_t>(item);
+    if (--waits_[i] == 0 && static_cast<std::size_t>(pos_[i]) < scan) {
+      behind_.push_back(pos_[i]);
+      std::push_heap(behind_.begin(), behind_.end(), std::greater<>{});
     }
   };
+  // Fires once the message's arrival time at its destination processor
+  // is determined; enables the destination task.
+  const auto arrival_known = [&](EdgeId e) { done_with(g.edge_dst(e)); };
 
   const auto num_procs =
       static_cast<std::size_t>(s.topology().num_processors());
   Time makespan = 0;
-  while (!heap_.empty()) {
-    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-    const auto [prio, kind, id, k] = heap_.back();
-    heap_.pop_back();
-    if (kind == 0) {
-      const auto t = static_cast<TaskId>(id);
+  for (;;) {
+    int item = 0;
+    if (!behind_.empty()) {
+      std::pop_heap(behind_.begin(), behind_.end(), std::greater<>{});
+      item = order_[static_cast<std::size_t>(behind_.back())];
+      behind_.pop_back();
+    } else {
+      while (scan < total &&
+             waits_[static_cast<std::size_t>(order_[scan])] != 0) {
+        ++scan;
+      }
+      if (scan == total) break;
+      item = order_[scan++];
+    }
+    if (item < static_cast<int>(n)) {
+      const auto t = static_cast<TaskId>(item);
       Time drt = 0;
       // Every in-edge's arrival is known: its source is placed and its
       // route fully booked.
@@ -284,12 +357,15 @@ Time Replayer::measure(const Schedule& s) {
         if (hops_of(e) == 0) {
           arrival_known(e);
         } else {
-          push(hop_prio_[hop_at(e, 0)], 1, e, 0);
+          done_with(hop_item(e, 0));
         }
       }
     } else {
-      const auto e = static_cast<EdgeId>(id);
-      const LinkId l = route_link_[hop_at(e, k)];
+      const auto h = static_cast<std::size_t>(item) - n;
+      const EdgeId e = hop_edge_[h];
+      const int k =
+          static_cast<int>(h) - route_off_[static_cast<std::size_t>(e)];
+      const LinkId l = route_link_[h];
       const Time ready = edge_ready_[static_cast<std::size_t>(e)];
       const Time dur = costs.comm_cost(e, l);
       const Time st = book(num_procs + static_cast<std::size_t>(l), ready, dur);
@@ -298,15 +374,14 @@ Time Replayer::measure(const Schedule& s) {
       log_.push_back(Booked{e, k, l, st, st + dur});
       edge_ready_[static_cast<std::size_t>(e)] = st + dur;
       if (k + 1 < hops_of(e)) {
-        push(hop_prio_[hop_at(e, k + 1)], 1, e, k + 1);
+        done_with(item + 1);
       } else {
         arrival_known(e);
       }
     }
   }
-  const std::size_t expected = n + route_link_.size();
-  BSA_ASSERT(log_.size() == expected,
-             "replay executed " << log_.size() << " of " << expected
+  BSA_ASSERT(log_.size() == total,
+             "replay executed " << log_.size() << " of " << total
                                 << " items");
   return makespan;
 }
@@ -330,14 +405,6 @@ void Replayer::swap_into(Schedule& s) {
   }
   s.swap(work_);
   measured_ = false;
-}
-
-Time replay_retime(Schedule& s, const net::HeterogeneousCostModel& costs,
-                   bool insertion_slots) {
-  Replayer replayer(s.task_graph(), s.topology(), costs, insertion_slots);
-  const Time makespan = replayer.measure(s);
-  replayer.swap_into(s);
-  return makespan;
 }
 
 }  // namespace bsa::sched

@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <tuple>
 #include <vector>
 
 #include "common/types.hpp"
@@ -26,13 +25,17 @@
 ///    recorded orders are cyclic, which can happen transiently right
 ///    after a migration re-issues outgoing routes with later hop times.
 ///
-/// 2. `Replayer` / `replay_retime` — *order re-deriving*: keep only the
-///    assignment (task -> processor, message -> link sequence) and replay
-///    everything through insertion-based list scheduling, processing
-///    items in the order of their previous start times. This realises
-///    "bubbling up" even when the recorded orders became inconsistent; it
-///    cannot deadlock because it only depends on the (acyclic) task graph
-///    and route chains.
+/// 2. `Replayer` — *order re-deriving*: keep only the assignment (task ->
+///    processor, message -> link sequence) and replay everything through
+///    insertion-based list scheduling, processing items in the order of
+///    their previous start times. This realises "bubbling up" even when
+///    the recorded orders became inconsistent; it cannot deadlock because
+///    it only depends on the (acyclic) task graph and route chains. Each
+///    replay sorts its items once by (start, kind, id, hop) into an order
+///    array, which a scan walks taking the next item whose predecessors
+///    are done; items that become ready after the scan passed them wait
+///    in a small heap of positions. Bookings that start at or after every
+///    finish on their resource append without a slot search.
 ///
 /// BSA, SA and refine move tasks through one engine, core::MoveEngine
 /// (core/move_engine.hpp). It re-times each move with the incremental
@@ -69,12 +72,19 @@ Time retime(Schedule& s, const net::HeterogeneousCostModel& costs);
 ///
 /// `measure` is a pure computation: it keeps one interval list per
 /// processor and link, sorted by (start, finish) (slot queries are
-/// sched::earliest_fit, each booking a binary-searched insert), the
-/// arrival time of every message, and a log of the bookings in the order
-/// they were made. No Schedule is written. `swap_into` — only for a replay
-/// that is kept — writes the log into the workspace's own schedule
-/// through place_task/append_hop and exchanges it in. All storage keeps
-/// its capacity from one replay to the next. Own one per run.
+/// sched::earliest_fit, each booking a binary-searched insert, or a push
+/// when it starts at or after the list's latest finish), the arrival time
+/// of every message, and a log of the bookings in the order they were
+/// made. Items are taken in exactly the order of a min-heap on (priority,
+/// kind, id, hop) over the ready items: numbered in (kind, id, hop) order
+/// and stably radix-sorted by priority, they form an order array; a scan
+/// takes the next ready item of the array, and an item that becomes
+/// ready behind the scan waits in a heap of array positions, whose top
+/// precedes every item the scan has not reached. No Schedule is written.
+/// `swap_into` — only for a replay that is kept — writes the log into the
+/// workspace's own schedule through place_task/append_hop and exchanges
+/// it in. All storage keeps its capacity from one replay to the next. Own
+/// one per run.
 class Replayer {
  public:
   /// A workspace for schedules over `g` and `topo`; all three must
@@ -99,10 +109,12 @@ class Replayer {
   void swap_into(Schedule& s);
 
  private:
-  void push(Time prio, int kind, std::int64_t id, int hop);
   /// Book `duration` on `resource` (processors, then links) by the slot
   /// rule from `ready`; returns the start.
   Time book(std::size_t resource, Time ready, Time duration);
+  /// Fill order_ with the item numbers stably sorted by key_ (8-bit LSD
+  /// radix sort; digits equal on every item are skipped).
+  void sort_items();
 
   /// One booking of a replay: task `id` on processor `resource` (hop
   /// < 0), or hop `hop` of message `id` on link `resource`.
@@ -118,22 +130,29 @@ class Replayer {
   bool insertion_slots_;
   Schedule work_;
   bool measured_ = false;
-  // The replayed assignment: per-task processor and priority; routes
-  // flat, hops of edge e at [route_off_[e], route_off_[e + 1]).
+  // The replayed assignment: per-task processor; routes flat, hops of
+  // edge e at [route_off_[e], route_off_[e + 1]) with hop_edge_ the edge
+  // of each.
   std::vector<ProcId> proc_;
-  std::vector<Time> task_prio_;
   std::vector<int> route_off_;
   std::vector<LinkId> route_link_;
-  std::vector<Time> hop_prio_;
-  std::vector<int> task_waits_;
-  /// Ready items, a min-heap on (priority, kind 0=task 1=hop, id, hop
-  /// index).
-  using Item = std::tuple<Time, int, std::int64_t, int>;
-  std::vector<Item> heap_;
+  std::vector<EdgeId> hop_edge_;
+  // Items: tasks by id, then the flat hops (tie order). Per item: the
+  // priority as an order-preserving integer key, its position in order_,
+  // and how many of its predecessors are not yet done.
+  std::vector<std::uint64_t> key_;
+  std::vector<int> order_;
+  std::vector<int> sort_tmp_;
+  std::vector<int> pos_;
+  std::vector<int> waits_;
+  /// Positions of the items that became ready behind the scan; a
+  /// min-heap.
+  std::vector<int> behind_;
   // The measured replay: per-resource timelines (processors, then
-  // links), each message's arrival so far (by EdgeId), and the bookings
-  // in the order they were made.
+  // links) and their latest finish, each message's arrival so far (by
+  // EdgeId), and the bookings in the order they were made.
   std::vector<std::vector<Interval>> timelines_;
+  std::vector<Time> latest_finish_;
   std::vector<Time> edge_ready_;
   std::vector<Booked> log_;
 
@@ -141,11 +160,5 @@ class Replayer {
   /// schedule to show that measure leaves it untouched.
   friend struct ReplayerTestPeer;
 };
-
-/// One-call replay through a temporary Replayer: rebuild all times (and
-/// resource orders) of `s` in place and return the resulting makespan.
-/// Requires a complete placement.
-Time replay_retime(Schedule& s, const net::HeterogeneousCostModel& costs,
-                   bool insertion_slots = true);
 
 }  // namespace bsa::sched

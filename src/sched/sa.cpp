@@ -46,7 +46,8 @@ SaResult anneal_schedule(const Schedule& init,
     if (p >= cur.proc_of(t)) ++p;
     ++result.proposed;
 
-    const Time len = engine.evaluate(t, p);
+    // The measured move is kept as it stands, or discarded.
+    const Time len = engine.propose(t, p);
     const double delta = static_cast<double>(len - cur_len);
     bool accept = time_le(len, cur_len);
     bool worse = false;
@@ -55,9 +56,12 @@ SaResult anneal_schedule(const Schedule& init,
       accept = rng.uniform_real(0.0, 1.0) < std::exp(-delta / temp);
       worse = accept;
     }
-    if (!accept) continue;
+    if (!accept) {
+      engine.discard();
+      continue;
+    }
 
-    engine.apply(t, p);
+    engine.keep();
     cur_len = cur.makespan();
     ++result.accepted;
     result.accepted_worse += worse;

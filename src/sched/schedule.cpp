@@ -7,6 +7,30 @@
 #include "sched/timeline.hpp"
 
 namespace bsa::sched {
+namespace {
+
+/// The interval of a link booking.
+constexpr auto interval_of = [](const LinkBooking& b) {
+  return Interval{b.start, b.finish};
+};
+
+/// Position of hop `hop_index` of message `e`, booked at `iv`, in a list
+/// sorted by (start, finish): a binary search for its times, then a scan
+/// of the bookings with equal times. `bookings.end()` when absent.
+std::vector<LinkBooking>::iterator find_booking(
+    std::vector<LinkBooking>& bookings, EdgeId e, int hop_index,
+    const Interval& iv) {
+  auto it = std::lower_bound(bookings.begin(), bookings.end(), iv,
+                             [](const LinkBooking& b, const Interval& x) {
+                               return interval_less(interval_of(b), x);
+                             });
+  for (; it != bookings.end() && !interval_less(iv, interval_of(*it)); ++it) {
+    if (it->edge == e && it->hop_index == hop_index) return it;
+  }
+  return bookings.end();
+}
+
+}  // namespace
 
 Schedule::Schedule(const graph::TaskGraph& g, const net::Topology& topo)
     : graph_(&g), topo_(&topo) {
@@ -233,9 +257,6 @@ Time Schedule::earliest_task_slot(ProcId p, Time ready, Time duration) const {
 
 Time Schedule::earliest_link_slot(LinkId l, Time ready, Time duration) const {
   check_link(l);
-  const auto interval_of = [](const LinkBooking& b) {
-    return Interval{b.start, b.finish};
-  };
   return earliest_fit(link_bookings_[static_cast<std::size_t>(l)], ready,
                       duration, interval_of);
 }
@@ -248,11 +269,14 @@ void Schedule::place_task(TaskId t, ProcId p, Time start, Time finish) {
   BSA_REQUIRE(time_le(start, finish), "task " << t << " start " << start
                                               << " after finish " << finish);
   pl = Placement{p, start, finish};
+  // After every task that is not greater in (start, finish) order.
   auto& order = proc_tasks_[static_cast<std::size_t>(p)];
-  const auto pos = std::find_if(order.begin(), order.end(), [&](TaskId u) {
-    const auto& o = placements_[static_cast<std::size_t>(u)];
-    return o.start > start || (o.start == start && o.finish > finish);
-  });
+  const auto pos = std::upper_bound(
+      order.begin(), order.end(), Interval{start, finish},
+      [this](const Interval& x, TaskId u) {
+        const auto& o = placements_[static_cast<std::size_t>(u)];
+        return interval_less(x, Interval{o.start, o.finish});
+      });
   if (txn_ != nullptr) {
     txn_->records_.push_back(
         {Transaction::Op::kPlaceTask, t, p,
@@ -344,10 +368,10 @@ void Schedule::append_hop(EdgeId e, const Hop& hop) {
   auto& bookings = link_bookings_[static_cast<std::size_t>(hop.link)];
   const LinkBooking nb{e, static_cast<int>(route.size()), hop.start,
                        hop.finish};
-  const auto pos = std::find_if(
-      bookings.begin(), bookings.end(), [&](const LinkBooking& b) {
-        return b.start > nb.start ||
-               (b.start == nb.start && b.finish > nb.finish);
+  const auto pos = std::upper_bound(
+      bookings.begin(), bookings.end(), interval_of(nb),
+      [](const Interval& x, const LinkBooking& b) {
+        return interval_less(x, interval_of(b));
       });
   // Exclusivity: reject overlap with either neighbour.
   if (pos != bookings.end()) {
@@ -375,10 +399,8 @@ void Schedule::clear_route(EdgeId e) {
   for (std::size_t i = route.size(); i-- > 0;) {
     const Hop hop = route[i];
     auto& bookings = link_bookings_[static_cast<std::size_t>(hop.link)];
-    const auto pos = std::find_if(
-        bookings.begin(), bookings.end(), [&](const LinkBooking& b) {
-          return b.edge == e && b.hop_index == static_cast<int>(i);
-        });
+    const auto pos = find_booking(bookings, e, static_cast<int>(i),
+                                  Interval{hop.start, hop.finish});
     BSA_ASSERT(pos != bookings.end(), "hop booking missing for message " << e);
     if (txn_ != nullptr) {
       txn_->records_.push_back(
@@ -398,12 +420,10 @@ void Schedule::set_hop_times(EdgeId e, int hop_index, Time start, Time finish) {
   BSA_REQUIRE(hop_index >= 0 &&
                   static_cast<std::size_t>(hop_index) < route.size(),
               "hop index " << hop_index << " out of range for message " << e);
-  const auto& bookings = link_bookings_[static_cast<std::size_t>(
-      route[static_cast<std::size_t>(hop_index)].link)];
+  const Hop& hop = route[static_cast<std::size_t>(hop_index)];
+  auto& bookings = link_bookings_[static_cast<std::size_t>(hop.link)];
   const auto pos =
-      std::find_if(bookings.begin(), bookings.end(), [&](const LinkBooking& b) {
-        return b.edge == e && b.hop_index == hop_index;
-      });
+      find_booking(bookings, e, hop_index, Interval{hop.start, hop.finish});
   BSA_ASSERT(pos != bookings.end(), "hop booking missing for message " << e);
   set_hop_times(e, hop_index, start, finish,
                 static_cast<std::size_t>(pos - bookings.begin()));

@@ -20,7 +20,8 @@
 /// Messages between co-located tasks have an empty route. Orders on
 /// processors and links are explicit (vectors in execution order); times
 /// are kept consistent with those orders by the algorithms (see
-/// retime.hpp). This mirrors the paper's model where both processors and
+/// retime.hpp), so each order is sorted by (start, finish): inserts and
+/// booking lookups binary-search it. This mirrors the paper's model where both processors and
 /// links are first-class scheduled resources.
 ///
 /// Speculative mutation is supported through a journaled transaction
@@ -177,7 +178,8 @@ class Schedule {
 
   // --- mutation -----------------------------------------------------------
   /// Assign task `t` to processor `p` at [start, finish). Inserted into
-  /// the processor order by start time. Throws if already placed.
+  /// the processor order after every task that is not greater in
+  /// (start, finish) order. Throws if already placed.
   void place_task(TaskId t, ProcId p, Time start, Time finish);
   /// Remove `t` from its processor (its routes are untouched).
   void unplace_task(TaskId t);
@@ -197,7 +199,9 @@ class Schedule {
   /// route already empty).
   void clear_route(EdgeId e);
   /// Update times of one hop without changing link or transmission order
-  /// (used by re-timing).
+  /// (used by re-timing). The booking is found by its current times, so
+  /// its link's bookings must be sorted by (start, finish); a caller
+  /// midway through rewriting a link's times uses the overload below.
   void set_hop_times(EdgeId e, int hop_index, Time start, Time finish);
   /// Same, for a caller that knows the hop's index in its link's booking
   /// list (bookings_on); saves the lookup.

@@ -19,12 +19,13 @@
 #include "core/bsa.hpp"
 #include "network/cost_model.hpp"
 #include "sched/link_probe.hpp"
+#include "sched/retime.hpp"
 #include "sched/schedule.hpp"
 #include "sched/validate.hpp"
 
 /// \file bsa_oracle.hpp
 /// Shared helpers for the BSA engine-equivalence tests
-/// (retime_context_test, schedule_txn_test):
+/// (retime_context_test, schedule_txn_test) and the replay tests:
 ///
 ///  * diff_schedules — bit-exact schedule comparison, including the parts
 ///    schedule_to_text omits (processor and link orders);
@@ -43,7 +44,9 @@
 ///  * reference_replay — the replay as it was before sched::Replayer: a
 ///    freshly allocated schedule, per-edge route vectors and a
 ///    std::priority_queue, move-assigned over the input. The workspace
-///    must reproduce it bit for bit.
+///    must reproduce it bit for bit;
+///  * replay_retime — one replay through a temporary sched::Replayer,
+///    kept in place.
 
 namespace bsa::testing {
 
@@ -129,6 +132,19 @@ inline Time reference_replay(sched::Schedule& s,
   }
   s = std::move(fresh);
   return s.makespan();
+}
+
+/// Replay `s` through a temporary sched::Replayer and keep the result:
+/// all times (and resource orders) of `s` are rebuilt in place. Returns
+/// the makespan. Requires a complete placement.
+inline Time replay_retime(sched::Schedule& s,
+                          const net::HeterogeneousCostModel& costs,
+                          bool insertion_slots = true) {
+  sched::Replayer replayer(s.task_graph(), s.topology(), costs,
+                           insertion_slots);
+  const Time makespan = replayer.measure(s);
+  replayer.swap_into(s);
+  return makespan;
 }
 
 /// Bit-exact schedule comparison: placements, per-processor orders,

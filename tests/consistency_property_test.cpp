@@ -3,6 +3,7 @@
 #include <tuple>
 
 #include "baselines/dls.hpp"
+#include "bsa_oracle.hpp"
 #include "common/rng.hpp"
 #include "core/bsa.hpp"
 #include "sched/event_sim.hpp"
@@ -71,7 +72,7 @@ TEST_P(SchedulerConsistency, AllInvariantsHold) {
             sched::schedule_length_lower_bound(g, cm));
 
   // 3. Replay + simulation agreement.
-  (void)sched::replay_retime(s, cm);
+  (void)testing::replay_retime(s, cm);
   const auto sim = sched::simulate_execution(s, cm);
   ASSERT_TRUE(sim.completed) << sim.error;
   EXPECT_TRUE(sched::simulation_matches(s, sim));

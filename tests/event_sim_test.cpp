@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "bsa_oracle.hpp"
 #include "common/check.hpp"
 #include "core/bsa.hpp"
 #include "network/cost_model.hpp"
@@ -100,7 +101,7 @@ TEST(EventSim, CrossChecksReplayOnRandomGraphs) {
         net::HeterogeneousCostModel::uniform(g, topo, 1, 10, 1, 10, seed);
     const auto result = core::schedule_bsa(g, topo, cm);
     Schedule replayed = result.schedule;
-    (void)replay_retime(replayed, cm);
+    (void)bsa::testing::replay_retime(replayed, cm);
     const auto sim = simulate_execution(replayed, cm);
     ASSERT_TRUE(sim.completed) << sim.error;
     EXPECT_TRUE(simulation_matches(replayed, sim)) << "seed " << seed;

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "baselines/dls.hpp"
+#include "bsa_oracle.hpp"
 #include "core/bsa.hpp"
 #include "exp/experiment.hpp"
 #include "graph/graph_io.hpp"
@@ -133,7 +134,7 @@ TEST(Integration, ReplayNormalisationIsUniversal) {
       sched::schedule_eft_oblivious(g, topo, cm).schedule,
   };
   for (sched::Schedule s : schedules) {
-    (void)sched::replay_retime(s, cm);
+    (void)testing::replay_retime(s, cm);
     const auto sim = sched::simulate_execution(s, cm);
     ASSERT_TRUE(sim.completed) << sim.error;
     EXPECT_TRUE(sched::simulation_matches(s, sim));

@@ -1,7 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <functional>
+#include <queue>
 #include <sstream>
 #include <string>
+#include <tuple>
+#include <typeinfo>
+#include <utility>
 #include <vector>
 
 #include "bsa_oracle.hpp"
@@ -391,7 +398,7 @@ void run_oracle(Schedule& s, const net::HeterogeneousCostModel& cm,
     }
     if (use_txn) s.commit_transaction();
     if (ok) continue;
-    (void)sched::replay_retime(s, cm, true);
+    (void)testing::replay_retime(s, cm, true);
     const std::int64_t recomputed = ctx.stats().nodes_recomputed;
     ctx.adopt_schedule();
     ++tally.adoptions;
@@ -431,7 +438,7 @@ TEST(RetimeContextOracle, RandomMigrationStreamsMatchTryRetime) {
                          ->run(g, topo, cm, seed)
                          .schedule;
         if (!sched::try_retime(s, cm, nullptr)) {
-          (void)sched::replay_retime(s, cm, true);
+          (void)testing::replay_retime(s, cm, true);
         }
         std::ostringstream label;
         label << kind << "/" << size << (per_pair ? "/per-pair" : "");
@@ -670,7 +677,7 @@ TEST(ReplayerWorkspace, ReusedWorkspaceEqualsTheFormerReplay) {
           testing::reference_replay(expected, cm, insertion);
       Schedule wrapped = chain[i];
       const Time wrapped_makespan =
-          sched::replay_retime(wrapped, cm, insertion);
+          testing::replay_retime(wrapped, cm, insertion);
       Schedule kept = chain[i];
       replayer.swap_into(kept);
 
@@ -731,6 +738,321 @@ TEST(ReplayerWorkspace, MeasureWritesNoScheduleUntilKept) {
       ASSERT_EQ(scratch, previous) << mode << i;
     }
   }
+}
+
+// --- the replay kernel against the heap-driven replay ------------------------
+
+/// The replay's booking rule — sched::earliest_fit (or the append rule)
+/// and sched::insert_interval on one interval list per resource — with
+/// the items taken from a binary heap of the ready ones on (priority,
+/// kind, id, hop). This is what sched::Replayer::measure computes, as a
+/// plain heap-driven loop. Returns the makespan; a booking that breaks
+/// a list's neighbour rule throws from insert_interval, as the replay's
+/// does.
+Time heap_replay(const Schedule& s, const net::HeterogeneousCostModel& cm,
+                 bool insertion) {
+  const auto& g = s.task_graph();
+  const auto num_procs =
+      static_cast<std::size_t>(s.topology().num_processors());
+  std::vector<std::vector<sched::Interval>> busy(
+      num_procs + static_cast<std::size_t>(s.topology().num_links()));
+  std::vector<Time> edge_ready(static_cast<std::size_t>(g.num_edges()), 0);
+  std::vector<int> waits(static_cast<std::size_t>(g.num_tasks()));
+  using Item = std::tuple<Time, int, std::int64_t, int>;
+  std::priority_queue<Item, std::vector<Item>, std::greater<>> ready;
+  const auto book = [&](std::size_t r, Time at, Time dur) {
+    auto& list = busy[r];
+    const Time st =
+        insertion ? sched::earliest_fit(list, at, dur)
+                  : std::max(at, list.empty() ? Time{0} : list.back().finish);
+    sched::insert_interval(list, sched::Interval{st, st + dur});
+    return st;
+  };
+  const auto arrival_known = [&](EdgeId e) {
+    const TaskId dst = g.edge_dst(e);
+    if (--waits[static_cast<std::size_t>(dst)] == 0) {
+      ready.emplace(s.start_of(dst), 0, dst, 0);
+    }
+  };
+  for (TaskId t = 0; t < g.num_tasks(); ++t) {
+    waits[static_cast<std::size_t>(t)] = g.in_degree(t);
+    if (g.in_degree(t) == 0) ready.emplace(s.start_of(t), 0, t, 0);
+  }
+  Time makespan = 0;
+  while (!ready.empty()) {
+    const auto [prio, kind, id, k] = ready.top();
+    ready.pop();
+    if (kind == 0) {
+      const auto t = static_cast<TaskId>(id);
+      Time drt = 0;
+      for (const EdgeId e : g.in_edges(t)) {
+        drt = std::max(drt, edge_ready[static_cast<std::size_t>(e)]);
+      }
+      const Time dur = cm.exec_cost(t, s.proc_of(t));
+      const Time st = book(static_cast<std::size_t>(s.proc_of(t)), drt, dur);
+      makespan = std::max(makespan, st + dur);
+      for (const EdgeId e : g.out_edges(t)) {
+        edge_ready[static_cast<std::size_t>(e)] = st + dur;
+        if (s.route_of(e).empty()) {
+          arrival_known(e);
+        } else {
+          ready.emplace(s.route_of(e)[0].start, 1, e, 0);
+        }
+      }
+    } else {
+      const auto e = static_cast<EdgeId>(id);
+      const auto& route = s.route_of(e);
+      const LinkId l = route[static_cast<std::size_t>(k)].link;
+      auto& at = edge_ready[static_cast<std::size_t>(e)];
+      const Time dur = cm.comm_cost(e, l);
+      at = book(num_procs + static_cast<std::size_t>(l), at, dur) + dur;
+      if (static_cast<std::size_t>(k + 1) < route.size()) {
+        ready.emplace(route[static_cast<std::size_t>(k + 1)].start, 1, e,
+                      k + 1);
+      } else {
+        arrival_known(e);
+      }
+    }
+  }
+  return makespan;
+}
+
+/// What a call returned, or the type and message of what it threw.
+template <class F>
+std::string outcome_of(F&& f) {
+  try {
+    std::ostringstream os;
+    os << "makespan " << std::hexfloat << f();
+    return os.str();
+  } catch (const std::exception& e) {
+    return std::string(typeid(e).name()) + ": " + e.what();
+  }
+}
+
+/// A 40-task DAG with one-decimal costs (sums round) where every third
+/// task and every third edge costs zero.
+graph::TaskGraph one_decimal_zero_cost_graph(std::uint64_t seed) {
+  Rng rng(seed);
+  graph::TaskGraphBuilder b;
+  for (int i = 0; i < 40; ++i) {
+    (void)b.add_task(
+        i % 3 == 1 ? 0 : static_cast<Cost>(rng.uniform_int(1, 97)) / 10);
+  }
+  int edges = 0;
+  for (TaskId j = 1; j < 40; ++j) {
+    std::vector<TaskId> used;
+    for (int m = static_cast<int>(rng.uniform_int(1, 3)); m > 0; --m) {
+      const auto i = static_cast<TaskId>(rng.uniform_int(0, j - 1));
+      if (std::find(used.begin(), used.end(), i) != used.end()) continue;
+      used.push_back(i);
+      const Cost c =
+          edges++ % 3 == 0 ? 0 : static_cast<Cost>(rng.uniform_int(1, 61)) / 10;
+      (void)b.add_edge(i, j, c);
+    }
+  }
+  return b.build();
+}
+
+/// Collapse every priority (task and hop start) onto a few values —
+/// -q, 0 (half of them -0.0), q, 2q, ... — so that tasks and hops tie.
+/// Only the starts matter to a replay; finishes are set equal.
+void collapse_priorities(Schedule& s, Time q, Rng& rng) {
+  const auto coarse = [&](Time start) {
+    const Time v = (std::floor(start / q) - 1) * q;
+    return v == 0 && rng.bernoulli(0.5) ? -0.0 : v;
+  };
+  for (TaskId t = 0; t < s.task_graph().num_tasks(); ++t) {
+    const Time v = coarse(s.start_of(t));
+    s.set_task_times(t, v, v);
+  }
+  for (LinkId l = 0; l < s.topology().num_links(); ++l) {
+    const auto& bookings = s.bookings_on(l);
+    for (std::size_t i = 0; i < bookings.size(); ++i) {
+      const Time v = coarse(bookings[i].start);
+      s.set_hop_times(bookings[i].edge, bookings[i].hop_index, v, v, i);
+    }
+  }
+}
+
+/// Items that become ready only after their own priority has passed: a
+/// task or hop whose priority is below one of its predecessors'.
+int late_items(const Schedule& s) {
+  const auto& g = s.task_graph();
+  int late = 0;
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    Time prev = s.start_of(g.edge_src(e));
+    for (const Hop& h : s.route_of(e)) {
+      late += h.start < prev;
+      prev = h.start;
+    }
+    late += s.start_of(g.edge_dst(e)) < prev;
+  }
+  return late;
+}
+
+TEST(Replayer, MatchesReferenceReplayOnAdversarialSchedules) {
+  // measure and swap_into against reference_replay, and against the
+  // heap-driven loop for the outcome (a makespan, or the same exception
+  // type and message), on schedules built to stress the order array:
+  // moves left un-retimed (successors ready only after the scan passed
+  // their priority), priorities collapsed onto a few values (ties
+  // between tasks and hops, -0.0 against +0.0, negative values), and
+  // zero-cost tasks and edges, some with one-decimal costs; both slot
+  // modes.
+  struct Tally {
+    int cases = 0, late = 0, collapsed = 0, zero_cost = 0, throws = 0;
+    int skipped = 0;
+  } tally;
+  const auto check = [&](const Schedule& s,
+                         const net::HeterogeneousCostModel& cm,
+                         const std::string& label) {
+    for (const bool insertion : {true, false}) {
+      const std::string where = label + (insertion ? " insertion" : " append");
+      ++tally.cases;
+      sched::Replayer replayer(s.task_graph(), s.topology(), cm, insertion);
+      const std::string expected =
+          outcome_of([&] { return heap_replay(s, cm, insertion); });
+      ASSERT_EQ(outcome_of([&] { return replayer.measure(s); }), expected)
+          << where;
+      if (expected.rfind("makespan", 0) != 0) {
+        ++tally.throws;
+        continue;
+      }
+      Schedule reference = s;
+      const Time reference_makespan =
+          testing::reference_replay(reference, cm, insertion);
+      EXPECT_EQ(replayer.measure(s), reference_makespan) << where;
+      Schedule kept = s;
+      replayer.swap_into(kept);
+      ASSERT_EQ(diff_schedules(kept, reference), "") << where;
+    }
+  };
+
+  {
+    // Throws under the slot rule: L sits on P1 from 0.3; the zero-length
+    // Z, ready at 0.1 + 0.2 (just above 0.3), fits "before" L within the
+    // tolerance and sorts after it, nested, which the neighbour rule
+    // rejects.
+    graph::TaskGraphBuilder b;
+    const TaskId a = b.add_task(0.3);
+    const TaskId l = b.add_task(1);
+    const TaskId t1 = b.add_task(0.1);
+    const TaskId t2 = b.add_task(0.2);
+    const TaskId z = b.add_task(0);
+    const EdgeId al = b.add_edge(a, l, 0);
+    (void)b.add_edge(t1, t2, 0);
+    const EdgeId t2z = b.add_edge(t2, z, 0);
+    const graph::TaskGraph g = b.build();
+    const auto topo = net::Topology::clique(3);
+    const auto cm = net::HeterogeneousCostModel::homogeneous(g, topo);
+    Schedule s(g, topo);
+    s.place_task(a, 0, 0, 0.3);
+    s.append_hop(al, Hop{topo.link_between(0, 1), 0.3, 0.3});
+    s.place_task(l, 1, 0.3, 1.3);
+    s.place_task(t1, 2, 0, 0.1);
+    s.place_task(t2, 2, 0.1, 0.1 + 0.2);
+    s.append_hop(t2z, Hop{topo.link_between(2, 1), 0.1 + 0.2, 0.1 + 0.2});
+    s.place_task(z, 1, 2, 2);
+    check(s, cm, "nested zero-length");
+    ASSERT_EQ(tally.throws, 1);
+  }
+  {
+    // A list whose finishes decrease: P0 books z = [5, 5 + 5e-10), then
+    // the zero-length x ready at 5 + 2e-10 fits "before" z within the
+    // tolerance and sorts after it. w, ready at 5 + 3e-10, starts at or
+    // after x's finish but not after z's: the slot search must still
+    // place it behind z.
+    graph::TaskGraphBuilder b;
+    const TaskId s1 = b.add_task(5);
+    const TaskId s2 = b.add_task(5 + 2e-10);
+    const TaskId s3 = b.add_task(5 + 3e-10);
+    const TaskId z = b.add_task(5e-10);
+    const TaskId x = b.add_task(0);
+    const TaskId w = b.add_task(1);
+    const EdgeId to_z = b.add_edge(s1, z, 0);
+    const EdgeId to_x = b.add_edge(s2, x, 0);
+    const EdgeId to_w = b.add_edge(s3, w, 0);
+    const graph::TaskGraph g = b.build();
+    const auto topo = net::Topology::clique(4);
+    const auto cm = net::HeterogeneousCostModel::homogeneous(g, topo);
+    Schedule s(g, topo);
+    const std::vector<std::pair<TaskId, EdgeId>> feeds{
+        {s1, to_z}, {s2, to_x}, {s3, to_w}};
+    for (std::size_t i = 0; i < feeds.size(); ++i) {
+      const auto [src, e] = feeds[i];
+      const auto p = static_cast<ProcId>(i + 1);
+      const Time f = cm.exec_cost(src, p);
+      s.place_task(src, p, 0, f);
+      s.append_hop(e, Hop{topo.link_between(p, 0), f, f});
+    }
+    s.place_task(z, 0, 10, 10);
+    s.place_task(x, 0, 11, 11);
+    s.place_task(w, 0, 12, 13);
+    check(s, cm, "decreasing finishes");
+    ASSERT_EQ(tally.throws, 1);
+  }
+
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    std::vector<graph::TaskGraph> graphs;
+    graphs.push_back(one_decimal_zero_cost_graph(seed));
+    graphs.push_back(zero_heavy_graph(seed));
+    workloads::RandomDagParams params;
+    params.num_tasks = 40;
+    params.seed = seed;
+    graphs.push_back(workloads::random_layered_dag(params));
+    for (std::size_t gi = 0; gi < graphs.size(); ++gi) {
+      const auto& g = graphs[gi];
+      const auto topo = seed % 2 == 0
+                            ? net::Topology::ring(4)
+                            : exp::make_topology("hypercube", 8, seed);
+      const auto cm = net::HeterogeneousCostModel::homogeneous(g, topo);
+      const net::RoutingTable table(topo);
+      Rng rng(derive_seed(seed, gi));
+      for (const char* spec : {"heft", "bsa", "dls"}) {
+        Schedule base(g, topo);
+        try {
+          base = sched::SchedulerRegistry::global()
+                     .resolve(spec)
+                     ->run(g, topo, cm, seed)
+                     .schedule;
+        } catch (const InvariantError&) {
+          // The list schedules' own tolerance failure on one-decimal
+          // zero-cost graphs (ROADMAP's unit-free-time item).
+          ++tally.skipped;
+          continue;
+        }
+        for (int variant = 0; variant < 3; ++variant) {
+          Schedule s = base;
+          if (variant > 0) {
+            for (int moves = static_cast<int>(rng.uniform_int(1, 4));
+                 moves > 0; --moves) {
+              const auto t = static_cast<TaskId>(
+                  rng.index(static_cast<std::size_t>(g.num_tasks())));
+              auto p = static_cast<ProcId>(
+                  rng.uniform_int(0, topo.num_processors() - 2));
+              if (p >= s.proc_of(t)) ++p;
+              move_task(s, cm, table, t, p);  // no re-timing
+            }
+          }
+          if (variant == 2) {
+            collapse_priorities(s, std::max(s.makespan() / 3, Time{1}), rng);
+            ++tally.collapsed;
+          }
+          tally.late += late_items(s) > 0;
+          tally.zero_cost += gi < 2;
+          check(s, cm,
+                std::string(spec) + " graph " + std::to_string(gi) + " seed " +
+                    std::to_string(seed) + " variant " +
+                    std::to_string(variant));
+        }
+      }
+    }
+  }
+  EXPECT_GT(tally.late, 20);
+  EXPECT_GT(tally.collapsed, 20);
+  EXPECT_GT(tally.zero_cost, 20);
+  EXPECT_GT(tally.cases, 200);
+  EXPECT_LT(tally.skipped, 4);
 }
 
 // --- refine on the context ----------------------------------------------------

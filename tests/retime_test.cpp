@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <string>
 
+#include "bsa_oracle.hpp"
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "network/cost_model.hpp"
@@ -118,7 +119,7 @@ TEST_F(RetimeTest, ReplayRebuildsConsistentTimes) {
   s.place_task(B, 0, 10, 20);
   s.set_route(3, {Hop{l01, 24, 28}});  // C->D
   s.place_task(D, 0, 28, 38);
-  const Time mk = replay_retime(s, cm);
+  const Time mk = bsa::testing::replay_retime(s, cm);
   EXPECT_TRUE(validate(s, cm).ok());
   EXPECT_DOUBLE_EQ(mk, s.makespan());
   EXPECT_DOUBLE_EQ(mk, 38);
@@ -136,7 +137,7 @@ TEST_F(RetimeTest, ReplayRecoversFromInconsistentOrders) {
   Schedule s(g2, topo);
   s.place_task(y, 0, 0, 10);
   s.place_task(x, 0, 10, 20);
-  const Time mk = replay_retime(s, cm2);
+  const Time mk = bsa::testing::replay_retime(s, cm2);
   EXPECT_TRUE(validate(s, cm2).ok());
   // Replay ignores the bad order: x runs [0,10), y follows at 10.
   EXPECT_DOUBLE_EQ(mk, 20);
@@ -155,7 +156,7 @@ TEST_F(RetimeTest, ReplayKeepsAssignment) {
   s.set_route(2, {Hop{l01, 24, 28}});                  // B->D back to P0
   s.set_route(3, {Hop{l12, 32, 36}, Hop{l01, 36, 40}});  // C->D to P0
   s.place_task(D, 0, 40, 50);
-  (void)replay_retime(s, cm);
+  (void)bsa::testing::replay_retime(s, cm);
   EXPECT_EQ(s.proc_of(A), 0);
   EXPECT_EQ(s.proc_of(B), 1);
   EXPECT_EQ(s.proc_of(C), 2);
@@ -169,7 +170,7 @@ TEST_F(RetimeTest, ReplayKeepsAssignment) {
 TEST_F(RetimeTest, ReplayRequiresCompletePlacement) {
   Schedule s(g, topo);
   s.place_task(A, 0, 0, 10);
-  EXPECT_THROW((void)replay_retime(s, cm), PreconditionError);
+  EXPECT_THROW((void)bsa::testing::replay_retime(s, cm), PreconditionError);
 }
 
 TEST_F(RetimeTest, PartialScheduleRetimeAllowed) {

@@ -253,11 +253,12 @@ TEST(Conformance, SaMoveSequenceReplaysBitIdenticallyBySeed) {
 }
 
 TEST(Conformance, SaTrajectoriesThroughReplaysArePinned) {
-  // Runs whose moves fall back to replay_retime dozens of times. The
-  // schedule digest and every sa.* counter are pinned to the values of
-  // the re-timing engine that rebuilt its context after each replay, so
-  // a cheaper context that never goes stale must replay the same
-  // trajectory exactly.
+  // Runs whose moves fall back to a replay dozens of times. The schedule
+  // digest and every sa.* counter are pinned to the values of the
+  // re-timing engine that rebuilt its context after each replay, so a
+  // cheaper context that never goes stale must replay the same trajectory
+  // exactly. sa.replay_fallbacks counts the replays run: an accepted move
+  // is kept as measured, never replayed a second time.
   struct Pin {
     const char* workload;
     const char* topology;
@@ -269,10 +270,10 @@ TEST(Conformance, SaTrajectoriesThroughReplaysArePinned) {
   const std::vector<Pin> pins = {
       {"random", "ring", 5, 16511, 2280138260186085021ULL,
        {{"sa.accepted", 26}, {"sa.accepted_worse", 1}, {"sa.best_updates", 0},
-        {"sa.proposed", 200}, {"sa.replay_fallbacks", 69}}},
+        {"sa.proposed", 200}, {"sa.replay_fallbacks", 62}}},
       {"stencil", "hypercube", 21, 39313, 14853688659282909561ULL,
        {{"sa.accepted", 9}, {"sa.accepted_worse", 0}, {"sa.best_updates", 3},
-        {"sa.proposed", 200}, {"sa.replay_fallbacks", 76}}},
+        {"sa.proposed", 200}, {"sa.replay_fallbacks", 73}}},
   };
   for (const Pin& pin : pins) {
     const Instance in = make_instance(pin.workload, pin.topology, pin.seed);
