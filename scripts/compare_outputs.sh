@@ -9,9 +9,10 @@
 # plus bsa:route=static,slots=append and bsa:route=ecube (hypercube
 # only), over random/gauss/fft/stencil x ring/hypercube/mesh x seeds 1-3
 # and over three 60-task graphs where every third task and every third
-# edge costs zero (x the same topologies), it runs `bsa_tool --export
-# --decision-log --counters` with both builds; then it runs the four
-# figure benches with --eft with both.
+# edge costs zero (x the same topologies), and for one DLS run whose
+# times pass 1e6 (exponent notation in the text format), it runs
+# `bsa_tool --export --decision-log --counters` with both builds; then it
+# runs the four figure benches with --eft with both.
 #
 # Exits 1 on any difference in a schedule (the --export file and the
 # printed listing, where a failed check's message counts but not its
@@ -148,6 +149,15 @@ for seed in 1 2 3; do
     done
   done
 done
+
+# Times past 1e6, where the text format switches to exponent notation
+# ("1.09602e+06"): DLS on a communication-bound 500-task graph (~1 s).
+name=exponent_times_ring_1_dls
+for side in parent change; do
+  run "$side" "$name" --workload random --size 500 --gran 0.01 --het 50 \
+    --link-het 4 --topology ring --procs 16 --seed 1 --algo dls
+done
+compare "$name"
 
 table_diffs=()
 for bench in bench_fig3_regular_size bench_fig4_random_size \

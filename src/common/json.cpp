@@ -5,36 +5,48 @@
 
 namespace bsa {
 
+void append_json_escaped(std::string& out, std::string_view s) {
+  // Plain characters are copied in runs, between the ones that escape.
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const char c = s[i];
+    const char* escaped = nullptr;
+    switch (c) {
+      case '"':
+        escaped = "\\\"";
+        break;
+      case '\\':
+        escaped = "\\\\";
+        break;
+      case '\n':
+        escaped = "\\n";
+        break;
+      case '\r':
+        escaped = "\\r";
+        break;
+      case '\t':
+        escaped = "\\t";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) >= 0x20) continue;
+    }
+    out.append(s.data() + run, i - run);
+    run = i + 1;
+    if (escaped != nullptr) {
+      out += escaped;
+    } else {
+      char buf[8];
+      std::snprintf(buf, sizeof buf, "\\u%04x", c);
+      out += buf;
+    }
+  }
+  out.append(s.data() + run, s.size() - run);
+}
+
 std::string json_escape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
+  append_json_escaped(out, s);
   return out;
 }
 

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 /// \file json.hpp
 /// The two JSON formatting primitives shared by every emitter in the
@@ -14,6 +15,8 @@ namespace bsa {
 /// Escape a string for embedding in a JSON document (no surrounding
 /// quotes added).
 [[nodiscard]] std::string json_escape(const std::string& s);
+/// Append json_escape(s) to `out`.
+void append_json_escaped(std::string& out, std::string_view s);
 
 /// Format a double with round-trip (max_digits10) precision; integral
 /// values print without an exponent or trailing zeros. Non-finite

@@ -522,8 +522,14 @@ bool RetimeContext::reorder(int u, int v) {
 
 // --- change-driven sweep -----------------------------------------------------
 
+void RetimeContext::LabelQueue::file(Label key, int v) {
+  const int b = bucket(key);
+  buckets_[static_cast<std::size_t>(b)].emplace_back(key, v);
+  if (b > 0) nonempty_ |= std::uint64_t{1} << (b - 1);
+}
+
 void RetimeContext::LabelQueue::push(Label key, int v) {
-  buckets_[static_cast<std::size_t>(bucket(key))].emplace_back(key, v);
+  file(key, v);
   ++size_;
 }
 
@@ -531,13 +537,11 @@ int RetimeContext::LabelQueue::pop() {
   if (buckets_[0].empty()) {
     // Redistribute the first non-empty bucket around its minimum; every
     // entry lands in a lower bucket, the minimum in bucket 0.
-    std::size_t i = 1;
-    while (buckets_[i].empty()) ++i;
-    auto& b = buckets_[i];
+    const int i = std::countr_zero(nonempty_) + 1;
+    nonempty_ &= nonempty_ - 1;
+    auto& b = buckets_[static_cast<std::size_t>(i)];
     last_ = std::min_element(b.begin(), b.end())->first;
-    for (const auto& entry : b) {
-      buckets_[static_cast<std::size_t>(bucket(entry.first))].push_back(entry);
-    }
+    for (const auto& [key, v] : b) file(key, v);
     b.clear();
   }
   const int v = buckets_[0].back().second;

@@ -239,7 +239,11 @@ class RetimeContext {
     [[nodiscard]] int bucket(Label key) const noexcept {
       return key == last_ ? 0 : 64 - std::countl_zero(key ^ last_);
     }
+    /// Put an entry in its bucket (size_ unchanged).
+    void file(Label key, int v);
     std::array<std::vector<std::pair<Label, int>>, 65> buckets_;
+    /// Bit b - 1 set while bucket b (1..64) is non-empty.
+    std::uint64_t nonempty_ = 0;
     Label last_ = 0;
     std::size_t size_ = 0;
   };

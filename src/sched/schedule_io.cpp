@@ -1,37 +1,72 @@
 #include "sched/schedule_io.hpp"
 
+#include <algorithm>
+#include <charconv>
+#include <cstdint>
 #include <istream>
 #include <map>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 
 #include "common/check.hpp"
 #include "common/table.hpp"
 
 namespace bsa::sched {
 
+char* format_time(char* first, char* last, Time t) {
+  // The standard defines to_chars' general format at precision 6 as
+  // printf's %.6g, which is also what `os << t` writes.
+  return std::to_chars(first, last, t, std::chars_format::general, 6).ptr;
+}
+
+namespace {
+
+// Appends one "<directive> <id> <where> <start> <finish>" line.
+void append_line(std::string& out, std::string_view directive, std::int32_t id,
+                 std::int32_t where, Time start, Time finish) {
+  // Longest line: a 4-letter directive, two 11-character ids and two
+  // 13-character times ("-1.79769e+308"), with 4 spaces and a newline.
+  char buf[64];
+  char* const last = buf + sizeof buf;
+  char* p = std::copy(directive.begin(), directive.end(), buf);
+  *p++ = ' ';
+  p = std::to_chars(p, last, id).ptr;
+  *p++ = ' ';
+  p = std::to_chars(p, last, where).ptr;
+  *p++ = ' ';
+  p = format_time(p, last, start);
+  *p++ = ' ';
+  p = format_time(p, last, finish);
+  *p++ = '\n';
+  out.append(buf, p);
+}
+
+}  // namespace
+
 void write_schedule_text(std::ostream& os, const Schedule& s) {
-  const auto& g = s.task_graph();
-  std::size_t hops = 0;
-  for (EdgeId e = 0; e < g.num_edges(); ++e) hops += s.route_of(e).size();
-  os << "# schedule: " << s.num_placed() << " tasks, " << hops << " hops\n";
-  for (TaskId t = 0; t < g.num_tasks(); ++t) {
-    if (!s.is_placed(t)) continue;
-    os << "task " << t << ' ' << s.proc_of(t) << ' ' << s.start_of(t) << ' '
-       << s.finish_of(t) << '\n';
-  }
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    for (const Hop& h : s.route_of(e)) {
-      os << "hop " << e << ' ' << h.link << ' ' << h.start << ' ' << h.finish
-         << '\n';
-    }
-  }
+  os << schedule_to_text(s);
 }
 
 std::string schedule_to_text(const Schedule& s) {
-  std::ostringstream os;
-  write_schedule_text(os, s);
-  return os.str();
+  const auto& g = s.task_graph();
+  std::size_t hops = 0;
+  for (EdgeId e = 0; e < g.num_edges(); ++e) hops += s.route_of(e).size();
+  std::string out = "# schedule: " + std::to_string(s.num_placed()) +
+                    " tasks, " + std::to_string(hops) + " hops\n";
+  // Typical lines take ~25 bytes; reserve 32 each.
+  out.reserve(out.size() +
+              32 * (static_cast<std::size_t>(s.num_placed()) + hops));
+  for (TaskId t = 0; t < g.num_tasks(); ++t) {
+    if (!s.is_placed(t)) continue;
+    append_line(out, "task", t, s.proc_of(t), s.start_of(t), s.finish_of(t));
+  }
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    for (const Hop& h : s.route_of(e)) {
+      append_line(out, "hop", e, h.link, h.start, h.finish);
+    }
+  }
+  return out;
 }
 
 Schedule read_schedule_text(std::istream& is, const graph::TaskGraph& g,

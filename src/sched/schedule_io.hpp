@@ -18,13 +18,20 @@
 ///
 /// Ids are 0-based and refer to the TaskGraph/Topology the schedule was
 /// built against; read_schedule_text rebuilds a Schedule over the same
-/// graph and topology.
+/// graph and topology. Times print with six significant digits (printf's
+/// %.6g, see format_time).
 
 namespace bsa::sched {
 
-/// Write `s` in the native text format. Partial schedules allowed.
-void write_schedule_text(std::ostream& os, const Schedule& s);
+/// `s` in the native text format. Partial schedules allowed.
 [[nodiscard]] std::string schedule_to_text(const Schedule& s);
+/// Write schedule_to_text(s) to `os`.
+void write_schedule_text(std::ostream& os, const Schedule& s);
+
+/// Write `t` to [first, last) as the text format prints times, and return
+/// the end: the bytes `os << t` writes under default stream flags
+/// (printf's %.6g). 16 bytes always suffice.
+char* format_time(char* first, char* last, Time t);
 
 /// Parse the native text format into a schedule over `g` and `topo`.
 /// Throws PreconditionError on malformed input or ids out of range.

@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <filesystem>
 #include <future>
 #include <string>
@@ -89,6 +90,62 @@ TEST(ServeServer, ScheduleMatchesLocalEvaluationBitForBit) {
   EXPECT_EQ(resp.makespan(), fresh.makespan());
   EXPECT_EQ(resp.payload.size(), fresh.payload.size());
   server.stop();
+}
+
+TEST(ServeServer, EvaluatedPayloadsArePinned) {
+  // A served payload (makespan, validity, counters and the schedule
+  // text) must not change by a byte: FNV-1a digests of evaluate_request
+  // for BSA, SA on BSA, DLS and HEFT, validated and not, on random graphs
+  // on hypercube-16 and communication-heavy gauss graphs on ring-8.
+  struct Pin {
+    const char* workload;
+    const char* topology;
+    int procs;
+    double gran;
+    const char* algo;
+    bool validate;
+    std::uint64_t digest;
+  };
+  const std::vector<Pin> pins = {
+      {"random", "hypercube", 16, 1.0, "bsa", false, 415841828000551473ULL},
+      {"random", "hypercube", 16, 1.0, "bsa", true, 9566943622984070609ULL},
+      {"random", "hypercube", 16, 1.0, "sa:init=bsa", false,
+       10159334659705349440ULL},
+      {"random", "hypercube", 16, 1.0, "sa:init=bsa", true,
+       8191286656752652810ULL},
+      {"random", "hypercube", 16, 1.0, "dls", false, 2823681339984443741ULL},
+      {"random", "hypercube", 16, 1.0, "dls", true, 9787174117950102733ULL},
+      {"random", "hypercube", 16, 1.0, "heft", false, 12067772695849283582ULL},
+      {"random", "hypercube", 16, 1.0, "heft", true, 10297708317327004846ULL},
+      {"gauss", "ring", 8, 0.3, "bsa", false, 415252386952413769ULL},
+      {"gauss", "ring", 8, 0.3, "bsa", true, 441556548775506601ULL},
+      {"gauss", "ring", 8, 0.3, "sa:init=bsa", false, 922128995936239871ULL},
+      {"gauss", "ring", 8, 0.3, "sa:init=bsa", true, 2146838507107639301ULL},
+      {"gauss", "ring", 8, 0.3, "dls", false, 768780280927737634ULL},
+      {"gauss", "ring", 8, 0.3, "dls", true, 2971184634353752804ULL},
+      {"gauss", "ring", 8, 0.3, "heft", false, 383799137076770712ULL},
+      {"gauss", "ring", 8, 0.3, "heft", true, 11074085394279543714ULL},
+  };
+  for (const Pin& pin : pins) {
+    Request req;
+    req.workload = pin.workload;
+    req.algo = pin.algo;
+    req.topology = pin.topology;
+    req.procs = pin.procs;
+    req.size = 50;
+    req.gran = pin.gran;
+    req.het = 4;
+    req.link_het = 2;
+    req.seed = 11;
+    req.validate = pin.validate;
+    (void)canonicalize(req);
+    std::uint64_t digest = 1469598103934665603ULL;
+    for (const unsigned char c : evaluate_request(req)) {
+      digest = (digest ^ c) * 1099511628211ULL;
+    }
+    EXPECT_EQ(digest, pin.digest)
+        << pin.workload << ' ' << pin.algo << " validate=" << pin.validate;
+  }
 }
 
 TEST(ServeServer, RepeatRequestIsCachedAndPayloadIdentical) {
