@@ -106,8 +106,8 @@ sched::RankScheduleResult schedule_dls(
             costs.median_exec_cost(t) - costs.exec_cost(t, p);
         const double dl = sl_star - start + delta;
         const bool better =
-            best_task == kInvalidTask || dl > best_dl + kTimeEpsilon ||
-            (time_eq(dl, best_dl) && tie_wins(t, p, best_task, best_proc));
+            best_task == kInvalidTask || dl > best_dl ||
+            (dl == best_dl && tie_wins(t, p, best_task, best_proc));
         if (better) {
           best_i = i;
           best_task = t;
@@ -121,7 +121,7 @@ sched::RankScheduleResult schedule_dls(
 
     // Commit: book the message routes, then the task itself.
     const Time start = run.commit(best_i, best_proc);
-    BSA_ASSERT(time_eq(start, best_start),
+    BSA_ASSERT(start == best_start,
                "tentative/commit divergence for task " << best_task);
     for (const EdgeId e : g.in_edges(best_task)) {
       for (const sched::Hop& hop : s.route_of(e)) {

@@ -101,7 +101,7 @@ std::size_t ListRun::highest_ranked(const std::vector<Cost>& ranks) const {
   for (std::size_t i = 1; i < ready_.size(); ++i) {
     const Cost ri = ranks[static_cast<std::size_t>(ready_[i])];
     const Cost rp = ranks[static_cast<std::size_t>(ready_[pick])];
-    if (time_lt(rp, ri) || (time_eq(rp, ri) && ready_[i] < ready_[pick])) {
+    if (rp < ri || (rp == ri && ready_[i] < ready_[pick])) {
       pick = i;
     }
   }

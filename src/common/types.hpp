@@ -26,10 +26,12 @@ inline constexpr EdgeId kInvalidEdge = -1;
 inline constexpr ProcId kInvalidProc = -1;
 inline constexpr LinkId kInvalidLink = -1;
 
-/// Simulated time. Costs in the model are products of integral nominal
-/// costs and integral heterogeneity factors, so `Time` values are exact
-/// sums of exact products in practice; `double` keeps the API flexible
-/// for fractional cost models.
+/// Simulated time. Times compare exactly (`<`, `==`): the paper's model
+/// is integral (nominal costs times integral heterogeneity factors), so
+/// its times are exact sums, and BSA moves a task only when it finishes
+/// strictly earlier. A fractional cost model gets the same rule: every
+/// time is computed by the same sums wherever it is compared (a finish
+/// is `start + cost`, never recovered by a subtraction).
 using Time = double;
 /// Execution or communication cost (same unit as Time).
 using Cost = double;
@@ -38,26 +40,5 @@ using Cost = double;
 inline constexpr Time kUnsetTime = -std::numeric_limits<Time>::infinity();
 /// Upper sentinel, useful as an initial minimum.
 inline constexpr Time kInfiniteTime = std::numeric_limits<Time>::infinity();
-
-/// Tolerance used when comparing schedule times for equality. All
-/// quantities in the reproduction are integral, so this only guards
-/// against user-provided fractional cost models.
-inline constexpr Time kTimeEpsilon = 1e-9;
-
-/// True if `a` and `b` are equal within kTimeEpsilon.
-[[nodiscard]] constexpr bool time_eq(Time a, Time b) noexcept {
-  const Time d = a - b;
-  return d <= kTimeEpsilon && d >= -kTimeEpsilon;
-}
-
-/// True if `a` is strictly less than `b` beyond the tolerance.
-[[nodiscard]] constexpr bool time_lt(Time a, Time b) noexcept {
-  return a < b - kTimeEpsilon;
-}
-
-/// True if `a <= b` within tolerance.
-[[nodiscard]] constexpr bool time_le(Time a, Time b) noexcept {
-  return a <= b + kTimeEpsilon;
-}
 
 }  // namespace bsa

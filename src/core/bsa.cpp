@@ -136,9 +136,9 @@ class BsaRunner {
     for (const EdgeId e : g_.in_edges(t)) {
       const Time arr = sched_.arrival_of(e);
       const TaskId src = g_.edge_src(e);
-      if (out.vip == kInvalidTask || time_lt(out.drt, arr)) {
+      if (out.vip == kInvalidTask || out.drt < arr) {
         out.vip = src;
-      } else if (time_eq(arr, out.drt) && src < out.vip) {
+      } else if (arr == out.drt && src < out.vip) {
         out.vip = src;
       }
       out.drt = std::max(out.drt, arr);
@@ -163,7 +163,7 @@ class BsaRunner {
     const Time cur_ft = sched_.finish_of(t);
 
     if (opt_.gate == GateRule::kPaper) {
-      const bool delayed = time_lt(cur.drt, st);
+      const bool delayed = cur.drt < st;
       const bool vip_elsewhere =
           cur.vip != kInvalidTask && sched_.proc_of(cur.vip) != pivot;
       if (!delayed && !vip_elsewhere) {
@@ -181,7 +181,7 @@ class BsaRunner {
         cur.vip == kInvalidTask ? kInvalidProc : sched_.proc_of(cur.vip);
     for (const ProcId py : topo_.neighbors(pivot)) {
       const Time ft = evaluate_neighbor(t, pivot, py);
-      if (time_lt(ft, best_ft)) {
+      if (ft < best_ft) {
         best_ft = ft;
         best_proc = py;
       }
@@ -191,11 +191,11 @@ class BsaRunner {
 
     bool via_vip = false;
     ProcId target = kInvalidProc;
-    if (time_lt(best_ft, cur_ft)) {
+    if (best_ft < cur_ft) {
       target = best_proc;
     } else if (opt_.vip_rule && vip_proc != kInvalidProc &&
                vip_proc != pivot && vip_ft != kInfiniteTime &&
-               time_le(vip_ft, cur_ft)) {
+               vip_ft <= cur_ft) {
       // Paper §2.3: when the finish time does not improve the task still
       // migrates to its VIP's processor provided the finish time is not
       // increased — co-locating with the VIP lets successors improve.
@@ -268,7 +268,7 @@ class BsaRunner {
     // Extensions are scheduled in data-availability order (deterministic).
     std::sort(plans.begin(), plans.end(),
               [](const IncomingPlan& a, const IncomingPlan& b) {
-                if (!time_eq(a.ready, b.ready)) return a.ready < b.ready;
+                if (a.ready != b.ready) return a.ready < b.ready;
                 return a.edge < b.edge;
               });
   }
@@ -396,7 +396,7 @@ class BsaRunner {
     const Time makespan_after = engine_.settle();
     if (oracle.has_value()) check_retime_oracle(*oracle, t);
 
-    if (guarded && time_lt(makespan_before, makespan_after)) {
+    if (guarded && makespan_before < makespan_after) {
       ++trace_.rejected_migrations;
       engine_.discard();
       if (opt_.validate_each_step) check_rollback_oracle(text_before, t);

@@ -18,7 +18,7 @@ void crossing_in_edges_into(const sched::Schedule& s, TaskId t, ProcId p,
   std::sort(out.begin(), out.end(), [&](EdgeId a, EdgeId b) {
     const Time fa = s.finish_of(g.edge_src(a));
     const Time fb = s.finish_of(g.edge_src(b));
-    if (!time_eq(fa, fb)) return fa < fb;
+    if (fa != fb) return fa < fb;
     return a < b;
   });
 }

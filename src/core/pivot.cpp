@@ -18,7 +18,7 @@ PivotSelection select_first_pivot(const graph::TaskGraph& g,
     const auto exec = costs.exec_costs_on(p);
     const auto levels = graph::compute_levels(g, exec, comm);
     out.cp_length_by_proc.push_back(levels.cp_length);
-    if (time_lt(levels.cp_length, best)) {
+    if (levels.cp_length < best) {
       best = levels.cp_length;
       out.pivot = p;
     }

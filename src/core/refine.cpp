@@ -20,7 +20,7 @@ std::vector<ProcId> move_candidates(TaskId t, const net::Topology& topo,
   std::sort(procs.begin(), procs.end(), [&](ProcId a, ProcId b) {
     const Cost ca = costs.exec_cost(t, a);
     const Cost cb = costs.exec_cost(t, b);
-    if (!time_eq(ca, cb)) return ca < cb;
+    if (ca != cb) return ca < cb;
     return a < b;
   });
   if (options.candidates_per_task > 0 &&
@@ -57,7 +57,7 @@ RefineResult refine_schedule(const sched::Schedule& input,
         if (p == original) continue;
         ++result.candidates_evaluated;
         const Time len = engine.evaluate(t, p);
-        if (time_lt(len, best_len)) {
+        if (len < best_len) {
           best_len = len;
           best_proc = p;
         }

@@ -81,10 +81,10 @@ SerializationResult serialize(const graph::TaskGraph& g,
         }
         const auto pi = static_cast<std::size_t>(p);
         const auto bi = static_cast<std::size_t>(best);
-        if (time_lt(b_level[bi], b_level[pi]) ||
-            (time_eq(b_level[bi], b_level[pi]) &&
-             (time_lt(t_level[pi], t_level[bi]) ||
-              (time_eq(t_level[pi], t_level[bi]) && p < best)))) {
+        if (b_level[bi] < b_level[pi] ||
+            (b_level[bi] == b_level[pi] &&
+             (t_level[pi] < t_level[bi] ||
+              (t_level[pi] == t_level[bi] && p < best)))) {
           best = p;
         }
       }
@@ -110,8 +110,8 @@ SerializationResult serialize(const graph::TaskGraph& g,
   std::sort(ob.begin(), ob.end(), [&](TaskId a, TaskId b) {
     const auto ai = static_cast<std::size_t>(a);
     const auto bi = static_cast<std::size_t>(b);
-    if (!time_eq(b_level[ai], b_level[bi])) return b_level[ai] > b_level[bi];
-    if (!time_eq(t_level[ai], t_level[bi])) return t_level[ai] < t_level[bi];
+    if (b_level[ai] != b_level[bi]) return b_level[ai] > b_level[bi];
+    if (t_level[ai] != t_level[bi]) return t_level[ai] < t_level[bi];
     return a < b;
   });
   // Appending in descending b-level alone is not precedence-safe when
@@ -169,8 +169,8 @@ SerializationResult serialize_by_blevel(const graph::TaskGraph& g,
   std::sort(by_blevel.begin(), by_blevel.end(), [&](TaskId a, TaskId b) {
     const auto ai = static_cast<std::size_t>(a);
     const auto bi = static_cast<std::size_t>(b);
-    if (!time_eq(b_level[ai], b_level[bi])) return b_level[ai] > b_level[bi];
-    if (!time_eq(t_level[ai], t_level[bi])) return t_level[ai] < t_level[bi];
+    if (b_level[ai] != b_level[bi]) return b_level[ai] > b_level[bi];
+    if (t_level[ai] != t_level[bi]) return t_level[ai] < t_level[bi];
     return a < b;
   });
 

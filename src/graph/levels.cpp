@@ -17,6 +17,25 @@ void check_cost_spans(const TaskGraph& g, std::span<const Cost> exec_costs,
                                  << g.num_edges());
 }
 
+/// Calls f(s) for the successor s of each out-edge of `t` that continues
+/// a critical path: its communication cost plus b-level(s) attains the
+/// largest such sum, the one b-level(t) took (the same sums, compared
+/// exactly).
+template <class F>
+void for_critical_successors(const TaskGraph& g,
+                             std::span<const Cost> comm_costs,
+                             std::span<const Cost> b_level, TaskId t, F f) {
+  const auto via = [&](EdgeId e) {
+    return comm_costs[static_cast<std::size_t>(e)] +
+           b_level[static_cast<std::size_t>(g.edge_dst(e))];
+  };
+  Cost tail = 0;
+  for (const EdgeId e : g.out_edges(t)) tail = std::max(tail, via(e));
+  for (const EdgeId e : g.out_edges(t)) {
+    if (via(e) == tail) f(g.edge_dst(e));
+  }
+}
+
 }  // namespace
 
 LevelSets compute_levels(const TaskGraph& g, std::span<const Cost> exec_costs,
@@ -51,8 +70,22 @@ LevelSets compute_levels(const TaskGraph& g, std::span<const Cost> exec_costs,
     }
     out.b_level[ti] = exec_costs[ti] + best_tail;
   }
-  for (std::size_t t = 0; t < n; ++t) {
-    out.cp_length = std::max(out.cp_length, out.t_level[t] + out.b_level[t]);
+  // Critical paths: from the entry tasks of the largest b-level, along
+  // the argmax edges.
+  out.critical.assign(n, 0);
+  for (const TaskId t : g.entry_tasks()) {
+    out.cp_length =
+        std::max(out.cp_length, out.b_level[static_cast<std::size_t>(t)]);
+  }
+  for (const TaskId t : topo) {
+    const auto ti = static_cast<std::size_t>(t);
+    if (g.in_degree(t) == 0) {
+      out.critical[ti] = out.b_level[ti] == out.cp_length ? 1 : 0;
+    }
+    if (out.critical[ti] == 0) continue;
+    for_critical_successors(g, comm_costs, out.b_level, t, [&](TaskId s) {
+      out.critical[static_cast<std::size_t>(s)] = 1;
+    });
   }
   return out;
 }
@@ -78,25 +111,17 @@ std::vector<TaskId> extract_critical_path(const TaskGraph& g,
   BSA_REQUIRE(levels.t_level.size() == n && levels.b_level.size() == n,
               "levels do not match graph");
 
-  // An edge (t,s) continues a critical path from t exactly when
-  // b(t) == exec(t) + comm(t,s) + b(s). best_exec[t] is the largest
-  // execution-cost sum achievable on a critical tail starting at t —
-  // the paper's rule for choosing among multiple CPs.
+  // best_exec[t] is the largest execution-cost sum achievable on a
+  // critical tail starting at t — the paper's rule for choosing among
+  // multiple CPs.
   std::vector<Cost> best_exec(n, 0);
   const auto& topo = g.topological_order();
   for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
-    const TaskId t = *it;
-    const auto ti = static_cast<std::size_t>(t);
+    const auto ti = static_cast<std::size_t>(*it);
     Cost best_tail = 0;
-    for (const EdgeId e : g.out_edges(t)) {
-      const TaskId s = g.edge_dst(e);
-      const auto si = static_cast<std::size_t>(s);
-      const Cost via = exec_costs[ti] + comm_costs[static_cast<std::size_t>(e)] +
-                       levels.b_level[si];
-      if (time_eq(via, levels.b_level[ti])) {
-        best_tail = std::max(best_tail, best_exec[si]);
-      }
-    }
+    for_critical_successors(g, comm_costs, levels.b_level, *it, [&](TaskId s) {
+      best_tail = std::max(best_tail, best_exec[static_cast<std::size_t>(s)]);
+    });
     best_exec[ti] = exec_costs[ti] + best_tail;
   }
 
@@ -106,10 +131,10 @@ std::vector<TaskId> extract_critical_path(const TaskGraph& g,
   for (const TaskId t : g.entry_tasks()) {
     if (!levels.on_critical_path(t)) continue;
     const Cost v = best_exec[static_cast<std::size_t>(t)];
-    if (starts.empty() || time_lt(best_start, v)) {
+    if (starts.empty() || best_start < v) {
       starts.assign(1, t);
       best_start = v;
-    } else if (time_eq(v, best_start)) {
+    } else if (v == best_start) {
       starts.push_back(t);
     }
   }
@@ -118,23 +143,17 @@ std::vector<TaskId> extract_critical_path(const TaskGraph& g,
 
   std::vector<TaskId> path{cur};
   while (true) {
-    const auto ci = static_cast<std::size_t>(cur);
     std::vector<TaskId> nexts;
     Cost best_next = -1;
-    for (const EdgeId e : g.out_edges(cur)) {
-      const TaskId s = g.edge_dst(e);
-      const auto si = static_cast<std::size_t>(s);
-      const Cost via = exec_costs[ci] + comm_costs[static_cast<std::size_t>(e)] +
-                       levels.b_level[si];
-      if (!time_eq(via, levels.b_level[ci])) continue;
-      const Cost v = best_exec[si];
-      if (nexts.empty() || time_lt(best_next, v)) {
+    for_critical_successors(g, comm_costs, levels.b_level, cur, [&](TaskId s) {
+      const Cost v = best_exec[static_cast<std::size_t>(s)];
+      if (nexts.empty() || best_next < v) {
         nexts.assign(1, s);
         best_next = v;
-      } else if (time_eq(v, best_next)) {
+      } else if (v == best_next) {
         nexts.push_back(s);
       }
-    }
+    });
     if (nexts.empty()) break;
     cur = nexts[rng.index(nexts.size())];
     path.push_back(cur);

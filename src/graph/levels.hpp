@@ -15,8 +15,9 @@
 ///   with the task (including its own execution cost).
 /// * The *t-level* is the length of the longest path reaching the task
 ///   (excluding the task's own cost).
-/// * Every task on a critical path (CP) satisfies
-///   t-level + b-level == CP length.
+/// * A critical path (CP) starts at an entry task of the largest b-level
+///   and follows the argmax edges the b-levels took, compared exactly
+///   (t-level + b-level == CP length would add up two rounded sums).
 ///
 /// All functions take explicit per-task execution costs and per-edge
 /// communication costs so the same machinery serves both nominal analysis
@@ -30,12 +31,13 @@ namespace bsa::graph {
 struct LevelSets {
   std::vector<Cost> t_level;  ///< indexed by TaskId
   std::vector<Cost> b_level;  ///< indexed by TaskId
-  Cost cp_length = 0;         ///< max over tasks of (t_level + b_level)
+  Cost cp_length = 0;         ///< the largest b-level of an entry task
+  /// 1 for the tasks on *some* critical path, indexed by TaskId.
+  std::vector<unsigned char> critical;
 
   /// True when `t` lies on *some* critical path.
   [[nodiscard]] bool on_critical_path(TaskId t) const {
-    const auto i = static_cast<std::size_t>(t);
-    return time_eq(t_level[i] + b_level[i], cp_length);
+    return critical[static_cast<std::size_t>(t)] != 0;
   }
 };
 

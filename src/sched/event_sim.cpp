@@ -136,8 +136,8 @@ bool simulation_matches(const Schedule& s, const SimulationResult& result) {
   const auto& g = s.task_graph();
   for (TaskId t = 0; t < g.num_tasks(); ++t) {
     const auto ti = static_cast<std::size_t>(t);
-    if (!time_eq(result.task_start[ti], s.start_of(t))) return false;
-    if (!time_eq(result.task_finish[ti], s.finish_of(t))) return false;
+    if (result.task_start[ti] != s.start_of(t)) return false;
+    if (result.task_finish[ti] != s.finish_of(t)) return false;
   }
   return true;
 }

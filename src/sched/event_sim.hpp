@@ -37,8 +37,8 @@ struct SimulationResult {
 [[nodiscard]] SimulationResult simulate_execution(
     const Schedule& s, const net::HeterogeneousCostModel& costs);
 
-/// True when simulated times equal the schedule's recorded times (within
-/// the library time tolerance) for every task.
+/// True when simulated times equal the schedule's recorded times exactly
+/// for every task.
 [[nodiscard]] bool simulation_matches(const Schedule& s,
                                       const SimulationResult& result);
 

@@ -84,7 +84,7 @@ std::vector<Interval>& LinkProbe::overlay(LinkId l, LinkMark& mark) {
     busy.push_back(Interval{b.start, b.finish});
   }
   if (mark.state == LinkMark::State::kFirst) {
-    insert_interval(busy, mark.first, /*nest_short=*/true);
+    insert_interval(busy, mark.first);
   }
   mark.state = LinkMark::State::kOverlay;
   mark.slot = used_++;
@@ -111,8 +111,7 @@ Time LinkProbe::route(EdgeId e, std::span<const LinkId> links, Time ready,
       const Time tail = busy.empty() ? Time{0} : busy.back().finish;
       start =
           insertion_ ? earliest_fit(busy, ready, dur) : std::max(ready, tail);
-      insert_interval(busy, Interval{start, start + dur},
-                      /*nest_short=*/true);
+      insert_interval(busy, Interval{start, start + dur});
     }
     if (hops != nullptr) hops->push_back(Hop{l, start, start + dur});
     ready = start + dur;

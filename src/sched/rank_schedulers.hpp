@@ -62,8 +62,9 @@ struct OctTable {
 /// The result of every list scheduler (the loop here and DLS).
 struct RankScheduleResult {
   Schedule schedule;
-  /// The priority rank actually used (rank_u, rank_oct, b-level, DLS's
-  /// static level), by TaskId.
+  /// The priority rank actually used (rank_u and rank_oct times P·L —
+  /// the sums, so that equal means tie exactly —, b-level, DLS's static
+  /// level), by TaskId.
   std::vector<Cost> ranks;
   /// Tasks in the order they were placed.
   std::vector<TaskId> order;

@@ -190,30 +190,24 @@ Replayer::Replayer(const graph::TaskGraph& g, const net::Topology& topo,
       insertion_slots_(insertion_slots),
       work_(g, topo),
       timelines_(static_cast<std::size_t>(topo.num_processors() +
-                                          topo.num_links())),
-      latest_finish_(timelines_.size()) {}
+                                          topo.num_links())) {}
 
 Time Replayer::book(std::size_t resource, Time ready, Time duration) {
   std::vector<Interval>& busy = timelines_[resource];
-  Time& latest = latest_finish_[resource];
-  // Every interval finishes by r0 (durations are non-negative, the cost
-  // model's): the slot search would answer r0, and the insert would land
-  // at the end, clear of its predecessor. Under the append rule,
-  // max(ready, back().finish) is r0 as well.
+  // Every interval finishes by r0 (the last finishes last: the slot
+  // order): the slot search would answer r0, and the insert would land at
+  // the end. Under the append rule, max(ready, back().finish) is r0 as
+  // well.
   const Time r0 = std::max(ready, Time{0});
-  if (r0 >= latest) {
+  if (busy.empty() || busy.back().finish <= r0) {
     busy.push_back(Interval{r0, r0 + duration});
-    latest = r0 + duration;
     return r0;
   }
   // The slot rule of task_start/book_route, over the replay's own lists.
-  const Time start =
-      insertion_slots_
-          ? earliest_fit(busy, ready, duration)
-          : std::max(ready, busy.empty() ? Time{0} : busy.back().finish);
+  const Time start = insertion_slots_ ? earliest_fit(busy, ready, duration)
+                                      : busy.back().finish;
   // Inserted where place_task/append_hop would put it.
   insert_interval(busy, Interval{start, start + duration});
-  latest = std::max(latest, start + duration);
   return start;
 }
 
@@ -299,7 +293,6 @@ Time Replayer::measure(const Schedule& s) {
   }
 
   for (std::vector<Interval>& busy : timelines_) busy.clear();
-  std::fill(latest_finish_.begin(), latest_finish_.end(), Time{0});
   edge_ready_.resize(static_cast<std::size_t>(g.num_edges()));
   log_.clear();
   measured_ = true;
@@ -369,7 +362,7 @@ Time Replayer::measure(const Schedule& s) {
       const Time ready = edge_ready_[static_cast<std::size_t>(e)];
       const Time dur = costs.comm_cost(e, l);
       const Time st = book(num_procs + static_cast<std::size_t>(l), ready, dur);
-      BSA_ASSERT(time_le(ready, st),
+      BSA_ASSERT(ready <= st,
                  "route hops of message " << e << " not contiguous in time");
       log_.push_back(Booked{e, k, l, st, st + dur});
       edge_ready_[static_cast<std::size_t>(e)] = st + dur;

@@ -73,7 +73,7 @@ Time retime(Schedule& s, const net::HeterogeneousCostModel& costs);
 /// `measure` is a pure computation: it keeps one interval list per
 /// processor and link, sorted by (start, finish) (slot queries are
 /// sched::earliest_fit, each booking a binary-searched insert, or a push
-/// when it starts at or after the list's latest finish), the arrival time
+/// when it starts at or after the list's last finish), the arrival time
 /// of every message, and a log of the bookings in the order they were
 /// made. Items are taken in exactly the order of a min-heap on (priority,
 /// kind, id, hop) over the ready items: numbered in (kind, id, hop) order
@@ -149,10 +149,9 @@ class Replayer {
   /// min-heap.
   std::vector<int> behind_;
   // The measured replay: per-resource timelines (processors, then
-  // links) and their latest finish, each message's arrival so far (by
-  // EdgeId), and the bookings in the order they were made.
+  // links), each message's arrival so far (by EdgeId), and the bookings
+  // in the order they were made.
   std::vector<std::vector<Interval>> timelines_;
-  std::vector<Time> latest_finish_;
   std::vector<Time> edge_ready_;
   std::vector<Booked> log_;
 

@@ -28,7 +28,7 @@ SaResult anneal_schedule(const Schedule& init,
   core::MoveEngine engine(cur, costs);
   Time cur_len = cur.makespan();
   Time best_len = result.final_length;
-  if (time_lt(cur_len, best_len)) {
+  if (cur_len < best_len) {
     result.schedule = cur;
     best_len = cur_len;
     ++result.best_updates;
@@ -49,7 +49,7 @@ SaResult anneal_schedule(const Schedule& init,
     // The measured move is kept as it stands, or discarded.
     const Time len = engine.propose(t, p);
     const double delta = static_cast<double>(len - cur_len);
-    bool accept = time_le(len, cur_len);
+    bool accept = len <= cur_len;
     bool worse = false;
     if (!accept) {
       const double temp = t0 * std::pow(1e-3, static_cast<double>(k) / steps);
@@ -65,7 +65,7 @@ SaResult anneal_schedule(const Schedule& init,
     cur_len = cur.makespan();
     ++result.accepted;
     result.accepted_worse += worse;
-    if (time_lt(cur_len, best_len)) {
+    if (cur_len < best_len) {
       result.schedule = cur;
       best_len = cur_len;
       ++result.best_updates;

@@ -266,8 +266,8 @@ void Schedule::place_task(TaskId t, ProcId p, Time start, Time finish) {
   check_proc(p);
   auto& pl = placements_[static_cast<std::size_t>(t)];
   BSA_REQUIRE(pl.proc == kInvalidProc, "task " << t << " already placed");
-  BSA_REQUIRE(time_le(start, finish), "task " << t << " start " << start
-                                              << " after finish " << finish);
+  BSA_REQUIRE(start <= finish, "task " << t << " start " << start
+                                     << " after finish " << finish);
   pl = Placement{p, start, finish};
   // After every task that is not greater in (start, finish) order.
   auto& order = proc_tasks_[static_cast<std::size_t>(p)];
@@ -310,8 +310,8 @@ void Schedule::set_task_times(TaskId t, Time start, Time finish) {
   check_task(t);
   auto& pl = placements_[static_cast<std::size_t>(t)];
   BSA_REQUIRE(pl.proc != kInvalidProc, "task " << t << " is not placed");
-  BSA_REQUIRE(time_le(start, finish), "task " << t << " start " << start
-                                              << " after finish " << finish);
+  BSA_REQUIRE(start <= finish, "task " << t << " start " << start
+                                     << " after finish " << finish);
   if (txn_ != nullptr) {
     txn_->records_.push_back({Transaction::Op::kSetTaskTimes, t, pl.proc, 0, 0,
                               pl.start, pl.finish});
@@ -357,10 +357,10 @@ void Schedule::set_route(EdgeId e, std::vector<Hop> hops) {
 void Schedule::append_hop(EdgeId e, const Hop& hop) {
   check_edge(e);
   check_link(hop.link);
-  BSA_REQUIRE(time_le(hop.start, hop.finish), "hop with negative duration");
+  BSA_REQUIRE(hop.start <= hop.finish, "hop with negative duration");
   auto& route = routes_[static_cast<std::size_t>(e)];
   if (!route.empty()) {
-    BSA_REQUIRE(time_le(route.back().finish, hop.start),
+    BSA_REQUIRE(route.back().finish <= hop.start,
                 "route hops of message " << e << " not contiguous in time");
   }
   // Validate the booking before mutating anything (strong exception
@@ -375,11 +375,11 @@ void Schedule::append_hop(EdgeId e, const Hop& hop) {
       });
   // Exclusivity: reject overlap with either neighbour.
   if (pos != bookings.end()) {
-    BSA_ASSERT(time_le(nb.finish, pos->start),
+    BSA_ASSERT(nb.finish <= pos->start,
                "hop overlap on link " << hop.link << " (successor)");
   }
   if (pos != bookings.begin()) {
-    BSA_ASSERT(time_le((pos - 1)->finish, nb.start),
+    BSA_ASSERT((pos - 1)->finish <= nb.start,
                "hop overlap on link " << hop.link << " (predecessor)");
   }
   if (txn_ != nullptr) {
@@ -436,7 +436,7 @@ void Schedule::set_hop_times(EdgeId e, int hop_index, Time start, Time finish,
   BSA_REQUIRE(hop_index >= 0 &&
                   static_cast<std::size_t>(hop_index) < route.size(),
               "hop index " << hop_index << " out of range for message " << e);
-  BSA_REQUIRE(time_le(start, finish), "hop with negative duration");
+  BSA_REQUIRE(start <= finish, "hop with negative duration");
   auto& hop = route[static_cast<std::size_t>(hop_index)];
   auto& bookings = link_bookings_[static_cast<std::size_t>(hop.link)];
   BSA_REQUIRE(booking_pos < bookings.size() &&

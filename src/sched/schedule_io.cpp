@@ -15,9 +15,14 @@
 namespace bsa::sched {
 
 char* format_time(char* first, char* last, Time t) {
-  // The standard defines to_chars' general format at precision 6 as
-  // printf's %.6g, which is also what `os << t` writes.
-  return std::to_chars(first, last, t, std::chars_format::general, 6).ptr;
+  // printf's %.6g (to_chars' general format at precision 6, and what
+  // `os << t` writes) where it reads back to `t`, so exact text keeps its
+  // bytes; else the shortest form that reads back.
+  char* const end =
+      std::to_chars(first, last, t, std::chars_format::general, 6).ptr;
+  Time back = 0;
+  if (std::from_chars(first, end, back).ptr == end && back == t) return end;
+  return std::to_chars(first, last, t).ptr;
 }
 
 namespace {
@@ -26,8 +31,9 @@ namespace {
 void append_line(std::string& out, std::string_view directive, std::int32_t id,
                  std::int32_t where, Time start, Time finish) {
   // Longest line: a 4-letter directive, two 11-character ids and two
-  // 13-character times ("-1.79769e+308"), with 4 spaces and a newline.
-  char buf[64];
+  // 24-character times ("-2.2250738585072014e-308"), with 4 spaces and a
+  // newline.
+  char buf[96];
   char* const last = buf + sizeof buf;
   char* p = std::copy(directive.begin(), directive.end(), buf);
   *p++ = ' ';

@@ -18,8 +18,9 @@
 ///
 /// Ids are 0-based and refer to the TaskGraph/Topology the schedule was
 /// built against; read_schedule_text rebuilds a Schedule over the same
-/// graph and topology. Times print with six significant digits (printf's
-/// %.6g, see format_time).
+/// graph and topology. Times print exactly: printf's %.6g where that
+/// reads back to the same time, else the shortest form that does (see
+/// format_time).
 
 namespace bsa::sched {
 
@@ -30,7 +31,8 @@ void write_schedule_text(std::ostream& os, const Schedule& s);
 
 /// Write `t` to [first, last) as the text format prints times, and return
 /// the end: the bytes `os << t` writes under default stream flags
-/// (printf's %.6g). 16 bytes always suffice.
+/// (printf's %.6g) when they read back to `t`, else the shortest text that
+/// does (e.g. 1095999.5 where %.6g writes 1.096e+06). 24 bytes suffice.
 char* format_time(char* first, char* last, Time t);
 
 /// Parse the native text format into a schedule over `g` and `topo`.

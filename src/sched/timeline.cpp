@@ -6,23 +6,16 @@
 
 namespace bsa::sched {
 
-void insert_interval(std::vector<Interval>& busy, const Interval& iv,
-                     bool nest_short) {
-  // Whether `a`, sorted before `b`, and `b` overlap.
-  const auto overlap = [nest_short](const Interval& a, const Interval& b) {
-    return nest_short
-               ? time_lt(b.start, std::min(a.finish, b.finish))
-               : !time_le(a.finish, b.start);
-  };
+void insert_interval(std::vector<Interval>& busy, const Interval& iv) {
   const auto pos =
       std::upper_bound(busy.begin(), busy.end(), iv, interval_less);
   if (pos != busy.end()) {
-    BSA_ASSERT(!overlap(iv, *pos), "interval [" << iv.start << ","
-                                                << iv.finish
-                                                << ") overlaps successor");
+    BSA_ASSERT(iv.finish <= pos->start,
+               "interval [" << iv.start << "," << iv.finish
+                            << ") overlaps successor");
   }
   if (pos != busy.begin()) {
-    BSA_ASSERT(!overlap(*(pos - 1), iv),
+    BSA_ASSERT((pos - 1)->finish <= iv.start,
                "interval [" << iv.start << "," << iv.finish
                             << ") overlaps predecessor");
   }

@@ -32,14 +32,15 @@ ValidationReport validate(const Schedule& s,
       continue;
     }
     const ProcId p = s.proc_of(t);
-    const Time expect = costs.exec_cost(t, p);
-    if (!time_eq(s.finish_of(t) - s.start_of(t), expect)) {
+    const Time cost = costs.exec_cost(t, p);
+    if (s.start_of(t) + cost != s.finish_of(t)) {
       std::ostringstream os;
-      os << "task " << t << " duration " << (s.finish_of(t) - s.start_of(t))
-         << " != actual cost " << expect << " on P" << p;
+      os << "task " << t << " duration: finish " << s.finish_of(t)
+         << " != start " << s.start_of(t) << " + actual cost " << cost
+         << " on P" << p;
       issue(os.str());
     }
-    if (s.start_of(t) < -kTimeEpsilon) {
+    if (s.start_of(t) < 0) {
       issue("task " + std::to_string(t) + " starts before time 0");
     }
   }
@@ -50,7 +51,7 @@ ValidationReport validate(const Schedule& s,
     for (std::size_t i = 0; i + 1 < order.size(); ++i) {
       const TaskId a = order[i];
       const TaskId b = order[i + 1];
-      if (time_lt(s.start_of(b), s.finish_of(a))) {
+      if (s.start_of(b) < s.finish_of(a)) {
         std::ostringstream os;
         os << "tasks " << a << " and " << b << " overlap on P" << p << " (["
            << s.start_of(a) << "," << s.finish_of(a) << ") vs ["
@@ -73,7 +74,7 @@ ValidationReport validate(const Schedule& s,
         issue("message " + std::to_string(e) +
               " routed although endpoints are co-located");
       }
-      if (time_lt(s.start_of(dst), s.finish_of(src))) {
+      if (s.start_of(dst) < s.finish_of(src)) {
         std::ostringstream os;
         os << "precedence violated: task " << dst << " starts "
            << s.start_of(dst) << " before predecessor " << src << " finishes "
@@ -118,23 +119,23 @@ ValidationReport validate(const Schedule& s,
     Time prev_finish = s.finish_of(src);
     for (std::size_t i = 0; i < route.size(); ++i) {
       const Hop& h = route[i];
-      if (time_lt(h.start, prev_finish)) {
+      if (h.start < prev_finish) {
         std::ostringstream os;
         os << "message " << e << " hop " << i << " starts " << h.start
            << " before its data is available at " << prev_finish;
         issue(os.str());
       }
-      const Time expect = costs.comm_cost(e, h.link);
-      if (!time_eq(h.finish - h.start, expect)) {
+      const Time cost = costs.comm_cost(e, h.link);
+      if (h.start + cost != h.finish) {
         std::ostringstream os;
-        os << "message " << e << " hop " << i << " duration "
-           << (h.finish - h.start) << " != actual comm cost " << expect
-           << " on link " << h.link;
+        os << "message " << e << " hop " << i << " duration: finish "
+           << h.finish << " != start " << h.start << " + actual comm cost "
+           << cost << " on link " << h.link;
         issue(os.str());
       }
       prev_finish = h.finish;
     }
-    if (time_lt(s.start_of(dst), prev_finish)) {
+    if (s.start_of(dst) < prev_finish) {
       std::ostringstream os;
       os << "task " << dst << " starts " << s.start_of(dst)
          << " before message " << e << " arrives at " << prev_finish;
@@ -148,7 +149,7 @@ ValidationReport validate(const Schedule& s,
     const auto& bookings = s.bookings_on(l);
     booked_hops += bookings.size();
     for (std::size_t i = 0; i + 1 < bookings.size(); ++i) {
-      if (time_lt(bookings[i + 1].start, bookings[i].finish)) {
+      if (bookings[i + 1].start < bookings[i].finish) {
         std::ostringstream os;
         os << "link " << l << " contention: message " << bookings[i].edge
            << " hop " << bookings[i].hop_index << " overlaps message "
@@ -165,8 +166,7 @@ ValidationReport validate(const Schedule& s,
         continue;
       }
       const Hop& h = route[static_cast<std::size_t>(b.hop_index)];
-      if (h.link != l || !time_eq(h.start, b.start) ||
-          !time_eq(h.finish, b.finish)) {
+      if (h.link != l || h.start != b.start || h.finish != b.finish) {
         issue("booking disagrees with route of message " +
               std::to_string(b.edge));
       }

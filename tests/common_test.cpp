@@ -15,23 +15,36 @@ namespace {
 
 // --- time comparisons -------------------------------------------------------
 
-TEST(TimeCompare, EqualWithinTolerance) {
-  EXPECT_TRUE(time_eq(1.0, 1.0));
-  EXPECT_TRUE(time_eq(1.0, 1.0 + 0.5 * kTimeEpsilon));
-  EXPECT_FALSE(time_eq(1.0, 1.1));
+TEST(TimeCompare, EqualIsExact) {
+  EXPECT_TRUE(Time{1} == Time{1});
+  // A difference far below any cost is still a different time.
+  EXPECT_FALSE(Time{1} == 1.0 + 5e-10);
+  EXPECT_FALSE(Time{1} == 1.1);
 }
 
-TEST(TimeCompare, StrictLess) {
-  EXPECT_TRUE(time_lt(1.0, 2.0));
-  EXPECT_FALSE(time_lt(1.0, 1.0));
-  EXPECT_FALSE(time_lt(2.0, 1.0));
-  EXPECT_FALSE(time_lt(1.0, 1.0 + 0.5 * kTimeEpsilon));
+TEST(TimeCompare, StrictLessIsExact) {
+  EXPECT_TRUE(Time{1} < Time{2});
+  EXPECT_FALSE(Time{1} < Time{1});
+  EXPECT_FALSE(Time{2} < Time{1});
+  EXPECT_TRUE(Time{1} < 1.0 + 5e-10);
 }
 
 TEST(TimeCompare, LessOrEqual) {
-  EXPECT_TRUE(time_le(1.0, 1.0));
-  EXPECT_TRUE(time_le(1.0, 2.0));
-  EXPECT_FALSE(time_le(2.0, 1.0));
+  EXPECT_TRUE(Time{1} <= Time{1});
+  EXPECT_TRUE(Time{1} <= Time{2});
+  EXPECT_FALSE(Time{2} <= Time{1});
+}
+
+TEST(TimeCompare, FinishIsRecomputedNotRecovered) {
+  // The model's integral sums are exact in any order.
+  EXPECT_EQ((Time{107} + 1e6) + 93, Time{107} + (1e6 + 93));
+  // A fractional finish is exact only as the sum that made it: taking the
+  // start back off rounds, so checks recompute start + cost.
+  const Time start = 0.1;
+  const Time cost = 0.2;
+  const Time finish = start + cost;
+  EXPECT_EQ(start + cost, finish);
+  EXPECT_NE(finish - start, cost);
 }
 
 // --- check macros -----------------------------------------------------------

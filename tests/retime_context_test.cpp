@@ -901,7 +901,6 @@ TEST(Replayer, MatchesReferenceReplayOnAdversarialSchedules) {
   // modes.
   struct Tally {
     int cases = 0, late = 0, collapsed = 0, zero_cost = 0, throws = 0;
-    int skipped = 0;
   } tally;
   const auto check = [&](const Schedule& s,
                          const net::HeterogeneousCostModel& cm,
@@ -928,11 +927,22 @@ TEST(Replayer, MatchesReferenceReplayOnAdversarialSchedules) {
     }
   };
 
+  // Where both slot modes land task `t` in a replay of `s`.
+  const auto replayed_starts = [](const Schedule& s,
+                                  const net::HeterogeneousCostModel& cm,
+                                  TaskId t) {
+    std::vector<Time> starts;
+    for (const bool insertion : {true, false}) {
+      Schedule copy = s;
+      (void)testing::reference_replay(copy, cm, insertion);
+      starts.push_back(copy.start_of(t));
+    }
+    return starts;
+  };
   {
-    // Throws under the slot rule: L sits on P1 from 0.3; the zero-length
-    // Z, ready at 0.1 + 0.2 (just above 0.3), fits "before" L within the
-    // tolerance and sorts after it, nested, which the neighbour rule
-    // rejects.
+    // L sits on P1 from 0.3; the zero-length Z is ready at 0.1 + 0.2,
+    // just above 0.3. It does not fit before L, however short the
+    // distance, so it waits for L's finish instead of nesting in L.
     graph::TaskGraphBuilder b;
     const TaskId a = b.add_task(0.3);
     const TaskId l = b.add_task(1);
@@ -953,15 +963,14 @@ TEST(Replayer, MatchesReferenceReplayOnAdversarialSchedules) {
     s.place_task(t2, 2, 0.1, 0.1 + 0.2);
     s.append_hop(t2z, Hop{topo.link_between(2, 1), 0.1 + 0.2, 0.1 + 0.2});
     s.place_task(z, 1, 2, 2);
-    check(s, cm, "nested zero-length");
-    ASSERT_EQ(tally.throws, 1);
+    check(s, cm, "zero-length just after a start");
+    EXPECT_EQ(replayed_starts(s, cm, z), (std::vector<Time>{1.3, 1.3}));
   }
   {
-    // A list whose finishes decrease: P0 books z = [5, 5 + 5e-10), then
-    // the zero-length x ready at 5 + 2e-10 fits "before" z within the
-    // tolerance and sorts after it. w, ready at 5 + 3e-10, starts at or
-    // after x's finish but not after z's: the slot search must still
-    // place it behind z.
+    // Finishes that would decrease under a tolerance: P0 books
+    // z = [5, 5 + 5e-10); the zero-length x, ready at 5 + 2e-10, does not
+    // fit before z and lands on its finish, and w, ready at 5 + 3e-10,
+    // lands behind both. The finishes stay sorted.
     graph::TaskGraphBuilder b;
     const TaskId s1 = b.add_task(5);
     const TaskId s2 = b.add_task(5 + 2e-10);
@@ -988,8 +997,12 @@ TEST(Replayer, MatchesReferenceReplayOnAdversarialSchedules) {
     s.place_task(z, 0, 10, 10);
     s.place_task(x, 0, 11, 11);
     s.place_task(w, 0, 12, 13);
-    check(s, cm, "decreasing finishes");
-    ASSERT_EQ(tally.throws, 1);
+    check(s, cm, "sorted finishes");
+    const Time z_finish = Time{5} + 5e-10;
+    EXPECT_EQ(replayed_starts(s, cm, x),
+              (std::vector<Time>{z_finish, z_finish}));
+    EXPECT_EQ(replayed_starts(s, cm, w),
+              (std::vector<Time>{z_finish, z_finish}));
   }
 
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
@@ -1009,18 +1022,10 @@ TEST(Replayer, MatchesReferenceReplayOnAdversarialSchedules) {
       const net::RoutingTable table(topo);
       Rng rng(derive_seed(seed, gi));
       for (const char* spec : {"heft", "bsa", "dls"}) {
-        Schedule base(g, topo);
-        try {
-          base = sched::SchedulerRegistry::global()
-                     .resolve(spec)
-                     ->run(g, topo, cm, seed)
-                     .schedule;
-        } catch (const InvariantError&) {
-          // The list schedules' own tolerance failure on one-decimal
-          // zero-cost graphs (ROADMAP's unit-free-time item).
-          ++tally.skipped;
-          continue;
-        }
+        const Schedule base = sched::SchedulerRegistry::global()
+                                  .resolve(spec)
+                                  ->run(g, topo, cm, seed)
+                                  .schedule;
         for (int variant = 0; variant < 3; ++variant) {
           Schedule s = base;
           if (variant > 0) {
@@ -1052,7 +1057,7 @@ TEST(Replayer, MatchesReferenceReplayOnAdversarialSchedules) {
   EXPECT_GT(tally.collapsed, 20);
   EXPECT_GT(tally.zero_cost, 20);
   EXPECT_GT(tally.cases, 200);
-  EXPECT_LT(tally.skipped, 4);
+  EXPECT_EQ(tally.throws, 0);
 }
 
 // --- refine on the context ----------------------------------------------------

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 #include <vector>
 
@@ -64,29 +65,35 @@ TEST(EarliestFit, AppendsAfterLast) {
 }
 
 TEST(EarliestFit, ZeroLengthIntervalAfterAnOverrun) {
-  // 0.1 + 0.2 rounds to just above 0.3: the first interval overruns the
-  // zero-length one at 0.3 by under the tolerance, so finishes decrease.
-  // The scan passes the overrun and answers its finish, not 0.3.
-  const std::vector<Interval> busy{{0.1, 0.1 + 0.2}, {0.3, 0.3}};
-  ASSERT_GT(busy[0].finish, busy[1].finish);
+  // 0.1 + 0.2 rounds to just above 0.3, so [0.1, 0.1 + 0.2) overruns
+  // 0.3. A request ready at 0.3 waits for that finish, and a zero-length
+  // one lands on it, after the overrun: the finishes stay sorted.
+  std::vector<Interval> busy{{0.1, 0.1 + 0.2}};
+  ASSERT_GT(busy[0].finish, 0.3);
   EXPECT_EQ(earliest_fit(busy, 0.3, 0), 0.1 + 0.2);
   EXPECT_EQ(earliest_fit(busy, 0.3, 1), 0.1 + 0.2);
   EXPECT_EQ(earliest_fit(busy, 0.5, 0), 0.5);
+  insert_interval(busy, {0.1 + 0.2, 0.1 + 0.2});
+  EXPECT_TRUE(testing::meets_slot_precondition(busy));
+  // A zero-length interval at 0.3 itself would sit inside the overrun.
+  EXPECT_THROW(insert_interval(busy, {0.3, 0.3}), InvariantError);
 }
 
-TEST(EarliestFit, NestedZeroLengthInterval) {
-  // A zero-length request ready just after 5 fits "before" [5, 100)
-  // within the tolerance; it sorts after it, nested.
+TEST(EarliestFit, ZeroLengthRequestInsideAnInterval) {
+  // A zero-length request ready just after 5 does not fit before
+  // [5, 100), however short the distance: it lands on the finish, so no
+  // interval nests inside another. At 5 itself it fits before.
   std::vector<Interval> busy{{5, 100}};
-  const Time ready = 5 + 0.5 * kTimeEpsilon;
-  ASSERT_EQ(earliest_fit(busy, ready, 0), ready);
-  insert_interval(busy, {ready, ready}, /*nest_short=*/true);
-  // Later requests still wait for [5, 100), whose finish the nested
-  // interval hides from a search that skips by start alone.
+  const Time ready = 5 + 5e-10;
+  EXPECT_EQ(earliest_fit(busy, ready, 0), 100);
+  ASSERT_EQ(earliest_fit(busy, 5, 0), 5);
+  insert_interval(busy, {5, 5});
+  EXPECT_TRUE(testing::meets_slot_precondition(busy));
   EXPECT_EQ(earliest_fit(busy, 6, 0), 100);
   EXPECT_EQ(earliest_fit(busy, 6, 1), 100);
   EXPECT_EQ(earliest_fit(busy, 0, 5), 0);
   EXPECT_EQ(earliest_fit(busy, 0, 6), 100);
+  EXPECT_THROW(insert_interval(busy, {ready, ready}), InvariantError);
 }
 
 TEST(InsertInterval, KeepsSortedOrder) {
@@ -114,33 +121,32 @@ TEST(InsertInterval, RejectsOverlap) {
   std::vector<Interval> busy{{0, 10}, {30, 40}};
   EXPECT_THROW(insert_interval(busy, {5, 12}), InvariantError);
   EXPECT_THROW(insert_interval(busy, {25, 31}), InvariantError);
-  EXPECT_THROW(insert_interval(busy, {5, 12}, /*nest_short=*/true),
-               InvariantError);
-  // A zero-length interval inside another overlaps it, unless short
-  // intervals may nest.
+  // A zero-length interval inside another overlaps it.
   EXPECT_THROW(insert_interval(busy, {5, 5}), InvariantError);
-  EXPECT_NO_THROW(insert_interval(busy, {5, 5}, /*nest_short=*/true));
-  // Touching is allowed, and so is an overrun within the tolerance.
+  // Touching is allowed; an overrun is not, however small.
   EXPECT_NO_THROW(insert_interval(busy, {10, 30}));
   EXPECT_NO_THROW(insert_interval(busy, {40, 41}));
-  EXPECT_NO_THROW(insert_interval(busy, {41 - 0.5 * kTimeEpsilon, 42}));
-  EXPECT_EQ(busy.size(), 6u);
+  EXPECT_THROW(insert_interval(busy, {41 - 5e-10, 42}), InvariantError);
+  EXPECT_NO_THROW(insert_interval(busy, {41, 42}));
+  EXPECT_EQ(busy.size(), 5u);
 }
 
 TEST(SlotPrecondition, DetectsProblems) {
   using testing::meets_slot_precondition;
   using V = std::vector<Interval>;
-  const Time nest = 5 + 0.5 * kTimeEpsilon;
   EXPECT_TRUE(meets_slot_precondition(V{}));
   EXPECT_TRUE(meets_slot_precondition(V{{0, 1}, {1, 2}}));
-  EXPECT_TRUE(meets_slot_precondition(V{{0.1, 0.1 + 0.2}, {0.3, 0.3}}));
-  EXPECT_TRUE(meets_slot_precondition(V{{5, 100}, {nest, nest}, {100, 101}}));
+  EXPECT_TRUE(meets_slot_precondition(V{{0, 0}, {0, 5}, {5, 5}, {5, 6}}));
+  EXPECT_TRUE(meets_slot_precondition(V{{0.1, 0.1 + 0.2}, {0.1 + 0.2, 1}}));
+  // An overrun by one rounding step, and a zero-length interval nested
+  // just after the start of another, both overlap.
+  EXPECT_FALSE(meets_slot_precondition(V{{0.1, 0.1 + 0.2}, {0.3, 0.3}}));
+  EXPECT_FALSE(meets_slot_precondition(V{{5, 100}, {5 + 5e-10, 5 + 5e-10}}));
   EXPECT_FALSE(meets_slot_precondition(V{{1, 2}, {0, 1}}));
   EXPECT_FALSE(meets_slot_precondition(V{{0, 5}, {4, 6}}));
   EXPECT_FALSE(meets_slot_precondition(V{{0, 5}, {0, 4}}));
   EXPECT_FALSE(meets_slot_precondition(V{{0, 5}, {2, 2}}));
-  // Not only neighbours: [50, 60) starts inside [5, 100).
-  EXPECT_FALSE(meets_slot_precondition(V{{5, 100}, {nest, nest}, {50, 60}}));
+  EXPECT_FALSE(meets_slot_precondition(V{{0, 1}, {3, 2}}));
 }
 
 // --- earliest_fit against the plain scan ------------------------------------
@@ -150,7 +156,7 @@ TEST(SlotPrecondition, DetectsProblems) {
 Time plain_scan(const std::vector<Interval>& busy, Time ready, Time duration) {
   Time candidate = std::max(ready, Time{0});
   for (const Interval& iv : busy) {
-    if (time_le(candidate + duration, iv.start)) break;
+    if (candidate + duration <= iv.start) break;
     candidate = std::max(candidate, iv.finish);
   }
   return candidate;
@@ -158,9 +164,9 @@ Time plain_scan(const std::vector<Interval>& busy, Time ready, Time duration) {
 
 /// A candidate interval for a grown list: at the tail, inside an
 /// interior gap, zero-length on a boundary (ties), a duplicate of an
-/// existing interval, or one that overruns a gap by less than the time
-/// tolerance. Some candidates break the slot order (overlap, or nest
-/// where no search answer would); the test drops those.
+/// existing interval, or one that fills a gap exactly or overruns it by
+/// one rounding step. Some candidates break the slot order (overlap);
+/// the test drops those.
 Interval random_candidate(Rng& rng, const std::vector<Interval>& busy) {
   const auto pick = [&]() -> const Interval& {
     return busy[rng.index(busy.size())];
@@ -192,10 +198,13 @@ Interval random_candidate(Rng& rng, const std::vector<Interval>& busy) {
     }
     case 3:  // an equal (start, finish) tie
       return pick();
-    case 4: {  // overruns the gap before an interval by under the tolerance
+    case 4: {  // fills the gap before an interval, or overruns it by an ulp
       const std::size_t j = rng.index(busy.size());
       const Time open = j == 0 ? 0 : busy[j - 1].finish;
-      return {open, std::max(open, busy[j].start + 0.5 * kTimeEpsilon)};
+      const Time end = rng.bernoulli(0.5)
+                           ? busy[j].start
+                           : std::nextafter(busy[j].start, kInfiniteTime);
+      return {open, std::max(open, end)};
     }
     default: {  // anywhere: may overlap
       const Time start = rng.uniform_real(0.0, tail + 2);
@@ -227,8 +236,8 @@ Time random_ready(Rng& rng, const std::vector<Interval>& busy) {
   }
 }
 
-/// A duration: anything, zero, or within a few tolerances of the
-/// capacity of the gap before a random interval.
+/// A duration: anything, zero, or the capacity of the gap before a
+/// random interval, give or take one rounding step.
 Time random_duration(Rng& rng, const std::vector<Interval>& busy) {
   switch (busy.empty() ? 0 : rng.index(3)) {
     case 0:
@@ -238,20 +247,31 @@ Time random_duration(Rng& rng, const std::vector<Interval>& busy) {
     default: {
       const std::size_t j = rng.index(busy.size());
       const Time open = j == 0 ? 0 : busy[j - 1].finish;
-      return std::max(Time{0}, busy[j].start - open +
-                                   kTimeEpsilon * rng.uniform_real(-3, 3));
+      const Time capacity = std::max(Time{0}, busy[j].start - open);
+      switch (rng.index(3)) {
+        case 0:
+          return capacity;
+        case 1:
+          return std::nextafter(capacity, Time{0});
+        default:
+          return std::nextafter(capacity, kInfiniteTime);
+      }
     }
   }
 }
 
 /// A request as schedulers make them: a ready time as random_ready's,
-/// sometimes off by under the tolerance (sums rounded differently), and
-/// a duration as random_duration's or under the tolerance (zero costs).
+/// sometimes one rounding step off (sums rounded differently), and a
+/// duration as random_duration's or tiny (near-zero costs, which a large
+/// start may absorb).
 std::pair<Time, Time> random_request(Rng& rng,
                                      const std::vector<Interval>& busy) {
   Time ready = random_ready(rng, busy);
-  if (rng.bernoulli(0.3)) ready += kTimeEpsilon * rng.uniform_real(-1, 1);
-  const Time dur = rng.bernoulli(0.25) ? kTimeEpsilon * rng.uniform_real(0, 1)
+  if (rng.bernoulli(0.3)) {
+    ready = std::nextafter(ready, rng.bernoulli(0.5) ? -kInfiniteTime
+                                                     : kInfiniteTime);
+  }
+  const Time dur = rng.bernoulli(0.25) ? rng.uniform_real(0.0, 1e-9)
                                        : random_duration(rng, busy);
   return {ready, dur};
 }
@@ -261,9 +281,8 @@ std::pair<Time, Time> random_request(Rng& rng,
 /// Schedule's processor order holding the same intervals (place_task
 /// keeps the list's order). Lists grow left to right, from the random
 /// candidates above that keep the slot order, or from the scan's own
-/// answers to random requests (as schedulers build them, nesting
-/// short intervals; each answer must keep the slot order), and lose a
-/// random interval now and then.
+/// answers to random requests (as schedulers build them; each answer
+/// must keep the slot order), and lose a random interval now and then.
 TEST(EarliestFit, MatchesThePlainScanOnRandomTimelines) {
   constexpr int kSteps = 150;
   graph::TaskGraphBuilder b;
@@ -274,7 +293,7 @@ TEST(EarliestFit, MatchesThePlainScanOnRandomTimelines) {
   int queries = 0;
   int refused = 0;     // candidates dropped for breaking the slot order
   int decreasing = 0;  // lists whose finishes decrease somewhere
-  int nested = 0;      // lists with an interval nested in its predecessor
+  int zero_ties = 0;   // lists with a zero-length interval on a boundary
   for (int round = 0; round < 240; ++round) {
     std::vector<Interval> busy;
     std::vector<TaskId> ids;  // busy[i] is task ids[i] of `s`
@@ -326,8 +345,9 @@ TEST(EarliestFit, MatchesThePlainScanOnRandomTimelines) {
       decreasing += adjacent([](const Interval& x, const Interval& y) {
         return y.finish < x.finish;
       });
-      nested += adjacent([](const Interval& x, const Interval& y) {
-        return !time_le(x.finish, y.start);
+      zero_ties += adjacent([](const Interval& x, const Interval& y) {
+        return x.finish == y.start &&
+               (x.start == x.finish || y.start == y.finish);
       });
       for (int q = 0; q < 6; ++q) {
         const auto [ready, dur] = random_request(rng, busy);
@@ -343,8 +363,9 @@ TEST(EarliestFit, MatchesThePlainScanOnRandomTimelines) {
   }
   EXPECT_GT(queries, 100000);
   EXPECT_GT(refused, 1000);
-  EXPECT_GT(decreasing, 1000);
-  EXPECT_GT(nested, 1000);
+  // The slot order sorts the finishes too.
+  EXPECT_EQ(decreasing, 0);
+  EXPECT_GT(zero_ties, 1000);
 }
 
 // --- Schedule-level insertion edge cases ------------------------------------

@@ -41,7 +41,7 @@ bool corrupt(Corruption kind, const graph::TaskGraph& g,
         for (const EdgeId e : g.in_edges(t)) {
           drt = std::max(drt, s.arrival_of(e));
         }
-        if (!time_eq(s.start_of(t), drt)) continue;
+        if (s.start_of(t) != drt) continue;
         s.set_task_times(t, s.start_of(t) - 1, s.finish_of(t) - 1);
         return true;
       }
@@ -53,7 +53,7 @@ bool corrupt(Corruption kind, const graph::TaskGraph& g,
         for (std::size_t i = 0; i + 1 < order.size(); ++i) {
           const TaskId a = order[i];
           const TaskId b = order[i + 1];
-          if (time_eq(s.finish_of(a), s.start_of(b))) {
+          if (s.finish_of(a) == s.start_of(b)) {
             s.set_task_times(a, s.start_of(a) + 1, s.finish_of(a) + 1);
             return true;
           }
@@ -73,7 +73,7 @@ bool corrupt(Corruption kind, const graph::TaskGraph& g,
         if (route.empty()) continue;
         const Hop& h = route[0];
         // Breaking requires start == source finish (data availability).
-        if (!time_eq(h.start, s.finish_of(g.edge_src(e)))) continue;
+        if (h.start != s.finish_of(g.edge_src(e))) continue;
         if (h.start <= 0.5) continue;
         s.set_hop_times(e, 0, h.start - 1, h.finish - 1);
         return true;
