@@ -23,9 +23,10 @@
 ///        an invalid schedule and writes no report file),
 ///        --help (lists the flags). Any other flag is an error.
 ///
-/// BSA's engine equivalences (incremental re-timing vs the full rebuild,
-/// transactional rollback vs the pre-migration schedule) are checked by
-/// the test oracle behind core::BsaOptions::validate_each_step, not here.
+/// The move engine's equivalences (incremental re-timing vs the full
+/// rebuild, transactional rollback vs the pre-move schedule) are checked
+/// in the tests, by the core::MoveEngine::Observer they install
+/// (tests/bsa_oracle.hpp), not here.
 ///
 /// BENCH_runtime.json entries carry p50/p99 wall-time percentiles next
 /// to the historical means, plus each cell's summed deterministic

@@ -4,7 +4,6 @@
 #include <bit>
 #include <limits>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "common/check.hpp"
@@ -13,9 +12,6 @@
 #include "obs/decision_log.hpp"
 #include "obs/trace.hpp"
 #include "sched/link_probe.hpp"
-#include "sched/retime.hpp"
-#include "sched/schedule_io.hpp"
-#include "sched/validate.hpp"
 
 namespace bsa::core {
 namespace {
@@ -382,24 +378,17 @@ class BsaRunner {
     // undone in O(touched) on reject.
     const bool guarded = opt_.policy == MigrationPolicy::kMakespanGuarded;
     const Time makespan_before = guarded ? sched_.makespan() : Time{0};
-    const std::string text_before = opt_.validate_each_step && guarded
-                                        ? sched::schedule_to_text(sched_)
-                                        : std::string{};
 
     engine_.begin(t, guarded);
     apply_migration_mutations(t, a.pivot, py);
-    std::optional<Schedule> oracle;
-    if (opt_.validate_each_step) oracle.emplace(sched_);
 
     // Bubble up: earliest times under the new orders; replay on the rare
     // order cycle introduced by re-issued outgoing routes.
     const Time makespan_after = engine_.settle();
-    if (oracle.has_value()) check_retime_oracle(*oracle, t);
 
     if (guarded && makespan_before < makespan_after) {
       ++trace_.rejected_migrations;
       engine_.discard();
-      if (opt_.validate_each_step) check_rollback_oracle(text_before, t);
       log_decision(a, obs::DecisionOutcome::kRejectedMakespanGuard, py,
                    kNoTime, makespan_before, makespan_after);
       return;
@@ -415,45 +404,6 @@ class BsaRunner {
                          : obs::DecisionOutcome::kCommitted,
                  py, new_finish, guarded ? makespan_before : kNoTime,
                  makespan_after);
-
-    if (opt_.validate_each_step) {
-      const auto report = sched::validate(sched_, costs_);
-      BSA_ASSERT(report.ok(), "schedule invalid after migrating task "
-                                  << t << ": " << report.to_string());
-    }
-  }
-
-  // --- test oracle (validate_each_step) -------------------------------------
-
-  /// Re-time `mutated` — a copy of the schedule taken right after the
-  /// migration's mutations — with the full-rebuild sched::try_retime and
-  /// require the incremental engine's verdict and, on success, schedule.
-  void check_retime_oracle(Schedule& mutated, TaskId t) const {
-    const bool retimed = !engine_.replayed();
-    const bool reference = sched::try_retime(mutated, costs_, nullptr);
-    BSA_ASSERT(reference == retimed,
-               "re-timing verdicts differ after migrating task "
-                   << t << ": incremental " << retimed << ", full rebuild "
-                   << reference);
-    if (retimed) {
-      BSA_ASSERT(sched::schedule_to_text(mutated) ==
-                     sched::schedule_to_text(sched_),
-                 "incremental re-timing differs from the full rebuild "
-                 "after migrating task "
-                     << t);
-    }
-  }
-
-  /// A rejected migration must restore the pre-migration schedule, and
-  /// the re-timing context must mirror it.
-  void check_rollback_oracle(const std::string& text_before, TaskId t) const {
-    BSA_ASSERT(sched::schedule_to_text(sched_) == text_before,
-               "rolling back task " << t
-                                    << " did not restore the schedule");
-    const std::string ctx = engine_.check_consistency();
-    BSA_ASSERT(ctx.empty(), "re-timing context inconsistent after rolling "
-                            "back task "
-                                << t << ": " << ctx);
   }
 
   /// Incremental incoming commit: free / truncate / extend routes in

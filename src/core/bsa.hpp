@@ -105,16 +105,6 @@ struct BsaOptions {
   /// Insertion-based slot search on processors and links (true, paper
   /// behaviour) versus append-only (ablation).
   bool insertion_slots = true;
-  /// Test oracle, run after every migration (slow; used by tests):
-  ///  * the full invariant validator on every committed schedule;
-  ///  * re-timing: sched::try_retime on a copy of the schedule taken right
-  ///    after the migration's mutations must reach the same verdict as the
-  ///    incremental RetimeContext and, on success, the same schedule;
-  ///  * rollback: a migration the makespan guard rejects must leave the
-  ///    schedule text equal to the pre-migration one and the context
-  ///    consistent with it (RetimeContext::check_consistency).
-  /// The oracle only reads: results are identical with it on or off.
-  bool validate_each_step = false;
   /// Observability hooks (phase/migration span tracer + per-attempt
   /// decision log). Hooks only observe — they never influence the
   /// computed schedule — and with the default null hooks every

@@ -8,6 +8,8 @@
 
 namespace bsa::core {
 
+constinit thread_local MoveEngine::Observer* MoveEngine::observer_ = nullptr;
+
 void crossing_in_edges_into(const sched::Schedule& s, TaskId t, ProcId p,
                             std::vector<EdgeId>& out) {
   const auto& g = s.task_graph();
@@ -53,9 +55,11 @@ void MoveEngine::begin(TaskId t, bool journal) {
   replayed_ = false;
   if (journal) s_.begin_transaction(txn_);
   ctx_->begin_migration(t);
+  notify(Stage::kBegun);
 }
 
 Time MoveEngine::settle() {
+  notify(Stage::kSettling);
   obs::Span retime_span(hooks_.tracer, "retime", "bsa", hooks_.trace_tid);
   const bool retimed = ctx_->retime_migration(task_, nullptr);
   retime_span.close();
@@ -65,18 +69,23 @@ Time MoveEngine::settle() {
     stats_.txn_journal_hwm = std::max(stats_.txn_journal_hwm, depth);
   }
   replayed_ = !retimed;
-  if (retimed) return s_.makespan();
-  // A failed delta writes no times, so the schedule still holds exactly
-  // the move's mutations: replay them in the workspace. A journaled move
-  // is then undone (the context with it) whatever the caller decides;
-  // keep swaps the replay in.
-  obs::Span span(hooks_.tracer, "replay", "bsa", hooks_.trace_tid);
-  ++stats_.replay_fallbacks;
-  const Time len = replayer_.measure(s_);
-  if (journaled_) {
-    s_.rollback_transaction();
-    ctx_->undo_migration(task_);
+  Time len = 0;
+  if (retimed) {
+    len = s_.makespan();
+  } else {
+    // A failed delta writes no times, so the schedule still holds exactly
+    // the move's mutations: replay them in the workspace. A journaled
+    // move is then undone (the context with it) whatever the caller
+    // decides; keep swaps the replay in.
+    obs::Span span(hooks_.tracer, "replay", "bsa", hooks_.trace_tid);
+    ++stats_.replay_fallbacks;
+    len = replayer_.measure(s_);
+    if (journaled_) {
+      s_.rollback_transaction();
+      ctx_->undo_migration(task_);
+    }
   }
+  notify(Stage::kSettled);
   return len;
 }
 
@@ -87,14 +96,17 @@ void MoveEngine::keep() {
   } else if (journaled_) {
     s_.commit_transaction();
   }
+  notify(Stage::kKept);
 }
 
 void MoveEngine::discard() {
   BSA_REQUIRE(journaled_, "only a journaled move can be discarded");
-  if (replayed_) return;  // settle already undid it
-  obs::Span span(hooks_.tracer, "rollback", "bsa", hooks_.trace_tid);
-  s_.rollback_transaction();
-  ctx_->undo_migration(task_);
+  if (!replayed_) {  // settle already undid a replayed move
+    obs::Span span(hooks_.tracer, "rollback", "bsa", hooks_.trace_tid);
+    s_.rollback_transaction();
+    ctx_->undo_migration(task_);
+  }
+  notify(Stage::kDiscarded);
 }
 
 void MoveEngine::swap_replay_in() {

@@ -33,6 +33,10 @@
 /// re-routes its crossing messages along static shortest paths at the
 /// earliest free link slots and lands the task in its earliest insertion
 /// slot.
+///
+/// Tests check every move against reference engines through an
+/// Observer (tests/bsa_oracle.hpp): the engine reports each stage of a
+/// move to the one installed on its thread, if any.
 
 namespace bsa::core {
 
@@ -86,7 +90,22 @@ class MoveEngine {
   /// The context's check_consistency (testing aid).
   [[nodiscard]] std::string check_consistency() const;
 
+  /// The stages of a move: begun, mutated (settle starts), settled, kept
+  /// or discarded.
+  enum class Stage { kBegun, kSettling, kSettled, kKept, kDiscarded };
+  /// Test seam: sees every move of the engines on the thread where it is
+  /// installed (only tests install one, through MoveEngineTestPeer). It
+  /// reads; it cannot change a result.
+  class Observer {
+   public:
+    virtual ~Observer() = default;
+    virtual void on(Stage stage, const MoveEngine& engine) = 0;
+  };
+
  private:
+  void notify(Stage stage) const {
+    if (observer_ != nullptr) observer_->on(stage, *this);
+  }
   void apply_move_mutations(TaskId t, ProcId p);
   void swap_replay_in();
 
@@ -103,6 +122,10 @@ class MoveEngine {
   bool replayed_ = false;
   std::vector<EdgeId> order_;  ///< buffers of the engine's own move
   std::vector<LinkId> route_;
+
+  static constinit thread_local Observer* observer_;
+  /// Installs the observer and reads the move's state (tests).
+  friend struct MoveEngineTestPeer;
 };
 
 }  // namespace bsa::core

@@ -78,10 +78,4 @@ void write_dot(std::ostream& os, const TaskGraph& g,
   os << "}\n";
 }
 
-std::string to_dot(const TaskGraph& g, const std::string& graph_name) {
-  std::ostringstream os;
-  write_dot(os, g, graph_name);
-  return os.str();
-}
-
 }  // namespace bsa::graph

@@ -33,7 +33,5 @@ void write_text(std::ostream& os, const TaskGraph& g);
 /// communication costs.
 void write_dot(std::ostream& os, const TaskGraph& g,
                const std::string& graph_name = "task_graph");
-[[nodiscard]] std::string to_dot(const TaskGraph& g,
-                                 const std::string& graph_name = "task_graph");
 
 }  // namespace bsa::graph

@@ -174,33 +174,4 @@ std::vector<TaskId> extract_critical_path(const TaskGraph& g, Rng& rng) {
   return extract_critical_path(g, exec, comm, levels, rng);
 }
 
-Cost path_exec_cost(std::span<const TaskId> path,
-                    std::span<const Cost> exec_costs) {
-  Cost sum = 0;
-  for (const TaskId t : path) {
-    BSA_REQUIRE(t >= 0 && static_cast<std::size_t>(t) < exec_costs.size(),
-                "task id " << t << " out of range");
-    sum += exec_costs[static_cast<std::size_t>(t)];
-  }
-  return sum;
-}
-
-Cost path_length(const TaskGraph& g, std::span<const TaskId> path,
-                 std::span<const Cost> exec_costs,
-                 std::span<const Cost> comm_costs) {
-  check_cost_spans(g, exec_costs, comm_costs);
-  Cost sum = 0;
-  for (std::size_t i = 0; i < path.size(); ++i) {
-    sum += exec_costs[static_cast<std::size_t>(path[i])];
-    if (i + 1 < path.size()) {
-      const EdgeId e = g.find_edge(path[i], path[i + 1]);
-      BSA_REQUIRE(e != kInvalidEdge, "path tasks " << path[i] << " and "
-                                                   << path[i + 1]
-                                                   << " not connected");
-      sum += comm_costs[static_cast<std::size_t>(e)];
-    }
-  }
-  return sum;
-}
-
 }  // namespace bsa::graph

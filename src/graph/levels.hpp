@@ -64,15 +64,4 @@ struct LevelSets {
 [[nodiscard]] std::vector<TaskId> extract_critical_path(const TaskGraph& g,
                                                         Rng& rng);
 
-/// Sum of `exec_costs` over the tasks of `path`.
-[[nodiscard]] Cost path_exec_cost(std::span<const TaskId> path,
-                                  std::span<const Cost> exec_costs);
-
-/// Length (exec + comm) of a concrete path; throws if consecutive tasks
-/// are not connected by an edge.
-[[nodiscard]] Cost path_length(const TaskGraph& g,
-                               std::span<const TaskId> path,
-                               std::span<const Cost> exec_costs,
-                               std::span<const Cost> comm_costs);
-
 }  // namespace bsa::graph

@@ -3,21 +3,17 @@
 #include <algorithm>
 #include <queue>
 
-#include "common/check.hpp"
-
 namespace bsa::graph {
-namespace {
 
-std::vector<char> reach_mask(const TaskGraph& g, TaskId start, bool forward) {
+std::vector<char> ancestor_mask(const TaskGraph& g, TaskId t) {
   std::vector<char> mask(static_cast<std::size_t>(g.num_tasks()), 0);
   std::queue<TaskId> frontier;
-  frontier.push(start);
+  frontier.push(t);
   while (!frontier.empty()) {
-    const TaskId t = frontier.front();
+    const TaskId v = frontier.front();
     frontier.pop();
-    const auto edges = forward ? g.out_edges(t) : g.in_edges(t);
-    for (const EdgeId e : edges) {
-      const TaskId u = forward ? g.edge_dst(e) : g.edge_src(e);
+    for (const EdgeId e : g.in_edges(v)) {
+      const TaskId u = g.edge_src(e);
       auto& seen = mask[static_cast<std::size_t>(u)];
       if (!seen) {
         seen = 1;
@@ -26,21 +22,6 @@ std::vector<char> reach_mask(const TaskGraph& g, TaskId start, bool forward) {
     }
   }
   return mask;
-}
-
-}  // namespace
-
-std::vector<char> ancestor_mask(const TaskGraph& g, TaskId t) {
-  return reach_mask(g, t, /*forward=*/false);
-}
-
-std::vector<char> descendant_mask(const TaskGraph& g, TaskId t) {
-  return reach_mask(g, t, /*forward=*/true);
-}
-
-bool is_reachable(const TaskGraph& g, TaskId src, TaskId dst) {
-  BSA_REQUIRE(src != dst, "is_reachable expects distinct tasks");
-  return descendant_mask(g, src)[static_cast<std::size_t>(dst)] != 0;
 }
 
 bool is_topological_order(const TaskGraph& g,

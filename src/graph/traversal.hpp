@@ -14,12 +14,6 @@ namespace bsa::graph {
 /// Boolean mask (indexed by TaskId) of all strict ancestors of `t`.
 [[nodiscard]] std::vector<char> ancestor_mask(const TaskGraph& g, TaskId t);
 
-/// Boolean mask (indexed by TaskId) of all strict descendants of `t`.
-[[nodiscard]] std::vector<char> descendant_mask(const TaskGraph& g, TaskId t);
-
-/// True when there is a directed path from `src` to `dst` (src != dst).
-[[nodiscard]] bool is_reachable(const TaskGraph& g, TaskId src, TaskId dst);
-
 /// True iff `order` contains every task exactly once and never places a
 /// task before one of its predecessors.
 [[nodiscard]] bool is_topological_order(const TaskGraph& g,

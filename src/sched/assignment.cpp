@@ -46,14 +46,4 @@ Schedule schedule_from_assignment(const graph::TaskGraph& g,
   return schedule_from_assignment(g, topo, costs, assignment, table);
 }
 
-std::vector<ProcId> assignment_of(const Schedule& s) {
-  BSA_REQUIRE(s.all_placed(), "assignment_of requires a complete schedule");
-  std::vector<ProcId> out(
-      static_cast<std::size_t>(s.task_graph().num_tasks()));
-  for (TaskId t = 0; t < s.task_graph().num_tasks(); ++t) {
-    out[static_cast<std::size_t>(t)] = s.proc_of(t);
-  }
-  return out;
-}
-
 }  // namespace bsa::sched

@@ -35,7 +35,4 @@ namespace bsa::sched {
     const net::HeterogeneousCostModel& costs,
     std::span<const ProcId> assignment);
 
-/// Extract the assignment vector of an existing complete schedule.
-[[nodiscard]] std::vector<ProcId> assignment_of(const Schedule& s);
-
 }  // namespace bsa::sched

@@ -17,10 +17,10 @@
 /// when it reaches the head of its link queue and its payload is present
 /// at the link's tail processor.
 ///
-/// This is an independent implementation of the semantics that
-/// sched::retime computes by longest path; tests cross-check the two
-/// (catching bugs in either). It also detects deadlocks: orders that can
-/// never be executed.
+/// This is an independent implementation of the semantics that the
+/// order-preserving re-timing (sched::RetimeContext) computes by longest
+/// path; tests cross-check the two (catching bugs in either). It also
+/// detects deadlocks: orders that can never be executed.
 
 namespace bsa::sched {
 

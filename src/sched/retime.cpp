@@ -5,183 +5,12 @@
 #include <bit>
 #include <functional>
 #include <numeric>
-#include <queue>
 #include <utility>
 #include <vector>
 
 #include "common/check.hpp"
 
 namespace bsa::sched {
-namespace {
-
-/// Dense node numbering for the constraint graph: tasks first, then one
-/// node per route hop (per-edge contiguous blocks).
-struct NodeIndex {
-  int num_tasks = 0;
-  std::vector<int> hop_base;  // by EdgeId; hop (e,k) -> num_tasks + base + k
-  int total = 0;
-
-  explicit NodeIndex(const Schedule& s) {
-    const auto& g = s.task_graph();
-    num_tasks = g.num_tasks();
-    hop_base.resize(static_cast<std::size_t>(g.num_edges()));
-    int acc = 0;
-    for (EdgeId e = 0; e < g.num_edges(); ++e) {
-      hop_base[static_cast<std::size_t>(e)] = acc;
-      acc += static_cast<int>(s.route_of(e).size());
-    }
-    total = num_tasks + acc;
-  }
-
-  [[nodiscard]] int task_node(TaskId t) const { return t; }
-  [[nodiscard]] int hop_node(EdgeId e, int k) const {
-    return num_tasks + hop_base[static_cast<std::size_t>(e)] + k;
-  }
-};
-
-}  // namespace
-
-bool try_retime(Schedule& s, const net::HeterogeneousCostModel& costs,
-                Time* makespan) {
-  const auto& g = s.task_graph();
-  const auto& topo = s.topology();
-  const NodeIndex idx(s);
-
-  std::vector<std::vector<int>> succ(static_cast<std::size_t>(idx.total));
-  std::vector<int> indegree(static_cast<std::size_t>(idx.total), 0);
-  std::vector<char> active(static_cast<std::size_t>(idx.total), 0);
-
-  auto add_dep = [&](int from, int to) {
-    succ[static_cast<std::size_t>(from)].push_back(to);
-    ++indegree[static_cast<std::size_t>(to)];
-  };
-
-  for (TaskId t = 0; t < g.num_tasks(); ++t) {
-    if (s.is_placed(t)) active[static_cast<std::size_t>(idx.task_node(t))] = 1;
-  }
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    const auto& route = s.route_of(e);
-    for (int k = 0; k < static_cast<int>(route.size()); ++k) {
-      active[static_cast<std::size_t>(idx.hop_node(e, k))] = 1;
-    }
-  }
-
-  // Precedence and route-chaining dependencies.
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    const TaskId src = g.edge_src(e);
-    const TaskId dst = g.edge_dst(e);
-    const auto& route = s.route_of(e);
-    if (route.empty()) {
-      if (s.is_placed(src) && s.is_placed(dst)) {
-        add_dep(idx.task_node(src), idx.task_node(dst));
-      }
-      continue;
-    }
-    BSA_ASSERT(s.is_placed(src), "routed message with unplaced source");
-    add_dep(idx.task_node(src), idx.hop_node(e, 0));
-    for (int k = 0; k + 1 < static_cast<int>(route.size()); ++k) {
-      add_dep(idx.hop_node(e, k), idx.hop_node(e, k + 1));
-    }
-    if (s.is_placed(dst)) {
-      add_dep(idx.hop_node(e, static_cast<int>(route.size()) - 1),
-              idx.task_node(dst));
-    }
-  }
-  // Processor order chains.
-  for (ProcId p = 0; p < topo.num_processors(); ++p) {
-    const auto& order = s.tasks_on(p);
-    for (std::size_t i = 0; i + 1 < order.size(); ++i) {
-      add_dep(idx.task_node(order[i]), idx.task_node(order[i + 1]));
-    }
-  }
-  // Link transmission-order chains.
-  for (LinkId l = 0; l < topo.num_links(); ++l) {
-    const auto& bookings = s.bookings_on(l);
-    for (std::size_t i = 0; i + 1 < bookings.size(); ++i) {
-      add_dep(idx.hop_node(bookings[i].edge, bookings[i].hop_index),
-              idx.hop_node(bookings[i + 1].edge, bookings[i + 1].hop_index));
-    }
-  }
-
-  // Decode helper: map hop node back to (edge, hop index).
-  std::vector<EdgeId> hop_edge(
-      static_cast<std::size_t>(idx.total - idx.num_tasks));
-  std::vector<int> hop_k(static_cast<std::size_t>(idx.total - idx.num_tasks));
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    const auto& route = s.route_of(e);
-    for (int k = 0; k < static_cast<int>(route.size()); ++k) {
-      const auto off =
-          static_cast<std::size_t>(idx.hop_node(e, k) - idx.num_tasks);
-      hop_edge[off] = e;
-      hop_k[off] = k;
-    }
-  }
-
-  // Kahn longest-path sweep.
-  std::vector<Time> start(static_cast<std::size_t>(idx.total), 0);
-  std::vector<Time> finish(static_cast<std::size_t>(idx.total), 0);
-  std::queue<int> ready;
-  int active_count = 0;
-  for (int v = 0; v < idx.total; ++v) {
-    if (!active[static_cast<std::size_t>(v)]) continue;
-    ++active_count;
-    if (indegree[static_cast<std::size_t>(v)] == 0) ready.push(v);
-  }
-
-  int processed = 0;
-  while (!ready.empty()) {
-    const int v = ready.front();
-    ready.pop();
-    ++processed;
-    const auto vi = static_cast<std::size_t>(v);
-    if (v < idx.num_tasks) {
-      const auto t = static_cast<TaskId>(v);
-      finish[vi] = start[vi] + costs.exec_cost(t, s.proc_of(t));
-    } else {
-      const std::size_t off = vi - static_cast<std::size_t>(idx.num_tasks);
-      const EdgeId e = hop_edge[off];
-      const Hop& h = s.route_of(e)[static_cast<std::size_t>(hop_k[off])];
-      finish[vi] = start[vi] + costs.comm_cost(e, h.link);
-    }
-    for (const int w : succ[vi]) {
-      const auto wi = static_cast<std::size_t>(w);
-      start[wi] = std::max(start[wi], finish[vi]);
-      if (--indegree[wi] == 0) ready.push(w);
-    }
-  }
-  if (processed != active_count) return false;  // order cycle
-
-  // Write the new times back.
-  Time mk = 0;
-  for (TaskId t = 0; t < g.num_tasks(); ++t) {
-    if (!s.is_placed(t)) continue;
-    const auto vi = static_cast<std::size_t>(idx.task_node(t));
-    s.set_task_times(t, start[vi], finish[vi]);
-    mk = std::max(mk, finish[vi]);
-  }
-  // Hops by booking position: the lists are mid-rewrite, so a search by
-  // times would not find them.
-  for (LinkId l = 0; l < topo.num_links(); ++l) {
-    const auto& bookings = s.bookings_on(l);
-    for (std::size_t i = 0; i < bookings.size(); ++i) {
-      const LinkBooking& b = bookings[i];
-      const auto vi =
-          static_cast<std::size_t>(idx.hop_node(b.edge, b.hop_index));
-      s.set_hop_times(b.edge, b.hop_index, start[vi], finish[vi], i);
-    }
-  }
-  // Orders need no re-sorting: the processor- and link-order chain edges
-  // give every item a start at or after its predecessor's finish.
-  if (makespan != nullptr) *makespan = mk;
-  return true;
-}
-
-Time retime(Schedule& s, const net::HeterogeneousCostModel& costs) {
-  Time mk = 0;
-  const bool ok = try_retime(s, costs, &mk);
-  BSA_ASSERT(ok, "schedule order constraints contain a cycle");
-  return mk;
-}
 
 Replayer::Replayer(const graph::TaskGraph& g, const net::Topology& topo,
                    const net::HeterogeneousCostModel& costs,

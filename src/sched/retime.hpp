@@ -12,16 +12,17 @@
 #include "sched/timeline.hpp"
 
 /// \file retime.hpp
-/// Schedule re-timing.
+/// Schedule re-timing by replay.
 ///
 /// After BSA migrates a task away from a processor, the tasks left behind
 /// (and messages queued behind released link slots) can start earlier —
-/// the paper's "bubbling up". Two re-timing engines are provided:
+/// the paper's "bubbling up". Two re-timings realise it:
 ///
-/// 1. `try_retime` / `retime` — *order preserving*: recompute the earliest
-///    consistent start of every task and hop while preserving the task
-///    order on every processor and the transmission order on every link
-///    (longest-path sweep over the order-constraint DAG). Fails when the
+/// 1. *Order preserving*: recompute the earliest consistent start of
+///    every task and hop while preserving the task order on every
+///    processor and the transmission order on every link (longest path
+///    over the order-constraint DAG). This is sched::RetimeContext
+///    (retime_context.hpp), incrementally per move. It fails when the
 ///    recorded orders are cyclic, which can happen transiently right
 ///    after a migration re-issues outgoing routes with later hop times.
 ///
@@ -38,28 +39,15 @@
 ///    finish on their resource append without a slot search.
 ///
 /// BSA, SA and refine move tasks through one engine, core::MoveEngine
-/// (core/move_engine.hpp). It re-times each move with the incremental
-/// RetimeContext (retime_context.hpp), which reaches the same fixpoint as
-/// `try_retime`, and falls back to replay on a cycle through its one
-/// reusable `Replayer` workspace: measuring a replay writes no schedule,
-/// and only a kept one is written and swapped in — no schedule copy, no
-/// per-replay allocation in steady state. `try_retime` stays the
-/// reference: the test oracle behind `core::BsaOptions::validate_each_step`
-/// checks every migration against it.
+/// (core/move_engine.hpp). It re-times each move with the RetimeContext
+/// and falls back to replay on a cycle through its one reusable
+/// `Replayer` workspace: measuring a replay writes no schedule, and only
+/// a kept one is written and swapped in — no schedule copy, no
+/// per-replay allocation in steady state. A full-rebuild order-preserving
+/// re-timer lives on only in the tests (tests/bsa_oracle.hpp), as the
+/// reference a core::MoveEngine::Observer checks every move against.
 
 namespace bsa::sched {
-
-/// Order-preserving earliest-time recomputation. Returns true and updates
-/// `s` (makespan in *makespan when non-null); returns false — leaving `s`
-/// untouched — when the order constraints contain a cycle. Partial
-/// schedules are allowed.
-[[nodiscard]] bool try_retime(Schedule& s,
-                              const net::HeterogeneousCostModel& costs,
-                              Time* makespan = nullptr);
-
-/// Throwing wrapper around try_retime: InvariantError on cycle. Returns
-/// the resulting makespan.
-Time retime(Schedule& s, const net::HeterogeneousCostModel& costs);
 
 /// Reusable workspace of the order re-deriving replay.
 ///

@@ -14,10 +14,11 @@
 /// \file retime_context.hpp
 /// Incremental, change-driven re-timing engine.
 ///
-/// `try_retime` (retime.hpp) rebuilds the whole order-constraint graph —
-/// one node per task plus one per route hop, edges for precedence, route
-/// chaining, processor order and link transmission order — and runs a
-/// full Kahn longest-path sweep after *every* BSA migration.
+/// A full rebuild re-times a schedule by building the whole
+/// order-constraint graph — one node per task plus one per route hop,
+/// edges for precedence, route chaining, processor order and link
+/// transmission order — and running a Kahn longest-path sweep over it.
+/// The tests keep that rebuild as their reference (tests/bsa_oracle.hpp).
 ///
 /// RetimeContext keeps that graph alive across migrations, together with
 /// a topological order of it, and applies each migration as a *delta*:
@@ -46,9 +47,10 @@
 ///    written back to the schedule.
 ///
 /// The times are the unique longest-path fixpoint, computed with the same
-/// `max` and `+` as `try_retime`, so schedules are bit-identical to the
-/// full rebuild — tests/retime_context_test.cpp checks this against
-/// `try_retime` after every delta of randomized migration streams.
+/// `max` and `+` as the full rebuild, so schedules are bit-identical to
+/// it — tests/retime_context_test.cpp checks this against the reference
+/// after every delta of randomized migration streams, and through a
+/// core::MoveEngine::Observer after every move of BSA, SA and refine.
 ///
 /// A failed (cyclic) delta writes no times, so a Replayer can measure the
 /// mutated schedule as it stands. After the schedule is restored
@@ -71,7 +73,7 @@ class RetimeContext {
   RetimeContext& operator=(const RetimeContext&) = delete;
 
   /// Rebuild everything from the schedule and recompute every node —
-  /// behaviourally identical to `try_retime`. Returns false (schedule
+  /// behaviourally identical to the full rebuild. Returns false (schedule
   /// untouched) when the recorded orders are cyclic; the caller then
   /// replays and calls adopt_schedule.
   bool retime_full(Time* makespan = nullptr);
@@ -225,7 +227,11 @@ class RetimeContext {
   /// sweep's monotonicity — every node pushed after a pop is a successor
   /// of the popped node, so its label is larger — and in exchange pushes
   /// in O(1) and pops in amortized O(log label range), without the
-  /// unpredictable comparisons of a binary heap.
+  /// unpredictable comparisons of a binary heap. Although a pop re-files
+  /// the bucket it takes, a std::push_heap/pop_heap worklist in its place
+  /// (same pop order: labels are distinct) made perfbench's bsa-random
+  /// slower, batch_s 2.36–2.58 s against 1.79–1.88 s in 6 of 6 pairs
+  /// (docs/DESIGN_RETIME.md).
   class LabelQueue {
    public:
     /// Start a new sweep; the queue must have been drained.

@@ -379,40 +379,6 @@ graph::TaskGraph cholesky(int tiles, const CostParams& costs) {
 }
 
 // ---------------------------------------------------------------------------
-// 1-D stencil pipeline
-// ---------------------------------------------------------------------------
-
-int stencil_1d_task_count(int steps, int cells) {
-  BSA_REQUIRE(steps >= 1 && cells >= 1, "stencil needs steps,cells >= 1");
-  return steps * cells;
-}
-
-graph::TaskGraph stencil_1d(int steps, int cells, const CostParams& costs) {
-  BSA_REQUIRE(steps >= 1 && cells >= 1, "stencil needs steps,cells >= 1");
-  Rng rng(derive_seed(costs.seed, 0x7374ULL));  // "st"
-  graph::TaskGraphBuilder b;
-  auto id = [cells](int s, int c) {
-    return static_cast<TaskId>(s * cells + c);
-  };
-  for (int s = 0; s < steps; ++s) {
-    for (int c = 0; c < cells; ++c) {
-      (void)b.add_task(draw_exec_cost(rng, costs),
-                       "S" + std::to_string(s) + "_" + std::to_string(c));
-    }
-  }
-  for (int s = 0; s + 1 < steps; ++s) {
-    for (int c = 0; c < cells; ++c) {
-      for (int d = -1; d <= 1; ++d) {
-        const int nc = c + d;
-        if (nc < 0 || nc >= cells) continue;
-        (void)b.add_edge(id(s, c), id(s + 1, nc), draw_comm_cost(rng, costs));
-      }
-    }
-  }
-  return b.build();
-}
-
-// ---------------------------------------------------------------------------
 // 2-D Laplace stencil (5-point, iterated)
 // ---------------------------------------------------------------------------
 
@@ -502,68 +468,6 @@ graph::TaskGraph pipeline(int stages, int width, const CostParams& costs) {
                          draw_comm_cost(rng, costs));
       }
     }
-  }
-  return b.build();
-}
-
-// ---------------------------------------------------------------------------
-// Complete trees
-// ---------------------------------------------------------------------------
-
-int tree_task_count(int depth, int fanout) {
-  BSA_REQUIRE(depth >= 1 && fanout >= 1, "tree needs depth,fanout >= 1");
-  int count = 0;
-  int level = 1;
-  for (int d = 0; d < depth; ++d) {
-    count += level;
-    level *= fanout;
-  }
-  return count;
-}
-
-graph::TaskGraph out_tree(int depth, int fanout, const CostParams& costs) {
-  BSA_REQUIRE(depth >= 1 && fanout >= 1, "tree needs depth,fanout >= 1");
-  Rng rng(derive_seed(costs.seed, 0x6F74ULL));  // "ot"
-  graph::TaskGraphBuilder b;
-  std::vector<TaskId> frontier{b.add_task(draw_exec_cost(rng, costs), "root")};
-  for (int d = 1; d < depth; ++d) {
-    std::vector<TaskId> next;
-    for (const TaskId parent : frontier) {
-      for (int c = 0; c < fanout; ++c) {
-        const TaskId child = b.add_task(draw_exec_cost(rng, costs));
-        (void)b.add_edge(parent, child, draw_comm_cost(rng, costs));
-        next.push_back(child);
-      }
-    }
-    frontier = std::move(next);
-  }
-  return b.build();
-}
-
-graph::TaskGraph in_tree(int depth, int fanin, const CostParams& costs) {
-  BSA_REQUIRE(depth >= 1 && fanin >= 1, "tree needs depth,fanin >= 1");
-  Rng rng(derive_seed(costs.seed, 0x6974ULL));  // "it"
-  graph::TaskGraphBuilder b;
-  // Build leaves-to-root: level sizes fanin^(depth-1) .. 1.
-  int leaves = 1;
-  for (int d = 1; d < depth; ++d) leaves *= fanin;
-  std::vector<TaskId> frontier;
-  frontier.reserve(static_cast<std::size_t>(leaves));
-  for (int i = 0; i < leaves; ++i) {
-    frontier.push_back(b.add_task(draw_exec_cost(rng, costs)));
-  }
-  while (frontier.size() > 1) {
-    std::vector<TaskId> next;
-    for (std::size_t i = 0; i < frontier.size(); i += static_cast<std::size_t>(fanin)) {
-      const TaskId parent = b.add_task(draw_exec_cost(rng, costs));
-      for (std::size_t c = i;
-           c < std::min(frontier.size(), i + static_cast<std::size_t>(fanin));
-           ++c) {
-        (void)b.add_edge(frontier[c], parent, draw_comm_cost(rng, costs));
-      }
-      next.push_back(parent);
-    }
-    frontier = std::move(next);
   }
   return b.build();
 }

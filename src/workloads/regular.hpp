@@ -73,12 +73,6 @@ namespace bsa::workloads {
 [[nodiscard]] int cholesky_task_count(int tiles);
 [[nodiscard]] int cholesky_tiles_for(int target_tasks);
 
-/// One-dimensional stencil pipeline: `steps` time steps over `cells`
-/// cells; T(s,c) depends on T(s-1, c-1..c+1). Models iterative solvers.
-[[nodiscard]] graph::TaskGraph stencil_1d(int steps, int cells,
-                                          const CostParams& costs = {});
-[[nodiscard]] int stencil_1d_task_count(int steps, int cells);
-
 /// Two-dimensional Laplace stencil: `iters` Jacobi sweeps over a
 /// rows x cols grid; T(t,i,j) depends on T(t-1,i,j) and its in-bounds
 /// 4-neighbourhood (the 5-point update). rows, cols, iters >= 1, and
@@ -96,14 +90,5 @@ namespace bsa::workloads {
 [[nodiscard]] graph::TaskGraph pipeline(int stages, int width,
                                         const CostParams& costs = {});
 [[nodiscard]] int pipeline_task_count(int stages, int width);
-
-/// Complete out-tree (fan-out `fanout`, `depth` levels; depth 1 = root
-/// only) — divide phase of divide-and-conquer programs.
-[[nodiscard]] graph::TaskGraph out_tree(int depth, int fanout,
-                                        const CostParams& costs = {});
-/// Complete in-tree — the matching reduction phase.
-[[nodiscard]] graph::TaskGraph in_tree(int depth, int fanin,
-                                       const CostParams& costs = {});
-[[nodiscard]] int tree_task_count(int depth, int fanout);
 
 }  // namespace bsa::workloads

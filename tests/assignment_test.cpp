@@ -63,7 +63,10 @@ TEST_F(AssignmentTest, RejectsBadInput) {
 
 TEST_F(AssignmentTest, AssignmentOfRoundTrips) {
   const auto result = core::schedule_bsa(g, topo, cm);
-  const auto assignment = assignment_of(result.schedule);
+  std::vector<ProcId> assignment;
+  for (TaskId t = 0; t < g.num_tasks(); ++t) {
+    assignment.push_back(result.schedule.proc_of(t));
+  }
   const Schedule rebuilt = schedule_from_assignment(g, topo, cm, assignment);
   EXPECT_TRUE(validate(rebuilt, cm).ok());
   for (TaskId t = 0; t < g.num_tasks(); ++t) {

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <exception>
 #include <functional>
 #include <ios>
 #include <optional>
@@ -16,7 +15,9 @@
 #include <utility>
 #include <vector>
 
+#include "common/check.hpp"
 #include "core/bsa.hpp"
+#include "core/move_engine.hpp"
 #include "network/cost_model.hpp"
 #include "sched/link_probe.hpp"
 #include "sched/retime.hpp"
@@ -24,23 +25,27 @@
 #include "sched/validate.hpp"
 
 /// \file bsa_oracle.hpp
-/// Shared helpers for the BSA engine-equivalence tests
-/// (retime_context_test, schedule_txn_test) and the replay tests:
+/// Shared helpers for the move-engine equivalence tests
+/// (retime_context_test, schedule_txn_test) and the re-timing and replay
+/// tests:
 ///
+///  * try_retime — the full-rebuild order-preserving re-timer, the
+///    reference of the incremental sched::RetimeContext;
 ///  * diff_schedules — bit-exact schedule comparison, including the parts
 ///    schedule_to_text omits (processor and link orders);
 ///  * schedule_digest — a 64-bit fingerprint of the same state, so a
 ///    scenario's result can be pinned as a literal;
-///  * expect_bsa_oracle_run — run BSA with its per-migration oracle on
-///    (BsaOptions::validate_each_step: re-timing checked against the full
-///    rebuild sched::try_retime, rollbacks against the pre-migration
-///    schedule), require the run byte-identical to one with the oracle
-///    off, and compare it with a pinned digest / migration / rejection
-///    triple. The pins were taken from the build that still carried the
-///    full-rebuild, snapshot-rollback and per-call-allocating reference
-///    engines as BSA options, where all engine combinations agreed. Each
-///    pin also holds the run's replay-fallback count, the number of
-///    times the move engine took its replay branch;
+///  * MoveOracle — a core::MoveEngine::Observer that checks every move of
+///    the engines on its thread (BSA's migrations, SA's and refine's
+///    moves) against try_retime and the pre-move schedule;
+///  * expect_bsa_oracle_run — run BSA under a MoveOracle, require the run
+///    byte-identical to one without it, and compare it with a pinned
+///    digest / migration / rejection triple. The pins were taken from the
+///    build that still carried the full-rebuild, snapshot-rollback and
+///    per-call-allocating reference engines as BSA options, where all
+///    engine combinations agreed. Each pin also holds the run's
+///    replay-fallback count, the number of times the move engine took its
+///    replay branch;
 ///  * reference_replay — the replay as it was before sched::Replayer: a
 ///    freshly allocated schedule, per-edge route vectors and a
 ///    std::priority_queue, move-assigned over the input. The workspace
@@ -48,7 +53,159 @@
 ///  * replay_retime — one replay through a temporary sched::Replayer,
 ///    kept in place.
 
+namespace bsa::core {
+/// Installs a MoveEngine::Observer on this thread and reads the state of
+/// the move in progress (declared friend in move_engine.hpp).
+struct MoveEngineTestPeer {
+  /// Install `observer` (nullptr: none); returns the previous one.
+  static MoveEngine::Observer* install(MoveEngine::Observer* observer) {
+    MoveEngine::Observer* const previous = MoveEngine::observer_;
+    MoveEngine::observer_ = observer;
+    return previous;
+  }
+  static const sched::Schedule& schedule(const MoveEngine& e) {
+    return e.s_;
+  }
+  static const net::HeterogeneousCostModel& costs(const MoveEngine& e) {
+    return e.costs_;
+  }
+  static TaskId task(const MoveEngine& e) { return e.task_; }
+  static bool journaled(const MoveEngine& e) { return e.journaled_; }
+};
+}  // namespace bsa::core
+
 namespace bsa::testing {
+
+/// Order-preserving earliest-time recomputation by full rebuild: one
+/// node per task and per route hop, edges for precedence, route
+/// chaining, processor order and link transmission order, and a Kahn
+/// longest-path sweep. Returns true and updates `s` (makespan in
+/// *makespan when non-null); returns false — leaving `s` untouched — when
+/// the order constraints contain a cycle. Partial schedules are allowed.
+inline bool try_retime(sched::Schedule& s,
+                       const net::HeterogeneousCostModel& costs,
+                       Time* makespan = nullptr) {
+  const auto& g = s.task_graph();
+  const auto& topo = s.topology();
+  // Nodes: tasks first, then the hops of each edge in one block.
+  const int num_tasks = g.num_tasks();
+  std::vector<int> hop_base(static_cast<std::size_t>(g.num_edges()));
+  int total = num_tasks;
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    hop_base[static_cast<std::size_t>(e)] = total;
+    total += static_cast<int>(s.route_of(e).size());
+  }
+  const auto hop_node = [&](EdgeId e, int k) {
+    return hop_base[static_cast<std::size_t>(e)] + k;
+  };
+  const auto n = static_cast<std::size_t>(total);
+
+  std::vector<std::vector<int>> succ(n);
+  std::vector<int> indegree(n, 0);
+  std::vector<char> active(n, 0);
+  const auto add_dep = [&](int from, int to) {
+    succ[static_cast<std::size_t>(from)].push_back(to);
+    ++indegree[static_cast<std::size_t>(to)];
+  };
+  // Decode: the (edge, hop index) of each hop node.
+  std::vector<std::pair<EdgeId, int>> hop_of(n);
+  for (TaskId t = 0; t < num_tasks; ++t) {
+    if (s.is_placed(t)) active[static_cast<std::size_t>(t)] = 1;
+  }
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    const auto& route = s.route_of(e);
+    for (int k = 0; k < static_cast<int>(route.size()); ++k) {
+      active[static_cast<std::size_t>(hop_node(e, k))] = 1;
+      hop_of[static_cast<std::size_t>(hop_node(e, k))] = {e, k};
+    }
+  }
+
+  // Precedence and route-chaining dependencies.
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    const TaskId src = g.edge_src(e);
+    const TaskId dst = g.edge_dst(e);
+    const auto hops = static_cast<int>(s.route_of(e).size());
+    if (hops == 0) {
+      if (s.is_placed(src) && s.is_placed(dst)) add_dep(src, dst);
+      continue;
+    }
+    BSA_ASSERT(s.is_placed(src), "routed message with unplaced source");
+    add_dep(src, hop_node(e, 0));
+    for (int k = 0; k + 1 < hops; ++k) {
+      add_dep(hop_node(e, k), hop_node(e, k + 1));
+    }
+    if (s.is_placed(dst)) add_dep(hop_node(e, hops - 1), dst);
+  }
+  // Processor order chains.
+  for (ProcId p = 0; p < topo.num_processors(); ++p) {
+    const auto& order = s.tasks_on(p);
+    for (std::size_t i = 0; i + 1 < order.size(); ++i) {
+      add_dep(order[i], order[i + 1]);
+    }
+  }
+  // Link transmission-order chains.
+  for (LinkId l = 0; l < topo.num_links(); ++l) {
+    const auto& bookings = s.bookings_on(l);
+    for (std::size_t i = 0; i + 1 < bookings.size(); ++i) {
+      add_dep(hop_node(bookings[i].edge, bookings[i].hop_index),
+              hop_node(bookings[i + 1].edge, bookings[i + 1].hop_index));
+    }
+  }
+
+  // Kahn longest-path sweep.
+  std::vector<Time> start(n, 0);
+  std::vector<Time> finish(n, 0);
+  std::queue<int> ready;
+  int active_count = 0;
+  for (int v = 0; v < total; ++v) {
+    if (!active[static_cast<std::size_t>(v)]) continue;
+    ++active_count;
+    if (indegree[static_cast<std::size_t>(v)] == 0) ready.push(v);
+  }
+  int processed = 0;
+  while (!ready.empty()) {
+    const int v = ready.front();
+    ready.pop();
+    ++processed;
+    const auto vi = static_cast<std::size_t>(v);
+    if (v < num_tasks) {
+      finish[vi] = start[vi] + costs.exec_cost(v, s.proc_of(v));
+    } else {
+      const auto [e, k] = hop_of[vi];
+      const sched::Hop& h = s.route_of(e)[static_cast<std::size_t>(k)];
+      finish[vi] = start[vi] + costs.comm_cost(e, h.link);
+    }
+    for (const int w : succ[vi]) {
+      const auto wi = static_cast<std::size_t>(w);
+      start[wi] = std::max(start[wi], finish[vi]);
+      if (--indegree[wi] == 0) ready.push(w);
+    }
+  }
+  if (processed != active_count) return false;  // order cycle
+
+  // Write the new times back.
+  Time mk = 0;
+  for (TaskId t = 0; t < num_tasks; ++t) {
+    if (!s.is_placed(t)) continue;
+    const auto vi = static_cast<std::size_t>(t);
+    s.set_task_times(t, start[vi], finish[vi]);
+    mk = std::max(mk, finish[vi]);
+  }
+  // Hops by booking position: the lists are mid-rewrite, so a search by
+  // times would not find them.
+  for (LinkId l = 0; l < topo.num_links(); ++l) {
+    const auto& bookings = s.bookings_on(l);
+    for (std::size_t i = 0; i < bookings.size(); ++i) {
+      const sched::LinkBooking& b = bookings[i];
+      const auto vi = static_cast<std::size_t>(hop_node(b.edge, b.hop_index));
+      s.set_hop_times(b.edge, b.hop_index, start[vi], finish[vi], i);
+    }
+  }
+  // Orders need no re-sorting: the processor- and link-order chain edges
+  // give every item a start at or after its predecessor's finish.
+  if (makespan != nullptr) *makespan = mk;
+  return true;
+}
 
 /// The former sched::replay_retime, kept verbatim as the oracle of
 /// sched::Replayer: rebuild `s` by replaying its assignment through list
@@ -256,6 +413,100 @@ inline std::uint64_t schedule_digest(const sched::Schedule& s) {
   return hash;
 }
 
+/// Checks every move of the core::MoveEngines on this thread while it is
+/// alive (installed through MoveEngineTestPeer) against the references:
+///
+///  * settle: the incremental re-timing reaches try_retime's verdict on a
+///    copy of the mutated schedule and, when it re-times, that copy's
+///    schedule bit for bit;
+///  * a journaled move that is discarded, or settled by a replay (which
+///    undoes it at once), restores the pre-move schedule bit for bit and
+///    leaves the re-timing context consistent with it;
+///  * keep leaves a validate()-clean schedule.
+///
+/// It only reads. failure() is the first failed check (empty when all
+/// held); moves() counts the settled moves, replayed_moves() those
+/// settled by a replay.
+class MoveOracle final : public core::MoveEngine::Observer {
+ public:
+  MoveOracle() : previous_(core::MoveEngineTestPeer::install(this)) {}
+  ~MoveOracle() override { core::MoveEngineTestPeer::install(previous_); }
+  MoveOracle(const MoveOracle&) = delete;
+  MoveOracle& operator=(const MoveOracle&) = delete;
+
+  [[nodiscard]] const std::string& failure() const { return failure_; }
+  [[nodiscard]] std::int64_t moves() const { return moves_; }
+  [[nodiscard]] std::int64_t replayed_moves() const { return replayed_; }
+
+  void on(core::MoveEngine::Stage stage,
+          const core::MoveEngine& engine) override {
+    using Peer = core::MoveEngineTestPeer;
+    using Stage = core::MoveEngine::Stage;
+    const sched::Schedule& s = Peer::schedule(engine);
+    const auto& costs = Peer::costs(engine);
+    const TaskId t = Peer::task(engine);
+    switch (stage) {
+      case Stage::kBegun:
+        if (Peer::journaled(engine)) before_ = s;
+        break;
+      case Stage::kSettling:
+        mutated_ = s;
+        retimed_ = try_retime(*mutated_, costs);
+        break;
+      case Stage::kSettled:
+        ++moves_;
+        replayed_ += engine.replayed() ? 1 : 0;
+        if (engine.replayed() == retimed_) {
+          record(t, retimed_ ? "the engine replays where the full rebuild "
+                               "re-times"
+                             : "the engine re-times where the full rebuild "
+                               "finds a cycle");
+        } else if (retimed_) {
+          check(t, "re-timing differs from the full rebuild",
+                diff_schedules(s, *mutated_));
+        } else if (Peer::journaled(engine)) {
+          expect_restored(engine, s, t);
+        }
+        break;
+      case Stage::kKept:
+        if (const auto report = sched::validate(s, costs); !report.ok()) {
+          record(t, "kept schedule invalid: " + report.to_string());
+        }
+        break;
+      case Stage::kDiscarded:
+        expect_restored(engine, s, t);
+        break;
+    }
+  }
+
+ private:
+  /// Keep the first failure: `what` went wrong in the move of `t`.
+  void record(TaskId t, const std::string& what) {
+    if (!failure_.empty()) return;
+    failure_ = "move " + std::to_string(moves_) + " of task " +
+               std::to_string(t) + ": " + what;
+  }
+  /// Record `what` with `problem` unless `problem` is empty.
+  void check(TaskId t, const char* what, const std::string& problem) {
+    if (!problem.empty()) record(t, what + (": " + problem));
+  }
+  void expect_restored(const core::MoveEngine& engine,
+                       const sched::Schedule& s, TaskId t) {
+    check(t, "undoing the move did not restore the schedule",
+          diff_schedules(s, *before_));
+    check(t, "re-timing context inconsistent after the undo",
+          engine.check_consistency());
+  }
+
+  core::MoveEngine::Observer* previous_;
+  std::optional<sched::Schedule> before_;   ///< the journaled move's start
+  std::optional<sched::Schedule> mutated_;  ///< re-timed by try_retime
+  bool retimed_ = false;
+  std::int64_t moves_ = 0;
+  std::int64_t replayed_ = 0;
+  std::string failure_;
+};
+
 /// A scenario's pinned result.
 struct OraclePin {
   std::uint64_t digest = 0;
@@ -265,27 +516,31 @@ struct OraclePin {
   std::int64_t replay_fallbacks = 0;
 };
 
-/// Run BSA with the oracle on and off, require identical schedules and a
-/// valid result, and compare with `pins[index]`. A missing pin fails and
-/// prints the row to add. Returns the run's actual result.
+/// Run BSA under a MoveOracle and without one, require every move to
+/// pass the oracle, identical schedules and a valid result, and compare
+/// with `pins[index]`. A missing pin fails and prints the row to add.
+/// Returns the run's actual result.
 inline OraclePin expect_bsa_oracle_run(
     const graph::TaskGraph& g, const net::Topology& topo,
-    const net::HeterogeneousCostModel& cm, core::BsaOptions opt,
+    const net::HeterogeneousCostModel& cm, const core::BsaOptions& opt,
     const std::string& label, const std::vector<OraclePin>& pins,
     std::size_t index) {
-  opt.validate_each_step = true;
-  std::optional<core::BsaResult> checked;
-  try {
-    checked.emplace(core::schedule_bsa(g, topo, cm, opt));
-  } catch (const std::exception& e) {
-    ADD_FAILURE() << label << ": oracle failed: " << e.what();
-    return {};
-  }
-  opt.validate_each_step = false;
+  std::int64_t moves = 0;
+  const core::BsaResult checked = [&] {
+    const MoveOracle oracle;
+    core::BsaResult result = core::schedule_bsa(g, topo, cm, opt);
+    EXPECT_EQ(oracle.failure(), "") << label;
+    moves = oracle.moves();
+    return result;
+  }();
   const core::BsaResult plain = core::schedule_bsa(g, topo, cm, opt);
-  const std::string diff = diff_schedules(checked->schedule, plain.schedule);
+  const std::string diff = diff_schedules(checked.schedule, plain.schedule);
   EXPECT_TRUE(diff.empty()) << label << ": oracle changed the run: " << diff;
   EXPECT_TRUE(sched::validate(plain.schedule, cm).ok()) << label;
+  // Every migration BSA commits or rejects is one engine move.
+  EXPECT_EQ(moves, static_cast<std::int64_t>(plain.trace.migrations.size()) +
+                       plain.trace.rejected_migrations)
+      << label;
 
   const OraclePin actual{schedule_digest(plain.schedule),
                          plain.trace.migrations.size(),

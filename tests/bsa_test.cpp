@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "bsa_oracle.hpp"
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "core/bsa.hpp"
@@ -21,9 +22,10 @@ struct BsaPaperTest : ::testing::Test {
 };
 
 TEST_F(BsaPaperTest, ProducesValidSchedule) {
-  BsaOptions opt;
-  opt.validate_each_step = true;  // exercise the per-migration validator
-  const auto result = schedule_bsa(g, topo, cm, opt);
+  const pf::MoveOracle oracle;  // checks every migration
+  const auto result = schedule_bsa(g, topo, cm);
+  EXPECT_EQ(oracle.failure(), "");
+  EXPECT_GT(oracle.moves(), 0);
   EXPECT_TRUE(result.schedule.all_placed());
   const auto report = sched::validate(result.schedule, cm);
   EXPECT_TRUE(report.ok()) << report.to_string();

@@ -9,7 +9,6 @@
 #include "sched/event_sim.hpp"
 #include "sched/metrics.hpp"
 #include "sched/rank_schedulers.hpp"
-#include "sched/retime.hpp"
 #include "sched/validate.hpp"
 #include "workloads/random_dag.hpp"
 
@@ -82,7 +81,7 @@ TEST_P(SchedulerConsistency, AllInvariantsHold) {
     starts[static_cast<std::size_t>(t)] = s.start_of(t);
   }
   Time mk = 0;
-  ASSERT_TRUE(sched::try_retime(s, cm, &mk));
+  ASSERT_TRUE(testing::try_retime(s, cm, &mk));
   for (TaskId t = 0; t < g.num_tasks(); ++t) {
     EXPECT_NEAR(s.start_of(t), starts[static_cast<std::size_t>(t)], 1e-9)
         << "task " << t << " moved under retime after replay";

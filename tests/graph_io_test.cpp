@@ -96,7 +96,9 @@ TEST(GraphIo, RejectsCycleInFile) {
 
 TEST(GraphIo, DotContainsNodesAndEdges) {
   const TaskGraph g = paper_task_graph();
-  const std::string dot = to_dot(g, "paper");
+  std::ostringstream os;
+  write_dot(os, g, "paper");
+  const std::string dot = os.str();
   EXPECT_NE(dot.find("digraph \"paper\""), std::string::npos);
   EXPECT_NE(dot.find("n0 [label=\"T1"), std::string::npos);
   EXPECT_NE(dot.find("n0 -> n6 [label=\"100\"]"), std::string::npos);

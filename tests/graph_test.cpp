@@ -185,23 +185,6 @@ TEST(Traversal, AncestorMask) {
   EXPECT_FALSE(mask[pf::T9]);
 }
 
-TEST(Traversal, DescendantMask) {
-  const TaskGraph g = paper_task_graph();
-  const auto mask = descendant_mask(g, pf::T2);
-  EXPECT_TRUE(mask[pf::T6]);
-  EXPECT_TRUE(mask[pf::T7]);
-  EXPECT_TRUE(mask[pf::T9]);
-  EXPECT_FALSE(mask[pf::T3]);
-  EXPECT_FALSE(mask[pf::T2]);
-}
-
-TEST(Traversal, Reachability) {
-  const TaskGraph g = paper_task_graph();
-  EXPECT_TRUE(is_reachable(g, pf::T1, pf::T9));
-  EXPECT_FALSE(is_reachable(g, pf::T5, pf::T9));
-  EXPECT_FALSE(is_reachable(g, pf::T9, pf::T1));
-}
-
 TEST(Traversal, TopologicalOrderChecker) {
   const TaskGraph g = chain3();
   EXPECT_TRUE(is_topological_order(g, {0, 1, 2}));

@@ -26,6 +26,7 @@
 #include "sched/scheduler.hpp"
 #include "sched/validate.hpp"
 #include "workloads/random_dag.hpp"
+#include "workloads/workload_registry.hpp"
 
 namespace bsa {
 
@@ -48,9 +49,9 @@ using testing::diff_schedules;
 using testing::expect_bsa_oracle_run;
 using testing::OraclePin;
 
-// BSA runs with its per-migration oracle on (bsa_oracle.hpp): every
-// incremental re-timing is checked against the full rebuild
-// sched::try_retime on a copy of the mutated schedule (same cycle
+// BSA runs under the move oracle (testing::MoveOracle, bsa_oracle.hpp):
+// every incremental re-timing is checked against the full rebuild
+// testing::try_retime on a copy of the mutated schedule (same cycle
 // verdict, same schedule), and each result is pinned.
 
 TEST(RetimeContextProperty, BitIdenticalToFullRebuildOnRandomScenarios) {
@@ -230,7 +231,7 @@ TEST_F(RetimeContextFixture, FullRetimeMatchesReference) {
 
   Schedule reference = s;
   Time mk_ref = 0;
-  ASSERT_TRUE(sched::try_retime(reference, cm, &mk_ref));
+  ASSERT_TRUE(testing::try_retime(reference, cm, &mk_ref));
 
   RetimeContext ctx(s, cm);
   Time mk = 0;
@@ -275,7 +276,7 @@ TEST_F(RetimeContextFixture, MigrationDeltaMatchesReference) {
 
   Schedule reference = s;
   Time mk_ref = 0;
-  ASSERT_TRUE(sched::try_retime(reference, cm, &mk_ref));
+  ASSERT_TRUE(testing::try_retime(reference, cm, &mk_ref));
 
   Time mk = 0;
   ASSERT_TRUE(ctx.retime_migration(B, &mk));
@@ -370,7 +371,7 @@ void run_oracle(Schedule& s, const net::HeterogeneousCostModel& cm,
     const Schedule before = s;
     Schedule reference = before;
     move_task(reference, cm, table, t, p);
-    const bool reference_ok = sched::try_retime(reference, cm, nullptr);
+    const bool reference_ok = testing::try_retime(reference, cm, nullptr);
 
     ctx.begin_migration(t);
     if (use_txn) s.begin_transaction(txn);
@@ -437,7 +438,7 @@ TEST(RetimeContextOracle, RandomMigrationStreamsMatchTryRetime) {
                          .resolve(case_index % 2 == 0 ? "bsa" : "heft")
                          ->run(g, topo, cm, seed)
                          .schedule;
-        if (!sched::try_retime(s, cm, nullptr)) {
+        if (!testing::try_retime(s, cm, nullptr)) {
           (void)testing::replay_retime(s, cm, true);
         }
         std::ostringstream label;
@@ -526,7 +527,7 @@ TEST_F(RetimeContextFixture, TiedZeroLengthChainKeepsItsOrder) {
   s.place_task(y, 1, 10, 10);
   s.set_route(2, {Hop{l01, 10, 10}});
   Schedule reference = s;
-  ASSERT_TRUE(sched::try_retime(reference, cm2, nullptr));
+  ASSERT_TRUE(testing::try_retime(reference, cm2, nullptr));
   ASSERT_TRUE(ctx.retime_migration(y, nullptr));
   EXPECT_EQ(diff_schedules(s, reference), "");
   EXPECT_EQ(ctx.check_consistency(), "");
@@ -625,7 +626,7 @@ TEST(MoveEngineRetime, EvaluateMeasuresLikeTheSnapshotCopyPath) {
         Schedule snapshot = s;
         move_task(snapshot, cm, table, t, p);
         const bool reference_retimed =
-            sched::try_retime(snapshot, cm, nullptr);
+            testing::try_retime(snapshot, cm, nullptr);
         ASSERT_EQ(fell_back, !reference_retimed) << t << "->" << p;
         if (!reference_retimed) {
           (void)testing::reference_replay(snapshot, cm, true);
@@ -1108,6 +1109,67 @@ TEST(RefineRetimeDelta, ImprovesOrKeepsAPoorSchedule) {
   const auto r = core::refine_schedule(base.schedule, cm);
   EXPECT_TRUE(sched::validate(r.schedule, cm).ok());
   EXPECT_LE(r.final_length, base.schedule.makespan());
+}
+
+// --- SA and refine under the move oracle ------------------------------------
+
+/// Run `run` (returns a schedule) under a testing::MoveOracle and again
+/// without one: every move must pass the oracle and the two schedules
+/// must be identical. Adds the observed moves (and the replayed ones) to
+/// the tallies.
+template <class Run>
+void expect_moves_pass_the_oracle(const Run& run, const std::string& label,
+                                  std::int64_t& moves,
+                                  std::int64_t& replayed) {
+  const Schedule observed = [&] {
+    const testing::MoveOracle oracle;
+    Schedule s = run();
+    EXPECT_EQ(oracle.failure(), "") << label;
+    moves += oracle.moves();
+    replayed += oracle.replayed_moves();
+    return s;
+  }();
+  EXPECT_EQ(diff_schedules(observed, run()), "") << label;
+}
+
+TEST(MoveOracle, SaAndRefineMovesMatchTheReferences) {
+  // SA's proposals (and, under init=bsa, BSA's migrations) and refine's
+  // evaluations and applied moves, each checked as it happens.
+  std::int64_t sa_moves = 0;
+  std::int64_t sa_replayed = 0;
+  std::int64_t refine_moves = 0;
+  std::int64_t refine_replayed = 0;
+  std::uint64_t case_index = 0;
+  for (const std::string workload : {"random", "gauss"}) {
+    for (const std::string kind : {"ring", "hypercube"}) {
+      const auto seed = derive_seed(31, case_index++);
+      const auto g = workloads::WorkloadRegistry::global()
+                         .resolve(workload)
+                         ->generate(/*target_tasks=*/40, 1.0, seed);
+      const auto topo = exp::make_topology(kind, 8, seed);
+      const auto cm = net::HeterogeneousCostModel::uniform_processor_speeds(
+          g, topo, 1, 50, 1, 50, derive_seed(seed, 17));
+      const std::string label = workload + "/" + kind;
+      for (const std::string spec : {"sa:init=heft", "sa:init=bsa"}) {
+        const auto scheduler = sched::SchedulerRegistry::global().resolve(spec);
+        expect_moves_pass_the_oracle(
+            [&] { return scheduler->run(g, topo, cm, seed).schedule; },
+            label + " " + spec, sa_moves, sa_replayed);
+      }
+      const Schedule heft = sched::SchedulerRegistry::global()
+                                .resolve("heft")
+                                ->run(g, topo, cm, seed)
+                                .schedule;
+      expect_moves_pass_the_oracle(
+          [&] { return core::refine_schedule(heft, cm).schedule; },
+          label + " refine", refine_moves, refine_replayed);
+    }
+  }
+  // Both move streams, and the replay branch, were checked.
+  EXPECT_GT(sa_moves, 400);
+  EXPECT_GT(sa_replayed, 0);
+  EXPECT_GT(refine_moves, 400);
+  EXPECT_GT(refine_replayed, 0);
 }
 
 }  // namespace

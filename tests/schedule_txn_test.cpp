@@ -22,8 +22,8 @@
 ///    set_route unwind truncates the journal;
 ///  * RetimeContext::undo_migration leaves the context exactly consistent
 ///    with the rolled-back schedule (check_consistency);
-///  * end-to-end properties — BSA's per-migration oracle
-///    (BsaOptions::validate_each_step) finds every guarded rollback
+///  * end-to-end properties — the move oracle (testing::MoveOracle, a
+///    core::MoveEngine::Observer) finds every guarded rollback of BSA
 ///    restoring the pre-migration schedule and a consistent re-timing
 ///    context, across topologies x routings x gate rules x policies, and
 ///    each result matches the one pinned from the build that still
@@ -164,7 +164,7 @@ TEST_F(TxnFixture, RetimeWritesInsideTransactionRollBack) {
   Schedule::Transaction txn;
   s.begin_transaction(txn);
   s.set_task_times(A, 5, 15);  // push A later; retime will ripple
-  ASSERT_TRUE(sched::try_retime(s, cm, nullptr));
+  ASSERT_TRUE(testing::try_retime(s, cm, nullptr));
   s.rollback_transaction();
   EXPECT_TRUE(diff_schedules(s, before).empty());
 }
@@ -203,7 +203,7 @@ TEST_F(TxnFixture, UndoMigrationLeavesContextConsistent) {
   s.place_task(B, 1, 14, 24);
   s.set_route(2, {Hop{l01, 24, 28}});
   Schedule reference = s;
-  ASSERT_TRUE(sched::try_retime(reference, cm, nullptr));
+  ASSERT_TRUE(testing::try_retime(reference, cm, nullptr));
   ASSERT_TRUE(ctx.retime_migration(B, nullptr));
   EXPECT_TRUE(diff_schedules(s, reference).empty());
 }

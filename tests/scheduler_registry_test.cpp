@@ -155,7 +155,7 @@ TEST(Registry, UnknownOptionListsValidOptions) {
   EXPECT_NE(msg.find("sweeps"), std::string::npos) << msg;
   // The former engine-selection keys are gone from the grammar: BSA has
   // one evaluate / rollback / re-time engine, and the references live on
-  // only as a test oracle (BsaOptions::validate_each_step).
+  // only as test oracles (testing::MoveOracle in bsa_oracle.hpp).
   const std::vector<std::pair<std::string, std::string>> removed_keys = {
       {"bsa:eval=fresh", "eval"},
       {"bsa:rollback=snapshot", "rollback"},

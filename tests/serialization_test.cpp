@@ -158,9 +158,8 @@ TEST_P(SerializationProperty, ValidOnRandomGraphs) {
     if (result.task_class[static_cast<std::size_t>(t)] != TaskClass::kInBranch)
       continue;
     bool is_ancestor = false;
-    const auto desc = graph::descendant_mask(g, t);
     for (const TaskId c : result.critical_path) {
-      if (desc[static_cast<std::size_t>(c)]) {
+      if (graph::ancestor_mask(g, c)[static_cast<std::size_t>(t)]) {
         is_ancestor = true;
         break;
       }

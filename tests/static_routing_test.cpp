@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "bsa_oracle.hpp"
 #include "common/check.hpp"
 #include "core/bsa.hpp"
 #include "network/routing.hpp"
@@ -42,8 +43,9 @@ TEST(StaticRouting, ShortestPathOnPaperExample) {
   const auto cm = pf::paper_cost_model(g, topo);
   BsaOptions opt;
   opt.routing = RouteDiscipline::kStaticShortestPath;
-  opt.validate_each_step = true;
+  const pf::MoveOracle oracle;  // checks every migration
   const auto result = schedule_bsa(g, topo, cm, opt);
+  EXPECT_EQ(oracle.failure(), "");
   const auto report = sched::validate(result.schedule, cm);
   ASSERT_TRUE(report.ok()) << report.to_string();
   expect_routes_static(result.schedule, topo,
