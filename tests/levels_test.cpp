@@ -113,5 +113,28 @@ TEST(Levels, RejectsMismatchedSpans) {
   EXPECT_THROW((void)compute_levels(g, bad_exec, comm), PreconditionError);
 }
 
+TEST(Levels, AllCpEntriesConsidered) {
+  // Diamond where both middle tasks are on equal CPs through a common
+  // entry/exit; extraction must return one complete path.
+  TaskGraphBuilder b;
+  const TaskId s = b.add_task(5);
+  const TaskId m1 = b.add_task(10);
+  const TaskId m2 = b.add_task(10);
+  const TaskId t = b.add_task(5);
+  (void)b.add_edge(s, m1, 3);
+  (void)b.add_edge(s, m2, 3);
+  (void)b.add_edge(m1, t, 3);
+  (void)b.add_edge(m2, t, 3);
+  const TaskGraph g = b.build();
+  const LevelSets levels = compute_levels(g);
+  EXPECT_DOUBLE_EQ(levels.cp_length, 26);
+  Rng rng(3);
+  const auto cp = extract_critical_path(g, rng);
+  ASSERT_EQ(cp.size(), 3u);  // s -> one middle task -> t
+  EXPECT_EQ(cp.front(), s);
+  EXPECT_EQ(cp.back(), t);
+  EXPECT_TRUE(cp[1] == m1 || cp[1] == m2);
+}
+
 }  // namespace
 }  // namespace bsa::graph
